@@ -27,20 +27,20 @@ from . import __version__
 from .errors import RefusalError, UsageError
 from .harness import (
     ExperimentConfig,
+    _csv_cell,
+    _csv_text,
     oscillation_residual,
     predictor_backtest,
     run_experiment,
 )
-from .limits import _centered_symbol, build_spectrum, cov_pair, predictor_coeffs, variance
+from .limits import _DEFAULT_GRID, _centered_symbol, build_spectrum, cov_pair, predictor_coeffs, variance
 from .offspring import OffspringLaw, make_law, moments
-from .simulate import run, trace_csv
+from .simulate import _DEFAULT_CAP, run, trace_csv
 from .spectral import classify
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
 _COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
-_DEFAULT_CAP = 1 << 62
-_DEFAULT_GRID = 4096
 
 _TOP_KEYS = {
     "command",
@@ -58,6 +58,38 @@ _TOP_KEYS = {
 _LAW_KEYS = {"atoms", "char_extends"}
 _ATOM_KEYS = {"prob", "births", "char"}
 _TOL_KEYS = {"var", "skew", "kurt", "residual", "alternation"}
+
+#: Summary fields written to ``oscillation.csv`` (followed by the overall ``passed``).
+_OSCILLATION_COLUMNS = (
+    "regime",
+    "m",
+    "gamma_star",
+    "horizon",
+    "n0",
+    "replicates",
+    "used",
+    "excluded_capped",
+    "median_residual",
+    "median_profile_norm",
+    "median_relative_residual",
+    "alternation_fraction",
+    "mean_ok",
+    "degenerate",
+)
+#: Report fields written to ``backtest.csv``.
+_BACKTEST_COLUMNS = (
+    "K",
+    "horizon",
+    "replicates",
+    "used",
+    "excluded_capped",
+    "mse_normalized",
+    "naive_mse_normalized",
+    "predicted_residual_sq",
+    "predicted_target_sq",
+    "regularized",
+    "beats_naive",
+)
 
 
 @dataclass(frozen=True)
@@ -124,7 +156,6 @@ def _parse_law(raw, path: str) -> OffspringLaw:
     if not isinstance(extends, bool):
         raise UsageError(f"{path}.char_extends: expected true or false")
     entries = []
-    total = 0.0
     char_len: int | None = None
     char_seen = False
     for i, atom in enumerate(atoms):
@@ -132,7 +163,6 @@ def _parse_law(raw, path: str) -> OffspringLaw:
         aobj = _as_object(atom, apath)
         _reject_unknown(aobj, _ATOM_KEYS, apath)
         prob = _as_number(_need(aobj, "prob", apath), f"{apath}.prob")
-        total += prob
         births = _need(aobj, "births", apath)
         if not isinstance(births, list) or not births:
             raise UsageError(f"{apath}.births: expected a non-empty list of counts by age")
@@ -158,8 +188,6 @@ def _parse_law(raw, path: str) -> OffspringLaw:
             if char_seen:
                 raise UsageError(f"{apath}: atom 0 has a characteristic but atom {i} does not")
             entries.append((prob, tuple(counts)))
-    if abs(total - 1.0) > 1e-12:
-        raise UsageError(f"{path}.atoms: probabilities sum to {total:.17g}, not 1")
     try:
         return make_law(entries, char_extends=extends)
     except ValueError as exc:
@@ -199,9 +227,9 @@ def parse_config(text: str) -> RunConfig:
     lags = tuple(_as_int(e, f"config.lags[{j}]") for j, e in enumerate(lags_raw))
     tol = _as_object(obj.get("tolerances", {}), "config.tolerances")
     _reject_unknown(tol, _TOL_KEYS, "config.tolerances")
-    tol_var = _as_number(tol.get("var", 0.10), "config.tolerances.var")
-    tol_skew = _as_number(tol.get("skew", 0.15), "config.tolerances.skew")
-    tol_kurt = _as_number(tol.get("kurt", 0.30), "config.tolerances.kurt")
+    tol_var = _as_number(tol.get("var", ExperimentConfig.tol_var), "config.tolerances.var")
+    tol_skew = _as_number(tol.get("skew", ExperimentConfig.tol_skew), "config.tolerances.skew")
+    tol_kurt = _as_number(tol.get("kurt", ExperimentConfig.tol_kurt), "config.tolerances.kurt")
     tol_res = _as_number(tol.get("residual", 0.15), "config.tolerances.residual")
     tol_alt = _as_number(tol.get("alternation", 0.90), "config.tolerances.alternation")
     outdir = obj.get("outdir", ".")
@@ -278,10 +306,6 @@ def serialize_config(config: RunConfig) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _g(x: float) -> str:
-    return format(x, ".17g")
-
-
 class _Sink:
     """Collects artifact files, prefixing each with the provenance header."""
 
@@ -317,24 +341,14 @@ def _cmd_analyze(config: RunConfig, sink: _Sink, out) -> int:
     report = classify(config.law)
     sink.write("analysis.txt", report.to_text())
     crit = set(report.gamma_crit)
-    lines = ["index,re,im,modulus,multiplicity,residual,deriv_re,deriv_im,critical"]
-    for i, root in enumerate(report.roots):
-        lines.append(
-            ",".join(
-                [
-                    str(i),
-                    _g(root.real),
-                    _g(root.imag),
-                    _g(abs(root)),
-                    str(report.multiplicities[i]),
-                    _g(report.residuals[i]),
-                    _g(report.derivs[i].real),
-                    _g(report.derivs[i].imag),
-                    str(root in crit).lower(),
-                ]
-            )
+    header = ("index", "re", "im", "modulus", "multiplicity", "residual", "deriv_re", "deriv_im", "critical")
+    rows = [
+        (i, root.real, root.imag, abs(root), mult, resid, deriv.real, deriv.imag, root in crit)
+        for i, (root, mult, resid, deriv) in enumerate(
+            zip(report.roots, report.multiplicities, report.residuals, report.derivs)
         )
-    sink.write("roots.csv", "\n".join(lines) + "\n")
+    ]
+    sink.write("roots.csv", _csv_text(header, rows))
     out.write(report.to_text())
     return 0
 
@@ -342,20 +356,14 @@ def _cmd_analyze(config: RunConfig, sink: _Sink, out) -> int:
 def _cmd_limits(config: RunConfig, sink: _Sink, out) -> int:
     report = classify(config.law)
     spectrum = build_spectrum(report, moments(config.law), config.grid)
-    var_lines = ["k,variance"]
-    for k in config.lags:
-        var_lines.append(f"{k},{_g(variance(spectrum, {k: 1.0}))}")
-    sink.write("variances.csv", "\n".join(var_lines) + "\n")
-    cov_lines = ["j,k,covariance"]
-    for j in config.lags:
-        fj = _centered_symbol({j: 1.0}, spectrum.m)
-        for k in config.lags:
-            fk = _centered_symbol({k: 1.0}, spectrum.m)
-            cov_lines.append(f"{j},{k},{_g(cov_pair(spectrum, fj, fk))}")
-    sink.write("covariances.csv", "\n".join(cov_lines) + "\n")
+    variances = [(k, variance(spectrum, {k: 1.0})) for k in config.lags]
+    sink.write("variances.csv", _csv_text(("k", "variance"), variances))
+    symbols = [(k, _centered_symbol({k: 1.0}, spectrum.m)) for k in config.lags]
+    covariances = [(j, k, cov_pair(spectrum, fj, fk)) for j, fj in symbols for k, fk in symbols]
+    sink.write("covariances.csv", _csv_text(("j", "k", "covariance"), covariances))
     out.write(f"regime {report.regime}, spectrum {spectrum.kind}, lags {list(config.lags)}\n")
-    for line in var_lines[1:]:
-        out.write(line.replace(",", ": variance ") + "\n")
+    for k, var in variances:
+        out.write(f"{k}: variance {_csv_cell(var)}\n")
     return 0
 
 
@@ -381,27 +389,11 @@ def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
             and summary.median_relative_residual <= config.tol_residual
             and alt_ok
         )
-        cols = [
-            ("regime", summary.regime),
-            ("m", _g(summary.m)),
-            ("gamma_star", _g(summary.gamma_star)),
-            ("horizon", summary.horizon),
-            ("n0", summary.n0),
-            ("replicates", summary.replicates),
-            ("used", summary.used),
-            ("excluded_capped", summary.excluded_capped),
-            ("median_residual", _g(summary.median_residual)),
-            ("median_profile_norm", _g(summary.median_profile_norm)),
-            ("median_relative_residual", _g(summary.median_relative_residual)),
-            ("alternation_fraction", _g(summary.alternation_fraction)),
-            ("mean_ok", str(summary.mean_ok).lower()),
-            ("degenerate", str(summary.degenerate).lower()),
-            ("passed", str(passed).lower()),
-        ]
-        body = ",".join(k for k, _ in cols) + "\n" + ",".join(str(v) for _, v in cols) + "\n"
-        sink.write("oscillation.csv", body)
-        for key, value in cols:
-            out.write(f"{key} = {value}\n")
+        cols = {name: getattr(summary, name) for name in _OSCILLATION_COLUMNS}
+        cols["passed"] = passed
+        sink.write("oscillation.csv", _csv_text(cols, [cols.values()]))
+        for key, value in cols.items():
+            out.write(f"{key} = {_csv_cell(value)}\n")
         return 0 if passed else 4
     report = run_experiment(_experiment_config(config))
     sink.write("verification.csv", report.to_csv())
@@ -413,30 +405,13 @@ def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
     spectral = classify(config.law)
     spectrum = build_spectrum(spectral, moments(config.law), config.grid)
     rule = predictor_coeffs(spectrum, config.K)
-    coeff_lines = ["k,coefficient"]
-    for k, c in enumerate(rule.coeffs, start=1):
-        coeff_lines.append(f"{k},{_g(c)}")
-    sink.write("coefficients.csv", "\n".join(coeff_lines) + "\n")
+    sink.write("coefficients.csv", _csv_text(("k", "coefficient"), enumerate(rule.coeffs, start=1)))
     back = predictor_backtest(_experiment_config(config), config.K)
-    cols = [
-        ("K", back.K),
-        ("horizon", back.horizon),
-        ("replicates", back.replicates),
-        ("used", back.used),
-        ("excluded_capped", back.excluded_capped),
-        ("mse_normalized", _g(back.mse_normalized)),
-        ("naive_mse_normalized", _g(back.naive_mse_normalized)),
-        ("predicted_residual_sq", _g(back.predicted_residual_sq)),
-        ("predicted_target_sq", _g(back.predicted_target_sq)),
-        ("regularized", str(back.regularized).lower()),
-        ("beats_naive", str(back.beats_naive).lower()),
-    ]
-    body = ",".join(k for k, _ in cols) + "\n" + ",".join(str(v) for _, v in cols) + "\n"
-    sink.write("backtest.csv", body)
+    sink.write("backtest.csv", _csv_text(_BACKTEST_COLUMNS, [[getattr(back, name) for name in _BACKTEST_COLUMNS]]))
     out.write(
-        f"m {_g(rule.m)}, coefficients [{', '.join(format(c, '.12g') for c in rule.coeffs)}], "
-        f"residual {_g(rule.residual_norm)}\n"
-        f"mse {_g(back.mse_normalized)} vs naive {_g(back.naive_mse_normalized)}, "
+        f"m {_csv_cell(rule.m)}, coefficients [{', '.join(format(c, '.12g') for c in rule.coeffs)}], "
+        f"residual {_csv_cell(rule.residual_norm)}\n"
+        f"mse {_csv_cell(back.mse_normalized)} vs naive {_csv_cell(back.naive_mse_normalized)}, "
         f"beats_naive {str(back.beats_naive).lower()}\n"
     )
     return 0

@@ -25,16 +25,15 @@ counted in the report — never silently dropped.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import RefusalError
 from .limits import LimitSpectrum, build_spectrum, cov_lagged, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
-from .simulate import estimate_U, fluctuations, run
+from .simulate import _DEFAULT_CAP, estimate_U, run
 from .spectral import classify
 
 __all__ = [
@@ -74,7 +73,7 @@ class ExperimentConfig:
     tol_var: float = 0.10
     tol_skew: float = 0.15
     tol_kurt: float = 0.30
-    cap: int = 1 << 62
+    cap: int = _DEFAULT_CAP
 
     def __post_init__(self):
         if self.replicates < 100:
@@ -146,34 +145,42 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        header = (
-            "lag,mean,mean_se,variance,variance_se,skewness,skewness_se,"
-            "ex_kurtosis,kurtosis_se,predicted_variance,rel_error,var_ok,normal_ok"
-        )
-        lines = [header]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [str(r.lag)]
-                    + [
-                        format(x, ".17g")
-                        for x in (
-                            r.mean,
-                            r.mean_se,
-                            r.variance,
-                            r.variance_se,
-                            r.skewness,
-                            r.skewness_se,
-                            r.ex_kurtosis,
-                            r.kurtosis_se,
-                            r.predicted_variance,
-                            r.rel_error,
-                        )
-                    ]
-                    + [str(r.var_ok).lower(), str(r.normal_ok).lower()]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        names = [f.name for f in fields(LagMomentRow)]
+        return _csv_text(names, [[getattr(r, name) for name in names] for r in self.rows])
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: bools lowercase, floats to 17 significant digits, the rest as ``str``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text: the header line, then one line of formatted cells per row."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _replicates(config: ExperimentConfig, domain: int, horizon: int, purpose: str):
+    """Yield the campaign's replicate traces that stay below the population cap.
+
+    Replicate ``i`` is simulated to ``horizon`` from seed
+    ``(master_seed, domain, i)``; capped ones are skipped, and the caller
+    counts them as ``replicates - used``.  Faults once the replicates are
+    exhausted if fewer than two were usable, naming what they were for.
+    """
+    used = 0
+    for i in range(config.replicates):
+        trace = run(config.law, horizon, (config.master_seed, domain, i), cap=config.cap)
+        if not trace.capped:
+            used += 1
+            yield trace
+    if used < 2:
+        raise RuntimeError(f"only {used} replicates below the cap; cannot {purpose}")
 
 
 def _normalizer(regime: str, n: int, z_n: int) -> float:
@@ -255,21 +262,14 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
     lags = tuple(config.lags)
     predicted = {k: variance(spectrum, {k: 1.0}) for k in lags}
     samples: dict[int, list[float]] = {k: [] for k in lags}
-    excluded = 0
-    for i in range(config.replicates):
-        trace = run(config.law, n, (config.master_seed, _DOMAIN_EXPERIMENT, i), cap=config.cap)
-        if trace.capped:
-            excluded += 1
-            continue
+    for trace in _replicates(config, _DOMAIN_EXPERIMENT, n, "form moments"):
         z_n = trace.Z[n]
         norm = _normalizer(report.regime, n, z_n)
         for k in lags:
             past = trace.Z[n - k] if n - k >= 0 else 0
             x = float(past) - m ** (-k) * float(z_n)
             samples[k].append(x / norm)
-    used = config.replicates - excluded
-    if used < 2:
-        raise RuntimeError(f"only {used} replicates below the cap; cannot form moments")
+    used = len(samples[lags[0]])
     rows = tuple(_moment_row(k, np.asarray(samples[k]), predicted[k], config) for k in lags)
     return VerificationReport(
         regime=report.regime,
@@ -277,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
         horizon=n,
         replicates=config.replicates,
         used=used,
-        excluded_capped=excluded,
+        excluded_capped=config.replicates - used,
         master_seed=config.master_seed,
         rows=rows,
     )
@@ -321,12 +321,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     base = cov_lagged(spectrum, k, 0)
     now: list[float] = []
     lagged: dict[int, list[float]] = {e: [] for e in ells}
-    excluded = 0
-    for i in range(config.replicates):
-        trace = run(config.law, n, (config.master_seed, _DOMAIN_LAGCHECK, i), cap=config.cap)
-        if trace.capped:
-            excluded += 1
-            continue
+    for trace in _replicates(config, _DOMAIN_LAGCHECK, n, "form correlations"):
         now.append(
             (float(trace.Z[n - k]) - m ** (-k) * float(trace.Z[n])) / _normalizer(report.regime, n, trace.Z[n])
         )
@@ -334,9 +329,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
             t = n - e
             x = float(trace.Z[t - k]) - m ** (-k) * float(trace.Z[t])
             lagged[e].append(x / _normalizer(report.regime, t, trace.Z[t]))
-    used = config.replicates - excluded
-    if used < 2:
-        raise RuntimeError(f"only {used} replicates below the cap; cannot form correlations")
+    used = len(now)
     a = np.asarray(now)
     rows = []
     for e in ells:
@@ -350,7 +343,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
         horizon=n,
         replicates=config.replicates,
         used=used,
-        excluded_capped=excluded,
+        excluded_capped=config.replicates - used,
         rows=tuple(rows),
     )
 
@@ -428,12 +421,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
     profile_norms: list[float] = []
     alternating_votes = 0
     centered: list[list[complex]] = [[] for _ in crits]
-    excluded = 0
-    for i in range(config.replicates):
-        trace = run(config.law, n, (config.master_seed, _DOMAIN_OSCILLATION, i), cap=config.cap)
-        if trace.capped:
-            excluded += 1
-            continue
+    for trace in _replicates(config, _DOMAIN_OSCILLATION, n, "summarize"):
         ests = [estimate_U(trace, tab, report, g, n0) for g in crits]
         for p, est in enumerate(ests):
             centered[p].append(est.centered)
@@ -454,9 +442,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
                 signs.append(math.copysign(1.0, x) if x != 0.0 else 0.0)
             if all(s != 0.0 and s == -prev for prev, s in zip(signs, signs[1:])):
                 alternating_votes += 1
-    used = config.replicates - excluded
-    if used < 2:
-        raise RuntimeError(f"only {used} replicates below the cap; cannot summarize")
+    used = len(residuals)
     med_res = float(np.median(residuals))
     med_prof = float(np.median(profile_norms))
     rel = med_res / med_prof if med_prof > 0 else math.inf
@@ -480,7 +466,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
         n0=n0,
         replicates=config.replicates,
         used=used,
-        excluded_capped=excluded,
+        excluded_capped=config.replicates - used,
         lags=lags,
         median_residual=med_res,
         median_profile_norm=med_prof,
@@ -527,12 +513,7 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     n = config.horizon
     sq_errors: list[float] = []
     naive_sq: list[float] = []
-    excluded = 0
-    for i in range(config.replicates):
-        trace = run(config.law, n + 1, (config.master_seed, _DOMAIN_BACKTEST, i), cap=config.cap)
-        if trace.capped or trace.horizon < n + 1:
-            excluded += 1
-            continue
+    for trace in _replicates(config, _DOMAIN_BACKTEST, n + 1, "form MSE"):
         z_n = float(trace.Z[n])
         x_lags = [float(trace.Z[n - j]) - m ** (-j) * z_n for j in range(1, K + 1)]
         pred = rule.predict(z_n, x_lags)
@@ -541,9 +522,7 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
         denom = float(n) * z_n if report.regime == "II" else z_n
         sq_errors.append((actual - pred) ** 2 / denom)
         naive_sq.append((actual - naive) ** 2 / denom)
-    used = config.replicates - excluded
-    if used < 2:
-        raise RuntimeError(f"only {used} replicates below the cap; cannot form MSE")
+    used = len(sq_errors)
     mse = float(np.mean(sq_errors))
     naive_mse = float(np.mean(naive_sq))
     beats = mse < naive_mse if rule.residual_sq < rule.target_sq else True
@@ -554,7 +533,7 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
         horizon=n,
         replicates=config.replicates,
         used=used,
-        excluded_capped=excluded,
+        excluded_capped=config.replicates - used,
         mse_normalized=mse,
         naive_mse_normalized=naive_mse,
         predicted_residual_sq=rule.residual_sq,

@@ -22,13 +22,13 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import RefusalError
-from .offspring import OffspringLaw, char_moments, moments
-from .spectral import SpectralReport, apply_T, vector_v
+from .offspring import OffspringLaw, _poly_deriv, _polyval, _sigma_form, char_moments, moments
+from .spectral import SpectralReport, _apply_T_mu, vector_v
 
 __all__ = [
     "LimitSpectrum",
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _MAX_GRID = 1 << 20
+#: Quadrature grid size a circle spectrum starts from before doubling.
+_DEFAULT_GRID = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,20 +88,6 @@ class LimitSpectrum:
         return complex(np.sum(weights * values))
 
 
-def _sigma_on(points: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Sigma(z) = sum_{i,j} Cov(N_i, N_j) z^i conj(z)^j on an array of points."""
-    powers = points[:, None] ** np.arange(sigma.shape[0])
-    vals = np.einsum("ni,ij,nj->n", powers, sigma, np.conj(powers)).real
-    return np.maximum(vals, 0.0)
-
-
-def _mu_hat_on(points: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(points) + mu[-1]
-    for c in mu[-2::-1]:
-        acc = acc * points + c
-    return acc
-
-
 def _symbol_on(points: np.ndarray, coeffs: dict[int, float]) -> np.ndarray:
     """Evaluate the Laurent polynomial ``sum_k coeffs[k] z^k`` on points."""
     out = np.zeros(points.shape, dtype=complex)
@@ -126,14 +114,14 @@ def _circle_density(report: SpectralReport, tab, M: int):
     radius = m**-0.5
     theta = 2.0 * np.pi * np.arange(M) / M
     points = radius * np.exp(1j * theta)
-    gap = np.abs(1.0 - _mu_hat_on(points, tab.mu.astype(complex)))
+    gap = np.abs(1.0 - _polyval(tab.mu, points))
     if gap.min() <= 1e-12:
         raise RuntimeError("mu_hat(z) = 1 on the integration circle; root geometry inconsistent with regime I")
-    density = ((m - 1.0) / m) * _sigma_on(points, tab.sigma) / (np.abs(1.0 - points) ** 2 * gap**2)
+    density = ((m - 1.0) / m) * _sigma_form(tab.sigma, points) / (np.abs(1.0 - points) ** 2 * gap**2)
     return points, density
 
 
-def build_spectrum(report: SpectralReport, tab, M: int = 4096) -> LimitSpectrum:
+def build_spectrum(report: SpectralReport, tab, M: int = _DEFAULT_GRID) -> LimitSpectrum:
     """Construct the limiting covariance measure for a classified law.
 
     Regime I: circle density sampled at ``M`` uniform angles, with ``M``
@@ -141,6 +129,8 @@ def build_spectrum(report: SpectralReport, tab, M: int = 4096) -> LimitSpectrum:
     relative (the integrand is analytic, so this converges geometrically).
     Regime II with simple critical roots: exact atoms.  Regime III and
     non-simple critical roots: refused, no limiting covariance exists.
+    A value of Sigma below -1e-12 on the circle or at a critical root is a
+    fault (ValueError).
     """
     if report.regime == "III":
         raise RefusalError("regime III: fluctuations oscillate without a limiting covariance (use the oscillation profile)")
@@ -148,33 +138,22 @@ def build_spectrum(report: SpectralReport, tab, M: int = 4096) -> LimitSpectrum:
         raise RefusalError("non-simple critical root: the regime-II limit theorem does not apply")
     m = report.m
     if report.regime == "II":
-        mu = tab.mu
-        dcoef = mu[1:] * np.arange(1, len(mu))
-        atoms = []
-        for g in report.gamma_crit:
-            sig = float(_sigma_on(np.array([g], dtype=complex), tab.sigma)[0])
-            deriv = complex(_mu_hat_on(np.array([g], dtype=complex), dcoef.astype(complex))[0])
-            weight = (m - 1.0) * sig / (abs(1.0 - g) ** 2 * abs(deriv) ** 2)
-            atoms.append((complex(g), float(weight)))
-        return LimitSpectrum(kind="atoms", m=m, atoms=tuple(atoms))
+        crit = np.array(report.gamma_crit, dtype=complex)
+        deriv = _polyval(_poly_deriv(tab.mu), crit)
+        weights = (m - 1.0) * _sigma_form(tab.sigma, crit) / (np.abs(1.0 - crit) ** 2 * np.abs(deriv) ** 2)
+        return LimitSpectrum(kind="atoms", m=m, atoms=tuple((complex(g), float(w)) for g, w in zip(crit, weights)))
 
     M = max(int(M), 8)
-    probe = {1: 1.0}
-    points, density = _circle_density(report, tab, M)
-    spec = LimitSpectrum(kind="circle", m=m, radius=m**-0.5, points=points, density=density, grid_size=M)
-    ref = variance(spec, probe)
-    while M < _MAX_GRID:
-        M *= 2
+    ref = None
+    while True:
         points, density = _circle_density(report, tab, M)
-        candidate = LimitSpectrum(kind="circle", m=m, radius=m**-0.5, points=points, density=density, grid_size=M)
-        val = variance(candidate, probe)
-        done = abs(val - ref) <= 1e-10 * max(abs(val), 1e-30)
-        spec, ref = candidate, val
-        if done:
+        spec = LimitSpectrum(kind="circle", m=m, radius=m**-0.5, points=points, density=density, grid_size=M)
+        val = variance(spec, {1: 1.0})
+        if ref is not None and abs(val - ref) <= 1e-10 * max(abs(val), 1e-30):
             return spec
-    return LimitSpectrum(
-        kind="circle", m=m, radius=m**-0.5, points=spec.points, density=spec.density, grid_size=M, converged=False
-    )
+        if M >= _MAX_GRID:
+            return replace(spec, converged=False)
+        ref, M = val, 2 * M
 
 
 def variance(spectrum: LimitSpectrum, a: dict[int, float]) -> float:
@@ -206,6 +185,27 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
     return float(spectrum.integrate(vals).real)
 
 
+def _epoch_forms(tab, m: float, a: dict[int, float]):
+    """Yield the per-epoch quadratic forms ``q_l`` for ``l = 1, 2, ...``.
+
+    ``q_l = sum_{i,j=1}^{min(l,K)} sigma_ij alpha_{l-i} alpha_{l-j}`` with
+    ``alpha_s = <T^s v, a>``, the pairing of the s-th operator iterate of the
+    forcing window against the non-negative-lag vector ``a``.  Shared by the
+    epoch series and the pathwise quadratic variation.
+    """
+    mu = tab.mu
+    k_top = len(mu) - 1
+    sig = tab.sigma[1:, 1:]
+    y = vector_v(m, max(k_top, max(a)))
+    alphas = [float(sum(c * y[k] for k, c in a.items()))]
+    while True:
+        y = _apply_T_mu(mu, m, y)
+        alphas.append(float(sum(c * y[k] for k, c in a.items())))
+        ell = len(alphas) - 1
+        window = np.array([alphas[ell - i] if ell - i >= 0 else 0.0 for i in range(1, k_top + 1)])
+        yield float(window @ sig @ window)
+
+
 def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]) -> float:
     """Regime-I limiting variance summed directly over reproduction epochs.
 
@@ -225,27 +225,17 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
     if min(a) < 0:
         raise ValueError("negative lags have no epoch-series form; use variance() on the spectrum")
     m = report.m
-    tab = moments(law)
-    sig = tab.sigma[1:, 1:]
-    k_births = law.max_age
-    trunc = max(k_births, max(a))
-    y = vector_v(m, trunc)
-    alphas: list[float] = []
     total = 0.0
     small_streak = 0
-    for ell in range(100_000):
-        alphas.append(float(sum(c * y[k] for k, c in a.items())))
-        if ell >= 1:
-            window = np.array([alphas[ell - i] if ell - i >= 0 else 0.0 for i in range(1, k_births + 1)])
-            term = (m**-ell - m ** -(ell + 1)) * float(window @ sig @ window)
-            total += term
-            if term <= 1e-14 * max(abs(total), 1e-300):
-                small_streak += 1
-                if small_streak >= 2 and ell > k_births:
-                    return total
-            else:
-                small_streak = 0
-        y = apply_T(law, m, y)
+    for ell, form in zip(range(1, 100_000), _epoch_forms(moments(law), m, a)):
+        term = (m**-ell - m ** -(ell + 1)) * form
+        total += term
+        if term <= 1e-14 * max(abs(total), 1e-300):
+            small_streak += 1
+            if small_streak >= 2 and ell > law.max_age:
+                return total
+        else:
+            small_streak = 0
     raise RuntimeError("epoch series did not converge within 100000 terms")
 
 
@@ -301,7 +291,7 @@ def char_variance_full(law: OffspringLaw, report: SpectralReport, spectrum: Limi
     points = spectrum.points
     delta = {k: float(c) for k, c in enumerate(cm.delta_lambda)}
     n_sym = _symbol_on(points, _centered_symbol(delta, m))
-    g_alpha = n_sym / ((points - 1.0) * (1.0 - _mu_hat_on(points, tab.mu.astype(complex))))
+    g_alpha = n_sym / ((points - 1.0) * (1.0 - _polyval(tab.mu, points)))
     gamma = cm.gamma_phi  # (K_phi+1, K+1)
     zbar = np.conj(points)
     cross_sym = np.zeros_like(points)

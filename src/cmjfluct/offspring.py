@@ -273,46 +273,66 @@ def moments(law: OffspringLaw) -> MomentTable:
     )
 
 
-def _horner(coeffs: np.ndarray, z):
-    """Evaluate ``sum_k coeffs[k] z^k`` by Horner's rule; z scalar or array."""
-    acc = np.zeros_like(np.asarray(z), dtype=np.result_type(coeffs, z)) + coeffs[-1]
+def _polyval(coeffs, z):
+    """Evaluate ``sum_k coeffs[k] z^k`` by Horner's rule; the result has the shape of ``z``.
+
+    ``coeffs`` is an array or a list of Python floats; the latter keeps
+    scalar evaluations in plain Python arithmetic.
+    """
+    acc = 0 * z + coeffs[-1]
     for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
 
 
+def _poly_deriv(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
+    """Coefficients of the ``order``-th derivative of ``sum_k coeffs[k] z^k``."""
+    out = np.asarray(coeffs)
+    for _ in range(order):
+        out = out[1:] * np.arange(1, len(out))
+    return out
+
+
+def _sigma_form(sigma: np.ndarray, z):
+    """``Sigma(z) = sum_{i,j} sigma[i, j] z^i conj(z)^j`` for a covariance table ``sigma``.
+
+    Real and non-negative for a true covariance.  Tiny negative roundoff
+    (>= -1e-12) is clamped to zero; anything below that indicates corrupted
+    input and raises.  The result has the shape of ``z``.
+    """
+    z_arr = np.asarray(z, dtype=complex)
+    points = z_arr.reshape(-1)
+    powers = points[:, None] ** np.arange(sigma.shape[0])
+    out = np.einsum("ni,ij,nj->n", powers, sigma, np.conj(powers)).real
+    if np.any(out < _SIGMA_CLAMP):
+        raise ValueError(f"Sigma(z) evaluated below {_SIGMA_CLAMP}: min {out.min()!r}")
+    return np.maximum(out, 0.0).reshape(z_arr.shape)
+
+
 def mu_hat(law: OffspringLaw, z):
     """Mean-litter transform ``mu_hat(z) = sum_k E[N_k] z^k`` (scalar or array z)."""
-    return _horner(moments(law).mu, z)
+    return _polyval(moments(law).mu, np.asarray(z))
 
 
 def mu_hat_prime(law: OffspringLaw, z):
     """Derivative ``mu_hat'(z) = sum_k k E[N_k] z^(k-1)``."""
-    mu = moments(law).mu
-    dcoef = mu[1:] * np.arange(1, len(mu))
-    return _horner(dcoef, z)
+    return _polyval(_poly_deriv(moments(law).mu), np.asarray(z))
 
 
 def xi_hat_sample(atom: LitterAtom, z):
     """Litter transform of a single atom, ``Xi_a(z) = sum_k births_a[k] z^k``."""
-    return _horner(np.asarray(atom.births, dtype=float), z)
+    return _polyval(np.asarray(atom.births, dtype=float), np.asarray(z))
 
 
 def sigma_hat(law: OffspringLaw, z):
     """Litter variability transform ``Sigma(z) = sum_a p_a |Xi_a(z) - mu_hat(z)|^2``.
 
-    Equals the conjugate-bilinear form ``sum_{i,j} Cov(N_i, N_j) z^i conj(z)^j``
-    and is real and non-negative.  Tiny negative roundoff (>= -1e-12) is
-    clamped to zero; anything below that indicates corrupted input and raises.
+    Evaluated in its equal conjugate-bilinear form
+    ``sum_{i,j} Cov(N_i, N_j) z^i conj(z)^j``, which is real and non-negative.
+    Tiny negative roundoff (>= -1e-12) is clamped to zero; anything below that
+    indicates corrupted input and raises.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    mean = mu_hat(law, z_arr)
-    out = np.zeros(z_arr.shape, dtype=float)
-    for atom in law.atoms:
-        out += atom.prob * np.abs(xi_hat_sample(atom, z_arr) - mean) ** 2
-    if np.any(out < _SIGMA_CLAMP):
-        raise ValueError(f"Sigma(z) evaluated below {_SIGMA_CLAMP}: min {out.min()!r}")
-    np.maximum(out, 0.0, out=out)
+    out = _sigma_form(moments(law).sigma, z)
     return out if out.shape else float(out)
 
 

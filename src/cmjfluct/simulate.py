@@ -21,16 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import OffspringLaw, char_moments, law_fingerprint, moments, validate_law
-from .spectral import (
-    SpectralReport,
-    _apply_T_mu,
-    _growth_from_mu,
+from .limits import _epoch_forms
+from .offspring import (
+    OffspringLaw,
     _poly_deriv,
-    _poly_eval,
-    malthusian,
-    vector_v,
+    _polyval,
+    char_moments,
+    law_fingerprint,
+    moments,
+    validate_law,
 )
+from .spectral import SpectralReport, _apply_T_mu, _growth_from_mu, malthusian, vector_v
 
 __all__ = [
     "Trace",
@@ -47,6 +48,7 @@ __all__ = [
     "trace_csv",
 ]
 
+#: Population cap of a run unless the caller sets one.
 _DEFAULT_CAP = 1 << 62
 
 
@@ -333,7 +335,7 @@ def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, 
     W, _ = innovations(trace, moments)
     powers = g ** np.arange(n0 + 1)
     partial = complex(np.sum(powers * W[: n0 + 1]))
-    deriv = _poly_eval(_poly_deriv(moments.mu).astype(complex), g)
+    deriv = _polyval(_poly_deriv(moments.mu), g)
     scale = -1.0 / (g * (g - 1.0) * deriv)
     return UEstimate(
         value=scale * partial,
@@ -358,20 +360,10 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
         raise ValueError("negative lags have no window components; see fluctuations()")
     if not a:
         return 0.0
-    mu = moments.mu
-    k_top = len(mu) - 1
-    sig = moments.sigma[1:, 1:]
-    m = _growth_from_mu(mu)
-    y = vector_v(m, max(k_top, max(a)))
-    alphas = np.empty(n + 1)
-    for ell in range(n + 1):
-        alphas[ell] = float(sum(c * y[k] for k, c in a.items()))
-        if ell < n:
-            y = _apply_T_mu(mu, m, y)
+    m = _growth_from_mu(moments.mu)
     total = 0.0
-    for ell in range(1, n + 1):
-        window = np.array([alphas[ell - i] if ell - i >= 0 else 0.0 for i in range(1, k_top + 1)])
-        total += float(trace.B[n - ell]) * float(window @ sig @ window)
+    for ell, form in zip(range(1, n + 1), _epoch_forms(moments, m, a)):
+        total += float(trace.B[n - ell]) * form
     return total
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import OffspringLaw, moments, validate_law
+from .offspring import OffspringLaw, _poly_deriv, _polyval, moments, validate_law
 
 __all__ = [
     "SpectralReport",
@@ -93,24 +93,6 @@ class SpectralReport:
         return "\n".join(lines) + "\n"
 
 
-def _mu_coeffs(law: OffspringLaw) -> np.ndarray:
-    return moments(law).mu
-
-
-def _poly_eval(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _poly_deriv(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
-    out = np.asarray(coeffs)
-    for _ in range(order):
-        out = out[1:] * np.arange(1, len(out))
-    return out
-
-
 def malthusian(law: OffspringLaw) -> float:
     """Growth factor ``m > 1`` solving ``mu_hat(1/m) = 1``.
 
@@ -122,12 +104,13 @@ def malthusian(law: OffspringLaw) -> float:
     problems = validate_law(law)
     if problems:
         raise ValueError("law fails standing assumptions: " + "; ".join(problems))
-    return _growth_from_mu(_mu_coeffs(law))
+    return _growth_from_mu(moments(law).mu)
 
 
 def _growth_from_mu(mu: np.ndarray) -> float:
     """Solve ``mu_hat(1/m) = 1`` given only the mean-litter coefficients."""
-    f = lambda x: _poly_eval(mu, x).real - 1.0
+    coeffs = mu.tolist()  # Python floats keep the ~60 scalar evaluations off numpy scalars
+    f = lambda x: _polyval(coeffs, x) - 1.0
     lo, hi = 1.0 / float(np.sum(mu)), 1.0
     # mu_hat(1/E[N]) <= 1 (equality only for single-age laws), mu_hat(1) > 1.
     if f(lo) >= 0.0:
@@ -142,9 +125,9 @@ def _growth_from_mu(mu: np.ndarray) -> float:
             if hi - lo <= 1e-15 * hi:
                 break
         x = 0.5 * (lo + hi)
-        dmu = _poly_deriv(mu)
+        dcoeffs = _poly_deriv(mu).tolist()
         for _ in range(8):
-            step = f(x) / _poly_eval(dmu, x).real
+            step = f(x) / _polyval(dcoeffs, x)
             x -= step
             if abs(step) <= 1e-16 * x:
                 break
@@ -158,14 +141,14 @@ def _newton_polish(coeffs_f: np.ndarray, z: complex, max_iter: int = 100) -> com
     """Newton-polish a simple root of the polynomial with coefficients ``coeffs_f``."""
     dcoeffs = _poly_deriv(coeffs_f)
     scale = float(np.sum(np.abs(coeffs_f))) * max(1.0, abs(z)) ** (len(coeffs_f) - 1)
-    best, best_val = z, abs(_poly_eval(coeffs_f, z))
+    best, best_val = z, abs(_polyval(coeffs_f, z))
     stall = 0
     for _ in range(max_iter):
-        dval = _poly_eval(dcoeffs, z)
+        dval = _polyval(dcoeffs, z)
         if dval == 0:
             break
-        z = z - _poly_eval(coeffs_f, z) / dval
-        val = abs(_poly_eval(coeffs_f, z))
+        z = z - _polyval(coeffs_f, z) / dval
+        val = abs(_polyval(coeffs_f, z))
         if val < best_val:
             best, best_val, stall = z, val, 0
         else:
@@ -183,7 +166,7 @@ def _root_analysis(law: OffspringLaw):
     appropriate derivative, where they are simple), and the root nearest
     ``1/m`` replaced by the bisection-grade value.
     """
-    mu = _mu_coeffs(law)
+    mu = moments(law).mu
     k_max = law.max_age
     coeffs_f = mu.astype(float).copy()  # f(z) = mu_hat(z) - 1, ascending powers
     coeffs_f[0] = -1.0
@@ -251,7 +234,7 @@ def _root_analysis(law: OffspringLaw):
     keyed = sorted(range(len(roots)), key=lambda i: (round(abs(roots[i]), 12), cmath.phase(roots[i])))
     roots = [roots[i] for i in keyed]
     mults = [mults[i] for i in keyed]
-    residuals = [abs(_poly_eval(coeffs_f, z)) for z in roots]
+    residuals = [abs(_polyval(coeffs_f, z)) for z in roots]
     if len(roots) != k_max:
         raise RuntimeError(f"expected {k_max} roots, found {len(roots)}")
     return roots, residuals, mults
@@ -276,9 +259,9 @@ def classify(law: OffspringLaw, tol: float = 1e-9) -> SpectralReport:
     """
     m = malthusian(law)
     roots, residuals, mults = _root_analysis(law)
-    mu = _mu_coeffs(law)
+    mu = moments(law).mu
     dmu = _poly_deriv(mu)
-    derivs = [_poly_eval(dmu, z) for z in roots]
+    derivs = [_polyval(dmu, z) for z in roots]
 
     inv_m = 1.0 / m
     anchor = min(range(len(roots)), key=lambda i: abs(roots[i] - inv_m))
@@ -342,7 +325,7 @@ def apply_T(law: OffspringLaw, m: float, y: np.ndarray) -> np.ndarray:
     Faults if the window is shorter than ``K + 1``: the functional ``chi``
     reads components ``0..K``, so shorter windows cannot be iterated exactly.
     """
-    return _apply_T_mu(_mu_coeffs(law), m, y)
+    return _apply_T_mu(moments(law).mu, m, y)
 
 
 def _apply_T_mu(mu: np.ndarray, m: float, y: np.ndarray) -> np.ndarray:
@@ -368,16 +351,16 @@ def eigen_direction(law: OffspringLaw, gamma: complex, m: float, trunc: int):
     Faults if ``gamma`` is not a root to 1e-10, coincides with ``1/m``
     (degenerate direction), or is a multiple root (``mu_hat'(gamma) = 0``).
     """
-    mu = _mu_coeffs(law)
+    mu = moments(law).mu
     coeffs_f = mu.astype(float).copy()
     coeffs_f[0] = -1.0
     gamma = complex(gamma)
-    resid = abs(_poly_eval(coeffs_f, gamma))
+    resid = abs(_polyval(coeffs_f, gamma))
     if resid > 1e-10:
         raise ValueError(f"gamma = {gamma!r} is not a root: |mu_hat(gamma) - 1| = {resid!r}")
     if abs(gamma - 1.0 / m) <= 1e-12 * max(1.0, 1.0 / m):
         raise ValueError("gamma coincides with 1/m; the direction degenerates to zero")
-    deriv = _poly_eval(_poly_deriv(mu), gamma)
+    deriv = _polyval(_poly_deriv(mu), gamma)
     if abs(deriv) <= 1e-8:
         raise ValueError(f"mu_hat'(gamma) = {deriv!r}: gamma is a multiple root, no simple direction")
     k = np.arange(trunc + 1)
@@ -399,8 +382,8 @@ def resolvent_vector(lam: complex, law: OffspringLaw, m: float, trunc: int) -> n
     lam = complex(lam)
     if lam == 0:
         raise ValueError("lam = 0 is not in the resolvent set")
-    mu = _mu_coeffs(law)
-    mu_at = _poly_eval(mu.astype(complex), 1.0 / lam)
+    mu = moments(law).mu
+    mu_at = _polyval(mu.astype(complex), 1.0 / lam)
     if abs(mu_at - 1.0) <= 1e-8:
         raise ValueError(f"1/lam = {1.0 / lam!r} is too close to a root: |mu_hat - 1| = {abs(mu_at - 1.0)!r}")
     if abs(lam - 1.0) <= 1e-12:

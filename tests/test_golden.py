@@ -21,6 +21,7 @@ import json
 import os
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -76,8 +77,6 @@ def test_golden_artifacts(case, tmp_path, monkeypatch):
 
 
 def _regenerate() -> None:
-    import tempfile
-
     for case, doc in CASES.items():
         target = GOLDEN / case
         target.mkdir(parents=True, exist_ok=True)

@@ -93,6 +93,14 @@ def test_nonsimple_critical_root_refused(nonsimple_ii):
         build_spectrum(report, moments(nonsimple_ii))
 
 
+def test_negative_sigma_is_a_fault(law_i, law_ii):
+    # a corrupted covariance table must fault, not clamp to a zero measure
+    for law in (law_i, law_ii):
+        tab = moments(law)
+        with pytest.raises(ValueError, match="Sigma"):
+            build_spectrum(classify(law), dataclasses.replace(tab, sigma=-tab.sigma))
+
+
 def test_deterministic_law_has_zero_measure(det_gw):
     report, spec = spectrum_of(det_gw)
     assert spec.kind == "circle"

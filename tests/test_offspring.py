@@ -145,6 +145,19 @@ def test_sigma_hat_matches_covariance_form_on_random_points(law_i, law_ii, gw13_
         assert np.all(direct >= 0.0)
 
 
+def test_sigma_hat_matches_per_atom_definition(law_i, law_ii, gw13_coin):
+    # the defining sum over atoms is an oracle independent of the covariance form
+    three_age = make_law([(0.2, (1, 0, 2)), (0.5, (2, 1, 0)), (0.3, (0, 3, 1))])
+    rng = np.random.default_rng(13)
+    for law in (law_i, law_ii, gw13_coin, three_age):
+        r = np.sqrt(rng.uniform(0.0, 1.0, size=1000))
+        z = r * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=1000))
+        mean = mu_hat(law, z)
+        by_atom = sum(a.prob * np.abs(xi_hat_sample(a, z) - mean) ** 2 for a in law.atoms)
+        assert sigma_hat(law, z) == pytest.approx(by_atom, rel=1e-12, abs=0.0)
+        assert sigma_hat(law, complex(z[0])) == pytest.approx(float(by_atom[0]), rel=1e-12, abs=0.0)
+
+
 def test_sigma_hat_zero_for_deterministic_law(det_gw):
     z = np.array([0.5, -0.5, 0.3 + 0.2j])
     assert np.allclose(sigma_hat(det_gw, z), 0.0, atol=1e-15)
