@@ -33,7 +33,7 @@ from .harness import (
     predictor_backtest,
     run_experiment,
 )
-from .limits import _DEFAULT_GRID, _centered_symbol, build_spectrum, cov_pair, predictor_coeffs, variance
+from .limits import _DEFAULT_GRID, _centered_symbol, _cov_matrix, build_spectrum, predictor_coeffs, variance
 from .offspring import OffspringLaw, make_law, moments
 from .simulate import _DEFAULT_CAP, run, trace_csv
 from .spectral import classify
@@ -358,8 +358,8 @@ def _cmd_limits(config: RunConfig, sink: _Sink, out) -> int:
     spectrum = build_spectrum(report, moments(config.law), config.grid)
     variances = [(k, variance(spectrum, {k: 1.0})) for k in config.lags]
     sink.write("variances.csv", _csv_text(("k", "variance"), variances))
-    symbols = [(k, _centered_symbol({k: 1.0}, spectrum.m)) for k in config.lags]
-    covariances = [(j, k, cov_pair(spectrum, fj, fk)) for j, fj in symbols for k, fk in symbols]
+    cov = _cov_matrix(spectrum, [_centered_symbol({k: 1.0}, spectrum.m) for k in config.lags])
+    covariances = [(j, k, float(cov[a, b])) for a, j in enumerate(config.lags) for b, k in enumerate(config.lags)]
     sink.write("covariances.csv", _csv_text(("j", "k", "covariance"), covariances))
     out.write(f"regime {report.regime}, spectrum {spectrum.kind}, lags {list(config.lags)}\n")
     for k, var in variances:

@@ -93,7 +93,7 @@ def _symbol_on(points: np.ndarray, coeffs: dict[int, float]) -> np.ndarray:
     out = np.zeros(points.shape, dtype=complex)
     for k, c in coeffs.items():
         if c != 0.0:
-            out += c * points ** int(k)
+            out += c if k == 0 else c * points ** int(k)
     return out
 
 
@@ -109,10 +109,15 @@ def _centered_symbol(a: dict[int, float], m: float) -> dict[int, float]:
     return out
 
 
-def _circle_density(report: SpectralReport, tab, M: int):
+def _circle_density(report: SpectralReport, tab, M: int, start: int = 0, step: int = 1):
+    """Points and density at the angles ``2 pi j / M`` for ``j = start, start + step, ... < M``.
+
+    Faults when ``mu_hat = 1`` on the circle, or (via the Sigma form) when
+    Sigma is negative there.
+    """
     m = report.m
     radius = m**-0.5
-    theta = 2.0 * np.pi * np.arange(M) / M
+    theta = 2.0 * np.pi * np.arange(start, M, step) / M
     points = radius * np.exp(1j * theta)
     gap = np.abs(1.0 - _polyval(tab.mu, points))
     if gap.min() <= 1e-12:
@@ -144,15 +149,20 @@ def build_spectrum(report: SpectralReport, tab, M: int = _DEFAULT_GRID) -> Limit
         return LimitSpectrum(kind="atoms", m=m, atoms=tuple((complex(g), float(w)) for g, w in zip(crit, weights)))
 
     M = max(int(M), 8)
+    points, density = _circle_density(report, tab, M)
     ref = None
     while True:
-        points, density = _circle_density(report, tab, M)
         spec = LimitSpectrum(kind="circle", m=m, radius=m**-0.5, points=points, density=density, grid_size=M)
         val = variance(spec, {1: 1.0})
         if ref is not None and abs(val - ref) <= 1e-10 * max(abs(val), 1e-30):
             return spec
         if M >= _MAX_GRID:
             return replace(spec, converged=False)
+        # The grids are nested: angle 2 pi (2j) / (2M) rounds exactly as 2 pi j / M,
+        # so only the M odd angles of the doubled grid are new.
+        new_points, new_density = _circle_density(report, tab, 2 * M, start=1, step=2)
+        points = np.stack((points, new_points), axis=1).reshape(-1)
+        density = np.stack((density, new_density), axis=1).reshape(-1)
         ref, M = val, 2 * M
 
 
@@ -163,11 +173,24 @@ def variance(spectrum: LimitSpectrum, a: dict[int, float]) -> float:
     return float(spectrum.integrate(vals).real)
 
 
+def _cov_matrix(spectrum: LimitSpectrum, fs: list, gs: list | None = None) -> np.ndarray:
+    """Matrix of real inner products ``Re int F_j(z) conj(G_k(z)) dnu`` of raw Laurent symbols.
+
+    ``gs`` defaults to ``fs`` (a Gram matrix).  Each symbol is evaluated on the
+    support once; every entry is the same elementwise product and
+    :meth:`LimitSpectrum.integrate` a single pair gets, so no entry depends on
+    which other symbols share the call.
+    """
+    support = spectrum.support()
+    g_conj = [np.conj(_symbol_on(support, g)) for g in (fs if gs is None else gs)]
+    # Conjugating twice gives back the same bits, so a Gram matrix keeps only the conjugates.
+    f_vals = (np.conj(v) for v in g_conj) if gs is None else (_symbol_on(support, f) for f in fs)
+    return np.array([[float(spectrum.integrate(fv * gv).real) for gv in g_conj] for fv in f_vals])
+
+
 def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) -> float:
     """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols."""
-    support = spectrum.support()
-    vals = _symbol_on(support, f) * np.conj(_symbol_on(support, g))
-    return float(spectrum.integrate(vals).real)
+    return float(_cov_matrix(spectrum, [f], [g])[0, 0])
 
 
 def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
@@ -213,7 +236,10 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
     with ``alpha_s = <T^s v, a>``.  Proven equal to the contour form; both are
     computed here independently so the agreement is a real check.  Truncates
     once a term falls below 1e-14 of the running sum (the terms decay like
-    ``(m gamma_*^2)^-l`` in regime I).  Refused outside regime I; lags must be
+    ``(m gamma_*^2)^-l`` in regime I).  Near the regime boundary the forms
+    grow past float64 before the weights shrink them: the first non-finite
+    partial sum raises ``RuntimeError`` naming its term, as does running out
+    of the 100000-term budget.  Refused outside regime I; lags must be
     non-negative (the window iteration has no components there — use
     :func:`variance` for prediction lags).
     """
@@ -230,6 +256,8 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
     for ell, form in zip(range(1, 100_000), _epoch_forms(moments(law), m, a)):
         term = (m**-ell - m ** -(ell + 1)) * form
         total += term
+        if not math.isfinite(total):
+            raise RuntimeError(f"epoch series partial sum is {total!r} at term {ell}: the forms overflow float64")
         if term <= 1e-14 * max(abs(total), 1e-300):
             small_streak += 1
             if small_streak >= 2 and ell > law.max_age:
@@ -351,12 +379,13 @@ def predictor_coeffs(spectrum: LimitSpectrum, K: int) -> PredictorRule:
         raise RefusalError("the limiting measure is zero (deterministic litters): use the exact recurrence")
     m = spectrum.m
     target = {-1: 1.0, 0: -m}
-    target_sq = cov_pair(spectrum, target, target)
+    basis = [_centered_symbol({k: 1.0}, m) for k in range(1, K + 1)]
+    cov = _cov_matrix(spectrum, [target] + basis)
+    target_sq = float(cov[0, 0])
     if K == 0:
         return PredictorRule(m=m, coeffs=np.zeros(0), residual_sq=target_sq, target_sq=target_sq, regularized=False)
-    basis = [_centered_symbol({k: 1.0}, m) for k in range(1, K + 1)]
-    gram = np.array([[cov_pair(spectrum, bj, bk) for bk in basis] for bj in basis])
-    rhs = np.array([cov_pair(spectrum, target, bk) for bk in basis])
+    # Fresh contiguous copies, laid out as a pairwise-built Gram would be, keep BLAS on the same path.
+    gram, rhs = cov[1:, 1:].copy(), cov[0, 1:].copy()
     regularized = False
     try:
         if np.linalg.cond(gram) > 1e12:

@@ -385,7 +385,7 @@ def resolvent_vector(lam: complex, law: OffspringLaw, m: float, trunc: int) -> n
     mu = moments(law).mu
     mu_at = _polyval(mu.astype(complex), 1.0 / lam)
     if abs(mu_at - 1.0) <= 1e-8:
-        raise ValueError(f"1/lam = {1.0 / lam!r} is too close to a root: |mu_hat - 1| = {abs(mu_at - 1.0)!r}")
+        raise ValueError(f"1/lam = {1.0 / lam!r} is too close to a root: |mu_hat - 1| = {float(abs(mu_at - 1.0))!r}")
     if abs(lam - 1.0) <= 1e-12:
         raise ValueError("lam = 1 is a pole of the resolvent formula")
     denom = (1.0 - lam) * (1.0 - mu_at)

@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cmjfluct.errors import RefusalError
 from cmjfluct.limits import (
+    _centered_symbol,
+    _circle_density,
     build_spectrum,
     char_variance_centered,
     char_variance_full,
@@ -46,6 +49,11 @@ from cmjfluct.spectral import classify
 def spectrum_of(law, M=4096):
     report = classify(law)
     return report, build_spectrum(report, moments(law), M=M)
+
+
+def ladder_law(eps):
+    """law_ii with a (3, 7) atom of weight eps mixed in: regime I, margin about 0.31 eps."""
+    return make_law([(0.5 - eps / 2, (1, 8)), (0.5 - eps / 2, (3, 8)), (eps, (3, 7))])
 
 
 # ---------------------------------------------------------------- spectrum
@@ -70,6 +78,19 @@ def test_spectrum_densifies_until_probe_stable(gw13):
     fine = build_spectrum(report, tab, M=4096)
     assert coarse.grid_size > 8
     assert abs(variance(coarse, {1: 1.0}) - variance(fine, {1: 1.0})) <= 1e-9
+
+
+def test_nested_refinement_matches_grid_from_scratch():
+    # Doubling keeps the previous points and adds only the odd angles; the result
+    # must be bit-for-bit the density evaluated on the final grid directly.
+    law = ladder_law(3.2e-3)
+    report, tab = classify(law), moments(law)
+    spec = build_spectrum(report, tab, M=512)
+    assert spec.converged
+    assert spec.grid_size >= 512 * 2**5
+    points, density = _circle_density(report, tab, spec.grid_size)
+    assert np.array_equal(spec.points, points)
+    assert np.array_equal(spec.density, density)
 
 
 def test_critical_law_spectrum_is_single_atom(law_ii):
@@ -166,6 +187,21 @@ def test_series_matches_quadrature_on_random_vectors(gw13, law_i):
             quad = variance(spec, a)
             series = sigma2_series(law, report, a)
             assert abs(quad - series) <= 1e-8 * max(1.0, abs(quad))
+
+
+@pytest.mark.parametrize("eps", [0.032, 0.0864])
+def test_series_overflow_raises_at_its_term(eps):
+    # Near the boundary (margin 1e-2 and 2.7e-2) the epoch forms overflow float64
+    # long before the weights shrink them; the series must refuse at that term,
+    # not return inf or keep summing NaN to the term budget.
+    law = ladder_law(eps)
+    report = classify(law)
+    assert report.regime == "I"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match=r"at term \d+") as err:
+            sigma2_series(law, report, {1: 1.0})
+    term = int(re.search(r"at term (\d+)", str(err.value)).group(1))
+    assert term < 1000
 
 
 def test_series_refused_outside_gaussian_regime(law_ii, law_iii):
@@ -362,6 +398,55 @@ def test_predictor_orthogonality(gw13, law_ii):
         for k in range(1, K + 1):
             basis = {k: 1.0, 0: -(m**-k)}
             assert abs(cov_pair(spec, residual, basis)) <= 1e-10
+
+
+def _symbol_on_reference(points, coeffs):
+    out = np.zeros(points.shape, dtype=complex)
+    for k, c in coeffs.items():
+        if c != 0.0:
+            out += c * points ** int(k)
+    return out
+
+
+def _cov_pair_reference(spec, f, g):
+    support = spec.support()
+    vals = _symbol_on_reference(support, f) * np.conj(_symbol_on_reference(support, g))
+    return float(spec.integrate(vals).real)
+
+
+def _predictor_reference(spec, K):
+    """The normal equations built one inner product at a time, each symbol re-evaluated per entry."""
+    m = spec.m
+    target = {-1: 1.0, 0: -m}
+    target_sq = _cov_pair_reference(spec, target, target)
+    basis = [_centered_symbol({k: 1.0}, m) for k in range(1, K + 1)]
+    gram = np.array([[_cov_pair_reference(spec, bj, bk) for bk in basis] for bj in basis])
+    rhs = np.array([_cov_pair_reference(spec, target, bk) for bk in basis])
+    regularized = False
+    try:
+        if np.linalg.cond(gram) > 1e12:
+            raise np.linalg.LinAlgError
+        coeffs = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        regularized = True
+        coeffs = np.linalg.solve(gram + 1e-12 * np.trace(gram) * np.eye(K), rhs)
+    residual_sq = target_sq - 2.0 * float(rhs @ coeffs) + float(coeffs @ gram @ coeffs)
+    return coeffs, max(residual_sq, 0.0), target_sq, regularized
+
+
+def test_predictor_bit_identical_to_pairwise_normal_equations(law_i, gw13_coin, law_ii):
+    law_k10 = make_law([(0.3, (1, 0, 1, 0, 0, 1, 0, 0, 0, 1)), (0.7, (2, 1, 0, 0, 1, 0, 0, 0, 0, 0))])
+    for law in (law_i, gw13_coin, law_k10, law_ii):
+        _, spec = spectrum_of(law)
+        for K in range(1, 9):
+            rule = predictor_coeffs(spec, K)
+            coeffs, residual_sq, target_sq, regularized = _predictor_reference(spec, K)
+            assert rule.coeffs.tobytes() == coeffs.tobytes()
+            assert rule.residual_sq == residual_sq
+            assert rule.target_sq == target_sq
+            assert rule.regularized == regularized
+            basis = [_centered_symbol({k: 1.0}, spec.m) for k in range(1, K + 1)]
+            assert all(cov_pair(spec, f, g) == _cov_pair_reference(spec, f, g) for f in basis for g in basis)
 
 
 def test_predictor_residual_decreases_with_more_lags(gw13):

@@ -253,6 +253,12 @@ def test_resolvent_identity_random_lambdas(gw13, law_i, law_ii, law_iii):
             count += 1
 
 
+def test_resolvent_fault_message_prints_plain_floats(gw13):
+    with pytest.raises(ValueError, match="too close to a root") as err:
+        resolvent_vector(2.0, gw13, 2.0, trunc=10)
+    assert "np." not in str(err.value)
+
+
 def test_resolvent_faults(gw13):
     with pytest.raises(ValueError, match="too close to a root"):
         resolvent_vector(2.0, gw13, 2.0, trunc=10)  # 1/lam = 0.5 is the root
