@@ -394,6 +394,7 @@ def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
         sink.write("oscillation.csv", _csv_text(cols, [cols.values()]))
         for key, value in cols.items():
             out.write(f"{key} = {_csv_cell(value)}\n")
+        out.write(f"rng_scheme = {summary.rng_scheme}\n")
         return 0 if passed else 4
     report = run_experiment(_experiment_config(config))
     sink.write("verification.csv", report.to_csv())
@@ -413,6 +414,7 @@ def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
         f"residual {_csv_cell(rule.residual_norm)}\n"
         f"mse {_csv_cell(back.mse_normalized)} vs naive {_csv_cell(back.naive_mse_normalized)}, "
         f"beats_naive {str(back.beats_naive).lower()}\n"
+        f"rng_scheme = {back.rng_scheme}\n"
     )
     return 0
 

@@ -1,9 +1,10 @@
 """Monte Carlo campaigns confronting empirical fluctuations with the limit theory.
 
-Each campaign simulates R independent replicates with derived seeds
-``(master_seed, domain, replicate)`` — domains separate the experiment kinds
-so enlarging one campaign never perturbs another — and reduces them to the
-statistics the theorems speak about:
+Each campaign simulates R independent replicates as one int64 batch (see
+``simulate._simulate_batch``): replicate ``i``'s path depends only on
+``(master_seed, domain, i)`` — domains separate the experiment kinds so
+enlarging one campaign never perturbs another — and the campaign reduces the
+count matrices to the statistics the theorems speak about:
 
 * ``run_experiment``: per-lag moments of the normalized prediction error
   (``X/sqrt(Z_n)`` away from criticality, ``X/sqrt(n Z_n)`` at it) against
@@ -31,9 +32,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import RefusalError
-from .limits import LimitSpectrum, build_spectrum, cov_lagged, predictor_coeffs, variance
+from .limits import build_spectrum, cov_lagged, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
-from .simulate import _DEFAULT_CAP, estimate_U, run
+from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _innovation_arrays, _simulate_batch
 from .spectral import classify
 
 __all__ = [
@@ -121,6 +122,7 @@ class VerificationReport:
     excluded_capped: int
     master_seed: int
     rows: tuple[LagMomentRow, ...]
+    rng_scheme: str = _RNG_SCHEME
 
     @property
     def passed(self) -> bool:
@@ -133,6 +135,7 @@ class VerificationReport:
             f"horizon = {self.horizon}",
             f"replicates = {self.replicates} (used {self.used}, capped {self.excluded_capped})",
             f"master_seed = {self.master_seed}",
+            f"rng_scheme = {self.rng_scheme}",
         ]
         for r in self.rows:
             lines.append(
@@ -165,28 +168,35 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _replicates(config: ExperimentConfig, domain: int, horizon: int, purpose: str):
-    """Yield the campaign's replicate traces that stay below the population cap.
+def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, cohorts: bool = False):
+    """Simulate the campaign's replicates to ``horizon``: ``(B, Z, Bnk)`` of the uncapped ones, as floats.
 
-    Replicate ``i`` is simulated to ``horizon`` from seed
-    ``(master_seed, domain, i)``; capped ones are skipped, and the caller
-    counts them as ``replicates - used``.  Faults once the replicates are
-    exhausted if fewer than two were usable, naming what they were for.
+    Rows are the replicates below the population cap, in replicate order;
+    the caller counts the others as ``replicates - used``.  ``Bnk`` is
+    ``None`` unless ``cohorts``.  Faults if fewer than two were usable,
+    naming what they were for.
     """
-    used = 0
-    for i in range(config.replicates):
-        trace = run(config.law, horizon, (config.master_seed, domain, i), cap=config.cap)
-        if not trace.capped:
-            used += 1
-            yield trace
+    batch = _simulate_batch(
+        config.law, horizon, config.replicates, config.master_seed, domain, config.cap, cohorts
+    )
+    kept = ~batch.capped
+    used = int(np.count_nonzero(kept))
     if used < 2:
         raise RuntimeError(f"only {used} replicates below the cap; cannot {purpose}")
+    Bnk = None if batch.Bnk is None else batch.Bnk[kept].astype(float)
+    return batch.B[kept].astype(float), batch.Z[kept].astype(float), Bnk
 
 
-def _normalizer(regime: str, n: int, z_n: int) -> float:
+def _errors(Z: np.ndarray, m: float, t: int, k: int) -> np.ndarray:
+    """Prediction errors ``X_{t,k} = Z_{t-k} - m^-k Z_t`` of every replicate row (counts before time 0 are zero)."""
+    past = Z[:, t - k] if t - k >= 0 else 0.0
+    return past - m ** (-k) * Z[:, t]
+
+
+def _normalizer(regime: str, t: int, z_t: np.ndarray) -> np.ndarray:
     if regime == "II":
-        return math.sqrt(float(n) * float(z_n))
-    return math.sqrt(float(z_n))
+        return np.sqrt(float(t) * z_t)
+    return np.sqrt(z_t)
 
 
 def _spectrum_for(config: ExperimentConfig):
@@ -260,17 +270,12 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
     m = report.m
     n = config.horizon
     lags = tuple(config.lags)
-    predicted = {k: variance(spectrum, {k: 1.0}) for k in lags}
-    samples: dict[int, list[float]] = {k: [] for k in lags}
-    for trace in _replicates(config, _DOMAIN_EXPERIMENT, n, "form moments"):
-        z_n = trace.Z[n]
-        norm = _normalizer(report.regime, n, z_n)
-        for k in lags:
-            past = trace.Z[n - k] if n - k >= 0 else 0
-            x = float(past) - m ** (-k) * float(z_n)
-            samples[k].append(x / norm)
-    used = len(samples[lags[0]])
-    rows = tuple(_moment_row(k, np.asarray(samples[k]), predicted[k], config) for k in lags)
+    _, Z, _ = _counts(config, _DOMAIN_EXPERIMENT, n, "form moments")
+    norm = _normalizer(report.regime, n, Z[:, n])
+    rows = tuple(
+        _moment_row(k, _errors(Z, m, n, k) / norm, variance(spectrum, {k: 1.0}), config) for k in lags
+    )
+    used = len(Z)
     return VerificationReport(
         regime=report.regime,
         m=m,
@@ -319,21 +324,12 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     if n - max(ells) - k < 0:
         raise ValueError(f"horizon {n} too short for ell up to {max(ells)}")
     base = cov_lagged(spectrum, k, 0)
-    now: list[float] = []
-    lagged: dict[int, list[float]] = {e: [] for e in ells}
-    for trace in _replicates(config, _DOMAIN_LAGCHECK, n, "form correlations"):
-        now.append(
-            (float(trace.Z[n - k]) - m ** (-k) * float(trace.Z[n])) / _normalizer(report.regime, n, trace.Z[n])
-        )
-        for e in ells:
-            t = n - e
-            x = float(trace.Z[t - k]) - m ** (-k) * float(trace.Z[t])
-            lagged[e].append(x / _normalizer(report.regime, t, trace.Z[t]))
-    used = len(now)
-    a = np.asarray(now)
+    _, Z, _ = _counts(config, _DOMAIN_LAGCHECK, n, "form correlations")
+    used = len(Z)
+    a = _errors(Z, m, n, k) / _normalizer(report.regime, n, Z[:, n])
     rows = []
     for e in ells:
-        b = np.asarray(lagged[e])
+        b = _errors(Z, m, n - e, k) / _normalizer(report.regime, n - e, Z[:, n - e])
         pred = cov_lagged(spectrum, k, e) / base if base > 0 else 0.0
         emp = float(np.corrcoef(b, a)[0, 1]) if a.std() > 0 and b.std() > 0 else 0.0
         rows.append(LagCorrelationRow(ell=e, predicted=pred, empirical=emp))
@@ -381,6 +377,7 @@ class OscillationSummary:
     centered_ses: tuple[float, ...]
     mean_ok: bool
     degenerate: bool
+    rng_scheme: str = _RNG_SCHEME
 
 
 def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -> OscillationSummary:
@@ -410,53 +407,37 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
     inv_m = 1.0 / report.m
     gs = report.gamma_star
 
-    unit = [g.conjugate() / abs(g) for g in crits]
-    u_vecs = [np.array([g**k - inv_m**k for k in lags]) for g in crits]
-
-    k_watch = lags[0]
-    single_neg_real = len(crits) == 1 and crits[0].imag == 0.0 and crits[0].real < 0.0
-    watch_times = range(max(k_watch, n - 6), n + 1)
-
-    residuals: list[float] = []
-    profile_norms: list[float] = []
-    alternating_votes = 0
-    centered: list[list[complex]] = [[] for _ in crits]
-    for trace in _replicates(config, _DOMAIN_OSCILLATION, n, "summarize"):
-        ests = [estimate_U(trace, tab, report, g, n0) for g in crits]
-        for p, est in enumerate(ests):
-            centered[p].append(est.centered)
-        profile = np.zeros(len(lags), dtype=complex)
-        for p in range(len(crits)):
-            profile += (unit[p] ** n) * ests[p].value * u_vecs[p]
-        profile = profile.real
-        x_n = np.array(
-            [float(trace.Z[n - k]) - inv_m**k * float(trace.Z[n]) for k in lags]
-        )
-        scaled = gs**n * x_n
-        residuals.append(float(np.linalg.norm(scaled - profile)))
-        profile_norms.append(float(np.linalg.norm(profile)))
-        if single_neg_real:
-            signs = []
-            for t in watch_times:
-                x = float(trace.Z[t - k_watch]) - inv_m**k_watch * float(trace.Z[t])
-                signs.append(math.copysign(1.0, x) if x != 0.0 else 0.0)
-            if all(s != 0.0 and s == -prev for prev, s in zip(signs, signs[1:])):
-                alternating_votes += 1
-    used = len(residuals)
-    med_res = float(np.median(residuals))
-    med_prof = float(np.median(profile_norms))
-    rel = med_res / med_prof if med_prof > 0 else math.inf
+    B, Z, Bnk = _counts(config, _DOMAIN_OSCILLATION, n, "summarize", cohorts=True)
+    used = len(Z)
+    W, _ = _innovation_arrays(B, Bnk, tab.mu)
+    profile = np.zeros((used, len(lags)), dtype=complex)
     means = []
     ses = []
     mean_ok = True
-    for p in range(len(crits)):
-        arr = np.asarray(centered[p])
-        mu_hat = complex(arr.mean())
-        se = math.sqrt((arr.real.var(ddof=1) + arr.imag.var(ddof=1)) / used)
+    for g in crits:
+        value, centered = _coefficient_estimates(W, tab.mu, g, n0)
+        u_vec = np.array([g**k - inv_m**k for k in lags])
+        profile += ((g.conjugate() / abs(g)) ** n * value)[:, None] * u_vec
+        mu_hat = complex(centered.mean())
+        se = math.sqrt((centered.real.var(ddof=1) + centered.imag.var(ddof=1)) / used)
         means.append(mu_hat)
         ses.append(se)
         if se > 0 and abs(mu_hat) > 3.0 * se:
             mean_ok = False
+    profile = profile.real
+    scaled = gs**n * np.column_stack([_errors(Z, report.m, n, k) for k in lags])
+    med_res = float(np.median(np.linalg.norm(scaled - profile, axis=1)))
+    med_prof = float(np.median(np.linalg.norm(profile, axis=1)))
+    rel = med_res / med_prof if med_prof > 0 else math.inf
+
+    alternation_fraction = math.nan
+    if len(crits) == 1 and crits[0].imag == 0.0 and crits[0].real < 0.0:
+        # a single negative real root: the statistic must strictly alternate in sign over the last steps
+        k = lags[0]
+        signs = np.column_stack([np.sign(_errors(Z, report.m, t, k)) for t in range(max(k, n - 6), n + 1)])
+        later = signs[:, 1:]
+        alternating = np.all(later != 0.0, axis=1) & np.all(later == -signs[:, :-1], axis=1)
+        alternation_fraction = float(np.count_nonzero(alternating)) / used
     return OscillationSummary(
         regime=report.regime,
         m=report.m,
@@ -471,7 +452,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
         median_residual=med_res,
         median_profile_norm=med_prof,
         median_relative_residual=rel,
-        alternation_fraction=alternating_votes / used if single_neg_real else math.nan,
+        alternation_fraction=alternation_fraction,
         centered_means=tuple(means),
         centered_ses=tuple(ses),
         mean_ok=mean_ok,
@@ -496,6 +477,7 @@ class BacktestReport:
     predicted_target_sq: float
     regularized: bool
     beats_naive: bool
+    rng_scheme: str = _RNG_SCHEME
 
 
 def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
@@ -511,20 +493,14 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     rule = predictor_coeffs(spectrum, K)
     m = report.m
     n = config.horizon
-    sq_errors: list[float] = []
-    naive_sq: list[float] = []
-    for trace in _replicates(config, _DOMAIN_BACKTEST, n + 1, "form MSE"):
-        z_n = float(trace.Z[n])
-        x_lags = [float(trace.Z[n - j]) - m ** (-j) * z_n for j in range(1, K + 1)]
-        pred = rule.predict(z_n, x_lags)
-        naive = m * z_n
-        actual = float(trace.Z[n + 1])
-        denom = float(n) * z_n if report.regime == "II" else z_n
-        sq_errors.append((actual - pred) ** 2 / denom)
-        naive_sq.append((actual - naive) ** 2 / denom)
-    used = len(sq_errors)
-    mse = float(np.mean(sq_errors))
-    naive_mse = float(np.mean(naive_sq))
+    _, Z, _ = _counts(config, _DOMAIN_BACKTEST, n + 1, "form MSE")
+    used = len(Z)
+    z_n = Z[:, n]
+    x_lags = np.column_stack([_errors(Z, m, n, j) for j in range(1, K + 1)]) if K else np.zeros((used, 0))
+    actual = Z[:, n + 1]
+    denom = float(n) * z_n if report.regime == "II" else z_n
+    mse = float(np.mean((actual - rule.predict(z_n, x_lags)) ** 2 / denom))
+    naive_mse = float(np.mean((actual - m * z_n) ** 2 / denom))
     beats = mse < naive_mse if rule.residual_sq < rule.target_sq else True
     return BacktestReport(
         regime=report.regime,

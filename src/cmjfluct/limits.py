@@ -214,7 +214,8 @@ def _epoch_forms(tab, m: float, a: dict[int, float]):
     ``q_l = sum_{i,j=1}^{min(l,K)} sigma_ij alpha_{l-i} alpha_{l-j}`` with
     ``alpha_s = <T^s v, a>``, the pairing of the s-th operator iterate of the
     forcing window against the non-negative-lag vector ``a``.  Shared by the
-    epoch series and the pathwise quadratic variation.
+    epoch series and the pathwise quadratic variation, which both raise at
+    their first non-finite partial sum, so an overflowing form warns nothing.
     """
     mu = tab.mu
     k_top = len(mu) - 1
@@ -226,7 +227,10 @@ def _epoch_forms(tab, m: float, a: dict[int, float]):
         alphas.append(float(sum(c * y[k] for k, c in a.items())))
         ell = len(alphas) - 1
         window = np.array([alphas[ell - i] if ell - i >= 0 else 0.0 for i in range(1, k_top + 1)])
-        yield float(window @ sig @ window)
+        # near the regime boundary the form overflows; the caller raises at that epoch instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            form = float(window @ sig @ window)
+        yield form
 
 
 def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]) -> float:
@@ -357,11 +361,16 @@ class PredictorRule:
     def residual_norm(self) -> float:
         return math.sqrt(self.residual_sq)
 
-    def predict(self, z_n: float, x_lags) -> float:
-        """Predict Z_{n+1} from Z_n and the lagged errors ``x_lags[j] = X_{n,j+1}``."""
-        if len(x_lags) != len(self.coeffs):
-            raise ValueError(f"need {len(self.coeffs)} lagged errors, got {len(x_lags)}")
-        return self.m * float(z_n) + float(np.dot(self.coeffs, np.asarray(x_lags, dtype=float)))
+    def predict(self, z_n, x_lags):
+        """Predict Z_{n+1} from Z_n and the lagged errors ``x_lags[..., j] = X_{n,j+1}``.
+
+        ``z_n`` may be an array of replicates, ``x_lags`` then has one row each.
+        """
+        x = np.asarray(x_lags, dtype=float)
+        if x.shape[-1] != len(self.coeffs):
+            raise ValueError(f"need {len(self.coeffs)} lagged errors, got {x.shape[-1]}")
+        predicted = self.m * np.asarray(z_n, dtype=float) + x @ self.coeffs
+        return predicted if predicted.ndim else float(predicted)
 
 
 def predictor_coeffs(spectrum: LimitSpectrum, K: int) -> PredictorRule:

@@ -51,6 +51,17 @@ __all__ = [
 #: Population cap of a run unless the caller sets one.
 _DEFAULT_CAP = 1 << 62
 
+#: Replicates per block of the batch engine; every block simulates all of them.
+_BLOCK_SIZE = 256
+#: Last word of every block seed, so no block seed equals a ``run()`` seed ``(master_seed, domain, i)``.
+_BLOCK_TAG = 0x626C6B
+#: Largest cap (and litter size) the batch engine's float64 overflow screen can certify.
+_SCREEN_LIMIT = 1 << 62
+#: A float64 total at or above this exceeds every admissible cap, even after rounding.
+_SCREEN_FLOAT = 1.5 * _SCREEN_LIMIT
+#: How campaign replicates are drawn; campaign reports carry it.
+_RNG_SCHEME = f"PCG64 block multinomial, {_BLOCK_SIZE} replicates per block"
+
 
 @dataclass(frozen=True, eq=False)
 class Trace:
@@ -167,6 +178,105 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Replicate paths as int64 arrays, one row per replicate.
+
+    ``B[i, n]`` and ``Z[i, n]`` are exact for every row with ``capped[i]``
+    false.  A capped row stops at the step its total is known to exceed the
+    cap: its later births are zero.  ``Bnk[i, n, k]`` (only when requested)
+    counts the children cohort ``n`` bears at ``n + k <= horizon``; births
+    past the horizon are never formed.
+    """
+
+    B: np.ndarray
+    Z: np.ndarray
+    capped: np.ndarray
+    Bnk: np.ndarray | None
+
+
+def _simulate_batch(
+    law: OffspringLaw,
+    horizon: int,
+    replicates: int,
+    master_seed: int,
+    domain: int,
+    cap: int = _DEFAULT_CAP,
+    cohorts: bool = False,
+) -> _Batch:
+    """Simulate ``replicates`` independent paths to ``horizon`` as int64 cohort arrays.
+
+    Replicates come in blocks of ``_BLOCK_SIZE``; block ``b`` draws from
+    ``default_rng((master_seed, domain, b, _BLOCK_TAG))`` and always
+    simulates all its replicates, so replicate ``i``'s path depends on
+    ``(master_seed, domain, i)`` and not on ``replicates``.  Each step splits
+    a block's newborns across atoms with one multinomial draw.  A replicate
+    is capped exactly when ``Z_horizon > cap``, as in :func:`run`.  Refuses a
+    cap or litter above ``_SCREEN_LIMIT``, where the overflow screen cannot
+    certify int64 products.
+    """
+    problems = validate_law(law)
+    if problems:
+        raise ValueError("law fails standing assumptions: " + "; ".join(problems))
+    if horizon < 0:
+        raise ValueError(f"horizon = {horizon} must be >= 0")
+    if replicates < 1:
+        raise ValueError(f"replicates = {replicates} must be >= 1")
+    if not 1 <= cap <= _SCREEN_LIMIT:
+        raise ValueError(f"cap = {cap} outside [1, 2^62]: the batch engine's int64 overflow screen cannot certify it")
+    biggest = max(max(atom.births) for atom in law.atoms)
+    if biggest > _SCREEN_LIMIT:
+        raise ValueError(f"a litter of {biggest} births exceeds 2^62: the batch engine's int64 overflow screen cannot certify it")
+    probs = np.array([atom.prob for atom in law.atoms])
+    litters = np.array([atom.births for atom in law.atoms], dtype=np.int64)
+    blocks = [
+        _simulate_block(np.random.default_rng((master_seed, domain, b, _BLOCK_TAG)), probs, litters, horizon, cap, cohorts)
+        for b in range(-(-replicates // _BLOCK_SIZE))
+    ]
+    # blocks hold time (and age) by replicate: the last axis becomes the first
+    B, capped, Bnk = (np.moveaxis(np.concatenate(parts, axis=-1), -1, 0)[:replicates] for parts in zip(*blocks))
+    return _Batch(B=B, Z=np.cumsum(B, axis=1), capped=capped, Bnk=Bnk if cohorts else None)
+
+
+def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool):
+    """One block of the batch engine, replicates along the last axis: ``(B, capped, Bnk)``.
+
+    ``committed`` is ``Z_n`` plus the births already scheduled up to the
+    horizon: it only grows, and ends at ``Z_horizon``, so a replicate whose
+    committed total exceeds the cap is certain to cap and freezes.  Before
+    the int64 product of each step, a float64 screen freezes every replicate
+    whose new total reaches ``_SCREEN_FLOAT``; the other totals stay below
+    2^63, so no unfrozen count can wrap.  ``Bnk`` is empty unless ``cohorts``.
+    """
+    size = _BLOCK_SIZE
+    k_top = litters.shape[1] - 1
+    by_age = np.ascontiguousarray(litters.T)
+    litter_sums = np.cumsum(litters.astype(float), axis=1)
+    sched = np.zeros((horizon + 1, size), dtype=np.int64)
+    sched[0] = 1
+    Bnk = np.zeros((horizon + 1, k_top + 1, size) if cohorts else (0, 0, size), dtype=np.int64)
+    committed = np.ones(size, dtype=np.int64)
+    capped = np.zeros(size, dtype=bool)
+    for n in range(horizon):
+        counts = rng.multinomial(sched[n], probs)
+        top = min(k_top, horizon - n)
+        over = committed + counts @ litter_sums[:, top] >= _SCREEN_FLOAT
+        if over.any():
+            counts[over] = 0
+        row = by_age[1 : top + 1] @ counts.T
+        committed += row.sum(axis=0)
+        frozen = over | (committed > cap)
+        if frozen.any():
+            row[:, frozen] = 0
+            sched[n + 1 :, frozen] = 0
+            capped |= frozen
+            committed[frozen] = 0  # a frozen replicate draws nothing more; keep it from freezing again
+        sched[n + 1 : n + top + 1] += row
+        if cohorts:
+            Bnk[n, 1 : top + 1] = row
+    return sched, capped, Bnk
+
+
 def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:
     """Matrix of prediction errors ``X[n, k - k_min] = Z_{n-k} - m^-k Z_n``.
 
@@ -199,27 +309,33 @@ def innovations(trace: Trace, moments) -> tuple[np.ndarray, np.ndarray]:
     a violation beyond 1e-9 relative faults (it would mean the trace is
     internally inconsistent).
     """
-    mu = moments.mu
+    return _innovation_arrays(np.asarray(trace.B, dtype=float), np.asarray(trace.Bnk, dtype=float), moments.mu)
+
+
+def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
+    """``W`` and ``W_{n,k}`` from births ``B[..., n]`` and cohort births ``Bnk[..., n, k]``.
+
+    Leading axes index replicates.  Each ``W_n`` subtracts ``mu_k B_{n-k}``
+    in increasing ``k``, and a violation of ``W_n = sum_k W_{n-k,k}`` beyond
+    1e-9 relative faults, naming the first offending time.
+    """
     k_top = len(mu) - 1
-    B = trace.B
-    n_max = trace.horizon
-    W = np.empty(n_max + 1)
-    W[0] = float(B[0])
-    for n in range(1, n_max + 1):
-        acc = float(B[n])
-        for k in range(1, min(n, k_top) + 1):
-            acc -= mu[k] * float(B[n - k])
-        W[n] = acc
-    Wnk = np.zeros((n_max + 1, k_top + 1))
-    for n in range(n_max + 1):
-        b_n = float(B[n])
-        row = trace.Bnk[n]
-        for k in range(1, k_top + 1):
-            Wnk[n, k] = float(row[k]) - mu[k] * b_n
-    for n in range(1, n_max + 1):
-        total = float(sum(Wnk[n - k, k] for k in range(1, min(n, k_top) + 1)))
-        if abs(W[n] - total) > 1e-9 * max(1.0, abs(W[n]), abs(total)):
-            raise RuntimeError(f"innovation identity violated at n = {n}: {W[n]!r} vs {total!r}")
+    W = B.copy()
+    for k in range(1, k_top + 1):
+        W[..., k:] -= mu[k] * B[..., :-k]
+    Wnk = Bnk - mu * B[..., None]
+    Wnk[..., 0] = 0.0
+    total = np.zeros_like(W)
+    for k in range(1, k_top + 1):
+        total[..., k:] += Wnk[..., :-k, k]
+    bad = np.abs(W - total) > 1e-9 * np.maximum(1.0, np.maximum(np.abs(W), np.abs(total)))
+    bad[..., 0] = False
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        replicate = f" of replicate {where[0]}" if len(where) > 1 else ""
+        raise RuntimeError(
+            f"innovation identity violated at n = {where[-1]}{replicate}: {W[where]!r} vs {float(total[where])!r}"
+        )
     return W, Wnk
 
 
@@ -333,17 +449,24 @@ def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, 
     if not 0 <= n0 <= trace.horizon:
         raise ValueError(f"n0 = {n0} outside trace horizon {trace.horizon}")
     W, _ = innovations(trace, moments)
-    powers = g ** np.arange(n0 + 1)
-    partial = complex(np.sum(powers * W[: n0 + 1]))
-    deriv = _polyval(_poly_deriv(moments.mu), g)
-    scale = -1.0 / (g * (g - 1.0) * deriv)
+    value, centered = _coefficient_estimates(W, moments.mu, g, n0)
     return UEstimate(
-        value=scale * partial,
-        centered=scale * (partial - complex(W[0])),
+        value=complex(value),
+        centered=complex(centered),
         tail_scale=(report.gamma_star * math.sqrt(report.m)) ** n0,
         root=g,
         n0=int(n0),
     )
+
+
+def _coefficient_estimates(W: np.ndarray, mu, g: complex, n0: int):
+    """``(value, centered)`` of the coefficient at root ``g`` from innovations ``W[..., :n0 + 1]``.
+
+    Leading axes of ``W`` index replicates; ``centered`` drops the seed term ``W_0``.
+    """
+    partial = np.sum(g ** np.arange(n0 + 1) * W[..., : n0 + 1], axis=-1)
+    scale = -1.0 / (g * (g - 1.0) * _polyval(_poly_deriv(mu), g))
+    return scale * partial, scale * (partial - W[..., 0])
 
 
 def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
@@ -352,6 +475,8 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     ``V_n = sum_{l=0}^n B_{n-l} sum_{i,j=1}^l sigma_ij alpha_{l-i} alpha_{l-j}``
     with ``alpha_k`` the pairing of the k-th operator iterate against ``a``.
     ``V_n / Z_n`` converges to the epoch-series variance along a.s. every path.
+    Like the epoch series, the first non-finite partial sum raises
+    ``RuntimeError`` naming its epoch.
     """
     if not 0 <= n <= trace.horizon:
         raise ValueError(f"n = {n} outside trace horizon {trace.horizon}")
@@ -364,6 +489,8 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     total = 0.0
     for ell, form in zip(range(1, n + 1), _epoch_forms(moments, m, a)):
         total += float(trace.B[n - ell]) * form
+        if not math.isfinite(total):
+            raise RuntimeError(f"quadratic variation partial sum is {total!r} at epoch {ell}: the forms overflow float64")
     return total
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import cmjfluct
 from cmjfluct.cli import main, parse_config, serialize_config
 from cmjfluct.errors import UsageError
 
@@ -296,10 +299,14 @@ def test_usage_errors(tmp_path, capsys):
 
 def test_console_module_entry(tmp_path):
     path, _ = _config(tmp_path, command="analyze", law={"atoms": GW13_ATOMS})
+    # the child interpreter imports the same package the suite tests
+    src = str(pathlib.Path(cmjfluct.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cmjfluct.cli", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "regime = I" in proc.stdout

@@ -7,8 +7,8 @@ the files under ``tests/golden/<case>/``.  The configs use a relative
 provenance line does not depend on where the suite runs.
 
 The seeded files (the Monte Carlo artifacts of ``simulate``, ``verify`` and
-``predict``) change only when the RNG contract changes (the per-replicate
-seeding scheme or the simulation's draw order, ROADMAP item 2).  Such a
+``predict``) change only when the RNG contract changes (the block seeding
+scheme of the campaigns, or the draw order of ``simulate.run``).  Such a
 change regenerates them with ``python tests/test_golden.py`` and records it
 in CHANGES.md; any other difference here is a regression.
 """

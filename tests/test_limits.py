@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from cmjfluct.limits import (
     variance,
 )
 from cmjfluct.offspring import char_moments, make_law, moments
+from cmjfluct.simulate import martingale_qv, run
 from cmjfluct.spectral import classify
 
 
@@ -202,6 +204,27 @@ def test_series_overflow_raises_at_its_term(eps):
             sigma2_series(law, report, {1: 1.0})
     term = int(re.search(r"at term (\d+)", str(err.value)).group(1))
     assert term < 1000
+
+
+def test_series_overflow_raises_without_warning():
+    law = ladder_law(0.032)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"at term \d+"):
+            sigma2_series(law, classify(law), {1: 1.0})
+
+
+def test_qv_overflow_raises_at_its_epoch():
+    # the ladder law's epoch forms overflow float64 after about 520 epochs; a
+    # path of 600 single births reaches them, and the sum must refuse there
+    law = ladder_law(0.032)
+    trace = dataclasses.replace(run(law, 0, 0), horizon=600, B=(1,) * 601)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"at epoch \d+") as err:
+            martingale_qv(trace, moments(law), {1: 1.0}, 600)
+    epoch = int(re.search(r"at epoch (\d+)", str(err.value)).group(1))
+    assert 100 < epoch < 600
 
 
 def test_series_refused_outside_gaussian_regime(law_ii, law_iii):

@@ -376,3 +376,74 @@ def test_growth_of_squared_error_norm(gw13, law_ii):
             excess = log_mean - ns * math.log(report.m)
             coeff = np.polyfit(np.log(ns), excess, 1)[0]
             assert 0.5 < coeff < 1.5
+
+
+# ---------------------------------------------------------------- batch engine
+
+
+def _batch(law, horizon, replicates, cap=sim._DEFAULT_CAP, master_seed=0):
+    return sim._simulate_batch(law, horizon, replicates, master_seed, 0, cap)
+
+
+def test_batch_matches_run_on_deterministic_laws(det_gw, det_two_age):
+    for law in (det_gw, det_two_age):
+        for horizon in (0, 1, 7):
+            trace = sim.run(law, horizon, 0)
+            batch = _batch(law, horizon, 3)
+            assert batch.B.dtype == np.int64
+            assert not batch.capped.any()
+            for i in range(3):
+                assert tuple(int(b) for b in batch.B[i]) == trace.B
+                assert tuple(int(z) for z in batch.Z[i]) == trace.Z
+
+
+def test_batch_cap_rule_matches_run(det_gw, det_two_age):
+    horizon = 6
+    for law in (det_gw, det_two_age):
+        z_end = sim.run(law, horizon, 0).Z[-1]
+        for cap in range(1, z_end + 3):
+            batch = _batch(law, horizon, 2, cap=cap)
+            assert batch.capped.tolist() == [sim.run(law, horizon, 0, cap=cap).capped] * 2
+            # a capped row stops before its count passes the cap
+            assert np.all(batch.Z[:, -1] <= cap)
+            if not batch.capped[0]:
+                assert int(batch.Z[0, -1]) == z_end
+
+
+def test_batch_rows_do_not_depend_on_replicate_count(law_ii):
+    for cap in (sim._DEFAULT_CAP, 15_000_000):
+        small = _batch(law_ii, 12, 150, cap=cap, master_seed=8)
+        large = _batch(law_ii, 12, 600, cap=cap, master_seed=8)
+        assert np.array_equal(small.B, large.B[:150])
+        assert np.array_equal(small.Z, large.Z[:150])
+        assert np.array_equal(small.capped, large.capped[:150])
+    assert 0 < np.count_nonzero(small.capped) < 150
+    assert np.all(small.Z[:, -1] <= 15_000_000)
+
+
+def test_batch_means_match_expected_counts(law_ii):
+    k10 = make_law([(0.3, {1: 2, 10: 1}), (0.5, {1: 1, 4: 1}), (0.2, {1: 3, 7: 2})])
+    for law, horizon in ((law_ii, 12), (k10, 20)):
+        batch = _batch(law, horizon, 4000, master_seed=3)
+        _, ez = sim.expected_counts(law, horizon)
+        Z = batch.Z.astype(float)
+        se = Z.std(axis=0, ddof=1) / math.sqrt(len(Z))
+        assert np.all(np.abs(Z.mean(axis=0) - ez) <= 4.0 * np.maximum(se, 1e-12))
+
+
+def test_batch_guards_int64_overflow():
+    # 2^40 newborns each bearing 2^40 children: an unguarded int64 product wraps
+    wrapped = np.array([[2**40]], dtype=np.int64) @ np.array([[2**40]], dtype=np.int64)
+    assert int(wrapped[0, 0]) != 2**80
+    for litter in (2**31, 2**32, 2**40):
+        law = make_law([(1.0, (litter,))])
+        for horizon in (1, 2, 3):
+            trace = sim.run(law, horizon, 0)
+            batch = _batch(law, horizon, 2)
+            assert batch.capped.tolist() == [trace.capped] * 2
+            if not trace.capped:
+                assert tuple(int(z) for z in batch.Z[0]) == trace.Z
+    with pytest.raises(ValueError, match="2\\^62"):
+        _batch(make_law([(1.0, (2,))]), 3, 2, cap=2**62 + 1)
+    with pytest.raises(ValueError, match="2\\^62"):
+        _batch(make_law([(1.0, (2**63,))]), 3, 2)
