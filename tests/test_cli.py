@@ -180,12 +180,13 @@ def test_simulate_writes_trace(tmp_path, capsys):
 
 
 def test_verify_regime_one_passes(tmp_path, capsys):
+    # the horizon and R at which test_harness finds the verdict seed-independent
     path, _ = _config(
         tmp_path,
         command="verify",
         law={"atoms": GW13_ATOMS},
-        horizon=12,
-        replicates=2000,
+        horizon=18,
+        replicates=20000,
         seed=5150,
         lags=[1, 2],
     )

@@ -51,16 +51,41 @@ def test_config_rejects_bad_lags(gw13):
 
 
 def test_regime_one_experiment_matches_prediction(gw13):
+    """At n = 18 the lag-1 and lag-2 statistics are close to their normal limits.
+
+    Measured true values at n = 18: skew <= 0.02 and excess kurtosis <= 0.05
+    at both lags.  The sample kurtosis is heavy-tailed, so R = 20000 is needed
+    for the default tolerances to hold at every seed (checked at master seeds
+    1-200 and 5150: worst |skew| 0.067, worst |ex kurt| 0.21).
+    """
     config = ExperimentConfig(
-        law=gw13, horizon=12, replicates=2000, master_seed=5150, lags=(1, 2)
+        law=gw13, horizon=18, replicates=20000, master_seed=5150, lags=(1, 2)
     )
     report = run_experiment(config)
     assert report.regime == "I"
-    assert report.used == 2000
+    assert report.used == 20000
     assert report.excluded_capped == 0
     assert report.rows[0].predicted_variance == pytest.approx(0.125, abs=1e-10)
     assert report.rows[0].rel_error < 0.10
     assert report.passed
+
+
+def test_regime_one_lag_two_transient_exceeds_normality_tolerance(gw13):
+    """At n = 12 the lag-2 statistic is skewed beyond the default tolerance.
+
+    Its true skew is ~0.177 (excess kurtosis ~0.38) against 0.15 (0.30);
+    at R = 200000 the sample skew stayed above 0.164 at master seeds 1-30.
+    The experiment must report the failure rather than mask it.
+    """
+    config = ExperimentConfig(
+        law=gw13, horizon=12, replicates=200000, master_seed=5150, lags=(1, 2)
+    )
+    report = run_experiment(config)
+    row = report.rows[1]
+    assert row.lag == 2
+    assert row.skewness > config.tol_skew
+    assert not row.normal_ok
+    assert not report.passed
 
 
 def test_regime_two_experiment_passes_at_long_horizon(law_ii):
