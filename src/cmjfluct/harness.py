@@ -1,7 +1,7 @@
 """Monte Carlo campaigns confronting empirical fluctuations with the limit theory.
 
-Each campaign simulates R independent replicates as one int64 batch (see
-``simulate._simulate_batch``): replicate ``i``'s path depends only on
+Each campaign simulates R independent replicates in int64 blocks (see
+``simulate._simulate_blocks``): replicate ``i``'s path depends only on
 ``(master_seed, domain, i)`` — domains separate the experiment kinds so
 enlarging one campaign never perturbs another — and the campaign reduces the
 count matrices to the statistics the theorems speak about:
@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import RefusalError
 from .limits import build_spectrum, cov_lagged, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
-from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _innovation_arrays, _simulate_batch
+from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _innovation_arrays, _simulate_blocks
 from .spectral import classify
 
 __all__ = [
@@ -122,7 +123,7 @@ class VerificationReport:
     excluded_capped: int
     master_seed: int
     rows: tuple[LagMomentRow, ...]
-    rng_scheme: str = _RNG_SCHEME
+    rng_scheme: ClassVar[str] = _RNG_SCHEME
 
     @property
     def passed(self) -> bool:
@@ -168,23 +169,32 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, cohorts: bool = False):
-    """Simulate the campaign's replicates to ``horizon``: ``(B, Z, Bnk)`` of the uncapped ones, as floats.
+def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, mu=None):
+    """Simulate the campaign's replicates to ``horizon``: ``(Z, W)`` of the uncapped ones, as floats.
 
     Rows are the replicates below the population cap, in replicate order;
-    the caller counts the others as ``replicates - used``.  ``Bnk`` is
-    ``None`` unless ``cohorts``.  Faults if fewer than two were usable,
-    naming what they were for.
+    the caller counts the others as ``replicates - used``.  ``W`` holds the
+    innovations of each row for the mean offspring ``mu``, or is ``None``
+    without it; they are formed block by block, so only one block's cohort
+    matrix is held at a time.  Faults if fewer than two were usable, naming
+    what they were for.
     """
-    batch = _simulate_batch(
-        config.law, horizon, config.replicates, config.master_seed, domain, config.cap, cohorts
+    blocks = _simulate_blocks(
+        config.law, horizon, config.replicates, config.master_seed, domain, config.cap, cohorts=mu is not None
     )
-    kept = ~batch.capped
-    used = int(np.count_nonzero(kept))
+    Z, W = [], []
+    start = 0
+    for block in blocks:
+        kept = ~block.capped
+        Z.append(block.Z[kept].astype(float))
+        if mu is not None:
+            rows = start + np.flatnonzero(kept)
+            W.append(_innovation_arrays(block.B[kept].astype(float), block.Bnk[kept].astype(float), mu, rows)[0])
+        start += len(kept)
+    used = sum(len(rows) for rows in Z)
     if used < 2:
         raise RuntimeError(f"only {used} replicates below the cap; cannot {purpose}")
-    Bnk = None if batch.Bnk is None else batch.Bnk[kept].astype(float)
-    return batch.B[kept].astype(float), batch.Z[kept].astype(float), Bnk
+    return np.concatenate(Z), np.concatenate(W) if mu is not None else None
 
 
 def _errors(Z: np.ndarray, m: float, t: int, k: int) -> np.ndarray:
@@ -270,7 +280,7 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
     m = report.m
     n = config.horizon
     lags = tuple(config.lags)
-    _, Z, _ = _counts(config, _DOMAIN_EXPERIMENT, n, "form moments")
+    Z, _ = _counts(config, _DOMAIN_EXPERIMENT, n, "form moments")
     norm = _normalizer(report.regime, n, Z[:, n])
     rows = tuple(
         _moment_row(k, _errors(Z, m, n, k) / norm, variance(spectrum, {k: 1.0}), config) for k in lags
@@ -324,7 +334,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     if n - max(ells) - k < 0:
         raise ValueError(f"horizon {n} too short for ell up to {max(ells)}")
     base = cov_lagged(spectrum, k, 0)
-    _, Z, _ = _counts(config, _DOMAIN_LAGCHECK, n, "form correlations")
+    Z, _ = _counts(config, _DOMAIN_LAGCHECK, n, "form correlations")
     used = len(Z)
     a = _errors(Z, m, n, k) / _normalizer(report.regime, n, Z[:, n])
     rows = []
@@ -377,7 +387,7 @@ class OscillationSummary:
     centered_ses: tuple[float, ...]
     mean_ok: bool
     degenerate: bool
-    rng_scheme: str = _RNG_SCHEME
+    rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
 def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -> OscillationSummary:
@@ -407,9 +417,8 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
     inv_m = 1.0 / report.m
     gs = report.gamma_star
 
-    B, Z, Bnk = _counts(config, _DOMAIN_OSCILLATION, n, "summarize", cohorts=True)
+    Z, W = _counts(config, _DOMAIN_OSCILLATION, n, "summarize", mu=tab.mu)
     used = len(Z)
-    W, _ = _innovation_arrays(B, Bnk, tab.mu)
     profile = np.zeros((used, len(lags)), dtype=complex)
     means = []
     ses = []
@@ -477,7 +486,7 @@ class BacktestReport:
     predicted_target_sq: float
     regularized: bool
     beats_naive: bool
-    rng_scheme: str = _RNG_SCHEME
+    rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
 def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
@@ -493,7 +502,7 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     rule = predictor_coeffs(spectrum, K)
     m = report.m
     n = config.horizon
-    _, Z, _ = _counts(config, _DOMAIN_BACKTEST, n + 1, "form MSE")
+    Z, _ = _counts(config, _DOMAIN_BACKTEST, n + 1, "form MSE")
     used = len(Z)
     z_n = Z[:, n]
     x_lags = np.column_stack([_errors(Z, m, n, j) for j in range(1, K + 1)]) if K else np.zeros((used, 0))

@@ -52,7 +52,7 @@ __all__ = [
 _DEFAULT_CAP = 1 << 62
 
 #: Replicates per block of the batch engine; every block simulates all of them.
-_BLOCK_SIZE = 256
+_BLOCK_SIZE = 200
 #: Last word of every block seed, so no block seed equals a ``run()`` seed ``(master_seed, domain, i)``.
 _BLOCK_TAG = 0x626C6B
 #: Largest cap (and litter size) the batch engine's float64 overflow screen can certify.
@@ -195,7 +195,7 @@ class _Batch:
     Bnk: np.ndarray | None
 
 
-def _simulate_batch(
+def _simulate_blocks(
     law: OffspringLaw,
     horizon: int,
     replicates: int,
@@ -203,17 +203,19 @@ def _simulate_batch(
     domain: int,
     cap: int = _DEFAULT_CAP,
     cohorts: bool = False,
-) -> _Batch:
-    """Simulate ``replicates`` independent paths to ``horizon`` as int64 cohort arrays.
+):
+    """Simulate ``replicates`` independent paths to ``horizon`` as int64 cohort arrays, block by block.
 
     Replicates come in blocks of ``_BLOCK_SIZE``; block ``b`` draws from
     ``default_rng((master_seed, domain, b, _BLOCK_TAG))`` and always
     simulates all its replicates, so replicate ``i``'s path depends on
     ``(master_seed, domain, i)`` and not on ``replicates``.  Each step splits
     a block's newborns across atoms with one multinomial draw.  A replicate
-    is capped exactly when ``Z_horizon > cap``, as in :func:`run`.  Refuses a
-    cap or litter above ``_SCREEN_LIMIT``, where the overflow screen cannot
-    certify int64 products.
+    is capped exactly when ``Z_horizon > cap``, as in :func:`run`.  Returns
+    an iterator of one ``_Batch`` per block, the last cut to ``replicates``;
+    a caller that reduces each block before taking the next holds one
+    block's cohort matrix at a time.  Refuses a cap or litter above
+    ``_SCREEN_LIMIT``, where the overflow screen cannot certify int64 products.
     """
     problems = validate_law(law)
     if problems:
@@ -229,24 +231,25 @@ def _simulate_batch(
         raise ValueError(f"a litter of {biggest} births exceeds 2^62: the batch engine's int64 overflow screen cannot certify it")
     probs = np.array([atom.prob for atom in law.atoms])
     litters = np.array([atom.births for atom in law.atoms], dtype=np.int64)
-    blocks = [
-        _simulate_block(np.random.default_rng((master_seed, domain, b, _BLOCK_TAG)), probs, litters, horizon, cap, cohorts)
-        for b in range(-(-replicates // _BLOCK_SIZE))
-    ]
-    # blocks hold time (and age) by replicate: the last axis becomes the first
-    B, capped, Bnk = (np.moveaxis(np.concatenate(parts, axis=-1), -1, 0)[:replicates] for parts in zip(*blocks))
-    return _Batch(B=B, Z=np.cumsum(B, axis=1), capped=capped, Bnk=Bnk if cohorts else None)
+    return (
+        _simulate_block(
+            np.random.default_rng((master_seed, domain, start // _BLOCK_SIZE, _BLOCK_TAG)),
+            probs, litters, horizon, cap, cohorts, min(_BLOCK_SIZE, replicates - start),
+        )
+        for start in range(0, replicates, _BLOCK_SIZE)
+    )
 
 
-def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool):
-    """One block of the batch engine, replicates along the last axis: ``(B, capped, Bnk)``.
+def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool, rows: int) -> _Batch:
+    """One block of the batch engine, returned as its first ``rows`` replicates.
 
-    ``committed`` is ``Z_n`` plus the births already scheduled up to the
-    horizon: it only grows, and ends at ``Z_horizon``, so a replicate whose
-    committed total exceeds the cap is certain to cap and freezes.  Before
-    the int64 product of each step, a float64 screen freezes every replicate
-    whose new total reaches ``_SCREEN_FLOAT``; the other totals stay below
-    2^63, so no unfrozen count can wrap.  ``Bnk`` is empty unless ``cohorts``.
+    Replicates run along the last axis.  ``committed`` is ``Z_n`` plus the
+    births already scheduled up to the horizon: it only grows, and ends at
+    ``Z_horizon``, so a replicate whose committed total exceeds the cap is
+    certain to cap and freezes.  Before the int64 product of each step, a
+    float64 screen freezes every replicate whose new total reaches
+    ``_SCREEN_FLOAT``; the other totals stay below 2^63, so no unfrozen
+    count can wrap.
     """
     size = _BLOCK_SIZE
     k_top = litters.shape[1] - 1
@@ -254,7 +257,7 @@ def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool):
     litter_sums = np.cumsum(litters.astype(float), axis=1)
     sched = np.zeros((horizon + 1, size), dtype=np.int64)
     sched[0] = 1
-    Bnk = np.zeros((horizon + 1, k_top + 1, size) if cohorts else (0, 0, size), dtype=np.int64)
+    Bnk = np.zeros((horizon + 1, k_top + 1, size), dtype=np.int64) if cohorts else None
     committed = np.ones(size, dtype=np.int64)
     capped = np.zeros(size, dtype=bool)
     for n in range(horizon):
@@ -274,7 +277,8 @@ def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool):
         sched[n + 1 : n + top + 1] += row
         if cohorts:
             Bnk[n, 1 : top + 1] = row
-    return sched, capped, Bnk
+    B = sched.T[:rows]
+    return _Batch(B=B, Z=np.cumsum(B, axis=1), capped=capped[:rows], Bnk=None if Bnk is None else np.moveaxis(Bnk, -1, 0)[:rows])
 
 
 def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:
@@ -312,12 +316,13 @@ def innovations(trace: Trace, moments) -> tuple[np.ndarray, np.ndarray]:
     return _innovation_arrays(np.asarray(trace.B, dtype=float), np.asarray(trace.Bnk, dtype=float), moments.mu)
 
 
-def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
+def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu, replicates=None) -> tuple[np.ndarray, np.ndarray]:
     """``W`` and ``W_{n,k}`` from births ``B[..., n]`` and cohort births ``Bnk[..., n, k]``.
 
     Leading axes index replicates.  Each ``W_n`` subtracts ``mu_k B_{n-k}``
     in increasing ``k``, and a violation of ``W_n = sum_k W_{n-k,k}`` beyond
-    1e-9 relative faults, naming the first offending time.
+    1e-9 relative faults, naming the first offending time and replicate
+    (``replicates[i]`` for row ``i`` when given).
     """
     k_top = len(mu) - 1
     W = B.copy()
@@ -332,7 +337,7 @@ def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu) -> tuple[np.ndarray, 
     bad[..., 0] = False
     if bad.any():
         where = tuple(int(i) for i in np.argwhere(bad)[0])
-        replicate = f" of replicate {where[0]}" if len(where) > 1 else ""
+        replicate = f" of replicate {where[0] if replicates is None else replicates[where[0]]}" if len(where) > 1 else ""
         raise RuntimeError(
             f"innovation identity violated at n = {where[-1]}{replicate}: {W[where]!r} vs {float(total[where])!r}"
         )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,7 +383,9 @@ def test_growth_of_squared_error_norm(gw13, law_ii):
 
 
 def _batch(law, horizon, replicates, cap=sim._DEFAULT_CAP, master_seed=0):
-    return sim._simulate_batch(law, horizon, replicates, master_seed, 0, cap)
+    """Every block of the batch engine, joined: one row per replicate."""
+    blocks = list(sim._simulate_blocks(law, horizon, replicates, master_seed, 0, cap))
+    return SimpleNamespace(**{name: np.concatenate([getattr(b, name) for b in blocks]) for name in ("B", "Z", "capped")})
 
 
 def test_batch_matches_run_on_deterministic_laws(det_gw, det_two_age):
@@ -395,6 +398,11 @@ def test_batch_matches_run_on_deterministic_laws(det_gw, det_two_age):
             for i in range(3):
                 assert tuple(int(b) for b in batch.B[i]) == trace.B
                 assert tuple(int(z) for z in batch.Z[i]) == trace.Z
+            # cohort births, formed only up to the horizon
+            (block,) = sim._simulate_blocks(law, horizon, 3, 0, 0, cohorts=True)
+            K = law.max_age
+            expected = [[trace.Bnk[n][k] if 0 < k and n + k <= horizon else 0 for k in range(K + 1)] for n in range(horizon + 1)]
+            assert all(block.Bnk[i].tolist() == expected for i in range(3))
 
 
 def test_batch_cap_rule_matches_run(det_gw, det_two_age):
