@@ -134,7 +134,10 @@ def _as_int(x, path: str) -> int:
 def _as_number(x, path: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise UsageError(f"{path}: expected a number, got {x!r}")
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:
+        raise UsageError(f"{path}: integer is too large for a float") from None
     if not math.isfinite(v):
         raise UsageError(f"{path}: {v} is not finite")
     return v
@@ -150,14 +153,12 @@ def _parse_law(raw, path: str) -> OffspringLaw:
     obj = _as_object(raw, path)
     _reject_unknown(obj, _LAW_KEYS, path)
     atoms = _need(obj, "atoms", path)
-    if not isinstance(atoms, list) or not atoms:
-        raise UsageError(f"{path}.atoms: expected a non-empty list")
+    if not isinstance(atoms, list):
+        raise UsageError(f"{path}.atoms: expected a list")
     extends = obj.get("char_extends", False)
     if not isinstance(extends, bool):
         raise UsageError(f"{path}.char_extends: expected true or false")
     entries = []
-    char_len: int | None = None
-    char_seen = False
     for i, atom in enumerate(atoms):
         apath = f"{path}.atoms[{i}]"
         aobj = _as_object(atom, apath)
@@ -166,28 +167,14 @@ def _parse_law(raw, path: str) -> OffspringLaw:
         births = _need(aobj, "births", apath)
         if not isinstance(births, list) or not births:
             raise UsageError(f"{apath}.births: expected a non-empty list of counts by age")
-        counts = [_as_int(c, f"{apath}.births[{j}]") for j, c in enumerate(births)]
-        if any(c < 0 for c in counts):
-            raise UsageError(f"{apath}.births: counts must be non-negative")
+        counts = tuple(_as_int(c, f"{apath}.births[{j}]") for j, c in enumerate(births))
         if "char" in aobj:
             char = aobj["char"]
             if not isinstance(char, list):
                 raise UsageError(f"{apath}.char: expected a list of scores by age")
-            values = tuple(_as_number(v, f"{apath}.char[{j}]") for j, v in enumerate(char))
-            if i == 0:
-                char_seen = True
-                char_len = len(values)
-            elif not char_seen:
-                raise UsageError(f"{apath}.char: atom 0 has no characteristic but atom {i} does")
-            elif len(values) != char_len:
-                raise UsageError(
-                    f"{apath}.char: length {len(values)} differs from atom 0's length {char_len}"
-                )
-            entries.append((prob, tuple(counts), values))
+            entries.append((prob, counts, tuple(_as_number(v, f"{apath}.char[{j}]") for j, v in enumerate(char))))
         else:
-            if char_seen:
-                raise UsageError(f"{apath}: atom 0 has a characteristic but atom {i} does not")
-            entries.append((prob, tuple(counts)))
+            entries.append((prob, counts))
     try:
         return make_law(entries, char_extends=extends)
     except ValueError as exc:

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import RefusalError
 from .limits import build_spectrum, cov_lagged, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
-from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _innovation_arrays, _simulate_blocks
+from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _innovation_arrays, _prediction_errors, _simulate_blocks
 from .spectral import classify
 
 __all__ = [
@@ -197,12 +197,6 @@ def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, m
     return np.concatenate(Z), np.concatenate(W) if mu is not None else None
 
 
-def _errors(Z: np.ndarray, m: float, t: int, k: int) -> np.ndarray:
-    """Prediction errors ``X_{t,k} = Z_{t-k} - m^-k Z_t`` of every replicate row (counts before time 0 are zero)."""
-    past = Z[:, t - k] if t - k >= 0 else 0.0
-    return past - m ** (-k) * Z[:, t]
-
-
 def _normalizer(regime: str, t: int, z_t: np.ndarray) -> np.ndarray:
     if regime == "II":
         return np.sqrt(float(t) * z_t)
@@ -283,7 +277,7 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
     Z, _ = _counts(config, _DOMAIN_EXPERIMENT, n, "form moments")
     norm = _normalizer(report.regime, n, Z[:, n])
     rows = tuple(
-        _moment_row(k, _errors(Z, m, n, k) / norm, variance(spectrum, {k: 1.0}), config) for k in lags
+        _moment_row(k, _prediction_errors(Z, m, n, k) / norm, variance(spectrum, {k: 1.0}), config) for k in lags
     )
     used = len(Z)
     return VerificationReport(
@@ -336,10 +330,10 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     base = cov_lagged(spectrum, k, 0)
     Z, _ = _counts(config, _DOMAIN_LAGCHECK, n, "form correlations")
     used = len(Z)
-    a = _errors(Z, m, n, k) / _normalizer(report.regime, n, Z[:, n])
+    a = _prediction_errors(Z, m, n, k) / _normalizer(report.regime, n, Z[:, n])
     rows = []
     for e in ells:
-        b = _errors(Z, m, n - e, k) / _normalizer(report.regime, n - e, Z[:, n - e])
+        b = _prediction_errors(Z, m, n - e, k) / _normalizer(report.regime, n - e, Z[:, n - e])
         pred = cov_lagged(spectrum, k, e) / base if base > 0 else 0.0
         emp = float(np.corrcoef(b, a)[0, 1]) if a.std() > 0 and b.std() > 0 else 0.0
         rows.append(LagCorrelationRow(ell=e, predicted=pred, empirical=emp))
@@ -434,7 +428,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
         if se > 0 and abs(mu_hat) > 3.0 * se:
             mean_ok = False
     profile = profile.real
-    scaled = gs**n * np.column_stack([_errors(Z, report.m, n, k) for k in lags])
+    scaled = gs**n * np.column_stack([_prediction_errors(Z, report.m, n, k) for k in lags])
     med_res = float(np.median(np.linalg.norm(scaled - profile, axis=1)))
     med_prof = float(np.median(np.linalg.norm(profile, axis=1)))
     rel = med_res / med_prof if med_prof > 0 else math.inf
@@ -443,7 +437,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
     if len(crits) == 1 and crits[0].imag == 0.0 and crits[0].real < 0.0:
         # a single negative real root: the statistic must strictly alternate in sign over the last steps
         k = lags[0]
-        signs = np.column_stack([np.sign(_errors(Z, report.m, t, k)) for t in range(max(k, n - 6), n + 1)])
+        signs = np.column_stack([np.sign(_prediction_errors(Z, report.m, t, k)) for t in range(max(k, n - 6), n + 1)])
         later = signs[:, 1:]
         alternating = np.all(later != 0.0, axis=1) & np.all(later == -signs[:, :-1], axis=1)
         alternation_fraction = float(np.count_nonzero(alternating)) / used
@@ -505,7 +499,7 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     Z, _ = _counts(config, _DOMAIN_BACKTEST, n + 1, "form MSE")
     used = len(Z)
     z_n = Z[:, n]
-    x_lags = np.column_stack([_errors(Z, m, n, j) for j in range(1, K + 1)]) if K else np.zeros((used, 0))
+    x_lags = np.column_stack([_prediction_errors(Z, m, n, j) for j in range(1, K + 1)]) if K else np.zeros((used, 0))
     actual = Z[:, n + 1]
     denom = float(n) * z_n if report.regime == "II" else z_n
     mse = float(np.mean((actual - rule.predict(z_n, x_lags)) ** 2 / denom))

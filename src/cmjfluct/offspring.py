@@ -22,6 +22,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -93,6 +94,38 @@ class OffspringLaw:
         """Expected total number of children per individual."""
         return float(sum(a.prob * a.total for a in self.atoms))
 
+    @cached_property
+    def moment_table(self) -> MomentTable:
+        """Exact first/second moment tables, built on first use and shared; the arrays are read-only."""
+        probs = np.array([a.prob for a in self.atoms], dtype=float)
+        births = np.array([a.births for a in self.atoms], dtype=float)  # (n_atoms, K+1)
+        mu = probs @ births
+        mu[0] = 0.0
+        second = (births * probs[:, None]).T @ births
+        sigma = second - np.outer(mu, mu)
+        sigma[0, :] = 0.0
+        sigma[:, 0] = 0.0
+        mean_total = float(mu.sum())
+
+        lambda_phi = var_phi = gamma_phi = None
+        if self.has_char:
+            phi = np.array([a.char_values for a in self.atoms], dtype=float)  # (n_atoms, K_phi+1)
+            lambda_phi = probs @ phi
+            var_phi = probs @ (phi**2) - lambda_phi**2
+            np.maximum(var_phi, 0.0, out=var_phi)
+            gamma_phi = (phi * probs[:, None]).T @ births - np.outer(lambda_phi, mu)
+        for arr in (mu, sigma, lambda_phi, var_phi, gamma_phi):
+            if arr is not None:
+                arr.flags.writeable = False
+        return MomentTable(
+            mu=mu,
+            sigma=sigma,
+            mean_total=mean_total,
+            lambda_phi=lambda_phi,
+            var_phi=var_phi,
+            gamma_phi=gamma_phi,
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class MomentTable:
@@ -151,16 +184,17 @@ def make_law(
     """
     raw: list[tuple[float, dict[int, int], tuple[float, ...] | None]] = []
     for idx, entry in enumerate(entries):
+        where = f"atoms[{idx}]"
         if len(entry) == 2:
             prob, births = entry
             char: Sequence[float] | None = None
         elif len(entry) == 3:
             prob, births, char = entry
         else:
-            raise ValueError(f"atom {idx}: expected (prob, births[, char]), got {len(entry)} fields")
-        prob = float(prob)
+            raise ValueError(f"{where}: expected (prob, births[, char]), got {len(entry)} fields")
+        prob = _to_float(prob, f"{where}: probability")
         if not math.isfinite(prob) or prob <= 0.0:
-            raise ValueError(f"atom {idx}: probability {prob} is not a finite positive number")
+            raise ValueError(f"{where}: probability {prob} is not a finite positive number")
         if isinstance(births, dict):
             pairs = list(births.items())
         else:
@@ -169,15 +203,17 @@ def make_law(
         for age, count in pairs:
             age = int(age)
             if age < 1:
-                raise ValueError(f"atom {idx}: birth age {age} must be >= 1")
-            if not float(count).is_integer() or count < 0:
-                raise ValueError(f"atom {idx}: birth count {count} at age {age} must be a non-negative integer")
+                raise ValueError(f"{where}: birth age {age} must be >= 1")
+            if not _to_float(count, f"{where}: birth count at age {age}").is_integer() or count < 0:
+                raise ValueError(f"{where}: birth count {count} at age {age} must be a non-negative integer")
             by_age[age] = by_age.get(age, 0) + int(count)
         char_tuple = None
         if char is not None:
-            char_tuple = tuple(float(v) for v in char)
+            char_tuple = tuple(_to_float(v, f"{where}: characteristic value") for v in char)
             if not all(math.isfinite(v) for v in char_tuple):
-                raise ValueError(f"atom {idx}: characteristic values must be finite")
+                raise ValueError(f"{where}: characteristic values must be finite")
+            if not char_tuple:
+                raise ValueError(f"{where}: characteristic needs a score at age 0")
         raw.append((prob, by_age, char_tuple))
 
     if not raw:
@@ -190,17 +226,12 @@ def make_law(
     if max_age == 0:
         raise ValueError("law has no births at all (every count is zero)")
 
-    chars = [c for _, _, c in raw]
-    has_char = any(c is not None for c in chars)
-    if has_char:
-        if any(c is None for c in chars):
-            raise ValueError("characteristic present on some atoms but not all")
-        lengths = {len(c) for c in chars if c is not None}
-        if len(lengths) != 1:
-            raise ValueError(f"characteristic length differs across atoms: {sorted(lengths)}")
-        char_max_age = lengths.pop() - 1
-    else:
-        char_max_age = None
+    first = raw[0][2]
+    for idx, (_, _, c) in enumerate(raw):
+        if (c is None) != (first is None):
+            raise ValueError(f"atoms[{idx}]: characteristic present on some atoms but not all")
+        if c is not None and len(c) != len(first):
+            raise ValueError(f"atoms[{idx}]: characteristic length {len(c)} differs from atoms[0]'s length {len(first)}")
 
     atoms = tuple(
         LitterAtom(
@@ -213,9 +244,17 @@ def make_law(
     return OffspringLaw(
         atoms=atoms,
         max_age=max_age,
-        char_max_age=char_max_age,
-        char_extends=bool(char_extends) if has_char else False,
+        char_max_age=None if first is None else len(first) - 1,
+        char_extends=bool(char_extends) if first is not None else False,
     )
+
+
+def _to_float(value, what: str) -> float:
+    """``float(value)``, with an integer too large for a float reported as a ValueError naming ``what``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def validate_law(law: OffspringLaw) -> list[str]:
@@ -244,33 +283,19 @@ def validate_law(law: OffspringLaw) -> list[str]:
 
 
 def moments(law: OffspringLaw) -> MomentTable:
-    """Exact first/second moment tables of the litter vector and characteristic."""
-    k_max = law.max_age
-    probs = np.array([a.prob for a in law.atoms], dtype=float)
-    births = np.array([a.births for a in law.atoms], dtype=float)  # (n_atoms, K+1)
-    mu = probs @ births
-    mu[0] = 0.0
-    second = (births * probs[:, None]).T @ births
-    sigma = second - np.outer(mu, mu)
-    sigma[0, :] = 0.0
-    sigma[:, 0] = 0.0
-    mean_total = float(mu.sum())
+    """Exact first/second moment tables of the litter vector and characteristic.
 
-    lambda_phi = var_phi = gamma_phi = None
-    if law.has_char:
-        phi = np.array([a.char_values for a in law.atoms], dtype=float)  # (n_atoms, K_phi+1)
-        lambda_phi = probs @ phi
-        var_phi = probs @ (phi**2) - lambda_phi**2
-        np.maximum(var_phi, 0.0, out=var_phi)
-        gamma_phi = (phi * probs[:, None]).T @ births - np.outer(lambda_phi, mu)
-    return MomentTable(
-        mu=mu,
-        sigma=sigma,
-        mean_total=mean_total,
-        lambda_phi=lambda_phi,
-        var_phi=var_phi,
-        gamma_phi=gamma_phi,
-    )
+    The table is built once per law and shared by every caller (see
+    :attr:`OffspringLaw.moment_table`); its arrays are read-only.
+    """
+    return law.moment_table
+
+
+def _require_admissible(law: OffspringLaw) -> None:
+    """Raise ValueError naming every standing assumption the law violates (see :func:`validate_law`)."""
+    problems = validate_law(law)
+    if problems:
+        raise ValueError("law fails standing assumptions: " + "; ".join(problems))
 
 
 def _polyval(coeffs, z):

@@ -26,10 +26,10 @@ from .offspring import (
     OffspringLaw,
     _poly_deriv,
     _polyval,
+    _require_admissible,
     char_moments,
     law_fingerprint,
     moments,
-    validate_law,
 )
 from .spectral import SpectralReport, _apply_T_mu, _growth_from_mu, malthusian, vector_v
 
@@ -70,10 +70,10 @@ class Trace:
     ``B[n]`` newborns arrive at time ``n`` (``B[0] = 1``), ``Z[n]`` is the
     running total, ``cohort_atoms[n]`` counts how many of the ``B[n]``
     newborns realized each atom, and ``Bnk[n][k]`` is the number of children
-    cohort ``n`` bears at time ``n + k`` (index 0 unused).  ``char_sum[n][a]``
-    is the summed characteristic score of cohort ``n`` at age ``a`` when the
-    law carries one, else ``None``.  If the population would have exceeded
-    ``cap``, the trace ends at the last safe time and ``capped`` is set.
+    cohort ``n`` bears at time ``n + k`` (index 0 unused).  Every field is
+    an integer count; scored totals are derived from ``cohort_atoms`` (see
+    :func:`char_total`).  If the population would have exceeded ``cap``, the
+    trace ends at the last safe time and ``capped`` is set.
     """
 
     horizon: int
@@ -81,7 +81,6 @@ class Trace:
     Z: tuple[int, ...]
     cohort_atoms: tuple[tuple[int, ...], ...]
     Bnk: tuple[tuple[int, ...], ...]
-    char_sum: tuple[tuple[float, ...], ...] | None
     seed: object
     cap: int
     capped: bool
@@ -115,9 +114,7 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     it is truncated at the last safe time with ``capped = True`` rather than
     faulting.
     """
-    problems = validate_law(law)
-    if problems:
-        raise ValueError("law fails standing assumptions: " + "; ".join(problems))
+    _require_admissible(law)
     if horizon < 0:
         raise ValueError(f"horizon = {horizon} must be >= 0")
     if cap < 1:
@@ -126,8 +123,6 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     k_max = law.max_age
     probs = [atom.prob for atom in law.atoms]
     litters = [atom.births for atom in law.atoms]
-    chars = [atom.char_values for atom in law.atoms] if law.has_char else None
-    n_ages_phi = law.char_max_age + 1 if law.has_char else 0
 
     schedule = [0] * (horizon + k_max + 2)
     schedule[0] = 1
@@ -135,7 +130,6 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     z_list: list[int] = []
     cohort_rows: list[tuple[int, ...]] = []
     bnk_rows: list[tuple[int, ...]] = []
-    char_rows: list[tuple[float, ...]] = []
     z_run = 0
     capped = False
     for n in range(horizon + 1):
@@ -158,20 +152,12 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
         z_list.append(z_run)
         cohort_rows.append(tuple(counts))
         bnk_rows.append(tuple(row))
-        if chars is not None:
-            char_rows.append(
-                tuple(
-                    float(sum(counts[idx] * chars[idx][age] for idx in range(len(counts))))
-                    for age in range(n_ages_phi)
-                )
-            )
     return Trace(
         horizon=len(b_list) - 1,
         B=tuple(b_list),
         Z=tuple(z_list),
         cohort_atoms=tuple(cohort_rows),
         Bnk=tuple(bnk_rows),
-        char_sum=tuple(char_rows) if chars is not None else None,
         seed=tuple(seed) if isinstance(seed, (list, tuple)) else seed,
         cap=cap,
         capped=capped,
@@ -217,9 +203,7 @@ def _simulate_blocks(
     block's cohort matrix at a time.  Refuses a cap or litter above
     ``_SCREEN_LIMIT``, where the overflow screen cannot certify int64 products.
     """
-    problems = validate_law(law)
-    if problems:
-        raise ValueError("law fails standing assumptions: " + "; ".join(problems))
+    _require_admissible(law)
     if horizon < 0:
         raise ValueError(f"horizon = {horizon} must be >= 0")
     if replicates < 1:
@@ -293,15 +277,20 @@ def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:
     n_last = trace.horizon + min(0, k_min)
     if n_last < 0:
         raise ValueError(f"lag {k_min} reaches beyond the trace horizon {trace.horizon}")
-    Z = trace.Z
-    ks = range(k_min, k_max + 1)
-    X = np.empty((n_last + 1, k_max - k_min + 1))
-    for j, k in enumerate(ks):
-        inv_pow = float(m) ** (-k)
-        for n in range(n_last + 1):
-            past = float(Z[n - k]) if n - k >= 0 else 0.0
-            X[n, j] = past - inv_pow * float(Z[n])
-    return X
+    Z = np.asarray(trace.Z, dtype=float)
+    times = np.arange(n_last + 1)
+    return np.column_stack([_prediction_errors(Z, m, times, k) for k in range(k_min, k_max + 1)])
+
+
+def _prediction_errors(Z: np.ndarray, m: float, t, k: int) -> np.ndarray:
+    """Prediction errors ``X_{t,k} = Z_{t-k} - m^-k Z_t`` at time ``t`` (an int or an array of times).
+
+    Time runs along the last axis of ``Z`` and leading axes index
+    replicates; counts before time 0 are zero.
+    """
+    t = np.asarray(t)
+    past = np.where(t >= k, Z[..., np.maximum(t - k, 0)], 0.0)
+    return past - float(m) ** (-k) * Z[..., t]
 
 
 def innovations(trace: Trace, moments) -> tuple[np.ndarray, np.ndarray]:
@@ -344,76 +333,72 @@ def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu, replicates=None) -> t
     return W, Wnk
 
 
-def _char_totals(trace: Trace, law: OffspringLaw) -> np.ndarray:
+def _char_scores(trace: Trace, law: OffspringLaw) -> tuple[np.ndarray, float]:
+    """Scored totals ``Z^phi_n`` and the max relative residual of their decomposition.
+
+    One pass over ``trace.cohort_atoms``: cohort ``c``'s summed score at each
+    age is formed once, atom by atom, and both the totals and the
+    decomposition ``Z^phi_n - lambda^phi Z_n = Zbar^phi_n + <X_n, dlambda>``
+    are accumulated from it in increasing age.
+    """
+    if not law.has_char:
+        raise ValueError("law carries no characteristic")
+    m = malthusian(law)
+    cm = char_moments(law, m)
+    lam, delta = cm.lambda_phi, cm.delta_lambda
+    inv_pows = [float(m) ** (-k) for k in range(len(delta))]
     k_phi = law.char_max_age
-    cs = trace.char_sum
+    phi = [atom.char_values for atom in law.atoms]
+    B, Z = trace.B, trace.Z
+    scores: list[list[float]] = []  # scores[c][age]: summed score of cohort c at that age
     totals = np.empty(trace.horizon + 1)
-    frozen_tail = 0.0
+    worst = 0.0
+    frozen_tail = centered_tail = 0.0
     for n in range(trace.horizon + 1):
-        acc = 0.0
+        counts = trace.cohort_atoms[n]
+        scores.append([float(sum(c * phi[a][age] for a, c in enumerate(counts))) for age in range(k_phi + 1)])
+        acc = zbar = 0.0
         for age in range(0, min(n, k_phi) + 1):
-            acc += cs[n - age][age]
+            acc += scores[n - age][age]
+            zbar += scores[n - age][age] - lam[age] * float(B[n - age])
         if law.char_extends and n - k_phi - 1 >= 0:
-            frozen_tail += cs[n - k_phi - 1][k_phi]
+            frozen_tail += scores[n - k_phi - 1][k_phi]
             acc += frozen_tail
+            centered_tail += scores[n - k_phi - 1][k_phi] - lam[k_phi] * float(B[n - k_phi - 1])
+            zbar += centered_tail
         totals[n] = acc
-    return totals
+        lag_dot = 0.0
+        z_n = float(Z[n])
+        for k in range(len(delta)):
+            past = float(Z[n - k]) if n - k >= 0 else 0.0
+            lag_dot += delta[k] * (past - inv_pows[k] * z_n)
+        lhs = totals[n] - cm.lambda_scalar * z_n
+        worst = max(worst, abs(lhs - (zbar + lag_dot)) / max(1.0, abs(lhs)))
+    return totals, worst
 
 
 def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
     """Total characteristic score ``Z^phi_n`` of the population at each time.
 
-    Cohort ``c`` contributes its recorded score at age ``n - c``; beyond the
+    Cohort ``c`` contributes its summed score at age ``n - c``; beyond the
     table the score is frozen (extending characteristic) or zero.  Before
     returning, the exact decomposition of the total into its mean part, the
     centered scores, and the lag-weighted prediction errors is re-checked to
     1e-9 relative and a violation faults.
     """
-    if not law.has_char or trace.char_sum is None:
-        raise ValueError("law carries no characteristic")
-    totals = _char_totals(trace, law)
-    worst = char_decomposition_residual(trace, law)
+    totals, worst = _char_scores(trace, law)
     if worst > 1e-9:
         raise RuntimeError(f"characteristic decomposition violated: max relative residual {worst!r}")
     return totals
 
 
-def char_decomposition_residual(trace: Trace, law: OffspringLaw, m: float | None = None) -> float:
+def char_decomposition_residual(trace: Trace, law: OffspringLaw) -> float:
     """Max relative residual of ``Z^phi_n - lambda^phi Z_n = Zbar^phi_n + <X_n, dlambda>``.
 
     An exact pathwise identity (the increment vector telescopes the mean
     scores onto past counts), so the residual only measures float rounding.
     """
-    if not law.has_char or trace.char_sum is None:
-        raise ValueError("law carries no characteristic")
-    if m is None:
-        m = malthusian(law)
-    tab = moments(law)
-    cm = char_moments(law, m)
-    lam = tab.lambda_phi
-    delta = cm.delta_lambda
-    totals = _char_totals(trace, law)
-    cs = trace.char_sum
-    k_phi = law.char_max_age
-    B, Z = trace.B, trace.Z
-    worst = 0.0
-    centered_tail = 0.0
-    for n in range(trace.horizon + 1):
-        zbar = 0.0
-        for age in range(0, min(n, k_phi) + 1):
-            zbar += cs[n - age][age] - lam[age] * float(B[n - age])
-        if law.char_extends and n - k_phi - 1 >= 0:
-            centered_tail += cs[n - k_phi - 1][k_phi] - lam[k_phi] * float(B[n - k_phi - 1])
-            zbar += centered_tail
-        lag_dot = 0.0
-        z_n = float(Z[n])
-        for k in range(len(delta)):
-            past = float(Z[n - k]) if n - k >= 0 else 0.0
-            lag_dot += delta[k] * (past - float(m) ** (-k) * z_n)
-        lhs = totals[n] - cm.lambda_scalar * z_n
-        resid = abs(lhs - (zbar + lag_dot)) / max(1.0, abs(lhs))
-        worst = max(worst, resid)
-    return worst
+    return _char_scores(trace, law)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,7 +537,7 @@ def trace_csv(trace: Trace, law: OffspringLaw) -> str:
     ]
     cols = ["n", "B", "Z"] + [f"B_k{k}" for k in range(1, k_top + 1)]
     totals = None
-    if law.has_char and trace.char_sum is not None:
+    if law.has_char:
         totals = char_total(trace, law)
         cols.append("Zphi")
     lines.append(",".join(cols))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .offspring import OffspringLaw, _poly_deriv, _polyval, moments, validate_law
+from .offspring import OffspringLaw, _poly_deriv, _polyval, _require_admissible, moments
 
 __all__ = [
     "SpectralReport",
@@ -47,6 +47,8 @@ __all__ = [
 _CLUSTER_TOL = 1e-6
 #: A polished root whose residual |mu_hat(z) - 1| stays above this is flagged.
 _RESIDUAL_FLAG = 1e-10
+#: Relative width of the regime-II boundary: a law is critical when ``|gamma_star sqrt(m) - 1|`` is at most this.
+_REGIME_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +77,6 @@ class SpectralReport:
     margin: float
     non_simple: bool
     flagged: tuple[int, ...]
-    tol: float
 
     def to_text(self) -> str:
         lines = [
@@ -101,9 +102,7 @@ def malthusian(law: OffspringLaw) -> float:
     satisfies ``|mu_hat(1/m) - 1| <= 1e-12``.  Faults if the law violates the
     standing assumptions (see :func:`validate_law`).
     """
-    problems = validate_law(law)
-    if problems:
-        raise ValueError("law fails standing assumptions: " + "; ".join(problems))
+    _require_admissible(law)
     return _growth_from_mu(moments(law).mu)
 
 
@@ -158,8 +157,8 @@ def _newton_polish(coeffs_f: np.ndarray, z: complex, max_iter: int = 100) -> com
     return best
 
 
-def _root_analysis(law: OffspringLaw):
-    """Locate, polish, and canonicalize all K roots of ``mu_hat(z) = 1``.
+def _root_analysis(law: OffspringLaw, m: float):
+    """Locate, polish, and canonicalize all K roots of ``mu_hat(z) = 1``, given the growth factor ``m``.
 
     Returns ``(roots, residuals, multiplicities)`` with conjugate pairs made
     exact, multiple roots collapsed to a shared location (polished on the
@@ -226,7 +225,7 @@ def _root_analysis(law: OffspringLaw):
             mults.append(q)
 
     # The root at 1/m is known to bisection accuracy: substitute it.
-    inv_m = 1.0 / malthusian(law)
+    inv_m = 1.0 / m
     nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - inv_m))
     if abs(roots[nearest] - inv_m) <= 1e-6 and mults[nearest] == 1:
         roots[nearest] = complex(inv_m, 0.0)
@@ -247,18 +246,18 @@ def all_roots(law: OffspringLaw) -> list[complex]:
     cannot be driven below 1e-10 is still returned (see
     :class:`SpectralReport` for the flag).
     """
-    roots, _, _ = _root_analysis(law)
+    roots, _, _ = _root_analysis(law, malthusian(law))
     return roots
 
 
-def classify(law: OffspringLaw, tol: float = 1e-9) -> SpectralReport:
+def classify(law: OffspringLaw) -> SpectralReport:
     """Classify the fluctuation regime from the root geometry.
 
-    ``tol`` is the relative width of the regime-II boundary: the law is
-    declared critical when ``|gamma_star * sqrt(m) - 1| <= tol``.
+    The law is declared critical (regime II) when
+    ``|gamma_star * sqrt(m) - 1| <= _REGIME_TOL``.
     """
     m = malthusian(law)
-    roots, residuals, mults = _root_analysis(law)
+    roots, residuals, mults = _root_analysis(law, m)
     mu = moments(law).mu
     dmu = _poly_deriv(mu)
     derivs = [_polyval(dmu, z) for z in roots]
@@ -277,7 +276,7 @@ def classify(law: OffspringLaw, tol: float = 1e-9) -> SpectralReport:
         gamma_star = min(abs(roots[i]) for i in others)
         if gamma_star <= inv_m * (1.0 + 1e-12):
             raise RuntimeError(f"minimal secondary root modulus {gamma_star!r} does not exceed 1/m")
-        crit_idx = [i for i in others if abs(roots[i]) <= gamma_star * (1.0 + tol)]
+        crit_idx = [i for i in others if abs(roots[i]) <= gamma_star * (1.0 + _REGIME_TOL)]
         seen: list[complex] = []
         for i in crit_idx:
             if all(roots[i] != s for s in seen):
@@ -287,9 +286,9 @@ def classify(law: OffspringLaw, tol: float = 1e-9) -> SpectralReport:
 
     scaled = gamma_star * math.sqrt(m)
     margin = scaled - 1.0
-    if math.isinf(scaled) or margin > tol:
+    if math.isinf(scaled) or margin > _REGIME_TOL:
         regime = "I"
-    elif margin < -tol:
+    elif margin < -_REGIME_TOL:
         regime = "III"
     else:
         regime = "II"
@@ -308,7 +307,6 @@ def classify(law: OffspringLaw, tol: float = 1e-9) -> SpectralReport:
         margin=margin,
         non_simple=non_simple,
         flagged=flagged,
-        tol=tol,
     )
 
 

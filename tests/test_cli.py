@@ -56,6 +56,29 @@ def test_parse_rejects_ragged_characteristics():
         parse_config(json.dumps({"command": "analyze", "law": {"atoms": atoms}}))
 
 
+def test_parse_names_offending_atom():
+    missing = [{"prob": 0.5, "births": [1], "char": [1.0]}, {"prob": 0.5, "births": [3]}]
+    with pytest.raises(UsageError, match=r"config.law: atoms\[1\]: characteristic present"):
+        parse_config(json.dumps({"command": "analyze", "law": {"atoms": missing}}))
+    negative = [{"prob": 0.5, "births": [1, -2]}, {"prob": 0.5, "births": [3]}]
+    with pytest.raises(UsageError, match=r"config.law: atoms\[0\]: birth count -2 at age 2"):
+        parse_config(json.dumps({"command": "analyze", "law": {"atoms": negative}}))
+
+
+def test_oversized_integers_are_usage_errors(tmp_path, capsys):
+    huge = 10**400
+    cases = [
+        ([{"prob": huge, "births": [1]}], r"config.law.atoms\[0\].prob: integer is too large for a float"),
+        ([{"prob": 1.0, "births": [1, huge]}], r"config.law: atoms\[0\]: birth count at age 2 is too large for a float"),
+    ]
+    for atoms, message in cases:
+        with pytest.raises(UsageError, match=message):
+            parse_config(json.dumps({"command": "analyze", "law": {"atoms": atoms}}))
+        path, _ = _config(tmp_path, command="analyze", law={"atoms": atoms})
+        assert main([str(path)]) == 1
+        assert "too large for a float" in capsys.readouterr().err
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(UsageError, match="config.frobnicate"):
         parse_config(

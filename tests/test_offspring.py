@@ -47,6 +47,10 @@ def test_make_law_structural_faults():
         make_law([(0.5, (1,), (1.0,)), (0.5, (3,))])
     with pytest.raises(ValueError, match="length"):
         make_law([(0.5, (1,), (1.0,)), (0.5, (3,), (1.0, 2.0))])
+    with pytest.raises(ValueError, match=r"atoms\[1\]: birth count at age 2 is too large"):
+        make_law([(0.5, (1,)), (0.5, (3, 10**400))])
+    with pytest.raises(ValueError, match=r"atoms\[0\]: characteristic needs a score at age 0"):
+        make_law([(0.5, (1,), ()), (0.5, (3,), ())])
 
 
 def test_validate_law_flags_assumption_violations():
@@ -91,6 +95,14 @@ def test_moments_law_i(law_i):
     assert tab.sigma[1, 1] == pytest.approx(1.0)
     assert tab.sigma[1, 2] == pytest.approx(0.0, abs=1e-15)
     assert tab.sigma[2, 2] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_moment_table_built_once_and_read_only(gw13_coin):
+    tab = moments(gw13_coin)
+    assert moments(gw13_coin) is tab
+    for arr in (tab.mu, tab.sigma, tab.lambda_phi, tab.var_phi, tab.gamma_phi):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 def test_moments_invariant_under_atom_permutation_and_splitting(law_ii):
