@@ -122,7 +122,7 @@ def _circle_density(report: SpectralReport, tab, M: int, start: int = 0, step: i
     gap = np.abs(1.0 - _polyval(tab.mu, points))
     if gap.min() <= 1e-12:
         raise RuntimeError("mu_hat(z) = 1 on the integration circle; root geometry inconsistent with regime I")
-    density = ((m - 1.0) / m) * _sigma_form(tab.sigma, points) / (np.abs(1.0 - points) ** 2 * gap**2)
+    density = ((m - 1.0) / m) * _sigma_form(tab.sigma, points, radius**2) / (np.abs(1.0 - points) ** 2 * gap**2)
     return points, density
 
 
@@ -145,7 +145,7 @@ def build_spectrum(report: SpectralReport, tab, M: int = _DEFAULT_GRID) -> Limit
     if report.regime == "II":
         crit = np.array(report.gamma_crit, dtype=complex)
         deriv = _polyval(_poly_deriv(tab.mu), crit)
-        weights = (m - 1.0) * _sigma_form(tab.sigma, crit) / (np.abs(1.0 - crit) ** 2 * np.abs(deriv) ** 2)
+        weights = (m - 1.0) * _sigma_form(tab.sigma, crit, np.abs(crit) ** 2) / (np.abs(1.0 - crit) ** 2 * np.abs(deriv) ** 2)
         return LimitSpectrum(kind="atoms", m=m, atoms=tuple((complex(g), float(w)) for g, w in zip(crit, weights)))
 
     M = max(int(M), 8)

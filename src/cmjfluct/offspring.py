@@ -318,20 +318,21 @@ def _poly_deriv(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
     return out
 
 
-def _sigma_form(sigma: np.ndarray, z):
-    """``Sigma(z) = sum_{i,j} sigma[i, j] z^i conj(z)^j`` for a covariance table ``sigma``.
+def _sigma_form(sigma: np.ndarray, z, rho):
+    """``Sigma(z) = sum_{i,j} sigma[i, j] z^i conj(z)^j`` for a symmetric covariance table, given ``rho = |z|^2``.
 
-    Real and non-negative for a true covariance.  Tiny negative roundoff
-    (>= -1e-12) is clamped to zero; anything below that indicates corrupted
-    input and raises.  The result has the shape of ``z``.
+    As ``z^(j+h) conj(z)^j = rho^j z^h``, the diagonals fold into Horner sums ``D_h(rho) = sum_j sigma[j + h, j] rho^j``
+    and ``Sigma = D_0 + 2 Re sum_{h>0} D_h z^h``: O(K^2) once for the scalar ``rho`` of one circle, plus O(K) per point.
+    Tiny negative roundoff (>= -1e-12) is clamped to zero; anything below means corrupted input and raises.  Shaped like ``z``.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    points = z_arr.reshape(-1)
-    powers = points[:, None] ** np.arange(sigma.shape[0])
-    out = np.einsum("ni,ij,nj->n", powers, sigma, np.conj(powers)).real
+    z = np.asarray(z, dtype=complex)
+    lag = np.arange(len(sigma))
+    diagonals = np.concatenate((sigma, np.zeros_like(sigma)))[lag[:, None] + lag, lag[:, None]]  # [j, h] = sigma[j + h, j]
+    folded = np.moveaxis(_polyval(diagonals, np.asarray(rho, dtype=float)[..., None]), -1, 0)
+    out = folded[0] + 2.0 * (z * _polyval(folded[1:], z)).real
     if np.any(out < _SIGMA_CLAMP):
-        raise ValueError(f"Sigma(z) evaluated below {_SIGMA_CLAMP}: min {out.min()!r}")
-    return np.maximum(out, 0.0).reshape(z_arr.shape)
+        raise ValueError(f"Sigma(z) evaluated below {_SIGMA_CLAMP}: min {float(np.min(out))!r}")
+    return np.maximum(out, 0.0)
 
 
 def mu_hat(law: OffspringLaw, z):
@@ -352,12 +353,11 @@ def xi_hat_sample(atom: LitterAtom, z):
 def sigma_hat(law: OffspringLaw, z):
     """Litter variability transform ``Sigma(z) = sum_a p_a |Xi_a(z) - mu_hat(z)|^2``.
 
-    Evaluated in its equal conjugate-bilinear form
-    ``sum_{i,j} Cov(N_i, N_j) z^i conj(z)^j``, which is real and non-negative.
-    Tiny negative roundoff (>= -1e-12) is clamped to zero; anything below that
-    indicates corrupted input and raises.
+    Evaluated in its equal conjugate-bilinear form ``sum_{i,j} Cov(N_i, N_j) z^i conj(z)^j``, real and
+    non-negative, folded at each point's own ``|z|^2`` in O(K^2) per point (see :func:`_sigma_form`).
+    Tiny negative roundoff (>= -1e-12) is clamped to zero; anything below that indicates corrupted input and raises.
     """
-    out = _sigma_form(moments(law).sigma, z)
+    out = _sigma_form(moments(law).sigma, z, np.abs(z) ** 2)
     return out if out.shape else float(out)
 
 

@@ -388,7 +388,7 @@ def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
     """
     totals, worst = _char_scores(trace, law)
     if worst > 1e-9:
-        raise RuntimeError(f"characteristic decomposition violated: max relative residual {worst!r}")
+        raise RuntimeError(f"characteristic decomposition violated: max relative residual {float(worst)!r}")
     return totals
 
 

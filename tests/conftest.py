@@ -7,6 +7,7 @@ them; the fixtures only build the law objects.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from cmjfluct import make_law
@@ -83,3 +84,25 @@ def gw13_deaths():
 def gw13_alive():
     """gw13 with the constant characteristic 1 (extends): totals reproduce Z_n."""
     return make_law([(0.5, (1,), (1.0,)), (0.5, (3,), (1.0,))], char_extends=True)
+
+
+@pytest.fixture
+def early_law():
+    """Builder of random K-age laws: 1-3 children at age 1 plus sparse single births up to age K.
+
+    ``early_law(K, seed)`` has three atoms; atom 0 always bears at age K.
+    """
+
+    def build(K: int, seed: int = 0):
+        rng = np.random.default_rng([K, seed])
+        probs = rng.dirichlet(np.full(3, 4.0))
+        atoms = []
+        for a in range(3):
+            births = (rng.random(K) < min(0.3, 3.0 / K)).astype(int)
+            births[0] = rng.integers(1, 4)
+            if a == 0:
+                births[K - 1] = 1
+            atoms.append((float(probs[a]), tuple(int(x) for x in births)))
+        return make_law(atoms)
+
+    return build

@@ -102,7 +102,7 @@ def test_scores_from_cohort_counts_match_reference(law, horizon, seed):
     worst = _reference_residual(cs, trace, law)
     assert sim.char_decomposition_residual(trace, law) == worst
     if worst > 1e-9:
-        message = f"characteristic decomposition violated: max relative residual {worst!r}"
+        message = f"characteristic decomposition violated: max relative residual {float(worst)!r}"
         try:
             sim.char_total(trace, law)
         except RuntimeError as exc:

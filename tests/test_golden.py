@@ -10,7 +10,10 @@ The seeded files (the Monte Carlo artifacts of ``simulate``, ``verify`` and
 ``predict``) change only when the RNG contract changes (the block seeding
 scheme of the campaigns, or the draw order of ``simulate.run``).  Such a
 change regenerates them with ``python tests/test_golden.py`` and records it
-in CHANGES.md; any other difference here is a regression.
+in CHANGES.md.  A formula rewrite that moves only last digits (a new
+evaluation order of the same sum) regenerates the same way; only the files
+it affects may change, and CHANGES.md lists each of them with its largest
+relative difference.  Any other difference here is a regression.
 """
 
 from __future__ import annotations

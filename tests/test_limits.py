@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -93,6 +94,24 @@ def test_nested_refinement_matches_grid_from_scratch():
     points, density = _circle_density(report, tab, spec.grid_size)
     assert spec.points.tobytes() == points.tobytes()
     assert spec.density.tobytes() == density.tobytes()
+
+
+def test_circle_density_memory_stays_linear_in_grid(early_law):
+    # Sigma folds the covariance table once per radius, so a K = 80 law on
+    # 2^16 points allocates O(M) arrays, never an (M, K + 1) power matrix (~170 MB)
+    law = early_law(80)
+    report, tab = classify(law), moments(law)
+    assert report.regime == "I"
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _circle_density(report, tab, 1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_critical_law_spectrum_is_single_atom(law_ii):

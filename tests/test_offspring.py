@@ -18,6 +18,8 @@ from cmjfluct import (
     validate_law,
     xi_hat_sample,
 )
+from cmjfluct.offspring import _sigma_form
+from cmjfluct.spectral import classify
 
 
 # ---------------------------------------------------------------- construction
@@ -142,6 +144,18 @@ def test_xi_hat_sample(law_ii):
     assert xi_hat_sample(atom, z) == pytest.approx(3 * z + 8 * z**2)
 
 
+def _sigma_by_einsum(sigma, z):
+    """Reference conjugate-bilinear form through the (M, K+1) power matrix (complex; imaginary part is roundoff)."""
+    powers = z[:, None] ** np.arange(sigma.shape[0])
+    return np.einsum("ni,ij,nj->n", powers, sigma, np.conj(powers))
+
+
+def _sigma_by_atoms(law, z):
+    """Reference defining sum over atoms, ``sum_a p_a |Xi_a(z) - mu_hat(z)|^2``."""
+    mean = mu_hat(law, z)
+    return sum(a.prob * np.abs(xi_hat_sample(a, z) - mean) ** 2 for a in law.atoms)
+
+
 def test_sigma_hat_matches_covariance_form_on_random_points(law_i, law_ii, gw13_coin):
     rng = np.random.default_rng(11)
     for law in (law_i, law_ii, gw13_coin):
@@ -149,8 +163,7 @@ def test_sigma_hat_matches_covariance_form_on_random_points(law_i, law_ii, gw13_
         r = np.sqrt(rng.uniform(0.0, 1.0, size=1000))
         theta = rng.uniform(0.0, 2 * np.pi, size=1000)
         z = r * np.exp(1j * theta)
-        powers = z[:, None] ** np.arange(law.max_age + 1)
-        quad = np.einsum("ni,ij,nj->n", powers, tab.sigma, np.conj(powers))
+        quad = _sigma_by_einsum(tab.sigma, z)
         direct = sigma_hat(law, z)
         assert np.max(np.abs(direct - quad.real)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
         assert np.max(np.abs(quad.imag)) <= 1e-12
@@ -164,10 +177,38 @@ def test_sigma_hat_matches_per_atom_definition(law_i, law_ii, gw13_coin):
     for law in (law_i, law_ii, gw13_coin, three_age):
         r = np.sqrt(rng.uniform(0.0, 1.0, size=1000))
         z = r * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=1000))
-        mean = mu_hat(law, z)
-        by_atom = sum(a.prob * np.abs(xi_hat_sample(a, z) - mean) ** 2 for a in law.atoms)
+        by_atom = _sigma_by_atoms(law, z)
         assert sigma_hat(law, z) == pytest.approx(by_atom, rel=1e-12, abs=0.0)
         assert sigma_hat(law, complex(z[0])) == pytest.approx(float(by_atom[0]), rel=1e-12, abs=0.0)
+
+
+def test_folded_sigma_matches_references_on_circles_and_critical_roots(early_law, law_ii, degenerate_ii):
+    # the fold at one radius (circle spectra) and at each point's own |z|^2 (atoms,
+    # sigma_hat) against the power-matrix form and the per-atom definition
+    circle = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    for law in [early_law(K) for K in (2, 10, 40, 80)] + [law_ii, degenerate_ii]:
+        report = classify(law)
+        sigma = moments(law).sigma
+        radius = report.m**-0.5
+        z = radius * circle
+        by_atoms = _sigma_by_atoms(law, z)
+        tol = 1e-13 * by_atoms.max()
+        on_circle = _sigma_form(sigma, z, radius**2)
+        assert np.max(np.abs(on_circle - _sigma_by_einsum(sigma, z).real)) <= tol
+        assert np.max(np.abs(on_circle - by_atoms)) <= tol
+        assert np.max(np.abs(_sigma_form(sigma, z, np.abs(z) ** 2) - by_atoms)) <= tol
+        if report.regime == "II":
+            crit = np.array(report.gamma_crit, dtype=complex)
+            at_roots = _sigma_form(sigma, crit, np.abs(crit) ** 2)
+            assert np.max(np.abs(at_roots - _sigma_by_atoms(law, crit))) <= tol
+            if law is degenerate_ii:
+                assert at_roots.tolist() == [0.0]
+        else:
+            assert report.regime == "I"
+        for rho in (radius**2, np.abs(z) ** 2):
+            with pytest.raises(ValueError, match="Sigma") as exc:
+                _sigma_form(-sigma, z, rho)
+            assert "np.float64" not in str(exc.value)
 
 
 def test_sigma_hat_zero_for_deterministic_law(det_gw):
