@@ -42,6 +42,10 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
 _COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
 
+#: Largest ``replicates`` and ``K`` a config may ask for: a campaign simulates about 10^5 replicates of
+#: 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 4 s at K = 256.
+_MAX_REPLICATES, _MAX_K = 10**6, 256
+
 _TOP_KEYS = {
     "command",
     "law",
@@ -201,12 +205,12 @@ def parse_config(text: str) -> RunConfig:
             raise UsageError(f"config.horizon: {horizon} is negative")
     if "replicates" in obj:
         replicates = _as_int(obj["replicates"], "config.replicates")
-        if replicates < 1:
-            raise UsageError(f"config.replicates: {replicates} is not positive")
+        if not 1 <= replicates <= _MAX_REPLICATES:
+            raise UsageError(f"config.replicates: {replicates} is outside [1, {_MAX_REPLICATES}]")
     if "K" in obj:
         k_lags = _as_int(obj["K"], "config.K")
-        if k_lags < 0:
-            raise UsageError(f"config.K: {k_lags} is negative")
+        if not 0 <= k_lags <= _MAX_K:
+            raise UsageError(f"config.K: {k_lags} is outside [0, {_MAX_K}]")
     seed = _as_int(obj.get("seed", 0), "config.seed")
     lags_raw = obj.get("lags", [1])
     if not isinstance(lags_raw, list) or not lags_raw:

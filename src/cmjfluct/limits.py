@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import RefusalError
 from .offspring import OffspringLaw, _poly_deriv, _polyval, _sigma_form, char_moments, moments
-from .spectral import SpectralReport, _apply_T_mu, vector_v
+from .spectral import SpectralReport
 
 __all__ = [
     "LimitSpectrum",
@@ -209,28 +209,42 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
 
 
 def _epoch_forms(tab, m: float, a: dict[int, float]):
-    """Yield the per-epoch quadratic forms ``q_l`` for ``l = 1, 2, ...``.
+    """Yield the per-epoch quadratic forms ``q_l``, ``l = 1, 2, ...``, as float arrays in blocks.
 
     ``q_l = sum_{i,j=1}^{min(l,K)} sigma_ij alpha_{l-i} alpha_{l-j}`` with
     ``alpha_s = <T^s v, a>``, the pairing of the s-th operator iterate of the
-    forcing window against the non-negative-lag vector ``a``.  Shared by the
-    epoch series and the pathwise quadratic variation, which both raise at
-    their first non-finite partial sum, so an overflowing form warns nothing.
+    forcing window against the non-negative-lag vector ``a``.  Blocks hold
+    ``K + 2`` epochs, then twice as many each time up to 4096.  The window
+    iterates on Python floats in O(max(K, max a)) per epoch, summing ``chi``
+    and each pairing in increasing lag; a block of ``L`` forms is one gather
+    and one einsum, O(L K^2) in C.  Shared by the epoch series and the
+    pathwise quadratic variation, which both raise at their first non-finite
+    partial sum, so an overflowing form warns nothing.
     """
-    mu = tab.mu
+    mu = tab.mu.tolist()
     k_top = len(mu) - 1
     sig = tab.sigma[1:, 1:]
-    y = vector_v(m, max(k_top, max(a)))
-    alphas = [float(sum(c * y[k] for k, c in a.items()))]
+    top = max(k_top, max(a))
+    inv = ((1.0 / m) ** np.arange(1, top + 1)).tolist()  # m^-1..m^-top, as vector_v and the T step form them
+    y = [0.0] + inv
+    alphas = [0.0] * k_top  # alpha_s sits at k_top + s; the zeros stand for s < 0
+    done, size = 0, k_top + 2
     while True:
-        y = _apply_T_mu(mu, m, y)
-        alphas.append(float(sum(c * y[k] for k, c in a.items())))
-        ell = len(alphas) - 1
-        window = np.array([alphas[ell - i] if ell - i >= 0 else 0.0 for i in range(1, k_top + 1)])
-        # near the regime boundary the form overflows; the caller raises at that epoch instead
+        while len(alphas) < k_top + done + size:
+            acc = 0.0
+            for k, c in a.items():
+                acc += c * y[k]
+            alphas.append(acc)
+            chi = 0.0
+            for k in range(1, k_top + 1):
+                chi += mu[k] * (y[k] - y[k - 1])
+            y = [0.0] + [prev + chi * r for prev, r in zip(y, inv)]
+        windows = np.asarray(alphas)[k_top + np.arange(done + 1, done + size + 1)[:, None] - np.arange(1, k_top + 1)]
+        # near the regime boundary the forms overflow; the caller raises at that epoch instead
         with np.errstate(over="ignore", invalid="ignore"):
-            form = float(window @ sig @ window)
-        yield form
+            forms = np.einsum("li,ij,lj->l", windows, sig, windows)
+        yield forms
+        done, size = done + size, min(2 * size, 1 << 12)  # caps a window block at 4096 K floats
 
 
 def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]) -> float:
@@ -257,7 +271,8 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
     m = report.m
     total = 0.0
     small_streak = 0
-    for ell, form in zip(range(1, 100_000), _epoch_forms(moments(law), m, a)):
+    forms = (form for block in _epoch_forms(moments(law), m, a) for form in block.tolist())
+    for ell, form in zip(range(1, 100_000), forms):
         term = (m**-ell - m ** -(ell + 1)) * form
         total += term
         if not math.isfinite(total):

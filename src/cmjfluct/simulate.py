@@ -328,7 +328,7 @@ def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu, replicates=None) -> t
         where = tuple(int(i) for i in np.argwhere(bad)[0])
         replicate = f" of replicate {where[0] if replicates is None else replicates[where[0]]}" if len(where) > 1 else ""
         raise RuntimeError(
-            f"innovation identity violated at n = {where[-1]}{replicate}: {W[where]!r} vs {float(total[where])!r}"
+            f"innovation identity violated at n = {where[-1]}{replicate}: {float(W[where])!r} vs {float(total[where])!r}"
         )
     return W, Wnk
 
@@ -336,45 +336,38 @@ def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu, replicates=None) -> t
 def _char_scores(trace: Trace, law: OffspringLaw) -> tuple[np.ndarray, float]:
     """Scored totals ``Z^phi_n`` and the max relative residual of their decomposition.
 
-    One pass over ``trace.cohort_atoms``: cohort ``c``'s summed score at each
-    age is formed once, atom by atom, and both the totals and the
+    A few array passes, O((atoms + K_phi + len(delta)) n) in C: the cohort
+    score matrix is summed atom by atom from zeros, then the totals and the
     decomposition ``Z^phi_n - lambda^phi Z_n = Zbar^phi_n + <X_n, dlambda>``
-    are accumulated from it in increasing age.
+    accumulate along its age diagonals in increasing age, the frozen tails by
+    a sequential cumsum and ``<X_n, dlambda>`` in increasing lag: the order of
+    a per-cohort loop, so the results are bit-identical to it.
     """
     if not law.has_char:
         raise ValueError("law carries no characteristic")
     m = malthusian(law)
     cm = char_moments(law, m)
-    lam, delta = cm.lambda_phi, cm.delta_lambda
-    inv_pows = [float(m) ** (-k) for k in range(len(delta))]
     k_phi = law.char_max_age
-    phi = [atom.char_values for atom in law.atoms]
-    B, Z = trace.B, trace.Z
-    scores: list[list[float]] = []  # scores[c][age]: summed score of cohort c at that age
-    totals = np.empty(trace.horizon + 1)
-    worst = 0.0
-    frozen_tail = centered_tail = 0.0
-    for n in range(trace.horizon + 1):
-        counts = trace.cohort_atoms[n]
-        scores.append([float(sum(c * phi[a][age] for a, c in enumerate(counts))) for age in range(k_phi + 1)])
-        acc = zbar = 0.0
-        for age in range(0, min(n, k_phi) + 1):
-            acc += scores[n - age][age]
-            zbar += scores[n - age][age] - lam[age] * float(B[n - age])
-        if law.char_extends and n - k_phi - 1 >= 0:
-            frozen_tail += scores[n - k_phi - 1][k_phi]
-            acc += frozen_tail
-            centered_tail += scores[n - k_phi - 1][k_phi] - lam[k_phi] * float(B[n - k_phi - 1])
-            zbar += centered_tail
-        totals[n] = acc
-        lag_dot = 0.0
-        z_n = float(Z[n])
-        for k in range(len(delta)):
-            past = float(Z[n - k]) if n - k >= 0 else 0.0
-            lag_dot += delta[k] * (past - inv_pows[k] * z_n)
-        lhs = totals[n] - cm.lambda_scalar * z_n
-        worst = max(worst, abs(lhs - (zbar + lag_dot)) / max(1.0, abs(lhs)))
-    return totals, worst
+    size = trace.horizon + 1
+    Z = np.asarray(trace.Z, dtype=float)
+    counts = np.asarray(trace.cohort_atoms, dtype=float)
+    scores = np.zeros((size, k_phi + 1))  # scores[c, age]: summed score of cohort c at that age
+    for a, atom in enumerate(law.atoms):
+        scores += counts[:, a, None] * np.asarray(atom.char_values)
+    centered = scores - cm.lambda_phi * np.asarray(trace.B, dtype=float)[:, None]
+    totals, zbar = np.zeros(size), np.zeros(size)
+    for age in range(min(k_phi, size - 1) + 1):
+        totals[age:] += scores[: size - age, age]
+        zbar[age:] += centered[: size - age, age]
+    if law.char_extends and size > k_phi + 1:
+        totals[k_phi + 1 :] += np.cumsum(scores[: size - k_phi - 1, k_phi])
+        zbar[k_phi + 1 :] += np.cumsum(centered[: size - k_phi - 1, k_phi])
+    lag_dot = np.zeros(size)
+    for k, d in enumerate(cm.delta_lambda):
+        lag_dot += d * _prediction_errors(Z, m, np.arange(size), k)
+    lhs = totals - cm.lambda_scalar * Z
+    resid = np.abs(lhs - (zbar + lag_dot)) / np.maximum(1.0, np.abs(lhs))
+    return totals, float(np.fmax.reduce(resid, initial=0.0))  # fmax skips NaN, as a running max() does
 
 
 def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
@@ -465,6 +458,8 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     ``V_n = sum_{l=0}^n B_{n-l} sum_{i,j=1}^l sigma_ij alpha_{l-i} alpha_{l-j}``
     with ``alpha_k`` the pairing of the k-th operator iterate against ``a``.
     ``V_n / Z_n`` converges to the epoch-series variance along a.s. every path.
+    The first ``n`` forms of :func:`_epoch_forms` are weighted and summed by
+    one cumsum in increasing ``l``, as a running sum adds them: O(n K^2) in C.
     Like the epoch series, the first non-finite partial sum raises
     ``RuntimeError`` naming its epoch.
     """
@@ -473,15 +468,21 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     a = {int(k): float(c) for k, c in a.items() if c != 0.0}
     if any(k < 0 for k in a):
         raise ValueError("negative lags have no window components; see fluctuations()")
-    if not a:
+    if not a or n == 0:
         return 0.0
     m = _growth_from_mu(moments.mu)
-    total = 0.0
-    for ell, form in zip(range(1, n + 1), _epoch_forms(moments, m, a)):
-        total += float(trace.B[n - ell]) * form
-        if not math.isfinite(total):
-            raise RuntimeError(f"quadratic variation partial sum is {total!r} at epoch {ell}: the forms overflow float64")
-    return total
+    blocks = []
+    for block in _epoch_forms(moments, m, a):
+        blocks.append(block)
+        if sum(map(len, blocks)) >= n:
+            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = np.cumsum(np.asarray(trace.B[n - 1 :: -1], dtype=float) * np.concatenate(blocks)[:n])
+    bad = np.flatnonzero(~np.isfinite(partial))
+    if bad.size:
+        total, ell = float(partial[bad[0]]), int(bad[0]) + 1
+        raise RuntimeError(f"quadratic variation partial sum is {total!r} at epoch {ell}: the forms overflow float64")
+    return float(partial[-1]) + 0.0  # a running sum from 0.0 never ends at -0.0
 
 
 def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) -> float:
@@ -489,7 +490,10 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
 
     The identity is exact pathwise; the returned residual measures float
     rounding only and is the statistic a verification harness thresholds.
-    Compared over window components ``k <= trunc - n_small``.
+    Compared over window components ``k <= trunc - n_small``.  All rows
+    accumulate together, one array pass per iterate ``T^k v`` in increasing
+    ``k`` as a per-row running sum does, so bit-identical to it: O(n_small^2
+    trunc) in C beyond the whole trace's innovations (their check still runs).
     """
     k_top = len(moments.mu) - 1
     if n_small > 20:
@@ -502,17 +506,13 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     iterates = [vector_v(m, trunc)]
     for _ in range(n_small):
         iterates.append(_apply_T_mu(moments.mu, m, iterates[-1]))
-    X = fluctuations(trace, m, 0, trunc)
     k_cmp = trunc - n_small
-    worst = 0.0
-    for n in range(n_small + 1):
-        rhs = np.zeros(trunc + 1)
-        for k in range(n + 1):
-            rhs -= W[n - k] * iterates[k]
-        diff = np.abs(X[n, : k_cmp + 1] - rhs[: k_cmp + 1])
-        scale = np.maximum(1.0, np.abs(X[n, : k_cmp + 1]))
-        worst = max(worst, float(np.max(diff / scale)))
-    return worst
+    rhs = np.zeros((n_small + 1, k_cmp + 1))
+    for k, iterate in enumerate(iterates):  # row n subtracts W_{n-k} T^k v in increasing k
+        rhs[k:] -= W[: n_small + 1 - k, None] * iterate[: k_cmp + 1]
+    Z = np.asarray(trace.Z[: n_small + 1], dtype=float)
+    X = np.column_stack([_prediction_errors(Z, m, np.arange(n_small + 1), k) for k in range(k_cmp + 1)])
+    return float(np.max(np.abs(X - rhs) / np.maximum(1.0, np.abs(X))))
 
 
 def expected_counts(law: OffspringLaw, horizon: int) -> tuple[np.ndarray, np.ndarray]:

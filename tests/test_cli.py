@@ -7,11 +7,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import cmjfluct
-from cmjfluct.cli import main, parse_config, serialize_config
+from cmjfluct.cli import _MAX_K, _MAX_REPLICATES, main, parse_config, serialize_config
 from cmjfluct.errors import UsageError
 
 GW13_ATOMS = [{"prob": 0.5, "births": [1]}, {"prob": 0.5, "births": [3]}]
@@ -77,6 +78,21 @@ def test_oversized_integers_are_usage_errors(tmp_path, capsys):
         path, _ = _config(tmp_path, command="analyze", law={"atoms": atoms})
         assert main([str(path)]) == 1
         assert "too large for a float" in capsys.readouterr().err
+
+
+def test_unbounded_campaigns_are_usage_errors(tmp_path, capsys):
+    # a config asking for 10**400 replicates or predictor lags must be refused at once, not run until killed
+    predict = {"command": "predict", "law": {"atoms": E2B_ATOMS}, "horizon": 12, "replicates": 100, "K": 2}
+    verify = {"command": "verify", "law": {"atoms": E2B_ATOMS}, "horizon": 12, "replicates": 100}
+    for doc, key, limit in ((verify, "replicates", _MAX_REPLICATES), (predict, "replicates", _MAX_REPLICATES), (predict, "K", _MAX_K)):
+        assert getattr(parse_config(json.dumps({**doc, key: limit})), key) == limit
+        with pytest.raises(UsageError, match=f"config.{key}: "):
+            parse_config(json.dumps({**doc, key: limit + 1}))
+        path, _ = _config(tmp_path, **{**doc, key: 10**400})
+        start = time.perf_counter()
+        assert main([str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert f"config.{key}: " in capsys.readouterr().err
 
 
 def test_parse_rejects_unknown_keys():

@@ -144,6 +144,15 @@ def test_innovation_identity_detects_corruption(gw13):
         sim.innovations(bad, moments(gw13))
 
 
+def test_innovation_fault_message_prints_plain_floats(gw13):
+    trace = sim.run(gw13, 10, 7)
+    B = list(trace.B)
+    B[5] += 1
+    with pytest.raises(RuntimeError, match="innovation identity violated at n = 5") as exc:
+        sim.innovations(dataclasses.replace(trace, B=tuple(B)), moments(gw13))
+    assert "np.float64" not in str(exc.value)
+
+
 # ---------------------------------------------------------------- characteristics
 
 
