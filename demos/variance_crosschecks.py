@@ -3,14 +3,14 @@
 
 Three laws with hand-derivable limits, each computed at least two ways:
 
-  * binary-or-triple law: circle quadrature against the rational value 1/8,
-    and against the epoch-series route, and against a pathwise conditional
-    quadratic variation from one long simulated trace;
-  * regime-I two-age law: quadrature against the closed rational form in the
-    growth factor m and the second characteristic value lam;
+  * binary-or-triple law: the exact circle spectrum against the rational
+    value 1/8, and against the epoch-series route, and against a pathwise
+    conditional quadratic variation from one long simulated trace;
+  * regime-I two-age law: the exact spectrum against the closed rational form
+    in the growth factor m and the second characteristic value lam;
   * regime-II two-age law: the atom-form variance against 1/192.
 
-Agreement across quadrature / series / simulation is the point: the routes
+Agreement across spectrum / series / simulation is the point: the routes
 share no code beyond the offspring moments.
 
 Run:  python3 demos/variance_crosschecks.py
@@ -38,13 +38,13 @@ def spectrum_of(law):
 
 gw = make_law([(0.5, (1,)), (0.5, (3,))])
 report, spec = spectrum_of(gw)
-quad = variance(spec, E1)
+exact = variance(spec, E1)
 series = sigma2_series(gw, report, E1)
 trace = run(gw, 22, seed=(7, 0, 0))
 qv_ratio = martingale_qv(trace, moments(gw), E1, 22) / trace.Z[22]
 print("binary-or-triple law, statistic X_{n,1}/sqrt(Z_n):")
 print("  closed form          1/8   = 0.125")
-print(f"  circle quadrature          = {quad:.15f}")
+print(f"  exact circle spectrum      = {exact:.15f}")
 print(f"  epoch series               = {series:.15f}")
 print(f"  pathwise QV / Z_n (1 path) = {qv_ratio:.6f}   (a.s. limit; one 22-step trace)")
 
@@ -58,19 +58,19 @@ closed = ((m + lam) * (s11 + s22 / m) + 2.0 * (1.0 + lam) * s12) / (
     m * m * (m - lam) * (m - lam * lam)
 )
 report, spec = spectrum_of(law_i)
-quad = variance(spec, E1)
+exact = variance(spec, E1)
 series = sigma2_series(law_i, report, E1)
 print("\ntwo-age law, mean litters (2, 1):")
 print(f"  rational closed form       = {closed:.15f}")
-print(f"  circle quadrature          = {quad:.15f}")
+print(f"  exact circle spectrum      = {exact:.15f}")
 print(f"  epoch series               = {series:.15f}")
 
 # ---- regime-II two-age law: atoms on the critical circle, limit 1/192
 
 law_ii = make_law([(0.5, (1, 8)), (0.5, (3, 8))])
 report, spec = spectrum_of(law_ii)
-quad = variance(spec, E1)
+atoms = variance(spec, E1)
 print("\ntwo-age law, mean litters (2, 8), statistic X_{n,1}/sqrt(n Z_n):")
 print(f"  closed form         1/192  = {1.0 / 192.0:.15f}")
-print(f"  atom-form variance         = {quad:.15f}")
+print(f"  atom-form variance         = {atoms:.15f}")
 print(f"  (one critical root at {report.gamma_crit[0].real:+.1f}; spectrum kind: {spec.kind})")

@@ -33,7 +33,7 @@ from .harness import (
     predictor_backtest,
     run_experiment,
 )
-from .limits import _DEFAULT_GRID, _centered_symbol, _cov_matrix, build_spectrum, predictor_coeffs, variance
+from .limits import _cov_matrix, build_spectrum, predictor_coeffs, variance
 from .offspring import OffspringLaw, make_law, moments
 from .simulate import _DEFAULT_CAP, run, trace_csv
 from .spectral import classify
@@ -43,7 +43,7 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 _COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
 
 #: Largest ``replicates`` and ``K`` a config may ask for: a campaign simulates about 10^5 replicates of
-#: 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 4 s at K = 256.
+#: 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 25 ms at K = 256.
 _MAX_REPLICATES, _MAX_K = 10**6, 256
 
 _TOP_KEYS = {
@@ -226,7 +226,9 @@ def parse_config(text: str) -> RunConfig:
     outdir = obj.get("outdir", ".")
     if not isinstance(outdir, str):
         raise UsageError("config.outdir: expected a string")
-    grid = _as_int(obj.get("M", _DEFAULT_GRID), "config.M")
+    # The old quadrature grid size: still parsed and serialized (so config digests stay put), unused since the
+    # regime-I spectrum became exact.
+    grid = _as_int(obj.get("M", 4096), "config.M")
     if grid < 8:
         raise UsageError(f"config.M: {grid} is too small")
     cap = _as_int(obj.get("cap", _DEFAULT_CAP), "config.cap")
@@ -346,10 +348,10 @@ def _cmd_analyze(config: RunConfig, sink: _Sink, out) -> int:
 
 def _cmd_limits(config: RunConfig, sink: _Sink, out) -> int:
     report = classify(config.law)
-    spectrum = build_spectrum(report, moments(config.law), config.grid)
+    spectrum = build_spectrum(report, moments(config.law))
     variances = [(k, variance(spectrum, {k: 1.0})) for k in config.lags]
     sink.write("variances.csv", _csv_text(("k", "variance"), variances))
-    cov = _cov_matrix(spectrum, [_centered_symbol({k: 1.0}, spectrum.m) for k in config.lags])
+    cov = _cov_matrix(spectrum, [{k: 1.0} for k in config.lags])
     covariances = [(j, k, float(cov[a, b])) for a, j in enumerate(config.lags) for b, k in enumerate(config.lags)]
     sink.write("covariances.csv", _csv_text(("j", "k", "covariance"), covariances))
     out.write(f"regime {report.regime}, spectrum {spectrum.kind}, lags {list(config.lags)}\n")
@@ -395,7 +397,7 @@ def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
 
 def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
     spectral = classify(config.law)
-    spectrum = build_spectrum(spectral, moments(config.law), config.grid)
+    spectrum = build_spectrum(spectral, moments(config.law))
     rule = predictor_coeffs(spectrum, config.K)
     sink.write("coefficients.csv", _csv_text(("k", "coefficient"), enumerate(rule.coeffs, start=1)))
     back = predictor_backtest(_experiment_config(config), config.K)

@@ -6,7 +6,11 @@ the circle ``|z| = m^{-1/2}`` with density (relative to ``dtheta / 2 pi``)
 
     d(theta) = ((m - 1)/m) Sigma(z) / (|1 - z|^2 |1 - mu_hat(z)|^2).
 
-In regime II the measure degenerates to point masses at the critical roots,
+The density is rational in ``w = e^{i theta}``, so :func:`build_spectrum` solves
+exactly for its autocovariances with small linear systems and every covariance is a
+finite Toeplitz sum; ``_circle_density`` samples it on a grid instead, the
+independent contour route the tests compare with.  In regime II the measure
+degenerates to point masses at the critical roots,
 
     w_p = (m - 1) Sigma(gamma_p) / (|1 - gamma_p|^2 |mu_hat'(gamma_p)|^2),
 
@@ -22,15 +26,16 @@ throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RefusalError
-from .offspring import OffspringLaw, _poly_deriv, _polyval, _sigma_form, char_moments, moments
+from .offspring import _SIGMA_CLAMP, OffspringLaw, _poly_deriv, _polyval, _sigma_folds, _sigma_form, char_moments, moments
 from .spectral import SpectralReport
 
 __all__ = [
+    "Autocovariance",
     "LimitSpectrum",
     "PredictorRule",
     "build_spectrum",
@@ -44,48 +49,53 @@ __all__ = [
     "oscillation_profile",
 ]
 
-_MAX_GRID = 1 << 20
-#: Quadrature grid size a circle spectrum starts from before doubling.
-_DEFAULT_GRID = 4096
+
+@dataclass(frozen=True, eq=False)
+class Autocovariance:
+    """``gamma_h = int e^{i h theta} S(w) / |phi(w)|^2 dtheta/2pi`` for ``h = 0..deg phi``, and the causal ``phi``."""
+
+    gamma: np.ndarray
+    ar: np.ndarray
+
+    def upto(self, n: int) -> np.ndarray:
+        """``gamma_0..gamma_n``, extended by the recursion ``sum_i phi_i gamma_{h-i} = 0`` past ``deg S``."""
+        gamma, phi = self.gamma.tolist(), self.ar.tolist()
+        while len(gamma) <= n:
+            gamma.append(-sum(c * g for c, g in zip(phi[1:], gamma[::-1])) / phi[0])
+        if not all(map(math.isfinite, gamma)):
+            raise RuntimeError(f"autocovariance recursion left float64 before lag {n}")
+        return np.array(gamma[: n + 1])
 
 
 @dataclass(frozen=True, eq=False)
 class LimitSpectrum:
-    """The limiting covariance measure: circle density (regime I) or atoms (regime II).
+    """The limiting covariance measure: exact autocovariances on the circle (regime I) or atoms (regime II).
 
-    Circle form: ``points`` are the M grid points ``m^{-1/2} e^{i theta_j}`` at
-    uniform angles and ``density`` the measure's density there, so that
-    ``int f dnu = mean_j density_j f(points_j)``.  Atoms form: ``atoms`` is a
-    tuple of ``(location, weight)`` pairs and the integral is a weighted sum.
+    Circle form: on ``z = r w``, ``r = m^{-1/2}``, ``int z^j conj(z)^k dmu = r^{j+k} gamma_{|j-k|}`` for all integers
+    ``j, k``; ``moments`` holds the ``gamma_h`` of ``nu``, ``centered`` those of ``|z - 1/m|^2 dnu``.  Statistics
+    ``sum_k a_k (z^k - m^-k)`` carry the factor ``z - 1/m`` and use ``centered``: as ``m -> 1`` ``nu`` piles up at
+    ``z = r`` and its Toeplitz sums for them cancel.  Atoms form: a tuple of ``(location, weight)`` pairs.
     """
 
     kind: str
     m: float
     radius: float | None = None
-    points: np.ndarray | None = None
-    density: np.ndarray | None = None
+    moments: Autocovariance | None = None
+    centered: Autocovariance | None = None
     atoms: tuple[tuple[complex, float], ...] | None = None
-    grid_size: int | None = None
-    converged: bool = True
+
+    #: Both forms are exact: there is no quadrature grid to size or to leave unconverged.
+    grid_size = 0
+    converged = True
 
     @property
     def total_mass(self) -> float:
         if self.kind == "circle":
-            return float(np.mean(self.density))
+            return float(self.moments.gamma[0])
         return float(sum(w for _, w in self.atoms))
 
-    def support(self) -> np.ndarray:
-        """Points carrying the measure (grid samples or atom locations)."""
-        if self.kind == "circle":
-            return self.points
-        return np.array([g for g, _ in self.atoms], dtype=complex)
-
-    def integrate(self, values: np.ndarray) -> complex:
-        """Integrate samples of a function given on :meth:`support` against nu."""
-        if self.kind == "circle":
-            return complex(np.mean(self.density * values))
-        weights = np.array([w for _, w in self.atoms])
-        return complex(np.sum(weights * values))
+    def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([g for g, _ in self.atoms], dtype=complex), np.array([w for _, w in self.atoms])
 
 
 def _symbol_on(points: np.ndarray, coeffs: dict[int, float]) -> np.ndarray:
@@ -109,16 +119,36 @@ def _centered_symbol(a: dict[int, float], m: float) -> dict[int, float]:
     return out
 
 
-def _circle_density(report: SpectralReport, tab, M: int, start: int = 0, step: int = 1):
-    """Points and density at the angles ``2 pi j / M`` for ``j = start, start + step, ... < M``.
+def _quotient_symbol(a: dict[int, float], m: float) -> dict[int, float]:
+    """Coefficients of ``sum_k a_k (z^k - m^-k) / (z - 1/m)``, summed termwise without cancellation.
 
-    Faults when ``mu_hat = 1`` on the circle, or (via the Sigma form) when
-    Sigma is negative there.
+    The quotient is ``sum_{j<k} m^-(k-1-j) z^j`` for ``k > 0`` and ``-sum_{j<n} m^(j+1) z^(j-n)`` for ``k = -n < 0``.
+    """
+    out: dict[int, float] = {}
+    for k, c in a.items():
+        terms = [(j, m ** -(k - 1 - j)) for j in range(k)] if k > 0 else [(j + k, -(m ** (j + 1))) for j in range(-k)]
+        for j, w in terms:
+            out[j] = out.get(j, 0.0) + float(c) * w
+    return out
+
+
+def _series_ratio(num, den: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` Taylor coefficients of ``num(z) / den(z)``, by long division."""
+    out = np.zeros(n)
+    for j in range(n):
+        k = min(j, len(den) - 1)
+        out[j] = ((num[j] if j < len(num) else 0.0) - den[1 : k + 1] @ out[j - k : j][::-1]) / den[0]
+    return out
+
+
+def _circle_density(report: SpectralReport, tab, M: int):
+    """Points and density at the angles ``2 pi j / M``: the contour route, which tests compare with the exact one.
+
+    Faults when ``mu_hat = 1`` on the circle, or (via the Sigma form) when Sigma is negative there.
     """
     m = report.m
     radius = m**-0.5
-    theta = 2.0 * np.pi * np.arange(start, M, step) / M
-    points = radius * np.exp(1j * theta)
+    points = radius * np.exp(1j * (2.0 * np.pi * np.arange(M) / M))
     gap = np.abs(1.0 - _polyval(tab.mu, points))
     if gap.min() <= 1e-12:
         raise RuntimeError("mu_hat(z) = 1 on the integration circle; root geometry inconsistent with regime I")
@@ -126,16 +156,45 @@ def _circle_density(report: SpectralReport, tab, M: int, start: int = 0, step: i
     return points, density
 
 
-def build_spectrum(report: SpectralReport, tab, M: int = _DEFAULT_GRID) -> LimitSpectrum:
+def _deflate(mu: np.ndarray, m: float) -> np.ndarray:
+    """``b`` in ``1 - mu_hat(z) = (1 - m z) b(z)``, divided from the top down: stable, as ``1/m`` is the smallest root.
+
+    The remainder ``b_0 - 1`` measures how well ``m`` solves ``mu_hat(1/m) = 1``; above 1e-10 it faults.
+    """
+    b = [mu[-1] / m]
+    for c in mu[-2:0:-1]:
+        b.append((b[-1] + c) / m)
+    if abs(b[-1] - 1.0) > 1e-10:
+        raise RuntimeError(f"dividing 1 - mu_hat(z) by 1 - m z leaves remainder {b[-1] - 1.0!r}: m is not a root")
+    return np.array(b[::-1])
+
+
+def _arma_autocov(phi: np.ndarray, s: np.ndarray) -> Autocovariance:
+    """Autocovariances of ``S(w) / |phi(w)|^2``, ``S = sum_{|h| < len(s)} s_|h| w^h``, for a causal ``phi``.
+
+    With ``psi = 1/phi``, ``sum_i phi_i gamma_{|h-i|} = sum_j psi_j s_{h+j}`` for ``h = 0..deg phi`` is one square
+    solve (Brockwell & Davis, *Time Series: Theory and Methods*, §3.3).
+    """
+    xi = np.zeros(len(phi))
+    xi[: len(s)] = np.convolve(s[::-1], _series_ratio([1.0], phi, len(s)))[len(s) - 1 :: -1]
+    lag = np.arange(len(phi))
+    system = np.zeros((len(phi), len(phi)))
+    np.add.at(system, (lag[:, None], np.abs(lag[:, None] - lag)), phi)
+    gamma = np.linalg.solve(system, xi)
+    if not np.all(np.isfinite(gamma)):
+        raise RuntimeError("the autocovariance solve left float64")
+    return Autocovariance(gamma=gamma, ar=phi)
+
+
+def build_spectrum(report: SpectralReport, tab) -> LimitSpectrum:
     """Construct the limiting covariance measure for a classified law.
 
-    Regime I: circle density sampled at ``M`` uniform angles, with ``M``
-    doubled until the variance of a probe vector moves by less than 1e-10
-    relative (the integrand is analytic, so this converges geometrically).
-    Regime II with simple critical roots: exact atoms.  Regime III and
+    Regime I: with ``z = r w`` and ``1 - mu_hat = (1 - m z) b(z)``, ``nu`` has density ``S(w) / |phi(w)|^2`` with
+    ``phi(w) = (1 - r w)^2 b(r w)`` and ``s_h = ((m-1)/m) r^{2+h} D_h(r^2)`` from the folded Sigma; on the circle
+    ``|z - 1/m|^2 = r^2 |1 - r w|^2``, so the centered measure drops one factor ``1 - r w``.  A covariance table
+    with an eigenvalue below ``-1e-12 max(1, max sigma_kk)`` makes Sigma negative somewhere: a fault (ValueError).
+    Regime II with simple critical roots: exact atoms, where Sigma below -1e-12 is a fault.  Regime III and
     non-simple critical roots: refused, no limiting covariance exists.
-    A value of Sigma below -1e-12 on the circle or at a critical root is a
-    fault (ValueError).
     """
     if report.regime == "III":
         raise RefusalError("regime III: fluctuations oscillate without a limiting covariance (use the oscillation profile)")
@@ -147,50 +206,73 @@ def build_spectrum(report: SpectralReport, tab, M: int = _DEFAULT_GRID) -> Limit
         deriv = _polyval(_poly_deriv(tab.mu), crit)
         weights = (m - 1.0) * _sigma_form(tab.sigma, crit, np.abs(crit) ** 2) / (np.abs(1.0 - crit) ** 2 * np.abs(deriv) ** 2)
         return LimitSpectrum(kind="atoms", m=m, atoms=tuple((complex(g), float(w)) for g, w in zip(crit, weights)))
+    r, sigma = m**-0.5, tab.sigma
+    try:  # factorizable unless an eigenvalue is below -tol; much cheaper than eigvalsh under threaded BLAS
+        np.linalg.cholesky(sigma - _SIGMA_CLAMP * max(1.0, float(np.max(np.diag(sigma)))) * np.eye(len(sigma)))
+    except np.linalg.LinAlgError:
+        low = float(np.linalg.eigvalsh(sigma)[0])
+        raise ValueError(f"Sigma(z) is not a covariance form: its table has eigenvalue {low!r}") from None
+    powers = r ** np.arange(len(sigma) + 2)
+    s = ((m - 1.0) / m) * powers[2:] * _sigma_folds(sigma, r**2)
+    centered_ar = np.convolve([1.0, -r], _deflate(tab.mu.tolist(), m) * powers[: len(sigma) - 1])
+    moments_ = _arma_autocov(np.convolve([1.0, -r], centered_ar), s)
+    return LimitSpectrum(kind="circle", m=m, radius=r, moments=moments_, centered=_arma_autocov(centered_ar, r * r * s))
 
-    M = max(int(M), 8)
-    points, density = _circle_density(report, tab, M)
-    ref = None
-    while True:
-        spec = LimitSpectrum(kind="circle", m=m, radius=m**-0.5, points=points, density=density, grid_size=M)
-        val = variance(spec, {1: 1.0})
-        if ref is not None and abs(val - ref) <= 1e-10 * max(abs(val), 1e-30):
-            return spec
-        if M >= _MAX_GRID:
-            return replace(spec, converged=False)
-        # The grids are nested: angle 2 pi (2j) / (2M) rounds exactly as 2 pi j / M,
-        # so only the M odd angles of the doubled grid are new.
-        new_points, new_density = _circle_density(report, tab, 2 * M, start=1, step=2)
-        points = np.stack((points, new_points), axis=1).reshape(-1)
-        density = np.stack((density, new_density), axis=1).reshape(-1)
-        ref, M = val, 2 * M
+
+def _toeplitz(spectrum: LimitSpectrum, acov: Autocovariance, fs: list, gs: list | None = None, lag: int = 0) -> np.ndarray:
+    """``Re int w^lag F_j(z) conj(G_k(z))`` against the circle measure of ``acov``, for Laurent symbols ``F_j, G_k``.
+
+    Each entry is ``sum_{j,k} f_j g_k r^{j+k} gamma_{|lag+j-k|}``; with ``gs`` omitted, a Gram matrix made exactly symmetric.
+    """
+    keys = [k for symbol in fs + (gs or []) for k in symbol] or [0]
+    lo, hi = min(keys), max(keys)
+
+    def rows(symbols):
+        out = np.zeros((len(symbols), hi - lo + 1))
+        for row, symbol in zip(out, symbols):
+            row[[k - lo for k in symbol]] = list(symbol.values())
+        return out * spectrum.radius ** np.arange(lo, hi + 1)
+
+    idx = np.arange(hi - lo + 1)
+    f_rows, toeplitz = rows(fs), acov.upto(lag + hi - lo)[np.abs(lag + idx[:, None] - idx)]
+    if gs is not None:
+        return f_rows @ toeplitz @ rows(gs).T
+    gram = f_rows @ toeplitz @ f_rows.T
+    return 0.5 * (gram + gram.T)
+
+
+def _atom_gram(spectrum: LimitSpectrum, fs: list, gs: list | None = None) -> np.ndarray:
+    """``Re sum_p w_p F_j(gamma_p) conj(G_k(gamma_p))``, each symbol evaluated at the atoms once.
+
+    Every entry is the weighted sum a single pair gets, so no entry depends on which other symbols share the call.
+    """
+    locations, weights = spectrum._atom_arrays()
+    g_conj = [np.conj(_symbol_on(locations, g)) for g in (fs if gs is None else gs)]
+    # Conjugating twice gives back the same bits, so a Gram matrix keeps only the conjugates.
+    f_vals = (np.conj(v) for v in g_conj) if gs is None else (_symbol_on(locations, f) for f in fs)
+    return np.array([[float(complex(np.sum(weights * (fv * gv))).real) for gv in g_conj] for fv in f_vals])
+
+
+def _cov_matrix(spectrum: LimitSpectrum, vectors: list) -> np.ndarray:
+    """Limiting covariance matrix of the statistics ``sum_k a_k zeta_k`` for coefficient vectors ``a``."""
+    if spectrum.kind == "circle":
+        return _toeplitz(spectrum, spectrum.centered, [_quotient_symbol(a, spectrum.m) for a in vectors])
+    return _atom_gram(spectrum, [_centered_symbol(a, spectrum.m) for a in vectors])
 
 
 def variance(spectrum: LimitSpectrum, a: dict[int, float]) -> float:
     """Limiting variance of ``sum_k a_k zeta_k``: ``int |sum a_k (z^k - m^-k)|^2 dnu``."""
-    symbol = _centered_symbol(a, spectrum.m)
-    vals = np.abs(_symbol_on(spectrum.support(), symbol)) ** 2
-    return float(spectrum.integrate(vals).real)
-
-
-def _cov_matrix(spectrum: LimitSpectrum, fs: list, gs: list | None = None) -> np.ndarray:
-    """Matrix of real inner products ``Re int F_j(z) conj(G_k(z)) dnu`` of raw Laurent symbols.
-
-    ``gs`` defaults to ``fs`` (a Gram matrix).  Each symbol is evaluated on the
-    support once; every entry is the same elementwise product and
-    :meth:`LimitSpectrum.integrate` a single pair gets, so no entry depends on
-    which other symbols share the call.
-    """
-    support = spectrum.support()
-    g_conj = [np.conj(_symbol_on(support, g)) for g in (fs if gs is None else gs)]
-    # Conjugating twice gives back the same bits, so a Gram matrix keeps only the conjugates.
-    f_vals = (np.conj(v) for v in g_conj) if gs is None else (_symbol_on(support, f) for f in fs)
-    return np.array([[float(spectrum.integrate(fv * gv).real) for gv in g_conj] for fv in f_vals])
+    if spectrum.kind == "circle":
+        return float(_cov_matrix(spectrum, [a])[0, 0])
+    locations, weights = spectrum._atom_arrays()
+    return float(np.sum(weights * np.abs(_symbol_on(locations, _centered_symbol(a, spectrum.m))) ** 2))
 
 
 def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) -> float:
     """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols."""
-    return float(_cov_matrix(spectrum, [f], [g])[0, 0])
+    if spectrum.kind == "circle":
+        return float(_toeplitz(spectrum, spectrum.moments, [f], [g])[0, 0])
+    return float(_atom_gram(spectrum, [f], [g])[0, 0])
 
 
 def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
@@ -202,10 +284,12 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
     if ell < 0:
         raise ValueError(f"lag ell = {ell} must be non-negative")
     m = spectrum.m
-    support = spectrum.support()
-    base = np.abs(_symbol_on(support, _centered_symbol({k: 1.0}, m))) ** 2
-    vals = (support * math.sqrt(m)) ** ell * base
-    return float(spectrum.integrate(vals).real)
+    if spectrum.kind == "circle":
+        q = [_quotient_symbol({k: 1.0}, m)]
+        return float(_toeplitz(spectrum, spectrum.centered, q, q, lag=ell)[0, 0])
+    locations, weights = spectrum._atom_arrays()
+    vals = (locations * math.sqrt(m)) ** ell * np.abs(_symbol_on(locations, _centered_symbol({k: 1.0}, m))) ** 2
+    return float(complex(np.sum(weights * vals)).real)
 
 
 def _epoch_forms(tab, m: float, a: dict[int, float]):
@@ -312,6 +396,30 @@ def char_variance_centered(law: OffspringLaw, m: float) -> float:
     return ((m - 1.0) / m) * _weighted_var_sum(law, m)
 
 
+def _score_cross(law: OffspringLaw, m: float, cm) -> float:
+    """``char_variance_full``'s cross term ``int g(z) C(z) dtheta/2pi`` on ``|z| = m^{-1/2}``, as a finite sum.
+
+    ``g = N / ((z - 1)(1 - mu_hat)) = -Ntilde(z) / (m (z - 1) b(z))`` with ``N = sum_k delta_k (z^k - m^-k)``,
+    ``Ntilde = N / (z - 1/m)`` and ``b`` from :func:`_deflate` is analytic on the closed disc, so against
+    ``C(z) = sum_{a,i} Cov(phi(a), N_i) z^i conj(z)^a`` only its Taylor coefficient ``g_{a-i}`` survives, at weight
+    ``m^-a``.  An extending characteristic repeats its last row for every ``a > K_phi``: over ``n = a - i``
+    that sums to ``g(1/m)`` less a partial sum.
+    """
+    cov = cm.gamma_phi  # (K_phi+1, K+1)
+    ages, k_top = cov.shape[0], cov.shape[1] - 1
+    b = _deflate(moments(law).mu.tolist(), m)
+    quotient = _quotient_symbol(dict(enumerate(cm.delta_lambda)), m)
+    ntilde = [quotient.get(j, 0.0) for j in range(len(cm.delta_lambda) - 1)]
+    g = _series_ratio(ntilde, np.convolve([1.0, -1.0], b), ages) / m
+    a, i = np.arange(ages)[:, None], np.arange(k_top + 1)
+    cross = float(np.sum(cov * np.where(a >= i, g[np.clip(a - i, 0, None)], 0.0) * (1.0 / m) ** a))
+    if law.char_extends:
+        g_at = _polyval(ntilde, 1.0 / m) / ((m - 1.0) * _polyval(b.tolist(), 1.0 / m))
+        partial = np.concatenate(([0.0], np.cumsum(g * (1.0 / m) ** np.arange(ages))))
+        cross += float(np.sum(cov[-1] * (1.0 / m) ** i * (g_at - partial[np.clip(ages - i, 0, None)])))
+    return cross
+
+
 def char_variance_full(law: OffspringLaw, report: SpectralReport, spectrum: LimitSpectrum) -> float:
     """Regime-I limiting variance of the scored total for a general characteristic.
 
@@ -330,27 +438,10 @@ def char_variance_full(law: OffspringLaw, report: SpectralReport, spectrum: Limi
     if not law.has_char:
         raise ValueError("law has no characteristic")
     m = report.m
-    tab = moments(law)
     cm = char_moments(law, m)
 
-    own = _weighted_var_sum(law, m)
-
-    points = spectrum.points
-    delta = {k: float(c) for k, c in enumerate(cm.delta_lambda)}
-    n_sym = _symbol_on(points, _centered_symbol(delta, m))
-    g_alpha = n_sym / ((points - 1.0) * (1.0 - _polyval(tab.mu, points)))
-    gamma = cm.gamma_phi  # (K_phi+1, K+1)
-    zbar = np.conj(points)
-    cross_sym = np.zeros_like(points)
-    birth_pow = points[:, None] ** np.arange(gamma.shape[1])
-    for age in range(gamma.shape[0]):
-        cross_sym += zbar**age * (birth_pow @ gamma[age])
-    if law.char_extends:
-        tail_age = gamma.shape[0]
-        cross_sym += (zbar**tail_age / (1.0 - zbar)) * (birth_pow @ gamma[-1])
-    cross = float(np.mean(g_alpha * cross_sym).real)
-
-    mean_part = variance(spectrum, delta)
+    own, cross = _weighted_var_sum(law, m), _score_cross(law, m, cm)
+    mean_part = variance(spectrum, {k: float(c) for k, c in enumerate(cm.delta_lambda)})
     return ((m - 1.0) / m) * (own - 2.0 * cross) + mean_part
 
 
@@ -402,9 +493,7 @@ def predictor_coeffs(spectrum: LimitSpectrum, K: int) -> PredictorRule:
     if spectrum.total_mass <= 0.0:
         raise RefusalError("the limiting measure is zero (deterministic litters): use the exact recurrence")
     m = spectrum.m
-    target = {-1: 1.0, 0: -m}
-    basis = [_centered_symbol({k: 1.0}, m) for k in range(1, K + 1)]
-    cov = _cov_matrix(spectrum, [target] + basis)
+    cov = _cov_matrix(spectrum, [{k: 1.0} for k in range(-1, K + 1) if k])
     target_sq = float(cov[0, 0])
     if K == 0:
         return PredictorRule(m=m, coeffs=np.zeros(0), residual_sq=target_sq, target_sq=target_sq, regularized=False)

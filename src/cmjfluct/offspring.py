@@ -146,6 +146,36 @@ class MomentTable:
     var_phi: np.ndarray | None = None
     gamma_phi: np.ndarray | None = None
 
+    @cached_property
+    def growth(self) -> float:
+        """Growth factor ``m`` solving ``mu_hat(1/m) = 1``: bisection then Newton, on first use."""
+        coeffs = self.mu.tolist()  # Python floats keep the ~60 scalar evaluations off numpy scalars
+        f = lambda x: _polyval(coeffs, x) - 1.0
+        lo, hi = 1.0 / float(np.sum(self.mu)), 1.0
+        # mu_hat(1/E[N]) <= 1 (equality only for single-age laws), mu_hat(1) > 1.
+        if f(lo) >= 0.0:
+            x = lo
+        else:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if f(mid) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+                if hi - lo <= 1e-15 * hi:
+                    break
+            x = 0.5 * (lo + hi)
+            dcoeffs = _poly_deriv(self.mu).tolist()
+            for _ in range(8):
+                step = f(x) / _polyval(dcoeffs, x)
+                x -= step
+                if abs(step) <= 1e-16 * x:
+                    break
+        m = 1.0 / x
+        if abs(f(x)) > 1e-12:
+            raise RuntimeError(f"growth-factor solve did not converge: residual {abs(f(x))!r}")
+        return m
+
 
 @dataclass(frozen=True, eq=False)
 class CharMoments:
@@ -318,17 +348,22 @@ def _poly_deriv(coeffs: np.ndarray, order: int = 1) -> np.ndarray:
     return out
 
 
+def _sigma_folds(sigma: np.ndarray, rho) -> np.ndarray:
+    """Diagonal folds ``D_h(rho) = sum_j sigma[j + h, j] rho^j`` for ``h = 0..K`` (Horner in ``rho``), ``h`` leading."""
+    lag = np.arange(len(sigma))
+    diagonals = np.concatenate((sigma, np.zeros_like(sigma)))[lag[:, None] + lag, lag[:, None]]  # [j, h] = sigma[j + h, j]
+    return np.moveaxis(_polyval(diagonals, np.asarray(rho, dtype=float)[..., None]), -1, 0)
+
+
 def _sigma_form(sigma: np.ndarray, z, rho):
     """``Sigma(z) = sum_{i,j} sigma[i, j] z^i conj(z)^j`` for a symmetric covariance table, given ``rho = |z|^2``.
 
-    As ``z^(j+h) conj(z)^j = rho^j z^h``, the diagonals fold into Horner sums ``D_h(rho) = sum_j sigma[j + h, j] rho^j``
+    As ``z^(j+h) conj(z)^j = rho^j z^h``, the diagonals fold into :func:`_sigma_folds` ``D_h(rho)``
     and ``Sigma = D_0 + 2 Re sum_{h>0} D_h z^h``: O(K^2) once for the scalar ``rho`` of one circle, plus O(K) per point.
     Tiny negative roundoff (>= -1e-12) is clamped to zero; anything below means corrupted input and raises.  Shaped like ``z``.
     """
     z = np.asarray(z, dtype=complex)
-    lag = np.arange(len(sigma))
-    diagonals = np.concatenate((sigma, np.zeros_like(sigma)))[lag[:, None] + lag, lag[:, None]]  # [j, h] = sigma[j + h, j]
-    folded = np.moveaxis(_polyval(diagonals, np.asarray(rho, dtype=float)[..., None]), -1, 0)
+    folded = _sigma_folds(sigma, rho)
     out = folded[0] + 2.0 * (z * _polyval(folded[1:], z)).real
     if np.any(out < _SIGMA_CLAMP):
         raise ValueError(f"Sigma(z) evaluated below {_SIGMA_CLAMP}: min {float(np.min(out))!r}")

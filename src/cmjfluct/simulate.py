@@ -31,7 +31,7 @@ from .offspring import (
     law_fingerprint,
     moments,
 )
-from .spectral import SpectralReport, _apply_T_mu, _growth_from_mu, malthusian, vector_v
+from .spectral import SpectralReport, _apply_T_mu, malthusian, vector_v
 
 __all__ = [
     "Trace",
@@ -470,7 +470,7 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
         raise ValueError("negative lags have no window components; see fluctuations()")
     if not a or n == 0:
         return 0.0
-    m = _growth_from_mu(moments.mu)
+    m = moments.growth
     blocks = []
     for block in _epoch_forms(moments, m, a):
         blocks.append(block)

@@ -45,7 +45,7 @@ __all__ = [
 
 #: Two located roots closer than this (relative) are treated as one multiple root.
 _CLUSTER_TOL = 1e-6
-#: A polished root whose residual |mu_hat(z) - 1| stays above this is flagged.
+#: A polished root whose backward error (see :func:`_backward_error`) stays above this is flagged.
 _RESIDUAL_FLAG = 1e-10
 #: Relative width of the regime-II boundary: a law is critical when ``|gamma_star sqrt(m) - 1|`` is at most this.
 _REGIME_TOL = 1e-9
@@ -62,7 +62,8 @@ class SpectralReport:
     exist) and ``gamma_crit`` the distinct roots achieving it.  ``margin`` is
     ``gamma_star * sqrt(m) - 1``, the signed distance to the regime boundary.
     ``non_simple`` marks a multiple critical root; ``flagged`` holds indices
-    of roots whose Newton polish did not reach the residual target.
+    of roots whose relative backward error stays above 1e-10 after polishing
+    (``residuals`` stay absolute).
     """
 
     m: float
@@ -103,37 +104,7 @@ def malthusian(law: OffspringLaw) -> float:
     standing assumptions (see :func:`validate_law`).
     """
     _require_admissible(law)
-    return _growth_from_mu(moments(law).mu)
-
-
-def _growth_from_mu(mu: np.ndarray) -> float:
-    """Solve ``mu_hat(1/m) = 1`` given only the mean-litter coefficients."""
-    coeffs = mu.tolist()  # Python floats keep the ~60 scalar evaluations off numpy scalars
-    f = lambda x: _polyval(coeffs, x) - 1.0
-    lo, hi = 1.0 / float(np.sum(mu)), 1.0
-    # mu_hat(1/E[N]) <= 1 (equality only for single-age laws), mu_hat(1) > 1.
-    if f(lo) >= 0.0:
-        x = lo
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * hi:
-                break
-        x = 0.5 * (lo + hi)
-        dcoeffs = _poly_deriv(mu).tolist()
-        for _ in range(8):
-            step = f(x) / _polyval(dcoeffs, x)
-            x -= step
-            if abs(step) <= 1e-16 * x:
-                break
-    m = 1.0 / x
-    if abs(f(x)) > 1e-12:
-        raise RuntimeError(f"growth-factor solve did not converge: residual {abs(f(x))!r}")
-    return m
+    return moments(law).growth
 
 
 def _newton_polish(coeffs_f: np.ndarray, z: complex, max_iter: int = 100) -> complex:
@@ -239,6 +210,11 @@ def _root_analysis(law: OffspringLaw, m: float):
     return roots, residuals, mults
 
 
+def _backward_error(mu: np.ndarray, z):
+    """``|1 - mu_hat(z)| / (1 + sum_k mu_k |z|^k)``, the residual relative to the terms it cancels; shaped like ``z``."""
+    return abs(1.0 - _polyval(mu, z)) / (1.0 + _polyval(mu, abs(z)))
+
+
 def all_roots(law: OffspringLaw) -> list[complex]:
     """All K roots of ``mu_hat(z) = 1``, polished and canonically ordered.
 
@@ -293,7 +269,7 @@ def classify(law: OffspringLaw) -> SpectralReport:
     else:
         regime = "II"
 
-    flagged = tuple(i for i, r in enumerate(residuals) if r > _RESIDUAL_FLAG)
+    flagged = tuple(np.flatnonzero(_backward_error(mu, np.array(roots)) > _RESIDUAL_FLAG).tolist())
     return SpectralReport(
         m=m,
         alpha=math.log(m),

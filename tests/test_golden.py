@@ -9,8 +9,9 @@ provenance line does not depend on where the suite runs.
 The seeded files (the Monte Carlo artifacts of ``simulate``, ``verify`` and
 ``predict``) change only when the RNG contract changes (the block seeding
 scheme of the campaigns, or the draw order of ``simulate.run``).  Such a
-change regenerates them with ``python tests/test_golden.py`` and records it
-in CHANGES.md.  A formula rewrite that moves only last digits (a new
+change regenerates them with ``python tests/test_golden.py``, which prints
+for each file it rewrites either "byte-identical" or the largest relative
+difference between the old and new numbers, and records it in CHANGES.md.  A formula rewrite that moves only last digits (a new
 evaluation order of the same sum) regenerates the same way; only the files
 it affects may change, and CHANGES.md lists each of them with its largest
 relative difference.  Any other difference here is a regression.
@@ -23,6 +24,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -79,12 +81,32 @@ def test_golden_artifacts(case, tmp_path, monkeypatch):
         assert got[name] == body, f"{case}/{name} differs from the golden file"
 
 
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def _difference(old: bytes | None, new: bytes) -> str:
+    """How a rewritten file moved: byte-identical, or its largest relative numeric difference."""
+    if old is None:
+        return "new file"
+    if old == new:
+        return "byte-identical"
+    if _NUMBER.sub(b"#", old) != _NUMBER.sub(b"#", new):
+        return "text differs beyond its numbers"
+    worst = 0.0
+    for a, b in zip(map(float, _NUMBER.findall(old)), map(float, _NUMBER.findall(new))):
+        if a != b:
+            worst = max(worst, abs(a - b) / max(abs(a), abs(b)))
+    return f"largest relative difference {worst:.2g}"
+
+
 def _regenerate() -> None:
     for case, doc in CASES.items():
         target = GOLDEN / case
         target.mkdir(parents=True, exist_ok=True)
-        for old in target.iterdir():
-            old.unlink()
+        old = {}
+        for path in target.iterdir():
+            old[path.name] = path.read_bytes()
+            path.unlink()
         with tempfile.TemporaryDirectory() as tmp:
             cwd = os.getcwd()
             os.chdir(tmp)
@@ -94,7 +116,9 @@ def _regenerate() -> None:
                 os.chdir(cwd)
         for name, body in files.items():
             (target / name).write_bytes(body)
-        print(f"{case}: {', '.join(sorted(files))}", file=sys.stderr)
+            print(f"{case}/{name}: {_difference(old.pop(name, None), body)}", file=sys.stderr)
+        for name in old:
+            print(f"{case}/{name}: removed", file=sys.stderr)
 
 
 if __name__ == "__main__":

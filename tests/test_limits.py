@@ -29,11 +29,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmjfluct.errors import RefusalError
 from cmjfluct.limits import (
+    Autocovariance,
     _centered_symbol,
     _circle_density,
+    _cov_matrix,
+    _score_cross,
     build_spectrum,
     char_variance_centered,
     char_variance_full,
@@ -44,14 +49,14 @@ from cmjfluct.limits import (
     sigma2_series,
     variance,
 )
-from cmjfluct.offspring import char_moments, make_law, moments
+from cmjfluct.offspring import _polyval, char_moments, make_law, moments, validate_law
 from cmjfluct.simulate import martingale_qv, run
 from cmjfluct.spectral import classify
 
 
-def spectrum_of(law, M=4096):
+def spectrum_of(law):
     report = classify(law)
-    return report, build_spectrum(report, moments(law), M=M)
+    return report, build_spectrum(report, moments(law))
 
 
 def ladder_law(eps):
@@ -66,34 +71,24 @@ def test_gw13_circle_spectrum_basics(gw13):
     report, spec = spectrum_of(gw13)
     assert spec.kind == "circle"
     assert spec.converged
+    assert spec.grid_size == 0
     assert spec.radius == pytest.approx(2**-0.5, rel=1e-15)
-    assert spec.grid_size >= 4096
-    assert np.all(spec.density >= 0.0)
-    ones = np.ones(len(spec.points))
-    assert spec.integrate(ones).real == pytest.approx(spec.total_mass, rel=1e-14)
+    # gamma_h = int e^{i h theta} dnu: total mass first, then the AR recursion past K + 1
+    _, density = _circle_density(report, moments(gw13), 1 << 12)
+    assert spec.total_mass == pytest.approx(float(np.mean(density)), rel=1e-14)
     assert spec.total_mass > 0.1
+    gamma = spec.moments.upto(12)
+    assert np.array_equal(gamma[: len(spec.moments.gamma)], spec.moments.gamma)
+    theta = 2.0 * np.pi * np.arange(1 << 12) / (1 << 12)
+    for h in range(13):
+        assert gamma[h] == pytest.approx(float(np.mean(density * np.cos(h * theta))), rel=1e-12, abs=1e-15)
 
 
-def test_spectrum_densifies_until_probe_stable(gw13):
-    report = classify(gw13)
-    tab = moments(gw13)
-    coarse = build_spectrum(report, tab, M=8)
-    fine = build_spectrum(report, tab, M=4096)
-    assert coarse.grid_size > 8
-    assert abs(variance(coarse, {1: 1.0}) - variance(fine, {1: 1.0})) <= 1e-9
-
-
-def test_nested_refinement_matches_grid_from_scratch():
-    # Doubling keeps the previous points and adds only the odd angles; the result
-    # must be bit-for-bit the density evaluated on the final grid directly.
-    law = ladder_law(3.2e-3)
-    report, tab = classify(law), moments(law)
-    spec = build_spectrum(report, tab, M=512)
-    assert spec.converged
-    assert spec.grid_size >= 512 * 2**5
-    points, density = _circle_density(report, tab, spec.grid_size)
-    assert spec.points.tobytes() == points.tobytes()
-    assert spec.density.tobytes() == density.tobytes()
+def test_autocovariance_recursion_refuses_non_finite_lags():
+    acov = Autocovariance(gamma=np.array([1.0, 0.5]), ar=np.array([1.0, -1e200]))
+    assert acov.upto(1).tolist() == [1.0, 0.5]
+    with pytest.raises(RuntimeError, match="left float64 before lag 4"):
+        acov.upto(4)
 
 
 def test_circle_density_memory_stays_linear_in_grid(early_law):
@@ -184,6 +179,18 @@ def test_two_age_variance_three_routes_agree(law_i):
     assert series == pytest.approx(closed, abs=1e-10)
 
 
+@pytest.mark.parametrize("p", [1e-1, 1e-2, 1e-3])
+def test_variance_stays_exact_as_growth_tends_to_one(p):
+    # one child, or two with probability p: m = 1 + p and Var zeta_1 = p (1 - p) / m^3, as for gw13;
+    # nu piles up near z = m^{-1/2} as m -> 1, so the statistics go through |z - 1/m|^2 dnu
+    law = make_law([(1.0 - p, (1,)), (p, (2,))])
+    report, spec = spectrum_of(law)
+    assert report.m == pytest.approx(1.0 + p, rel=1e-14)
+    expected = p * (1.0 - p) / report.m**3
+    assert variance(spec, {1: 1.0}) == pytest.approx(expected, rel=1e-12)
+    assert cov_lagged(spec, 1, 0) == pytest.approx(expected, rel=1e-12)
+
+
 def test_variance_of_lag_zero_vanishes(gw13):
     # z^0 - m^0 is identically zero: the time-n count predicts itself
     _, spec = spectrum_of(gw13)
@@ -198,6 +205,71 @@ def test_variance_scales_quadratically(gw13):
     )
 
 
+@st.composite
+def _regime_one_laws(draw):
+    """Laws with K <= 40 and a score: 1-3 children at age 1 plus sparse later births, in 1-4 atoms."""
+    K = draw(st.integers(1, 40))
+    n_atoms = draw(st.integers(1, 4))
+    k_phi = draw(st.integers(0, 4))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n_atoms, max_size=n_atoms))
+    atoms = []
+    for w in weights:
+        births = [draw(st.integers(1, 3))] + [0] * (K - 1)
+        for age in draw(st.lists(st.integers(1, K - 1), max_size=4)) if K > 1 else []:
+            births[age] += draw(st.integers(1, 2))
+        char = draw(st.lists(st.integers(-3, 3), min_size=k_phi + 1, max_size=k_phi + 1))
+        atoms.append((w / sum(weights), births, [float(c) for c in char]))
+    return make_law(atoms, char_extends=draw(st.booleans()))
+
+
+def _cross_on_grid(law, m, points):
+    """The cross term of char_variance_full as a contour mean (the quadrature it replaced)."""
+    cm = char_moments(law, m)
+    n_sym = sum(c * points**k for k, c in _centered_symbol(dict(enumerate(cm.delta_lambda)), m).items())
+    g = n_sym / ((points - 1.0) * (1.0 - _polyval(moments(law).mu, points)))
+    births = points[:, None] ** np.arange(cm.gamma_phi.shape[1])
+    c_sym = sum(np.conj(points) ** age * (births @ row) for age, row in enumerate(cm.gamma_phi))
+    if law.char_extends:
+        c_sym = c_sym + np.conj(points) ** len(cm.gamma_phi) / (1.0 - np.conj(points)) * (births @ cm.gamma_phi[-1])
+    return float(np.mean(g * c_sym).real)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(law=_regime_one_laws(), data=st.data())
+def test_exact_route_matches_contour_and_series(law, data):
+    # the Toeplitz sums, the char cross term and the epoch series are three computations
+    # of the same limits; a 2^14-point contour is exact to rounding at margin > 1e-2
+    assume(not validate_law(law))
+    report = classify(law)
+    assume(report.regime == "I" and report.margin > 1e-2)
+    tab, m = moments(law), report.m
+    spec = build_spectrum(report, tab)
+    points, density = _circle_density(report, tab, 1 << 14)
+
+    def on_circle(f):
+        return sum(c * points**k for k, c in f.items())
+
+    def contour(f, lag=0):
+        return float(np.mean(density * (points * math.sqrt(m)) ** lag * np.abs(on_circle(f)) ** 2).real)
+
+    lags = data.draw(st.lists(st.integers(1, law.max_age + 2), min_size=1, max_size=4, unique=True))
+    a = {k: data.draw(st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0))) for k in lags}
+    exact = variance(spec, a)
+    assert exact == pytest.approx(contour(_centered_symbol(a, m)), rel=1e-10)
+    assert exact == pytest.approx(sigma2_series(law, report, a), rel=1e-10)
+    for k, ell in ((1, 0), (1, 3), (law.max_age, 1)):
+        q = _centered_symbol({k: 1.0}, m)
+        assert abs(cov_lagged(spec, k, ell) - contour(q, lag=ell)) <= 1e-10 * contour(q)
+    vals = np.array([on_circle(_centered_symbol({k: 1.0}, m)) for k in range(-1, 9) if k])
+    gram = ((vals * density) @ np.conj(vals).T).real / len(points)
+    cov = _cov_matrix(spec, [{k: 1.0} for k in range(-1, 9) if k])
+    assert np.array_equal(cov, cov.T)
+    assert np.max(np.abs(cov - gram)) <= 1e-10 * np.max(gram)
+    cross = _cross_on_grid(law, m, points)
+    scale = max(abs(cross), float(np.max(np.abs(char_moments(law, m).gamma_phi))))
+    assert abs(_score_cross(law, m, char_moments(law, m)) - cross) <= 1e-10 * scale
+
+
 def test_series_matches_quadrature_on_random_vectors(gw13, law_i):
     rng = np.random.default_rng(20240817)
     for law in (gw13, law_i):
@@ -208,6 +280,19 @@ def test_series_matches_quadrature_on_random_vectors(gw13, law_i):
             quad = variance(spec, a)
             series = sigma2_series(law, report, a)
             assert abs(quad - series) <= 1e-8 * max(1.0, abs(quad))
+
+
+@pytest.mark.parametrize("eps", [3.2e-4, 3.2e-5, 3.2e-6, 3.2e-7])
+def test_boundary_ladder_tends_to_half_the_critical_variance(eps):
+    # margin * sigma^2_I(e_1) -> sigma^2_II(e_1) / 2 = 1/384 as the ladder law approaches law_ii,
+    # with a correction linear in the margin (about 5.9 margin); the grid could not resolve these laws
+    law = ladder_law(eps)
+    report = classify(law)
+    assert report.regime == "I" and report.margin == pytest.approx(eps / 3.2, rel=0.05)
+    spec = build_spectrum(report, moments(law))
+    assert abs(384.0 * report.margin * variance(spec, {1: 1.0}) - 1.0) <= 10.0 * report.margin
+    rule = predictor_coeffs(spec, 3)
+    assert np.all(np.isfinite(rule.coeffs)) and math.isfinite(rule.residual_sq)
 
 
 @pytest.mark.parametrize("eps", [0.032, 0.0864])
@@ -450,20 +535,27 @@ def _symbol_on_reference(points, coeffs):
     return out
 
 
-def _cov_pair_reference(spec, f, g):
-    support = spec.support()
+def _measure(law, spec):
+    """Support and weights: the atoms themselves, or a 2^14-point contour grid of the circle density."""
+    if spec.kind == "atoms":
+        return np.array([g for g, _ in spec.atoms], dtype=complex), np.array([w for _, w in spec.atoms])
+    points, density = _circle_density(classify(law), moments(law), 1 << 14)
+    return points, density / len(points)
+
+
+def _cov_pair_reference(measure, f, g):
+    support, weights = measure
     vals = _symbol_on_reference(support, f) * np.conj(_symbol_on_reference(support, g))
-    return float(spec.integrate(vals).real)
+    return float(complex(np.sum(weights * vals)).real)
 
 
-def _predictor_reference(spec, K):
+def _predictor_reference(measure, m, K):
     """The normal equations built one inner product at a time, each symbol re-evaluated per entry."""
-    m = spec.m
     target = {-1: 1.0, 0: -m}
-    target_sq = _cov_pair_reference(spec, target, target)
+    target_sq = _cov_pair_reference(measure, target, target)
     basis = [_centered_symbol({k: 1.0}, m) for k in range(1, K + 1)]
-    gram = np.array([[_cov_pair_reference(spec, bj, bk) for bk in basis] for bj in basis])
-    rhs = np.array([_cov_pair_reference(spec, target, bk) for bk in basis])
+    gram = np.array([[_cov_pair_reference(measure, bj, bk) for bk in basis] for bj in basis])
+    rhs = np.array([_cov_pair_reference(measure, target, bk) for bk in basis])
     regularized = False
     try:
         if np.linalg.cond(gram) > 1e12:
@@ -473,22 +565,31 @@ def _predictor_reference(spec, K):
         regularized = True
         coeffs = np.linalg.solve(gram + 1e-12 * np.trace(gram) * np.eye(K), rhs)
     residual_sq = target_sq - 2.0 * float(rhs @ coeffs) + float(coeffs @ gram @ coeffs)
-    return coeffs, max(residual_sq, 0.0), target_sq, regularized
+    return coeffs, max(residual_sq, 0.0), target_sq, regularized, gram
 
 
 def test_predictor_bit_identical_to_pairwise_normal_equations(law_i, gw13_coin, law_ii):
+    # atoms: bit for bit the pairwise normal equations; circles: the same equations on a contour grid
     law_k10 = make_law([(0.3, (1, 0, 1, 0, 0, 1, 0, 0, 0, 1)), (0.7, (2, 1, 0, 0, 1, 0, 0, 0, 0, 0))])
     for law in (law_i, gw13_coin, law_k10, law_ii):
         _, spec = spectrum_of(law)
+        measure = _measure(law, spec)
         for K in range(1, 9):
             rule = predictor_coeffs(spec, K)
-            coeffs, residual_sq, target_sq, regularized = _predictor_reference(spec, K)
-            assert rule.coeffs.tobytes() == coeffs.tobytes()
-            assert rule.residual_sq == residual_sq
-            assert rule.target_sq == target_sq
-            assert rule.regularized == regularized
+            coeffs, residual_sq, target_sq, regularized, gram = _predictor_reference(measure, spec.m, K)
             basis = [_centered_symbol({k: 1.0}, spec.m) for k in range(1, K + 1)]
-            assert all(cov_pair(spec, f, g) == _cov_pair_reference(spec, f, g) for f in basis for g in basis)
+            pairs = np.array([[cov_pair(spec, f, g) for g in basis] for f in basis])
+            assert rule.regularized == regularized
+            if spec.kind == "atoms":
+                assert rule.coeffs.tobytes() == coeffs.tobytes()
+                assert rule.residual_sq == residual_sq
+                assert rule.target_sq == target_sq
+                assert pairs.tobytes() == gram.tobytes()
+            else:
+                assert np.max(np.abs(pairs - gram)) <= 1e-12 * np.max(np.abs(gram))
+                assert rule.target_sq == pytest.approx(target_sq, rel=1e-12)
+                assert rule.residual_sq == pytest.approx(residual_sq, rel=1e-12)
+                assert np.max(np.abs(rule.coeffs - coeffs)) <= 1e-12 * max(1.0, np.max(np.abs(coeffs)))
 
 
 def test_predictor_residual_decreases_with_more_lags(gw13):

@@ -21,7 +21,7 @@ from cmjfluct import make_law
 from cmjfluct import simulate as sim
 from cmjfluct.limits import sigma2_series
 from cmjfluct.offspring import moments
-from cmjfluct.spectral import _apply_T_mu, _growth_from_mu, classify, vector_v
+from cmjfluct.spectral import _apply_T_mu, classify, vector_v
 
 
 def _reference_forms(tab, m, a):
@@ -40,7 +40,7 @@ def _reference_forms(tab, m, a):
 
 
 def _reference_qv(trace, tab, a, n):
-    m = _growth_from_mu(tab.mu)
+    m = tab.growth
     total = 0.0
     for ell, form in zip(range(1, n + 1), _reference_forms(tab, m, a)):
         total += float(trace.B[n - ell]) * form

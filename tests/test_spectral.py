@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from cmjfluct import make_law, moments, mu_hat
+from cmjfluct.simulate import martingale_qv, run
 from cmjfluct.spectral import (
+    _backward_error,
     all_roots,
     apply_T,
     classify,
@@ -38,6 +40,25 @@ def test_malthusian_residual_invariant(gw13, law_i, law_ii, law_iii, nonsimple_i
     for law in (gw13, law_i, law_ii, law_iii, nonsimple_ii):
         m = malthusian(law)
         assert abs(mu_hat(law, 1.0 / m) - 1.0) <= 1e-12
+
+
+def test_growth_factor_solved_once_per_moment_table(law_i):
+    # malthusian, classify and martingale_qv all read the table's cached growth factor
+    tab = moments(law_i)
+    m = malthusian(law_i)
+    assert vars(tab)["growth"] == m
+    trace = run(law_i, 6, 3)
+    qv = martingale_qv(trace, tab, {1: 1.0}, 6)
+    vars(tab)["growth"] = 2.5  # a planted value must be what every reader sees
+    try:
+        assert malthusian(law_i) == 2.5
+        with pytest.raises(RuntimeError, match=r"1/m = 0\.4 "):
+            classify(law_i)
+        assert martingale_qv(trace, tab, {1: 1.0}, 6) != qv
+    finally:
+        del vars(tab)["growth"]
+    assert malthusian(law_i) == m
+    assert martingale_qv(trace, tab, {1: 1.0}, 6) == qv
 
 
 def test_malthusian_faults_on_invalid_laws():
@@ -107,6 +128,18 @@ def test_classify_gw13_no_secondary_roots(gw13):
     assert rep.alpha == pytest.approx(math.log(2.0))
     assert not rep.non_simple
     assert not rep.flagged
+
+
+def test_root_flag_is_relative_backward_error(early_law):
+    # K = 80 roots reach |z| ~ 1.04, where mu_hat's terms are large: every polished root
+    # passes the relative test, and the same root moved by 1e-6 in any direction fails it
+    law = early_law(80)
+    rep = classify(law)
+    mu = moments(law).mu
+    assert rep.flagged == ()
+    for z in rep.roots:
+        assert _backward_error(mu, z) <= 1e-10
+        assert all(_backward_error(mu, z + d) > 1e-10 for d in (1e-6, -1e-6, 1e-6j, -1e-6j))
 
 
 def test_classify_regime_i(law_i):
