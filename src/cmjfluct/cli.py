@@ -25,17 +25,10 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import RefusalError, UsageError
-from .harness import (
-    ExperimentConfig,
-    _csv_cell,
-    _csv_text,
-    oscillation_residual,
-    predictor_backtest,
-    run_experiment,
-)
+from .harness import ExperimentConfig, oscillation_residual, predictor_backtest, run_experiment
 from .limits import _cov_matrix, build_spectrum, predictor_coeffs, variance
 from .offspring import OffspringLaw, make_law, moments
-from .simulate import _DEFAULT_CAP, run, trace_csv
+from .simulate import _DEFAULT_CAP, _csv_cell, _csv_text, run, trace_csv
 from .spectral import classify
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
@@ -56,7 +49,6 @@ _TOP_KEYS = {
     "K",
     "tolerances",
     "outdir",
-    "M",
     "cap",
 }
 _LAW_KEYS = {"atoms", "char_extends"}
@@ -113,7 +105,6 @@ class RunConfig:
     tol_residual: float
     tol_alternation: float
     outdir: str
-    grid: int
     cap: int
 
 
@@ -226,11 +217,6 @@ def parse_config(text: str) -> RunConfig:
     outdir = obj.get("outdir", ".")
     if not isinstance(outdir, str):
         raise UsageError("config.outdir: expected a string")
-    # The old quadrature grid size: still parsed and serialized (so config digests stay put), unused since the
-    # regime-I spectrum became exact.
-    grid = _as_int(obj.get("M", 4096), "config.M")
-    if grid < 8:
-        raise UsageError(f"config.M: {grid} is too small")
     cap = _as_int(obj.get("cap", _DEFAULT_CAP), "config.cap")
     if cap < 1:
         raise UsageError(f"config.cap: {cap} is not positive")
@@ -261,7 +247,6 @@ def parse_config(text: str) -> RunConfig:
         tol_residual=tol_res,
         tol_alternation=tol_alt,
         outdir=outdir,
-        grid=grid,
         cap=cap,
     )
 
@@ -287,7 +272,6 @@ def serialize_config(config: RunConfig) -> str:
             "alternation": config.tol_alternation,
         },
         "outdir": config.outdir,
-        "M": config.grid,
         "cap": config.cap,
     }
     if config.horizon is not None:

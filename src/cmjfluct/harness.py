@@ -35,7 +35,7 @@ import numpy as np
 from .errors import RefusalError
 from .limits import build_spectrum, cov_lagged, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
-from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _innovation_arrays, _prediction_errors, _simulate_blocks
+from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _csv_text, _innovation_arrays, _prediction_errors, _simulate_blocks
 from .spectral import classify
 
 __all__ = [
@@ -151,22 +151,6 @@ class VerificationReport:
     def to_csv(self) -> str:
         names = [f.name for f in fields(LagMomentRow)]
         return _csv_text(names, [[getattr(r, name) for name in names] for r in self.rows])
-
-
-def _csv_cell(value) -> str:
-    """One CSV cell: bools lowercase, floats to 17 significant digits, the rest as ``str``."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _csv_text(header, rows) -> str:
-    """CSV text: the header line, then one line of formatted cells per row."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
 
 
 def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, mu=None):

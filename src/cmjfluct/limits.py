@@ -8,9 +8,8 @@ the circle ``|z| = m^{-1/2}`` with density (relative to ``dtheta / 2 pi``)
 
 The density is rational in ``w = e^{i theta}``, so :func:`build_spectrum` solves
 exactly for its autocovariances with small linear systems and every covariance is a
-finite Toeplitz sum; ``_circle_density`` samples it on a grid instead, the
-independent contour route the tests compare with.  In regime II the measure
-degenerates to point masses at the critical roots,
+finite Toeplitz sum (the tests sample the density on a contour as an independent
+check).  In regime II the measure degenerates to point masses at the critical roots,
 
     w_p = (m - 1) Sigma(gamma_p) / (|1 - gamma_p|^2 |mu_hat'(gamma_p)|^2),
 
@@ -139,21 +138,6 @@ def _series_ratio(num, den: np.ndarray, n: int) -> np.ndarray:
         k = min(j, len(den) - 1)
         out[j] = ((num[j] if j < len(num) else 0.0) - den[1 : k + 1] @ out[j - k : j][::-1]) / den[0]
     return out
-
-
-def _circle_density(report: SpectralReport, tab, M: int):
-    """Points and density at the angles ``2 pi j / M``: the contour route, which tests compare with the exact one.
-
-    Faults when ``mu_hat = 1`` on the circle, or (via the Sigma form) when Sigma is negative there.
-    """
-    m = report.m
-    radius = m**-0.5
-    points = radius * np.exp(1j * (2.0 * np.pi * np.arange(M) / M))
-    gap = np.abs(1.0 - _polyval(tab.mu, points))
-    if gap.min() <= 1e-12:
-        raise RuntimeError("mu_hat(z) = 1 on the integration circle; root geometry inconsistent with regime I")
-    density = ((m - 1.0) / m) * _sigma_form(tab.sigma, points, radius**2) / (np.abs(1.0 - points) ** 2 * gap**2)
-    return points, density
 
 
 def _deflate(mu: np.ndarray, m: float) -> np.ndarray:

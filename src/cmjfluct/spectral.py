@@ -23,7 +23,6 @@ below ``k`` (and ``1..K``).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -43,8 +42,10 @@ __all__ = [
     "power_growth",
 ]
 
-#: Two located roots closer than this (relative) are treated as one multiple root.
-_CLUSTER_TOL = 1e-6
+#: Located roots whose sorted gaps are all within this (relative) are tested as one multiple root.
+_CLUSTER_TOL = 1e-3
+#: A tested cluster is one multiple root when the lower derivatives vanish at its centre to this (relative).
+_MULTIPLE_TOL = 1e-13
 #: A polished root whose backward error (see :func:`_backward_error`) stays above this is flagged.
 _RESIDUAL_FLAG = 1e-10
 #: Relative width of the regime-II boundary: a law is critical when ``|gamma_star sqrt(m) - 1|`` is at most this.
@@ -107,107 +108,96 @@ def malthusian(law: OffspringLaw) -> float:
     return moments(law).growth
 
 
-def _newton_polish(coeffs_f: np.ndarray, z: complex, max_iter: int = 100) -> complex:
-    """Newton-polish a simple root of the polynomial with coefficients ``coeffs_f``."""
-    dcoeffs = _poly_deriv(coeffs_f)
-    scale = float(np.sum(np.abs(coeffs_f))) * max(1.0, abs(z)) ** (len(coeffs_f) - 1)
-    best, best_val = z, abs(_polyval(coeffs_f, z))
-    stall = 0
-    for _ in range(max_iter):
-        dval = _polyval(dcoeffs, z)
-        if dval == 0:
-            break
-        z = z - _polyval(coeffs_f, z) / dval
-        val = abs(_polyval(coeffs_f, z))
-        if val < best_val:
-            best, best_val, stall = z, val, 0
-        else:
-            stall += 1
-        if best_val <= 1e-15 * scale or stall >= 3:
-            break
+def _newton_polish(coeffs_f: np.ndarray, z: np.ndarray, max_iter: int = 100) -> np.ndarray:
+    """Newton-polish simple roots ``z`` (an array) of the polynomial with coefficients ``coeffs_f``.
+
+    All roots step together and each keeps its best iterate.  Stepping ends once every
+    root's best residual is within 1e-15 of the coefficient scale at its start, or after
+    three steps in which no root improved.
+    """
+    done_at = 1e-15 * float(np.abs(coeffs_f).sum()) * np.maximum(1.0, np.abs(z)) ** (len(coeffs_f) - 1)
+    coeffs_f, dcoeffs = coeffs_f.tolist(), _poly_deriv(coeffs_f).tolist()  # Python floats: cheaper Horner steps
+    fz = _polyval(coeffs_f, z)
+    best, best_val, stall = z.copy(), np.abs(fz), 0
+    with np.errstate(all="ignore"):  # a zero derivative sends its iterate to inf or nan, which never improves
+        for _ in range(max_iter):
+            z = z - fz / _polyval(dcoeffs, z)
+            fz = _polyval(coeffs_f, z)
+            val = np.abs(fz)
+            better = val < best_val
+            np.copyto(best, z, where=better)
+            np.copyto(best_val, val, where=better)
+            stall = 0 if better.any() else stall + 1
+            if stall >= 3 or (best_val <= done_at).all():
+                break
     return best
 
 
-def _root_analysis(law: OffspringLaw, m: float):
+def _multiple_root(coeffs_f: np.ndarray, cluster: np.ndarray):
+    """The q-fold root that the ``q`` located roots ``cluster`` approximate, or ``None`` when they are distinct.
+
+    A q-fold root of f is a simple root of f^(q-1), so the centroid is polished there.  The
+    cluster is one root when f, ..., f^(q-2) also vanish at the result, each to
+    ``_MULTIPLE_TOL`` of the terms it sums.
+    """
+    q = len(cluster)
+    centre = _newton_polish(_poly_deriv(coeffs_f, q - 1), cluster.mean(keepdims=True))
+    for j in range(q - 1):
+        deriv = _poly_deriv(coeffs_f, j)
+        if abs(_polyval(deriv, centre)) > _MULTIPLE_TOL * _polyval(np.abs(deriv), abs(centre)):
+            return None
+    return centre
+
+
+def _root_analysis(law: OffspringLaw, m: float) -> tuple[np.ndarray, np.ndarray]:
     """Locate, polish, and canonicalize all K roots of ``mu_hat(z) = 1``, given the growth factor ``m``.
 
-    Returns ``(roots, residuals, multiplicities)`` with conjugate pairs made
-    exact, multiple roots collapsed to a shared location (polished on the
-    appropriate derivative, where they are simple), and the root nearest
-    ``1/m`` replaced by the bisection-grade value.
+    Returns ``(roots, multiplicities)`` as arrays.  LAPACK returns the complex eigenvalues
+    of the real companion matrix as exact conjugate pairs, so only the roots located on or
+    above the real axis are polished and clustered, and those located strictly above it
+    are mirrored at the end.  A run of sorted roots whose gaps stay within
+    ``_CLUSTER_TOL`` (with the mirror images of its members when it reaches the real
+    axis) becomes one multiple root when :func:`_multiple_root` confirms it.  The root
+    nearest ``1/m`` is replaced by the bisection-grade value; faults unless it is simple
+    and within 1e-6.
     """
-    mu = moments(law).mu
-    k_max = law.max_age
-    coeffs_f = mu.astype(float).copy()  # f(z) = mu_hat(z) - 1, ascending powers
+    coeffs_f = moments(law).mu.astype(float)  # f(z) = mu_hat(z) - 1, ascending powers
     coeffs_f[0] = -1.0
-    located = [complex(z) for z in np.roots(coeffs_f[::-1])]
-    polished = [_newton_polish(coeffs_f, z) for z in located]
+    companion = np.eye(len(coeffs_f) - 1, k=-1)  # what np.roots builds, without its input checks
+    companion[0] = -coeffs_f[-2::-1] / coeffs_f[-1]
+    located = np.linalg.eigvals(companion).astype(complex)
+    located = located[located.imag >= 0.0]
+    located = located[np.lexsort((located.imag, located.real))]
+    mirrored = located.imag > 0.0
+    upper = _newton_polish(coeffs_f, located)
 
-    # Drop spurious imaginary dust, then enforce exact conjugate symmetry.
-    cleaned: list[complex] = []
-    for z in polished:
-        if abs(z.imag) <= 1e-10 * max(1.0, abs(z)):
-            z = complex(z.real, 0.0)
-        cleaned.append(z)
-    with_im = [z for z in cleaned if z.imag != 0.0]
-    with_im.sort(key=lambda z: (z.real, abs(z.imag), z.imag))
-    paired: list[complex] = [z for z in cleaned if z.imag == 0.0]
-    used = [False] * len(with_im)
-    for i, z in enumerate(with_im):
-        if used[i]:
-            continue
-        best_j, best_d = -1, math.inf
-        for j in range(i + 1, len(with_im)):
-            if used[j]:
-                continue
-            d = abs(with_im[j] - z.conjugate())
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0 and best_d <= 1e-6 * max(1.0, abs(z)):
-            used[i] = used[best_j] = True
-            w = 0.5 * (z + with_im[best_j].conjugate())
-            paired.extend([w, w.conjugate()])
-        else:
-            used[i] = True
-            paired.append(z)
-
-    # Cluster near-coincident locations into multiple roots.
-    order = sorted(range(len(paired)), key=lambda i: (paired[i].real, paired[i].imag))
-    clusters: list[list[complex]] = []
-    for idx in order:
-        z = paired[idx]
-        if clusters and abs(z - clusters[-1][-1]) <= _CLUSTER_TOL * max(1.0, abs(z)):
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
-
-    roots: list[complex] = []
-    mults: list[int] = []
-    for cluster in clusters:
-        q = len(cluster)
-        center = sum(cluster) / q
-        if q >= 2:
-            # A q-fold root of f is a simple root of f^(q-1): polish there.
-            center = _newton_polish(_poly_deriv(coeffs_f, q - 1), center)
-            if abs(center.imag) <= 1e-10 * max(1.0, abs(center)):
-                center = complex(center.real, 0.0)
-        for _ in range(q):
-            roots.append(center)
-            mults.append(q)
+    scale = _CLUSTER_TOL * np.maximum(1.0, np.abs(upper))
+    apart = np.abs(upper[1:] - upper[:-1]) > scale[1:]
+    axial = 2.0 * np.abs(upper.imag) <= scale
+    mults = np.ones(len(upper), dtype=int)
+    if not apart.all() or (axial & mirrored).any():
+        for run in np.split(np.arange(len(upper)), np.flatnonzero(apart) + 1):
+            cluster = upper[run]
+            if axial[run].any():
+                cluster = np.concatenate((cluster, cluster[mirrored[run]].conj()))
+            if len(cluster) > 1 and (centre := _multiple_root(coeffs_f, cluster)) is not None:
+                upper[run], mults[run] = centre, len(cluster)
+    # Imaginary dust within 1e-10 (relative) of the real axis is dropped: real roots carry imaginary part +0.0.
+    roots = np.concatenate((upper, upper[mirrored].conj()))
+    roots = np.where(np.abs(roots.imag) <= 1e-10 * np.maximum(1.0, np.abs(roots)), roots.real + 0j, roots)
+    mults = np.concatenate((mults, mults[mirrored]))
+    if len(roots) != law.max_age:
+        raise RuntimeError(f"expected {law.max_age} roots, found {len(roots)}")
 
     # The root at 1/m is known to bisection accuracy: substitute it.
     inv_m = 1.0 / m
-    nearest = min(range(len(roots)), key=lambda i: abs(roots[i] - inv_m))
-    if abs(roots[nearest] - inv_m) <= 1e-6 and mults[nearest] == 1:
-        roots[nearest] = complex(inv_m, 0.0)
+    anchor = np.abs(roots - inv_m).argmin()
+    if abs(roots[anchor] - inv_m) > 1e-6 or mults[anchor] != 1:
+        raise RuntimeError(f"1/m = {inv_m!r} is not among the polished roots")
+    roots[anchor] = inv_m
 
-    keyed = sorted(range(len(roots)), key=lambda i: (round(abs(roots[i]), 12), cmath.phase(roots[i])))
-    roots = [roots[i] for i in keyed]
-    mults = [mults[i] for i in keyed]
-    residuals = [abs(_polyval(coeffs_f, z)) for z in roots]
-    if len(roots) != k_max:
-        raise RuntimeError(f"expected {k_max} roots, found {len(roots)}")
-    return roots, residuals, mults
+    keyed = np.lexsort((np.angle(roots), np.abs(roots).round(12)))
+    return roots[keyed], mults[keyed]
 
 
 def _backward_error(mu: np.ndarray, z):
@@ -222,8 +212,8 @@ def all_roots(law: OffspringLaw) -> list[complex]:
     cannot be driven below 1e-10 is still returned (see
     :class:`SpectralReport` for the flag).
     """
-    roots, _, _ = _root_analysis(law, malthusian(law))
-    return roots
+    roots, _ = _root_analysis(law, malthusian(law))
+    return roots.tolist()
 
 
 def classify(law: OffspringLaw) -> SpectralReport:
@@ -233,32 +223,19 @@ def classify(law: OffspringLaw) -> SpectralReport:
     ``|gamma_star * sqrt(m) - 1| <= _REGIME_TOL``.
     """
     m = malthusian(law)
-    roots, residuals, mults = _root_analysis(law, m)
+    roots, mults = _root_analysis(law, m)
     mu = moments(law).mu
-    dmu = _poly_deriv(mu)
-    derivs = [_polyval(dmu, z) for z in roots]
+    derivs = _polyval(_poly_deriv(mu), roots)
 
+    # Secondary roots: all but 1/m, a simple root substituted exactly.  Without any, gamma_star is inf.
     inv_m = 1.0 / m
-    anchor = min(range(len(roots)), key=lambda i: abs(roots[i] - inv_m))
-    if abs(roots[anchor] - inv_m) > 1e-9 * max(1.0, inv_m):
-        raise RuntimeError(f"1/m = {inv_m!r} is not among the polished roots")
-    others = [i for i in range(len(roots)) if i != anchor]
-
-    if not others:
-        gamma_star = math.inf
-        gamma_crit: tuple[complex, ...] = ()
-        non_simple = False
-    else:
-        gamma_star = min(abs(roots[i]) for i in others)
-        if gamma_star <= inv_m * (1.0 + 1e-12):
-            raise RuntimeError(f"minimal secondary root modulus {gamma_star!r} does not exceed 1/m")
-        crit_idx = [i for i in others if abs(roots[i]) <= gamma_star * (1.0 + _REGIME_TOL)]
-        seen: list[complex] = []
-        for i in crit_idx:
-            if all(roots[i] != s for s in seen):
-                seen.append(roots[i])
-        gamma_crit = tuple(seen)
-        non_simple = any(mults[i] >= 2 or abs(derivs[i]) <= 1e-8 for i in crit_idx)
+    modulus = np.where(roots == inv_m, math.inf, np.abs(roots))
+    gamma_star = float(modulus.min())
+    if gamma_star <= inv_m * (1.0 + 1e-12):
+        raise RuntimeError(f"minimal secondary root modulus {gamma_star!r} does not exceed 1/m")
+    crit = np.flatnonzero((modulus <= gamma_star * (1.0 + _REGIME_TOL)) & (modulus < math.inf))
+    gamma_crit = tuple(dict.fromkeys(roots[crit].tolist()))  # copies of a multiple root are equal
+    non_simple = bool(((mults[crit] >= 2) | (np.abs(derivs[crit]) <= 1e-8)).any())
 
     scaled = gamma_star * math.sqrt(m)
     margin = scaled - 1.0
@@ -269,14 +246,14 @@ def classify(law: OffspringLaw) -> SpectralReport:
     else:
         regime = "II"
 
-    flagged = tuple(np.flatnonzero(_backward_error(mu, np.array(roots)) > _RESIDUAL_FLAG).tolist())
+    flagged = tuple(np.flatnonzero(_backward_error(mu, roots) > _RESIDUAL_FLAG).tolist())
     return SpectralReport(
         m=m,
         alpha=math.log(m),
-        roots=tuple(roots),
-        residuals=tuple(residuals),
-        multiplicities=tuple(mults),
-        derivs=tuple(derivs),
+        roots=tuple(roots.tolist()),
+        residuals=tuple(np.abs(1.0 - _polyval(mu, roots)).tolist()),
+        multiplicities=tuple(mults.tolist()),
+        derivs=tuple(derivs.tolist()),
         gamma_star=gamma_star,
         gamma_crit=gamma_crit,
         regime=regime,
@@ -326,10 +303,8 @@ def eigen_direction(law: OffspringLaw, gamma: complex, m: float, trunc: int):
     (degenerate direction), or is a multiple root (``mu_hat'(gamma) = 0``).
     """
     mu = moments(law).mu
-    coeffs_f = mu.astype(float).copy()
-    coeffs_f[0] = -1.0
     gamma = complex(gamma)
-    resid = abs(_polyval(coeffs_f, gamma))
+    resid = abs(1.0 - _polyval(mu, gamma))
     if resid > 1e-10:
         raise ValueError(f"gamma = {gamma!r} is not a root: |mu_hat(gamma) - 1| = {resid!r}")
     if abs(gamma - 1.0 / m) <= 1e-12 * max(1.0, 1.0 / m):

@@ -38,8 +38,8 @@ def test_parse_minimal_law():
     assert len(config.law.atoms) == 2
     # documented defaults
     assert config.seed == 0
-    assert config.grid == 4096
     assert config.cap == 1 << 62
+    assert not hasattr(config, "grid")
 
 
 def test_parse_rejects_bad_probability_sum():
@@ -108,6 +108,13 @@ def test_parse_rejects_unknown_keys():
         )
 
 
+def test_retired_grid_key_is_unknown(tmp_path, capsys):
+    # `M` sized a quadrature grid that the exact regime-I spectrum no longer has
+    path, _ = _config(tmp_path, command="analyze", law={"atoms": GW13_ATOMS}, M=4096)
+    assert main([str(path)]) == 1
+    assert "config.M: unknown key" in capsys.readouterr().err
+
+
 def test_parse_locates_syntax_errors():
     with pytest.raises(UsageError, match="line 2"):
         parse_config('{"command": "analyze",\n "law": }')
@@ -154,7 +161,6 @@ def test_round_trip():
         "lags": [1, 2, 3],
         "tolerances": {"var": 0.2},
         "outdir": "somewhere",
-        "M": 8192,
         "cap": 10**9,
     }
     config = parse_config(json.dumps(doc))

@@ -36,7 +36,6 @@ from cmjfluct.errors import RefusalError
 from cmjfluct.limits import (
     Autocovariance,
     _centered_symbol,
-    _circle_density,
     _cov_matrix,
     _score_cross,
     build_spectrum,
@@ -49,9 +48,24 @@ from cmjfluct.limits import (
     sigma2_series,
     variance,
 )
-from cmjfluct.offspring import _polyval, char_moments, make_law, moments, validate_law
+from cmjfluct.offspring import _polyval, _sigma_form, char_moments, make_law, moments, validate_law
 from cmjfluct.simulate import martingale_qv, run
 from cmjfluct.spectral import classify
+
+
+def _circle_density(report, tab, M: int):
+    """Points and density at the angles ``2 pi j / M``: the contour route the exact spectrum is compared with.
+
+    Faults when ``mu_hat = 1`` on the circle, or (via the Sigma form) when Sigma is negative there.
+    """
+    m = report.m
+    radius = m**-0.5
+    points = radius * np.exp(1j * (2.0 * np.pi * np.arange(M) / M))
+    gap = np.abs(1.0 - _polyval(tab.mu, points))
+    if gap.min() <= 1e-12:
+        raise RuntimeError("mu_hat(z) = 1 on the integration circle; root geometry inconsistent with regime I")
+    density = ((m - 1.0) / m) * _sigma_form(tab.sigma, points, radius**2) / (np.abs(1.0 - points) ** 2 * gap**2)
+    return points, density
 
 
 def spectrum_of(law):

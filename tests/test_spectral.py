@@ -177,6 +177,49 @@ def test_classify_nonsimple_critical_root(nonsimple_ii):
     assert len(rep.gamma_crit) == 1
 
 
+@pytest.mark.parametrize(
+    "births, root, q",
+    [
+        ((0, 24, 64, 48), -0.5, 3),  # 48 (z - 1/6) (z + 1/2)^3
+        ((0, 40, 160, 240, 128), -0.5, 4),  # 128 (z - 1/8) (z + 1/2)^4
+        ((0, 60, 320, 720, 768, 320), -0.5, 5),  # 320 (z - 1/10) (z + 1/2)^5
+        ((0, 1, 4, 3, 2), complex(-0.5, math.sqrt(3.0) / 2.0), 2),  # 2 (z - 1/2) (z^2 + z + 1)^2
+    ],
+)
+def test_multiple_root_reported_once_per_multiplicity(births, root, q):
+    # the located copies of a q-fold root scatter by about eps^(1/q) (3e-6 apart for the triple
+    # root); they must come back as one location, repeated q times, not as q nearby simple roots
+    rep = classify(make_law([(1.0, births)]))
+    for target in {complex(root), complex(root).conjugate()}:
+        copies = [i for i, z in enumerate(rep.roots) if abs(z - target) <= 1e-12]
+        assert len(copies) == q
+        assert len({rep.roots[i] for i in copies}) == 1
+        assert all(rep.multiplicities[i] == q for i in copies)
+    assert rep.gamma_star == pytest.approx(abs(root), abs=1e-12)
+    assert rep.non_simple
+    assert rep.flagged == ()
+
+
+@pytest.mark.parametrize("split", ["real", "complex"])
+def test_close_distinct_roots_stay_simple(split):
+    # 16 (z - r) ((z + 1/2)^2 -+ d^2), scaled so that mu_hat(0) - 1 = -1: two simple roots 2d = 1e-5 apart
+    d = 5e-6
+    if split == "real":  # r = 1/4 - d^2 keeps mu_1 = 0
+        c = (0.25 - d * d) ** 2
+        p, q = (0.75 + d * d) / c - 12.0, 1.0 / c - 16.0
+        law = make_law([(1.0 - p - q, (0, 12, 16)), (p, (0, 13, 16)), (q, (0, 12, 17))])
+        pair = (-0.5 + d, -0.5 - d)
+    else:  # r = 1/4
+        s = 1.0 + 4.0 * d * d
+        p1, p2, p3 = 16.0 * d * d / s, 48.0 * d * d / s, 64.0 * d * d / s
+        law = make_law([(p1, (1, 12, 16)), (p2, (0, 11, 16)), (p3, (0, 12, 15)), (1.0 - p1 - p2 - p3, (0, 12, 16))])
+        pair = (complex(-0.5, -d), complex(-0.5, d))
+    rep = classify(law)
+    assert rep.multiplicities == (1, 1, 1)
+    assert rep.roots[1:] == pytest.approx(pair, abs=1e-10)
+    assert not rep.non_simple
+
+
 def test_classify_matches_two_age_sign_criterion():
     # For mean ages (1, 2) the regime is decided by the sign of
     # mu1^3 + 3 mu1 mu2 + mu2 - mu2^2 (positive: I, negative: III, zero: II).
