@@ -35,8 +35,9 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
 _COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
 
-#: Largest ``replicates`` and ``K`` a config may ask for: a campaign simulates about 10^5 replicates of
-#: 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 25 ms at K = 256.
+#: Largest ``replicates``, and largest ``K`` and ``|lag|``, a config may ask for: a campaign simulates about 10^5
+#: replicates of 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 14 ms
+#: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256 about 50 ms and 9 MB.
 _MAX_REPLICATES, _MAX_K = 10**6, 256
 
 _TOP_KEYS = {
@@ -207,6 +208,9 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(lags_raw, list) or not lags_raw:
         raise UsageError("config.lags: expected a non-empty list of integers")
     lags = tuple(_as_int(e, f"config.lags[{j}]") for j, e in enumerate(lags_raw))
+    for j, lag in enumerate(lags):
+        if abs(lag) > _MAX_K:
+            raise UsageError(f"config.lags[{j}]: {lag} is outside [-{_MAX_K}, {_MAX_K}]")
     tol = _as_object(obj.get("tolerances", {}), "config.tolerances")
     _reject_unknown(tol, _TOL_KEYS, "config.tolerances")
     tol_var = _as_number(tol.get("var", ExperimentConfig.tol_var), "config.tolerances.var")
@@ -388,7 +392,7 @@ def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
     sink.write("backtest.csv", _csv_text(_BACKTEST_COLUMNS, [[getattr(back, name) for name in _BACKTEST_COLUMNS]]))
     out.write(
         f"m {_csv_cell(rule.m)}, coefficients [{', '.join(format(c, '.12g') for c in rule.coeffs)}], "
-        f"residual {_csv_cell(rule.residual_norm)}\n"
+        f"residual {_csv_cell(rule.residual_norm)}, regularized {str(rule.regularized).lower()}\n"
         f"mse {_csv_cell(back.mse_normalized)} vs naive {_csv_cell(back.naive_mse_normalized)}, "
         f"beats_naive {str(back.beats_naive).lower()}\n"
         f"rng_scheme = {back.rng_scheme}\n"

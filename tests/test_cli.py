@@ -95,6 +95,25 @@ def test_unbounded_campaigns_are_usage_errors(tmp_path, capsys):
         assert f"config.{key}: " in capsys.readouterr().err
 
 
+def test_lags_beyond_max_k_are_usage_errors(tmp_path, capsys):
+    # the lag table grows with the largest |lag|, so an unbounded lag could ask for work that runs until killed
+    law = {"atoms": [{"prob": 0.5, "births": [1, 1]}, {"prob": 0.5, "births": [3, 1]}]}
+    path, _ = _config(tmp_path, command="limits", law=law, lags=[1, _MAX_K, -_MAX_K])
+    assert main([str(path)]) == 0
+    rows = (tmp_path / "out" / "variances.csv").read_text().strip().split("\n")[-3:]
+    assert [row.split(",")[0] for row in rows] == ["1", str(_MAX_K), str(-_MAX_K)]
+    assert all(float(row.split(",")[1]) > 0.0 for row in rows)
+    for lag in (_MAX_K + 1, -_MAX_K - 1):
+        path, _ = _config(tmp_path, command="limits", law=law, lags=[1, lag])
+        start = time.perf_counter()
+        assert main([str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert f"config.lags[1]: {lag} is outside [-{_MAX_K}, {_MAX_K}]" in capsys.readouterr().err
+    verify = {"command": "verify", "law": law, "horizon": 12, "replicates": 100, "lags": [_MAX_K + 1]}
+    with pytest.raises(UsageError, match=r"config.lags\[0\]: "):
+        parse_config(json.dumps(verify))
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(UsageError, match="config.frobnicate"):
         parse_config(
@@ -306,6 +325,15 @@ def test_predict_regime_two(tmp_path, capsys):
     back = (tmp_path / "out" / "backtest.csv").read_text()
     assert ",true" in back.strip().split("\n")[-1]  # beats_naive
     assert "beats_naive true" in capsys.readouterr().out
+
+
+def test_predict_reports_regularized_rule(tmp_path, capsys):
+    # one critical atom carries one independent direction, so K = 3 needs the ridge, and stdout says so
+    path, _ = _config(
+        tmp_path, command="predict", law={"atoms": E2B_ATOMS}, horizon=12, replicates=200, seed=3, K=3
+    )
+    assert main([str(path)]) == 0
+    assert ", regularized true\n" in capsys.readouterr().out
 
 
 def test_predict_deterministic_law_refused(tmp_path, capsys):

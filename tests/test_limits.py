@@ -37,6 +37,7 @@ from cmjfluct.limits import (
     Autocovariance,
     _centered_symbol,
     _cov_matrix,
+    _quotient_symbol,
     _score_cross,
     build_spectrum,
     char_variance_centered,
@@ -604,6 +605,92 @@ def test_predictor_bit_identical_to_pairwise_normal_equations(law_i, gw13_coin, 
                 assert rule.target_sq == pytest.approx(target_sq, rel=1e-12)
                 assert rule.residual_sq == pytest.approx(residual_sq, rel=1e-12)
                 assert np.max(np.abs(rule.coeffs - coeffs)) <= 1e-12 * max(1.0, np.max(np.abs(coeffs)))
+
+
+def _cov_matrix_reference(spec, vectors):
+    """The circle covariance route the lag table replaced: quotient symbols on a Toeplitz matrix of ``centered``."""
+    fs = [_quotient_symbol(a, spec.m) for a in vectors]
+    keys = [k for f in fs for k in f] or [0]
+    lo, hi = min(keys), max(keys)
+    rows = np.zeros((len(fs), hi - lo + 1))
+    for row, f in zip(rows, fs):
+        row[[k - lo for k in f]] = list(f.values())
+    rows = rows * spec.radius ** np.arange(lo, hi + 1)
+    idx = np.arange(hi - lo + 1)
+    gram = rows @ spec.centered.upto(hi - lo)[np.abs(idx[:, None] - idx)] @ rows.T
+    return 0.5 * (gram + gram.T)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("early", K) for K in (2, 10, 40, 80)]
+    + [("ladder", eps) for eps in (0.32, 0.032, 3.2e-3, 3.2e-4, 3.2e-5, 3.2e-6)]
+    + [("growth", p) for p in (1e-1, 1e-2, 1e-3)],
+    ids=lambda case: f"{case[0]}-{case[1]:g}",
+)
+def test_lag_table_matches_toeplitz_reference(case, early_law):
+    # the table's recursions against the quotient-symbol Toeplitz sums, at ladder margins 1e-1..1e-6 and m -> 1;
+    # both agree to about 1.2e-15 of sqrt(C_jj C_kk) on these laws, so 1e-14 leaves room for other BLAS builds
+    family, x = case
+    law = {
+        "early": lambda: early_law(x),
+        "ladder": lambda: ladder_law(x),
+        "growth": lambda: make_law([(1.0 - x, (1,)), (x, (2,))]),
+    }[family]()
+    report, spec = spectrum_of(law)
+    assert report.regime == "I"
+    lags = [k for k in range(-3, 17) if k]
+    got = _cov_matrix(spec, [{k: 1.0} for k in lags])
+    want = _cov_matrix_reference(spec, [{k: 1.0} for k in lags])
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    assert np.array_equal(got, got.T)
+    rng = np.random.default_rng(20261018)
+    sd = dict(zip(lags, np.sqrt(np.diag(want))))
+    for _ in range(50):
+        a = {int(k): float(rng.standard_normal()) for k in rng.choice(lags, size=rng.integers(1, 6), replace=False)}
+        bound = 1e-14 * sum(abs(c) * sd[k] for k, c in a.items()) ** 2
+        assert abs(variance(spec, a) - _cov_matrix_reference(spec, [a])[0, 0]) <= bound
+
+
+def _predictor_bytes(rule):
+    return rule.coeffs.tobytes(), rule.residual_sq, rule.target_sq, rule.regularized
+
+
+def test_lag_table_reads_the_same_bits_whatever_was_asked_first(law_i, law_ii, early_law):
+    # every entry takes the same flops however the table grew, so no answer depends on the calls before it;
+    # the answers span lags that some histories build at once and others reach by growing
+    histories = [
+        [],
+        [lambda s: predictor_coeffs(s, 8)],
+        [lambda s: predictor_coeffs(s, K) for K in range(1, 9)],
+        [lambda s: predictor_coeffs(s, 40), lambda s: variance(s, {-20: 1.0})],
+        [lambda s: variance(s, {-4: 0.5, 12: 1.0}), lambda s: predictor_coeffs(s, 13)],
+    ]
+    a, vectors = {1: 0.7, 3: -1.2, -1: 0.4, -9: 0.3, 12: 0.5}, [{1: 1.0}, {2: 1.0, -1: -0.5}, {17: 1.0, -6: 2.0}]
+    for law in (law_i, early_law(10), law_ii):
+        report, tab = classify(law), moments(law)
+        seen = set()
+        for history in histories:
+            spec = build_spectrum(report, tab)
+            for call in history:
+                call(spec)
+            answer = [_predictor_bytes(predictor_coeffs(spec, K)) for K in (3, 20)] + [variance(spec, a)]
+            if spec.kind == "circle":
+                answer.append(_cov_matrix(spec, vectors).tobytes())
+            seen.add(tuple(answer))
+        assert len(seen) == 1
+
+
+def test_lag_past_float64_faults_without_spoiling_other_lags():
+    # m = 6: zeta_{-256} has a variance of order m^512, past float64; lag 1 keeps its exact 1/m^3
+    _, spec = spectrum_of(make_law([(0.5, (5,)), (0.5, (7,))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"lags -256\.\.1 left float64"):
+            _cov_matrix(spec, [{1: 1.0}, {-256: 1.0}])
+        assert variance(spec, {1: 1.0, -256: 0.0}) == pytest.approx(1.0 / 216.0, rel=1e-12)
+        assert 1e200 < variance(spec, {-150: 1.0}) < math.inf
 
 
 def test_predictor_residual_decreases_with_more_lags(gw13):
