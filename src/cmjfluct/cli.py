@@ -37,7 +37,8 @@ _COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
 
 #: Largest ``replicates``, and largest ``K`` and ``|lag|``, a config may ask for: a campaign simulates about 10^5
 #: replicates of 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 14 ms
-#: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256 about 50 ms and 9 MB.
+#: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256, the widest these bounds
+#: let it grow, about 40 ms and 11 MB.
 _MAX_REPLICATES, _MAX_K = 10**6, 256
 
 _TOP_KEYS = {

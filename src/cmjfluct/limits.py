@@ -19,14 +19,14 @@ coefficient vector ``a`` (a finitely supported map lag -> real, negative lags
 allowed) has limiting variance ``int |sum_k a_k (z^k - m^-k)|^2 dnu``.
 
 Every spectrum keeps one lag table: the limiting covariance ``C[j, k]`` of ``zeta_j`` and ``zeta_k`` over lag -1
-and the lags asked for so far (lag 0 is left out, as ``zeta_0 = 0``).  It is built lazily and grown, never rebuilt,
-when a wider lag range is requested.  :func:`predictor_coeffs` reads its Gram and right-hand side from it, and on
+and the lags asked for so far (lag 0 is left out, as ``zeta_0 = 0``).  It is built lazily, and rebuilt wider when a
+lag outside it is requested.  :func:`predictor_coeffs` reads its Gram and right-hand side from it, and on
 the circle :func:`variance`, the covariance table of the CLI and the mean part of :func:`char_variance_full` are
 ``A C A^T`` for their coefficient vectors ``A``.  On the circle ``zeta_k`` is ``(z - 1/m) q_k`` with ``q_0 = 0``,
 ``q_k = q_{k-1}/m + z^{k-1}`` and ``q_{-k} = m q_{-(k-1)} - m z^{-k}``, paired against the centered measure: the
 pairings ``<q_k, z^a>`` walk that recursion over ``k`` one array op at a time, and ``C`` walks it over its rows.
-So each entry takes the same flops whatever the table held before, and any request reads the same bits whichever
-came first.  With atoms each entry is its own weighted sum over the atoms.
+So each entry takes the same flops whatever the table's size, and any request reads the same bits whichever came
+first.  With atoms each entry is its own weighted sum over the atoms.
 
 Coefficient vectors and raw Laurent symbols are plain ``{int: float}`` dicts
 throughout.
@@ -76,20 +76,18 @@ class Autocovariance:
         return np.array(gamma[: n + 1])
 
 
-#: Lags 1..8 at least in a new lag table: a growth costs about what walking nine more lags does (55 us against
-#: 6 us a lag on a 2 vCPU Xeon), so a smaller table only adds growths.  The size changes no bits (see _walk).
+#: Lags 1..8 at least in a new lag table: a build costs about what walking nine more lags does (55 us against
+#: 6 us a lag on a 2 vCPU Xeon), so a smaller table only adds builds.  The size changes no bits (see _walk).
 _LAG_TABLE_START = 8
 
 
 class _LagTable:
-    """A spectrum's lag table so far: the lags ``lo..hi`` without 0 (``lo <= 0 <= hi``), row and column ``k - lo``
-    for a negative lag and ``k - lo - 1`` for a positive one.  ``raw`` holds the covariances as walked, ``cov`` the
-    read-only table read (on the circle ``raw`` made symmetric) and ``pairs[k, a] = <q_k, z^a>`` the circle's
-    pairings with the powers ``a = lo..hi-1``."""
+    """A spectrum's lag table: the read-only covariances ``cov`` over the lags ``lo..hi`` without 0 (``lo <= 0 <=
+    hi``), row and column ``k - lo`` for a negative lag and ``k - lo - 1`` for a positive one."""
 
     def __init__(self) -> None:
         self.lo = self.hi = 0
-        self.raw = self.cov = self.pairs = np.zeros((0, 0))
+        self.cov = np.zeros((0, 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,14 +124,20 @@ class LimitSpectrum:
     def _lag_cov(self, lo: int, hi: int) -> np.ndarray:
         """The limiting covariance matrix of ``zeta_k`` over the lags ``lo..hi`` without 0 (``lo <= 0 <= hi``).
 
-        It is a read-only view into the lag table.  A lag outside the table grows that side of it to at least twice
-        its range; the table always takes lag -1, the one-step predictor's target, and lags up to ``_LAG_TABLE_START``.
+        It is a read-only view into the lag table.  A lag outside the table rebuilds it, each side out to the next
+        power of two, so ever wider requests rebuild it only a few times and requests within ``[-2^j, 2^j]`` never
+        make it wider; the table always takes lag -1, the one-step predictor's target, and lags up to
+        ``_LAG_TABLE_START``.
         """
         table = self._table
         if lo < table.lo or hi > table.hi:
-            lo_new = min(lo, 2 * table.lo) if lo < table.lo else table.lo
-            _grow_table(self, min(lo_new, -1), max(hi, 2 * table.hi, _LAG_TABLE_START))
+            _build_table(self, min(table.lo, -_pow2_at_least(-lo)), max(table.hi, _pow2_at_least(hi), _LAG_TABLE_START))
         return table.cov[lo - table.lo : hi - table.lo, lo - table.lo : hi - table.lo]
+
+
+def _pow2_at_least(n: int) -> int:
+    """The least power of two ``>= n`` (1 for ``n <= 1``)."""
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def _symbol_on(points: np.ndarray, coeffs: dict[int, float]) -> np.ndarray:
@@ -272,74 +276,62 @@ def _atom_gram(spectrum: LimitSpectrum, fs: list, gs: list | None = None) -> np.
     return np.array([[float(complex(np.sum(weights * (fv * gv))).real) for gv in g_conj] for fv in f_vals])
 
 
-def _walk(old: np.ndarray, steps: np.ndarray, m: float, lo: int, hi: int, old_lo: int, old_hi: int) -> np.ndarray:
+def _walk(steps: np.ndarray, m: float, lo: int, hi: int) -> np.ndarray:
     """Rows ``k = lo..hi`` but 0 of ``x_0 = 0``, ``x_k = x_{k-1}/m + y_{k-1}`` up and ``x_k = m x_{k+1} - m y_k`` down.
 
-    ``steps`` holds ``y_lo..y_{hi-1}``; rows are laid out as in :class:`_LagTable`.  ``old`` holds the rows and
-    columns for ``old_lo..old_hi``, which are kept.  The new columns of those rows walk out from ``x_0``, then the
-    new rows walk on from the last kept ones across every column: one array op per row, so every entry takes the
-    same flops whatever ``old`` held.
+    ``steps`` holds ``y_lo..y_{hi-1}`` as rows; rows come out laid out as in :class:`_LagTable`.  One array op per
+    row, each entry walking out from ``x_0``, so every entry takes the same flops whatever ``lo`` and ``hi`` are.
     """
-    n, o, w = hi - lo, old_lo - lo, len(old)
-    out = np.empty((n, n))
-    out[o : o + w, o : o + w] = old
-    for cols, (a, b), (c, d) in (
-        (slice(0, o), (0, old_hi), (0, old_lo)),
-        (slice(o + w, n), (0, old_hi), (0, old_lo)),
-        (slice(0, n), (old_hi, hi), (old_lo, lo)),
-    ):
-        y = steps[:, cols]
-        if y.shape[1] and a < b:
-            x = out[a - lo - 1, cols] if a > 0 else np.zeros(y.shape[1])
-            out[a - lo : b - lo, cols] = [x := x / m + y[k - 1 - lo] for k in range(a + 1, b + 1)]
-        if y.shape[1] and d < c:
-            x, my = (out[c - lo, cols] if c < 0 else np.zeros(y.shape[1])), m * y
-            out[d - lo : c - lo, cols] = [x := m * x - my[k - lo] for k in range(c - 1, d - 1, -1)][::-1]
-    return out
+    x, my = np.zeros(steps.shape[1]), m * steps
+    down = [x := m * x - my[k - lo] for k in range(-1, lo - 1, -1)][::-1]
+    x = np.zeros(steps.shape[1])
+    return np.array(down + [x := x / m + steps[k - 1 - lo] for k in range(1, hi + 1)])
 
 
-def _grow_table(spectrum: LimitSpectrum, lo: int, hi: int) -> None:
-    """Extend the lag table of ``spectrum`` to the lags ``lo..hi``, computing only the entries it lacks."""
-    table, m = spectrum._table, spectrum.m
+def _power(x: float, e: int) -> float:
+    """``x**e`` by Python's pow, so a power has the same bits however many are taken; ``inf`` past float64."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
+def _build_table(spectrum: LimitSpectrum, lo: int, hi: int) -> None:
+    """Build the lag table of ``spectrum`` over the lags ``lo..hi`` (``lo < 0 < hi``)."""
+    m = spectrum.m
     if spectrum.kind == "circle":
         powers = np.arange(lo, hi)
         gamma = spectrum.centered.upto(hi - lo - 1)
-        # Python's pow per exponent, so a power has the same bits however many are taken
-        r_pow = np.array([spectrum.radius**e for e in range(2 * lo, 2 * hi - 1)])
-        powers_gram = r_pow[powers[:, None] + powers - 2 * lo] * gamma[np.abs(powers[:, None] - powers)]  # <z^a, z^b>
+        r_pow = np.array([_power(spectrum.radius, e) for e in range(2 * lo, 2 * hi - 1)])
         with np.errstate(over="ignore", invalid="ignore"):  # far negative lags can leave float64; _cov_matrix faults
-            pairs = _walk(table.pairs, powers_gram, m, lo, hi, table.lo, table.hi)
-            raw = _walk(table.raw, pairs.T, m, lo, hi, table.lo, table.hi)
-            table.pairs, table.raw, table.cov = pairs, raw, 0.5 * (raw + raw.T)
+            powers_gram = r_pow[powers[:, None] + powers - 2 * lo] * gamma[np.abs(powers[:, None] - powers)]  # <z^a, z^b>
+            pairs = _walk(powers_gram, m, lo, hi)  # pairs[k, b] = <q_k, z^b>
+            raw = _walk(pairs.T, m, lo, hi)
+            cov = 0.5 * (raw + raw.T)
     else:
-        lags = [k for k in range(lo, hi + 1) if k]
-        kept = [k for k in lags if table.lo <= k <= table.hi]
-        new = [k for k in lags if not table.lo <= k <= table.hi]
-        symbols = {k: _centered_symbol({k: 1.0}, m) for k in lags}
-        o, at = table.lo - lo, np.array([k - lo - (k > 0) for k in new])
-        raw = np.zeros((len(lags), len(lags)))
-        raw[o : o + len(kept), o : o + len(kept)] = table.raw
-        raw[at] = _atom_gram(spectrum, [symbols[k] for k in new], list(symbols.values()))
-        if kept:
-            raw[o : o + len(kept), at] = _atom_gram(spectrum, [symbols[k] for k in kept], [symbols[k] for k in new])
-        table.raw = table.cov = raw
-    table.cov.flags.writeable = False
-    table.lo, table.hi = lo, hi
+        cov = _atom_gram(spectrum, [_centered_symbol({k: 1.0}, m) for k in range(lo, hi + 1) if k])
+    cov.flags.writeable = False
+    table = spectrum._table
+    table.lo, table.hi, table.cov = lo, hi, cov
 
 
 def _cov_matrix(spectrum: LimitSpectrum, vectors: list) -> np.ndarray:
     """Limiting covariance matrix of the statistics ``sum_k a_k zeta_k`` for coefficient vectors ``a``.
 
-    On the circle each pair of vectors meets on their own nonzero lags (``zeta_0 = 0`` adds nothing), so a far
-    negative lag whose covariance left float64 spoils no other entry; a non-finite entry faults (RuntimeError).
+    On the circle it is ``A C A^T`` over the lags the vectors use (``zeta_0 = 0`` adds nothing, nor does a zero
+    coefficient); an entry past float64 faults (RuntimeError).
     """
     if spectrum.kind == "circle":
         support = [{int(k): float(c) for k, c in a.items() if k and c} for a in vectors]
         lags = [0, *(k for a in support for k in a)]
         lo, hi = min(lags), max(lags)
-        table = spectrum._lag_cov(lo, hi)
-        rows = [(np.array([k - lo - (k > 0) for k in a], dtype=int), np.array(list(a.values()))) for a in support]
-        cov = np.array([[ci @ table[i[:, None], j] @ cj for j, cj in rows] for i, ci in rows])
+        rows = np.zeros((len(support), hi - lo))
+        for row, a in zip(rows, support):
+            row[[k - lo - (k > 0) for k in a]] = list(a.values())
+        # A fresh contiguous copy keeps BLAS on the same path whatever the size of the table it came from.
+        table = spectrum._lag_cov(lo, hi).copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            cov = rows @ table @ rows.T
         if not np.all(np.isfinite(cov)):
             raise RuntimeError(f"a limiting covariance over the lags {lo}..{hi} left float64")
         return 0.5 * (cov + cov.T)

@@ -691,6 +691,13 @@ def test_lag_past_float64_faults_without_spoiling_other_lags():
             _cov_matrix(spec, [{1: 1.0}, {-256: 1.0}])
         assert variance(spec, {1: 1.0, -256: 0.0}) == pytest.approx(1.0 / 216.0, rel=1e-12)
         assert 1e200 < variance(spec, {-150: 1.0}) < math.inf
+    # m = 20: the power r^-512 = m^256 itself is past float64
+    _, spec = spectrum_of(make_law([(0.5, (19,)), (0.5, (21,))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"lags -256\.\.1 left float64"):
+            _cov_matrix(spec, [{1: 1.0}, {-256: 1.0}])
+        assert variance(spec, {1: 1.0}) == pytest.approx(1.0 / 8000.0, rel=1e-12)
 
 
 def test_predictor_residual_decreases_with_more_lags(gw13):

@@ -42,7 +42,10 @@ def _unpack(rev: str, dest: pathlib.Path) -> str:
                             text=True, check=True).stdout.strip()
     archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, capture_output=True, check=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(dest, filter="data")
+        try:
+            tar.extractall(dest, filter="data")
+        except TypeError:  # no extraction filters before Python 3.10.12 / 3.11.4; the archive is this repository's
+            tar.extractall(dest)
     return commit
 
 
