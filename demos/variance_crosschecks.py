@@ -4,8 +4,10 @@
 Three laws with hand-derivable limits, each computed at least two ways:
 
   * binary-or-triple law: the exact circle spectrum against the rational
-    value 1/8, and against the epoch-series route, and against a pathwise
-    conditional quadratic variation from one long simulated trace;
+    value 1/8, and against the epoch series (its discounted sum over
+    reproduction epochs, solved as a Stein equation in the window of the
+    operator T), and against a pathwise conditional quadratic variation
+    from one long simulated trace;
   * regime-I two-age law: the exact spectrum against the closed rational form
     in the growth factor m and the second characteristic value lam;
   * regime-II two-age law: the atom-form variance against 1/192.
@@ -45,7 +47,7 @@ qv_ratio = martingale_qv(trace, moments(gw), E1, 22) / trace.Z[22]
 print("binary-or-triple law, statistic X_{n,1}/sqrt(Z_n):")
 print("  closed form          1/8   = 0.125")
 print(f"  exact circle spectrum      = {exact:.15f}")
-print(f"  epoch series               = {series:.15f}")
+print(f"  epoch series (Stein)       = {series:.15f}")
 print(f"  pathwise QV / Z_n (1 path) = {qv_ratio:.6f}   (a.s. limit; one 22-step trace)")
 
 # ---- regime-I two-age law: rational closed form in m and lam
@@ -63,7 +65,7 @@ series = sigma2_series(law_i, report, E1)
 print("\ntwo-age law, mean litters (2, 1):")
 print(f"  rational closed form       = {closed:.15f}")
 print(f"  exact circle spectrum      = {exact:.15f}")
-print(f"  epoch series               = {series:.15f}")
+print(f"  epoch series (Stein)       = {series:.15f}")
 
 # ---- regime-II two-age law: atoms on the critical circle, limit 1/192
 

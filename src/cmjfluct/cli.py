@@ -212,6 +212,8 @@ def parse_config(text: str) -> RunConfig:
     for j, lag in enumerate(lags):
         if abs(lag) > _MAX_K:
             raise UsageError(f"config.lags[{j}]: {lag} is outside [-{_MAX_K}, {_MAX_K}]")
+        if lag in lags[:j]:  # so at most 2 _MAX_K + 1 lags, and the covariance table stays bounded
+            raise UsageError(f"config.lags[{j}]: {lag} repeats config.lags[{lags.index(lag)}]")
     tol = _as_object(obj.get("tolerances", {}), "config.tolerances")
     _reject_unknown(tol, _TOL_KEYS, "config.tolerances")
     tol_var = _as_number(tol.get("var", ExperimentConfig.tol_var), "config.tolerances.var")

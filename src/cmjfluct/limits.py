@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import RefusalError
 from .offspring import _SIGMA_CLAMP, OffspringLaw, _poly_deriv, _polyval, _sigma_folds, _sigma_form, char_moments, moments
-from .spectral import SpectralReport
+from .spectral import SpectralReport, vector_v
 
 __all__ = [
     "Autocovariance",
@@ -370,58 +370,20 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
     return float(complex(np.sum(weights * vals)).real)
 
 
-def _epoch_forms(tab, m: float, a: dict[int, float]):
-    """Yield the per-epoch quadratic forms ``q_l``, ``l = 1, 2, ...``, as float arrays in blocks.
-
-    ``q_l = sum_{i,j=1}^{min(l,K)} sigma_ij alpha_{l-i} alpha_{l-j}`` with
-    ``alpha_s = <T^s v, a>``, the pairing of the s-th operator iterate of the
-    forcing window against the non-negative-lag vector ``a``.  Blocks hold
-    ``K + 2`` epochs, then twice as many each time up to 4096.  The window
-    iterates on Python floats in O(max(K, max a)) per epoch, summing ``chi``
-    and each pairing in increasing lag; a block of ``L`` forms is one gather
-    and one einsum, O(L K^2) in C.  Shared by the epoch series and the
-    pathwise quadratic variation, which both raise at their first non-finite
-    partial sum, so an overflowing form warns nothing.
-    """
-    mu = tab.mu.tolist()
-    k_top = len(mu) - 1
-    sig = tab.sigma[1:, 1:]
-    top = max(k_top, max(a))
-    inv = ((1.0 / m) ** np.arange(1, top + 1)).tolist()  # m^-1..m^-top, as vector_v and the T step form them
-    y = [0.0] + inv
-    alphas = [0.0] * k_top  # alpha_s sits at k_top + s; the zeros stand for s < 0
-    done, size = 0, k_top + 2
-    while True:
-        while len(alphas) < k_top + done + size:
-            acc = 0.0
-            for k, c in a.items():
-                acc += c * y[k]
-            alphas.append(acc)
-            chi = 0.0
-            for k in range(1, k_top + 1):
-                chi += mu[k] * (y[k] - y[k - 1])
-            y = [0.0] + [prev + chi * r for prev, r in zip(y, inv)]
-        windows = np.asarray(alphas)[k_top + np.arange(done + 1, done + size + 1)[:, None] - np.arange(1, k_top + 1)]
-        # near the regime boundary the forms overflow; the caller raises at that epoch instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            forms = np.einsum("li,ij,lj->l", windows, sig, windows)
-        yield forms
-        done, size = done + size, min(2 * size, 1 << 12)  # caps a window block at 4096 K floats
+_STEIN_STEPS = 64  #: doublings, or 2^64 epochs; any margin float64 tells from 0 needs about log2(1/margin) + 6
 
 
 def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]) -> float:
-    """Regime-I limiting variance summed directly over reproduction epochs.
+    """Regime-I limiting variance summed over reproduction epochs, as a Stein equation in the window of ``T``.
 
-    ``sigma^2(a) = sum_l (m^-l - m^-l-1) sum_{i,j<=l} sigma_ij alpha_{l-i} alpha_{l-j}``
-    with ``alpha_s = <T^s v, a>``.  Proven equal to the contour form; both are
-    computed here independently so the agreement is a real check.  Truncates
-    once a term falls below 1e-14 of the running sum (the terms decay like
-    ``(m gamma_*^2)^-l`` in regime I).  Near the regime boundary the forms
-    grow past float64 before the weights shrink them: the first non-finite
-    partial sum raises ``RuntimeError`` naming its term, as does running out
-    of the 100000-term budget.  Refused outside regime I; lags must be
-    non-negative (the window iteration has no components there — use
-    :func:`variance` for prediction lags).
+    ``sigma^2(a) = sum_l (m^-l - m^-l-1) sum_{i,j<=min(l,K)} sigma_ij alpha_{l-i} alpha_{l-j}`` with
+    ``alpha_s = <T^s v, a>``.  On windows ``0..n-1``, ``n = max(K, max a) + 1``, ``T`` is the shift plus
+    ``v d^T`` (:func:`~cmjfluct.spectral.apply_T`), so the sum is ``(1 - 1/m) sum_ij sigma_ij m^-max(i,j)
+    G(|i-j|)`` with ``G(h) = <T^h P a, a>`` and ``P = v v^T + B P B^T``, ``B = T/sqrt(m)``.  Smith's doubling
+    (``P += B P B^T``, then ``B = B^2``) solves it in about ``log2(1/margin) + 6`` steps, so it stays finite up to
+    the regime boundary.  It never touches the spectrum, so its agreement with :func:`variance` is a real check.
+    Not converged within ``_STEIN_STEPS`` doublings, or ``P`` past float64: ``RuntimeError``.  Refused outside
+    regime I; lags must be non-negative (the window has no components there; use :func:`variance`).
     """
     if report.regime != "I":
         raise RefusalError(f"regime {report.regime}: the epoch series converges only in regime I")
@@ -430,22 +392,33 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
         return 0.0
     if min(a) < 0:
         raise ValueError("negative lags have no epoch-series form; use variance() on the spectrum")
-    m = report.m
-    total = 0.0
-    small_streak = 0
-    forms = (form for block in _epoch_forms(moments(law), m, a) for form in block.tolist())
-    for ell, form in zip(range(1, 100_000), forms):
-        term = (m**-ell - m ** -(ell + 1)) * form
-        total += term
-        if not math.isfinite(total):
-            raise RuntimeError(f"epoch series partial sum is {total!r} at term {ell}: the forms overflow float64")
-        if term <= 1e-14 * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 2 and ell > law.max_age:
-                return total
+    m, tab = report.m, moments(law)
+    k_top = len(tab.mu) - 1
+    n = max(k_top, max(a)) + 1
+    v, d = vector_v(m, n - 1), np.zeros(n)
+    d[: k_top + 1] = -np.diff(tab.mu, append=0.0)  # chi = d . y, as mu_0 = 0
+    T = np.eye(n, k=-1) + np.outer(v, d)
+    B, P = T / math.sqrt(m), np.outer(v, v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a P past float64 is named below
+        for _ in range(_STEIN_STEPS):
+            step = B @ P @ B.T
+            P += step
+            if not np.all(np.isfinite(P)):
+                raise RuntimeError("the epoch-series Stein solve left float64")
+            if np.max(np.abs(step)) <= 1e-17 * np.max(np.abs(P)):
+                break
+            B = B @ B
         else:
-            small_streak = 0
-    raise RuntimeError("epoch series did not converge within 100000 terms")
+            raise RuntimeError(f"the epoch-series Stein solve did not converge within {_STEIN_STEPS} doublings")
+    vec = np.zeros(n)
+    vec[list(a)] = list(a.values())
+    x, G = P @ vec, np.empty(k_top)
+    for h in range(k_top):
+        G[h] = vec @ x
+        x = T @ x
+    i = np.arange(1, k_top + 1)
+    weights = (1.0 / m) ** np.maximum(i[:, None], i) * G[np.abs(i[:, None] - i)]
+    return (1.0 - 1.0 / m) * float(np.sum(tab.sigma[1:, 1:] * weights))
 
 
 def _weighted_var_sum(law: OffspringLaw, m: float) -> float:
@@ -579,7 +552,8 @@ def predictor_coeffs(spectrum: LimitSpectrum, K: int) -> PredictorRule:
     gram, rhs = cov[1:, 1:].copy(), cov[0, 1:].copy()
     regularized = False
     try:
-        if np.linalg.cond(gram) > 1e12:
+        eig = np.abs(np.linalg.eigvalsh(gram))  # the 2-norm condition number of a symmetric Gram, without an SVD
+        if eig.max() > 1e12 * eig.min():
             raise np.linalg.LinAlgError
         coeffs = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .limits import _epoch_forms
 from .offspring import (
     OffspringLaw,
     _poly_deriv,
@@ -457,6 +456,41 @@ def _coefficient_estimates(W: np.ndarray, mu, g: complex, n0: int):
     return scale * partial, scale * (partial - W[..., 0])
 
 
+def _epoch_forms(tab, m: float, a: dict[int, float]):
+    """Yield the per-epoch quadratic forms ``q_l``, ``l = 1, 2, ...``, as float arrays in blocks.
+
+    ``q_l = sum_{i,j=1}^{min(l,K)} sigma_ij alpha_{l-i} alpha_{l-j}`` with ``alpha_s = <T^s v, a>``, the pairing of
+    the s-th operator iterate of the forcing window against the non-negative-lag vector ``a``.  Blocks hold ``K + 2``
+    epochs, then twice as many each time up to 4096.  The window iterates on Python floats in O(max(K, max a)) per
+    epoch, summing ``chi`` and each pairing in increasing lag; a block of ``L`` forms is one gather and one einsum,
+    O(L K^2) in C.  Forms past float64 warn nothing: the caller raises at its first non-finite partial sum.
+    """
+    mu = tab.mu.tolist()
+    k_top = len(mu) - 1
+    sig = tab.sigma[1:, 1:]
+    top = max(k_top, max(a))
+    inv = ((1.0 / m) ** np.arange(1, top + 1)).tolist()  # m^-1..m^-top, as vector_v and the T step form them
+    y = [0.0] + inv
+    alphas = [0.0] * k_top  # alpha_s sits at k_top + s; the zeros stand for s < 0
+    done, size = 0, k_top + 2
+    while True:
+        while len(alphas) < k_top + done + size:
+            acc = 0.0
+            for k, c in a.items():
+                acc += c * y[k]
+            alphas.append(acc)
+            chi = 0.0
+            for k in range(1, k_top + 1):
+                chi += mu[k] * (y[k] - y[k - 1])
+            y = [0.0] + [prev + chi * r for prev, r in zip(y, inv)]
+        windows = np.asarray(alphas)[k_top + np.arange(done + 1, done + size + 1)[:, None] - np.arange(1, k_top + 1)]
+        # near the regime boundary the forms overflow; the caller raises at that epoch instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            forms = np.einsum("li,ij,lj->l", windows, sig, windows)
+        yield forms
+        done, size = done + size, min(2 * size, 1 << 12)  # caps a window block at 4096 K floats
+
+
 def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     """Conditional quadratic variation ``V_n`` of the count martingale for ``a``.
 
@@ -465,8 +499,7 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     ``V_n / Z_n`` converges to the epoch-series variance along a.s. every path.
     The first ``n`` forms of :func:`_epoch_forms` are weighted and summed by
     one cumsum in increasing ``l``, as a running sum adds them: O(n K^2) in C.
-    Like the epoch series, the first non-finite partial sum raises
-    ``RuntimeError`` naming its epoch.
+    The first non-finite partial sum raises ``RuntimeError`` naming its epoch.
     """
     if not 0 <= n <= trace.horizon:
         raise ValueError(f"n = {n} outside trace horizon {trace.horizon}")

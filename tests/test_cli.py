@@ -114,6 +114,19 @@ def test_lags_beyond_max_k_are_usage_errors(tmp_path, capsys):
         parse_config(json.dumps(verify))
 
 
+def test_repeated_lags_are_usage_errors(tmp_path, capsys):
+    # limits costs len(lags)^2, so repeats could make a bounded config run for seconds; distinct lags are at most 513
+    law = {"atoms": [{"prob": 0.5, "births": [1, 1]}, {"prob": 0.5, "births": [3, 1]}]}
+    for lags, j, first in (([1] * 500, 1, 0), ([2, -1, 3, -1], 3, 1)):
+        path, _ = _config(tmp_path, command="limits", law=law, lags=lags)
+        start = time.perf_counter()
+        assert main([str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert f"config.lags[{j}]: {lags[j]} repeats config.lags[{first}]" in capsys.readouterr().err
+    every_lag = {"command": "limits", "law": law, "lags": list(range(-_MAX_K, _MAX_K + 1))}
+    assert len(parse_config(json.dumps(every_lag)).lags) == 2 * _MAX_K + 1
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(UsageError, match="config.frobnicate"):
         parse_config(
