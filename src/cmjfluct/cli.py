@@ -29,7 +29,7 @@ from .harness import ExperimentConfig, oscillation_residual, predictor_backtest,
 from .limits import _cov_matrix, build_spectrum, predictor_coeffs, variance
 from .offspring import OffspringLaw, make_law, moments
 from .simulate import _DEFAULT_CAP, _csv_cell, _csv_text, run, trace_csv
-from .spectral import classify
+from .spectral import _MAX_LAG, classify
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
@@ -38,8 +38,8 @@ _COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
 #: Largest ``replicates``, and largest ``K`` and ``|lag|``, a config may ask for: a campaign simulates about 10^5
 #: replicates of 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 14 ms
 #: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256, the widest these bounds
-#: let it grow, about 40 ms and 11 MB.
-_MAX_REPLICATES, _MAX_K = 10**6, 256
+#: let it grow, about 40 ms and 11 MB.  The lag bound is the one the epoch-series functions keep.
+_MAX_REPLICATES, _MAX_K = 10**6, _MAX_LAG
 
 _TOP_KEYS = {
     "command",

@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RefusalError
-from .offspring import _SIGMA_CLAMP, OffspringLaw, _poly_deriv, _polyval, _sigma_folds, _sigma_form, char_moments, moments
-from .spectral import SpectralReport, vector_v
+from .offspring import _SIGMA_CLAMP, OffspringLaw, _poly_deriv, _polyval, _sigma_folds, _sigma_form, moments
+from .spectral import _MAX_LAG, SpectralReport, _pow2_at_least, vector_v
 
 __all__ = [
     "Autocovariance",
@@ -133,11 +133,6 @@ class LimitSpectrum:
         if lo < table.lo or hi > table.hi:
             _build_table(self, min(table.lo, -_pow2_at_least(-lo)), max(table.hi, _pow2_at_least(hi), _LAG_TABLE_START))
         return table.cov[lo - table.lo : hi - table.lo, lo - table.lo : hi - table.lo]
-
-
-def _pow2_at_least(n: int) -> int:
-    """The least power of two ``>= n`` (1 for ``n <= 1``)."""
-    return 1 << max(n - 1, 0).bit_length()
 
 
 def _symbol_on(points: np.ndarray, coeffs: dict[int, float]) -> np.ndarray:
@@ -383,7 +378,7 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
     (``P += B P B^T``, then ``B = B^2``) solves it in about ``log2(1/margin) + 6`` steps, so it stays finite up to
     the regime boundary.  It never touches the spectrum, so its agreement with :func:`variance` is a real check.
     Not converged within ``_STEIN_STEPS`` doublings, or ``P`` past float64: ``RuntimeError``.  Refused outside
-    regime I; lags must be non-negative (the window has no components there; use :func:`variance`).
+    regime I; lags must lie in ``0..256`` (the window has no negative components; use :func:`variance`).
     """
     if report.regime != "I":
         raise RefusalError(f"regime {report.regime}: the epoch series converges only in regime I")
@@ -392,6 +387,8 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
         return 0.0
     if min(a) < 0:
         raise ValueError("negative lags have no epoch-series form; use variance() on the spectrum")
+    if max(a) > _MAX_LAG:
+        raise ValueError(f"lag {max(a)} exceeds {_MAX_LAG}: the Stein solve costs O(lag^3)")
     m, tab = report.m, moments(law)
     k_top = len(tab.mu) - 1
     n = max(k_top, max(a)) + 1
@@ -489,7 +486,7 @@ def char_variance_full(law: OffspringLaw, report: SpectralReport, spectrum: Limi
     if not law.has_char:
         raise ValueError("law has no characteristic")
     m = report.m
-    cm = char_moments(law, m)
+    cm = law._char_moments
 
     own, cross = _weighted_var_sum(law, m), _score_cross(law, m, cm)
     mean_part = variance(spectrum, {k: float(c) for k, c in enumerate(cm.delta_lambda)})

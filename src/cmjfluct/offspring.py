@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -126,6 +126,26 @@ class OffspringLaw:
             gamma_phi=gamma_phi,
         )
 
+    @cached_property
+    def _verdict(self) -> str:
+        """What :func:`_require_admissible` raises (``""`` for an admissible law), derived once and shared."""
+        problems = validate_law(self)
+        return "law fails standing assumptions: " + "; ".join(problems) if problems else ""
+
+    @cached_property
+    def _char_moments(self) -> CharMoments:
+        """:func:`char_moments` at the law's growth factor, built on first use and shared."""
+        return char_moments(self, self.moment_table.growth)
+
+
+class _Orbit:
+    """A moment table's orbit store: read-only rows ``T^s v`` for the growth factor ``m`` (see
+    :func:`~cmjfluct.spectral._orbit`)."""
+
+    def __init__(self) -> None:
+        self.m = math.nan
+        self.rows = np.zeros((0, 0))
+
 
 @dataclass(frozen=True, eq=False)
 class MomentTable:
@@ -137,6 +157,8 @@ class MomentTable:
     lambda_phi / var_phi : (K_phi+1,) arrays of ``E phi(k)`` and ``Var phi(k)``,
         or ``None`` when the law has no characteristic.
     gamma_phi : (K_phi+1, K+1) array, ``gamma_phi[k, j] = Cov(phi(k), N_j)``.
+
+    The table also keeps the orbit ``T^s v`` of the forcing window, built lazily (:func:`~cmjfluct.spectral._orbit`).
     """
 
     mu: np.ndarray
@@ -145,6 +167,7 @@ class MomentTable:
     lambda_phi: np.ndarray | None = None
     var_phi: np.ndarray | None = None
     gamma_phi: np.ndarray | None = None
+    _orbit: _Orbit = field(default_factory=_Orbit, init=False, repr=False)
 
     @cached_property
     def growth(self) -> float:
@@ -323,9 +346,8 @@ def moments(law: OffspringLaw) -> MomentTable:
 
 def _require_admissible(law: OffspringLaw) -> None:
     """Raise ValueError naming every standing assumption the law violates (see :func:`validate_law`)."""
-    problems = validate_law(law)
-    if problems:
-        raise ValueError("law fails standing assumptions: " + "; ".join(problems))
+    if law._verdict:
+        raise ValueError(law._verdict)
 
 
 def _polyval(coeffs, z):
@@ -420,6 +442,7 @@ def char_moments(law: OffspringLaw, m: float) -> CharMoments:
         delta[len(lam)] = 0.0
     else:
         delta[len(lam)] = -lam[-1]
+    delta.flags.writeable = False
     weights = (1.0 / m) ** np.arange(len(delta))
     lambda_scalar = float(delta @ weights)
     return CharMoments(

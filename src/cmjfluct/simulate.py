@@ -26,11 +26,10 @@ from .offspring import (
     _poly_deriv,
     _polyval,
     _require_admissible,
-    char_moments,
     law_fingerprint,
     moments,
 )
-from .spectral import SpectralReport, _apply_T_mu, malthusian, vector_v
+from .spectral import _MAX_LAG, SpectralReport, _orbit, malthusian
 
 __all__ = [
     "Trace",
@@ -116,7 +115,7 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     The loop stays apart from the batch engine: a one-row engine block pays
     numpy call overhead every step, about 1.5 ms per capped scored path of
     horizon 70 against 0.15-0.35 ms here (2 vCPU Xeon), and simulation is
-    about 40% of the cost of such a path with its reductions.
+    40-45% of the cost of such a path with its reductions, about 0.6 ms.
     """
     _require_admissible(law)
     if horizon < 0:
@@ -350,7 +349,7 @@ def _char_scores(trace: Trace, law: OffspringLaw) -> tuple[np.ndarray, float]:
     if not law.has_char:
         raise ValueError("law carries no characteristic")
     m = malthusian(law)
-    cm = char_moments(law, m)
+    cm = law._char_moments
     k_phi = law.char_max_age
     size = trace.horizon + 1
     Z = np.asarray(trace.Z, dtype=float)
@@ -456,66 +455,36 @@ def _coefficient_estimates(W: np.ndarray, mu, g: complex, n0: int):
     return scale * partial, scale * (partial - W[..., 0])
 
 
-def _epoch_forms(tab, m: float, a: dict[int, float]):
-    """Yield the per-epoch quadratic forms ``q_l``, ``l = 1, 2, ...``, as float arrays in blocks.
-
-    ``q_l = sum_{i,j=1}^{min(l,K)} sigma_ij alpha_{l-i} alpha_{l-j}`` with ``alpha_s = <T^s v, a>``, the pairing of
-    the s-th operator iterate of the forcing window against the non-negative-lag vector ``a``.  Blocks hold ``K + 2``
-    epochs, then twice as many each time up to 4096.  The window iterates on Python floats in O(max(K, max a)) per
-    epoch, summing ``chi`` and each pairing in increasing lag; a block of ``L`` forms is one gather and one einsum,
-    O(L K^2) in C.  Forms past float64 warn nothing: the caller raises at its first non-finite partial sum.
-    """
-    mu = tab.mu.tolist()
-    k_top = len(mu) - 1
-    sig = tab.sigma[1:, 1:]
-    top = max(k_top, max(a))
-    inv = ((1.0 / m) ** np.arange(1, top + 1)).tolist()  # m^-1..m^-top, as vector_v and the T step form them
-    y = [0.0] + inv
-    alphas = [0.0] * k_top  # alpha_s sits at k_top + s; the zeros stand for s < 0
-    done, size = 0, k_top + 2
-    while True:
-        while len(alphas) < k_top + done + size:
-            acc = 0.0
-            for k, c in a.items():
-                acc += c * y[k]
-            alphas.append(acc)
-            chi = 0.0
-            for k in range(1, k_top + 1):
-                chi += mu[k] * (y[k] - y[k - 1])
-            y = [0.0] + [prev + chi * r for prev, r in zip(y, inv)]
-        windows = np.asarray(alphas)[k_top + np.arange(done + 1, done + size + 1)[:, None] - np.arange(1, k_top + 1)]
-        # near the regime boundary the forms overflow; the caller raises at that epoch instead
-        with np.errstate(over="ignore", invalid="ignore"):
-            forms = np.einsum("li,ij,lj->l", windows, sig, windows)
-        yield forms
-        done, size = done + size, min(2 * size, 1 << 12)  # caps a window block at 4096 K floats
-
-
 def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     """Conditional quadratic variation ``V_n`` of the count martingale for ``a``.
 
-    ``V_n = sum_{l=0}^n B_{n-l} sum_{i,j=1}^l sigma_ij alpha_{l-i} alpha_{l-j}``
-    with ``alpha_k`` the pairing of the k-th operator iterate against ``a``.
-    ``V_n / Z_n`` converges to the epoch-series variance along a.s. every path.
-    The first ``n`` forms of :func:`_epoch_forms` are weighted and summed by
-    one cumsum in increasing ``l``, as a running sum adds them: O(n K^2) in C.
-    The first non-finite partial sum raises ``RuntimeError`` naming its epoch.
+    ``V_n = sum_{l=0}^n B_{n-l} q_l`` with ``q_l = sum_{i,j=1}^{min(l,K)} sigma_ij alpha_{l-i} alpha_{l-j}`` and
+    ``alpha_s = <T^s v, a>``, the pairing of the s-th operator iterate of the forcing window against ``a``.
+    ``V_n / Z_n`` converges to the epoch-series variance along a.s. every path.  The iterates are read from the
+    moment table's orbit store (:func:`~cmjfluct.spectral._orbit`), built once per law, and each pairing sums
+    them in the order of ``a``; the forms are one einsum and their weighted sum one cumsum in increasing ``l``,
+    as a running sum adds them: O(n (K^2 + len(a))) in C per call.  The first non-finite partial sum raises
+    ``RuntimeError`` naming its epoch.  Lags must lie in ``0..256``.
     """
     if not 0 <= n <= trace.horizon:
         raise ValueError(f"n = {n} outside trace horizon {trace.horizon}")
     a = {int(k): float(c) for k, c in a.items() if c != 0.0}
     if any(k < 0 for k in a):
         raise ValueError("negative lags have no window components; see fluctuations()")
+    if a and max(a) > _MAX_LAG:
+        raise ValueError(f"lag {max(a)} exceeds {_MAX_LAG}: the windows would grow with it")
     if not a or n == 0:
         return 0.0
-    m = moments.growth
-    blocks = []
-    for block in _epoch_forms(moments, m, a):
-        blocks.append(block)
-        if sum(map(len, blocks)) >= n:
-            break
+    k_top = len(moments.mu) - 1
+    rows = _orbit(moments, moments.growth, n - 1, max(k_top, max(a)))
+    alphas = np.zeros(k_top + n)  # alpha_s sits at k_top + s; the zeros stand for s < 0
+    for k, c in a.items():
+        alphas[k_top:] += c * rows[:, k]
+    windows = alphas[k_top + np.arange(1, n + 1)[:, None] - np.arange(1, k_top + 1)]
+    # near the regime boundary the forms overflow; the sum raises at that epoch instead
     with np.errstate(over="ignore", invalid="ignore"):
-        partial = np.cumsum(np.asarray(trace.B[n - 1 :: -1], dtype=float) * np.concatenate(blocks)[:n])
+        forms = np.einsum("li,ij,lj->l", windows, moments.sigma[1:, 1:], windows)
+        partial = np.cumsum(np.asarray(trace.B[n - 1 :: -1], dtype=float) * forms)
     bad = np.flatnonzero(~np.isfinite(partial))
     if bad.size:
         total, ell = float(partial[bad[0]]), int(bad[0]) + 1
@@ -532,6 +501,8 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     accumulate together, one array pass per iterate ``T^k v`` in increasing
     ``k`` as a per-row running sum does, so bit-identical to it: O(n_small^2
     trunc) in C beyond the whole trace's innovations (their check still runs).
+    The iterates are a slice of the moment table's orbit store
+    (:func:`~cmjfluct.spectral._orbit`), built once per law and ``m``.
     """
     k_top = len(moments.mu) - 1
     if n_small > 20:
@@ -541,9 +512,7 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     if trunc < k_top + n_small:
         raise ValueError(f"trunc = {trunc} too small: need at least K + n_small = {k_top + n_small}")
     W, _ = innovations(trace, moments)
-    iterates = [vector_v(m, trunc)]
-    for _ in range(n_small):
-        iterates.append(_apply_T_mu(moments.mu, m, iterates[-1]))
+    iterates = _orbit(moments, m, n_small, trunc)
     k_cmp = trunc - n_small
     rhs = np.zeros((n_small + 1, k_cmp + 1))
     for k, iterate in enumerate(iterates):  # row n subtracts W_{n-k} T^k v in increasing k

@@ -1,19 +1,23 @@
 """Per-path reductions against reference copies of their per-epoch and per-row loops.
 
-``martingale_qv`` reads the epoch forms in blocks, ``sigma2_series`` solves
-their discounted sum as a Stein equation and ``verify_recursion``
-accumulates every right-hand side at once.  The references below are the
-loops they replaced: one numpy form per epoch and one running sum per row.
-The forms may differ in the last bits (the block einsum sums
-``sigma_ij alpha_i alpha_j`` in its own order), so sums agree to 1e-12
-relative and the quadratic variation overflows at the same epoch; the
-recursion residual keeps its summation order and must agree exactly.
+``martingale_qv`` forms every epoch's quadratic form with one einsum over
+iterates read from the moment table's orbit store, ``sigma2_series`` solves
+their discounted sum as a Stein equation and ``verify_recursion`` slices its
+iterates from the same store and accumulates every right-hand side at once.
+The references below are the loops they replaced: one numpy form per epoch,
+iterates rebuilt per call, and one running sum per row.  The forms may
+differ in the last bits (the einsum sums ``sigma_ij alpha_i alpha_j`` in its
+own order), so sums agree to 1e-12 relative and the quadratic variation
+overflows at the same epoch; the recursion residual keeps its summation
+order and must agree exactly.  Whatever the store holds, each call must read
+the bits it reads on a fresh table.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from cmjfluct import make_law
 from cmjfluct import simulate as sim
 from cmjfluct.limits import build_spectrum, sigma2_series, variance
 from cmjfluct.offspring import moments
-from cmjfluct.spectral import _apply_T_mu, classify, vector_v
+from cmjfluct.spectral import _MAX_LAG, _apply_T_mu, _orbit, classify, malthusian, vector_v
 
 
 def _reference_forms(tab, m, a):
@@ -166,3 +170,49 @@ def test_recursion_detects_a_total_off_by_one(gw13, law_i):
             sim.innovations(bad, moments(law))
             assert sim.verify_recursion(trace, moments(law), report.m, 10, law.max_age + 14) <= 1e-9
             assert sim.verify_recursion(bad, moments(law), report.m, 10, law.max_age + 14) > 1e-9
+
+
+def _answer(fn, trace, tab, *args):
+    out = _outcome(fn, trace, tab, *args)
+    return out if isinstance(out, str) else np.float64(out).tobytes()
+
+
+def test_orbit_reads_the_same_bits_whatever_was_asked_first(gw13, law_i, early_law):
+    # a narrower or shorter request reads a prefix of the store, so each call on one table, in turn, matches
+    # the same call on a fresh table: the store grows longer, then wider, then serves the first calls again
+    for law in (gw13, law_i, early_law(40)):
+        tab, m, k_top = moments(law), malthusian(law), law.max_age
+        long = dataclasses.replace(sim.run(law, 0, 0), horizon=600, B=(1,) * 601)
+        short = sim.run(law, 25, 3)
+        n_small = min(10, short.horizon)
+        recursion = [(sim.verify_recursion, short, m, n_small, k_top + n_small + extra) for extra in (100, 0)]
+        qv = [[(sim.martingale_qv, long, a, n) for a in VECTORS] for n in (5, 600)]
+        for fn, trace, *args in qv[0] + qv[1] + recursion + qv[0]:
+            assert _answer(fn, trace, tab, *args) == _answer(fn, trace, moments(dataclasses.replace(law)), *args)
+
+
+def test_orbit_store_is_read_only_and_sized_to_the_next_power_of_two(gw13, early_law):
+    for law in (gw13, early_law(40)):
+        tab, m, k_top = moments(dataclasses.replace(law)), malthusian(law), law.max_age
+        most = [0, 0]
+        for steps, width in ((4, k_top), (70, k_top + 3), (2, k_top + 30), (9, k_top + 1), (200, k_top)):
+            rows = _orbit(tab, m, steps, width)
+            assert rows.shape == (steps + 1, width + 1)
+            most = [max(most[0], steps + 1), max(most[1], width + 1)]
+            assert tab._orbit.rows.shape == tuple(1 << (size - 1).bit_length() for size in most)
+            assert not rows.flags.writeable and not tab._orbit.rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+
+
+def test_epoch_series_refuse_lags_past_the_bound(law_i):
+    report, tab = classify(law_i), moments(law_i)
+    trace = sim.run(law_i, 20, 0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"lag 800 exceeds {_MAX_LAG}"):
+        sigma2_series(law_i, report, {1: 1.0, 800: 1.0})
+    with pytest.raises(ValueError, match=f"lag 800 exceeds {_MAX_LAG}"):
+        sim.martingale_qv(trace, tab, {1: 1.0, 800: 1.0}, trace.horizon)
+    assert time.perf_counter() - start < 1.0  # refused before any window is built
+    assert math.isfinite(sigma2_series(law_i, report, {_MAX_LAG: 1.0}))
+    assert math.isfinite(sim.martingale_qv(trace, tab, {_MAX_LAG: 1.0}, trace.horizon))

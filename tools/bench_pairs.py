@@ -10,7 +10,9 @@ each workload and seed, ``perfbench/run.py --trace 0`` runs once in each checkou
 ``perfbench/``; the side that runs first alternates from seed to seed.  The output file at the repository root
 holds every pair's end-to-end metrics and, per workload and metric, each side's median and quartiles, the
 relative change of the medians and the pairs the tree won (ties count for neither side), with the direction of
-"better" taken from ``BENCHMARK.json``.
+"better" taken from ``BENCHMARK.json``.  Each workload's summary also counts the runs, per side, whose outputs
+failed the benchmark's correctness checks; if any did, the file is still written and the script exits 1, naming
+the workload, seed and side of each.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _run(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> di
 
 
 def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
-    out = {}
+    out = {"incorrect_runs": {side: sum(not p[side]["correct"] for p in pairs) for side in ("parent", "tree")}}
     for name, direction in better.items():
         sides = {side: [p[side]["metrics"][name] for p in pairs] for side in ("parent", "tree")}
         sign = 1.0 if direction == "higher" else -1.0
@@ -91,6 +93,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     report = {"label": args.label, "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
+    incorrect = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = pathlib.Path(tmp)
         report["parent_commit"] = _unpack(args.parent, parent)
@@ -107,9 +110,14 @@ def main(argv=None) -> int:
                 report.setdefault("environment", environment)
                 pairs.append(pair)
             report["workloads"][workload] = {"summary": _summary(pairs, better), "pairs": pairs}
+            incorrect += [f"{workload} seed {p['seed']} {side}" for p in pairs for side in ("parent", "tree")
+                          if not p[side]["correct"]]
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
+    if incorrect:
+        print(f"{len(incorrect)} run(s) failed the correctness checks: {', '.join(incorrect)}", file=sys.stderr)
+        return 1
     return 0
 
 
