@@ -181,9 +181,10 @@ def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, m
     return np.concatenate(Z), np.concatenate(W) if mu is not None else None
 
 
-def _normalizer(regime: str, t: int, z_t: np.ndarray) -> np.ndarray:
+def _normalizer(regime: str, t, z_t: np.ndarray) -> np.ndarray:
+    """``sqrt(t Z_t)`` at criticality, else ``sqrt(Z_t)``, for a time or an array of times along ``z_t``'s last axis."""
     if regime == "II":
-        return np.sqrt(float(t) * z_t)
+        return np.sqrt(np.asarray(t, dtype=float) * z_t)
     return np.sqrt(z_t)
 
 
@@ -259,10 +260,8 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
     n = config.horizon
     lags = tuple(config.lags)
     Z, _ = _counts(config, _DOMAIN_EXPERIMENT, n, "form moments")
-    norm = _normalizer(report.regime, n, Z[:, n])
-    rows = tuple(
-        _moment_row(k, _prediction_errors(Z, m, n, k) / norm, variance(spectrum, {k: 1.0}), config) for k in lags
-    )
+    errors = _prediction_errors(Z, m, n, lags) / _normalizer(report.regime, n, Z[:, n])[:, None]
+    rows = tuple(_moment_row(k, errors[:, j], variance(spectrum, {k: 1.0}), config) for j, k in enumerate(lags))
     used = len(Z)
     return VerificationReport(
         regime=report.regime,
@@ -314,10 +313,11 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     base = cov_lagged(spectrum, k, 0)
     Z, _ = _counts(config, _DOMAIN_LAGCHECK, n, "form correlations")
     used = len(Z)
-    a = _prediction_errors(Z, m, n, k) / _normalizer(report.regime, n, Z[:, n])
+    times = np.array([n, *(n - e for e in ells)])
+    stats = _prediction_errors(Z, m, times, [k])[..., 0] / _normalizer(report.regime, times, Z[:, times])
+    a = stats[:, 0]
     rows = []
-    for e in ells:
-        b = _prediction_errors(Z, m, n - e, k) / _normalizer(report.regime, n - e, Z[:, n - e])
+    for e, b in zip(ells, stats.T[1:]):
         pred = cov_lagged(spectrum, k, e) / base if base > 0 else 0.0
         emp = float(np.corrcoef(b, a)[0, 1]) if a.std() > 0 and b.std() > 0 else 0.0
         rows.append(LagCorrelationRow(ell=e, predicted=pred, empirical=emp))
@@ -412,7 +412,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
         if se > 0 and abs(mu_hat) > 3.0 * se:
             mean_ok = False
     profile = profile.real
-    scaled = gs**n * np.column_stack([_prediction_errors(Z, report.m, n, k) for k in lags])
+    scaled = gs**n * _prediction_errors(Z, report.m, n, lags)
     med_res = float(np.median(np.linalg.norm(scaled - profile, axis=1)))
     med_prof = float(np.median(np.linalg.norm(profile, axis=1)))
     rel = med_res / med_prof if med_prof > 0 else math.inf
@@ -421,7 +421,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
     if len(crits) == 1 and crits[0].imag == 0.0 and crits[0].real < 0.0:
         # a single negative real root: the statistic must strictly alternate in sign over the last steps
         k = lags[0]
-        signs = np.column_stack([np.sign(_prediction_errors(Z, report.m, t, k)) for t in range(max(k, n - 6), n + 1)])
+        signs = np.sign(_prediction_errors(Z, report.m, np.arange(max(k, n - 6), n + 1), [k])[..., 0])
         later = signs[:, 1:]
         alternating = np.all(later != 0.0, axis=1) & np.all(later == -signs[:, :-1], axis=1)
         alternation_fraction = float(np.count_nonzero(alternating)) / used
@@ -483,7 +483,7 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     Z, _ = _counts(config, _DOMAIN_BACKTEST, n + 1, "form MSE")
     used = len(Z)
     z_n = Z[:, n]
-    x_lags = np.column_stack([_prediction_errors(Z, m, n, j) for j in range(1, K + 1)]) if K else np.zeros((used, 0))
+    x_lags = _prediction_errors(Z, m, n, range(1, K + 1))
     actual = Z[:, n + 1]
     denom = float(n) * z_n if report.regime == "II" else z_n
     mse = float(np.mean((actual - rule.predict(z_n, x_lags)) ** 2 / denom))

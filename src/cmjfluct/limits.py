@@ -7,9 +7,9 @@ the circle ``|z| = m^{-1/2}`` with density (relative to ``dtheta / 2 pi``)
     d(theta) = ((m - 1)/m) Sigma(z) / (|1 - z|^2 |1 - mu_hat(z)|^2).
 
 The density is rational in ``w = e^{i theta}``, so :func:`build_spectrum` solves
-exactly for its autocovariances with small linear systems and every covariance is a
-finite Toeplitz sum (the tests sample the density on a contour as an independent
-check).  In regime II the measure degenerates to point masses at the critical roots,
+exactly for its autocovariances with small linear systems (the tests sample the
+density on a contour as an independent check).  In regime II the measure
+degenerates to point masses at the critical roots, which lie on the same circle,
 
     w_p = (m - 1) Sigma(gamma_p) / (|1 - gamma_p|^2 |mu_hat'(gamma_p)|^2),
 
@@ -18,15 +18,20 @@ asking for the measure there is refused.  The statistic attached to a
 coefficient vector ``a`` (a finitely supported map lag -> real, negative lags
 allowed) has limiting variance ``int |sum_k a_k (z^k - m^-k)|^2 dnu``.
 
+Both regimes read every covariance from one moment matrix (:func:`_moment_matrix`),
+``M[a, b] = Re int (z m^(1/2))^lag z^a conj(z)^b`` against ``nu`` or ``|z - 1/m|^2 dnu``: on the circle an entry is
+``r^{a+b} gamma_{|lag+a-b|}``, with atoms a weighted sum over the atoms, and nothing else tells the two apart.
+:func:`cov_pair` and :func:`cov_lagged` are ``f M g^T`` for the coefficient rows ``f, g`` of their symbols.
+
 Every spectrum keeps one lag table: the limiting covariance ``C[j, k]`` of ``zeta_j`` and ``zeta_k`` over lag -1
 and the lags asked for so far (lag 0 is left out, as ``zeta_0 = 0``).  It is built lazily, and rebuilt wider when a
-lag outside it is requested.  :func:`predictor_coeffs` reads its Gram and right-hand side from it, and on
-the circle :func:`variance`, the covariance table of the CLI and the mean part of :func:`char_variance_full` are
-``A C A^T`` for their coefficient vectors ``A``.  On the circle ``zeta_k`` is ``(z - 1/m) q_k`` with ``q_0 = 0``,
-``q_k = q_{k-1}/m + z^{k-1}`` and ``q_{-k} = m q_{-(k-1)} - m z^{-k}``, paired against the centered measure: the
-pairings ``<q_k, z^a>`` walk that recursion over ``k`` one array op at a time, and ``C`` walks it over its rows.
+lag outside it is requested.  :func:`predictor_coeffs` reads its Gram and right-hand side from it, and
+:func:`variance`, the covariance table of the CLI and the mean part of :func:`char_variance_full` are ``A C A^T``
+for their coefficient vectors ``A``.  ``zeta_k`` is ``(z - 1/m) q_k`` with ``q_0 = 0``, ``q_k = q_{k-1}/m + z^{k-1}``
+and ``q_{-k} = m q_{-(k-1)} - m z^{-k}``, paired against the centered measure: the pairings ``<q_k, z^a>`` walk that
+recursion over ``k`` one array op at a time down the centered moment matrix, and ``C`` walks it over its rows.
 So each entry takes the same flops whatever the table's size, and any request reads the same bits whichever came
-first.  With atoms each entry is its own weighted sum over the atoms.
+first.
 
 Coefficient vectors and raw Laurent symbols are plain ``{int: float}`` dicts
 throughout.
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,7 +103,8 @@ class LimitSpectrum:
     Circle form: on ``z = r w``, ``r = m^{-1/2}``, ``int z^j conj(z)^k dmu = r^{j+k} gamma_{|j-k|}`` for all integers
     ``j, k``; ``moments`` holds the ``gamma_h`` of ``nu``, ``centered`` those of ``|z - 1/m|^2 dnu``.  Statistics
     ``sum_k a_k (z^k - m^-k)`` carry the factor ``z - 1/m`` and use ``centered``: as ``m -> 1`` ``nu`` piles up at
-    ``z = r`` and its Toeplitz sums for them cancel.  Atoms form: a tuple of ``(location, weight)`` pairs.
+    ``z = r`` and its sums for them cancel.  Atoms form: a tuple of ``(location, weight)`` pairs on the same circle.
+    Only :func:`_moment_matrix` reads either form.
     """
 
     kind: str
@@ -112,14 +119,9 @@ class LimitSpectrum:
     grid_size = 0
     converged = True
 
-    @property
+    @cached_property  # every predictor_coeffs call reads it
     def total_mass(self) -> float:
-        if self.kind == "circle":
-            return float(self.moments.gamma[0])
-        return float(sum(w for _, w in self.atoms))
-
-    def _atom_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array([g for g, _ in self.atoms], dtype=complex), np.array([w for _, w in self.atoms])
+        return float(_moment_matrix(self, 0, 0, centered=False)[0, 0])
 
     def _lag_cov(self, lo: int, hi: int) -> np.ndarray:
         """The limiting covariance matrix of ``zeta_k`` over the lags ``lo..hi`` without 0 (``lo <= 0 <= hi``).
@@ -133,27 +135,6 @@ class LimitSpectrum:
         if lo < table.lo or hi > table.hi:
             _build_table(self, min(table.lo, -_pow2_at_least(-lo)), max(table.hi, _pow2_at_least(hi), _LAG_TABLE_START))
         return table.cov[lo - table.lo : hi - table.lo, lo - table.lo : hi - table.lo]
-
-
-def _symbol_on(points: np.ndarray, coeffs: dict[int, float]) -> np.ndarray:
-    """Evaluate the Laurent polynomial ``sum_k coeffs[k] z^k`` on points."""
-    out = np.zeros(points.shape, dtype=complex)
-    for k, c in coeffs.items():
-        if c != 0.0:
-            out += c if k == 0 else c * points ** int(k)
-    return out
-
-
-def _centered_symbol(a: dict[int, float], m: float) -> dict[int, float]:
-    """Coefficients of ``sum_k a_k (z^k - m^-k)`` as a raw Laurent symbol."""
-    out: dict[int, float] = {}
-    shift = 0.0
-    for k, c in a.items():
-        k = int(k)
-        out[k] = out.get(k, 0.0) + float(c)
-        shift += float(c) * m ** (-k)
-    out[0] = out.get(0, 0.0) - shift
-    return out
 
 
 def _quotient_symbol(a: dict[int, float], m: float) -> dict[int, float]:
@@ -241,36 +222,6 @@ def build_spectrum(report: SpectralReport, tab) -> LimitSpectrum:
     return LimitSpectrum(kind="circle", m=m, radius=r, moments=moments_, centered=_arma_autocov(centered_ar, r * r * s))
 
 
-def _toeplitz(spectrum: LimitSpectrum, acov: Autocovariance, fs: list, gs: list, lag: int = 0) -> np.ndarray:
-    """``Re int w^lag F_j(z) conj(G_k(z))`` against the circle measure of ``acov``, for Laurent symbols ``F_j, G_k``.
-
-    Each entry is ``sum_{j,k} f_j g_k r^{j+k} gamma_{|lag+j-k|}``.
-    """
-    keys = [k for symbol in fs + gs for k in symbol] or [0]
-    lo, hi = min(keys), max(keys)
-
-    def rows(symbols):
-        out = np.zeros((len(symbols), hi - lo + 1))
-        for row, symbol in zip(out, symbols):
-            row[[k - lo for k in symbol]] = list(symbol.values())
-        return out * spectrum.radius ** np.arange(lo, hi + 1)
-
-    idx = np.arange(hi - lo + 1)
-    return rows(fs) @ acov.upto(lag + hi - lo)[np.abs(lag + idx[:, None] - idx)] @ rows(gs).T
-
-
-def _atom_gram(spectrum: LimitSpectrum, fs: list, gs: list | None = None) -> np.ndarray:
-    """``Re sum_p w_p F_j(gamma_p) conj(G_k(gamma_p))``, each symbol evaluated at the atoms once.
-
-    Every entry is the weighted sum a single pair gets, so no entry depends on which other symbols share the call.
-    """
-    locations, weights = spectrum._atom_arrays()
-    g_conj = [np.conj(_symbol_on(locations, g)) for g in (fs if gs is None else gs)]
-    # Conjugating twice gives back the same bits, so a Gram matrix keeps only the conjugates.
-    f_vals = (np.conj(v) for v in g_conj) if gs is None else (_symbol_on(locations, f) for f in fs)
-    return np.array([[float(complex(np.sum(weights * (fv * gv))).real) for gv in g_conj] for fv in f_vals])
-
-
 def _walk(steps: np.ndarray, m: float, lo: int, hi: int) -> np.ndarray:
     """Rows ``k = lo..hi`` but 0 of ``x_0 = 0``, ``x_k = x_{k-1}/m + y_{k-1}`` up and ``x_k = m x_{k+1} - m y_k`` down.
 
@@ -291,20 +242,36 @@ def _power(x: float, e: int) -> float:
         return math.inf
 
 
+def _moment_matrix(spectrum: LimitSpectrum, lo: int, hi: int, centered: bool = True, lag: int = 0) -> np.ndarray:
+    """``M[a - lo, b - lo] = Re int (z m^(1/2))^lag z^a conj(z)^b`` for ``a, b = lo..hi`` (``lag >= 0``), against
+    ``|z - 1/m|^2 dnu`` when ``centered``, else against ``nu``.
+
+    On the circle an entry is ``r^{a+b} gamma_{|lag+a-b|}``, the power by :func:`_power`; with atoms it is
+    ``sum_p w_p (gamma_p m^(1/2))^lag gamma_p^a conj(gamma_p)^b``, with ``w_p |gamma_p - 1/m|^2`` when centered,
+    summed in atom order.  Either way an entry has the same bits whatever ``lo`` and ``hi`` are; entries past
+    float64 are left for the caller to name.
+    """
+    e = np.arange(lo, hi + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spectrum.kind == "circle":
+            gamma = (spectrum.centered if centered else spectrum.moments).upto(lag + hi - lo)
+            r_pow = np.array([_power(spectrum.radius, k) for k in range(2 * lo, 2 * hi + 1)])
+            return r_pow[e[:, None] + e - 2 * lo] * gamma[np.abs(lag + e[:, None] - e)]
+        m, out = spectrum.m, np.zeros((len(e), len(e)), dtype=complex)
+        for g, w in spectrum.atoms:
+            weight = w * abs(g - 1.0 / m) ** 2 if centered else w
+            powers = np.complex128(g) ** e
+            out += weight * (g * math.sqrt(m)) ** lag * (powers[:, None] * np.conj(powers))
+        return out.real
+
+
 def _build_table(spectrum: LimitSpectrum, lo: int, hi: int) -> None:
     """Build the lag table of ``spectrum`` over the lags ``lo..hi`` (``lo < 0 < hi``)."""
     m = spectrum.m
-    if spectrum.kind == "circle":
-        powers = np.arange(lo, hi)
-        gamma = spectrum.centered.upto(hi - lo - 1)
-        r_pow = np.array([_power(spectrum.radius, e) for e in range(2 * lo, 2 * hi - 1)])
-        with np.errstate(over="ignore", invalid="ignore"):  # far negative lags can leave float64; _cov_matrix faults
-            powers_gram = r_pow[powers[:, None] + powers - 2 * lo] * gamma[np.abs(powers[:, None] - powers)]  # <z^a, z^b>
-            pairs = _walk(powers_gram, m, lo, hi)  # pairs[k, b] = <q_k, z^b>
-            raw = _walk(pairs.T, m, lo, hi)
-            cov = 0.5 * (raw + raw.T)
-    else:
-        cov = _atom_gram(spectrum, [_centered_symbol({k: 1.0}, m) for k in range(lo, hi + 1) if k])
+    with np.errstate(over="ignore", invalid="ignore"):  # far negative lags can leave float64; _cov_matrix faults
+        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1), m, lo, hi)  # pairs[k, b] = <q_k, z^b>
+        raw = _walk(pairs.T, m, lo, hi)
+        cov = 0.5 * (raw + raw.T)
     cov.flags.writeable = False
     table = spectrum._table
     table.lo, table.hi, table.cov = lo, hi, cov
@@ -313,39 +280,42 @@ def _build_table(spectrum: LimitSpectrum, lo: int, hi: int) -> None:
 def _cov_matrix(spectrum: LimitSpectrum, vectors: list) -> np.ndarray:
     """Limiting covariance matrix of the statistics ``sum_k a_k zeta_k`` for coefficient vectors ``a``.
 
-    On the circle it is ``A C A^T`` over the lags the vectors use (``zeta_0 = 0`` adds nothing, nor does a zero
-    coefficient); an entry past float64 faults (RuntimeError).
+    It is ``A C A^T`` over the lags the vectors use (``zeta_0 = 0`` adds nothing, nor does a zero coefficient); an
+    entry past float64 faults (RuntimeError).
     """
-    if spectrum.kind == "circle":
-        support = [{int(k): float(c) for k, c in a.items() if k and c} for a in vectors]
-        lags = [0, *(k for a in support for k in a)]
-        lo, hi = min(lags), max(lags)
-        rows = np.zeros((len(support), hi - lo))
-        for row, a in zip(rows, support):
-            row[[k - lo - (k > 0) for k in a]] = list(a.values())
-        # A fresh contiguous copy keeps BLAS on the same path whatever the size of the table it came from.
-        table = spectrum._lag_cov(lo, hi).copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            cov = rows @ table @ rows.T
-        if not np.all(np.isfinite(cov)):
-            raise RuntimeError(f"a limiting covariance over the lags {lo}..{hi} left float64")
-        return 0.5 * (cov + cov.T)
-    return _atom_gram(spectrum, [_centered_symbol(a, spectrum.m) for a in vectors])
+    support = [{int(k): float(c) for k, c in a.items() if k and c} for a in vectors]
+    lags = [0, *(k for a in support for k in a)]
+    lo, hi = min(lags), max(lags)
+    rows = np.zeros((len(support), hi - lo))
+    for row, a in zip(rows, support):
+        row[[k - lo - (k > 0) for k in a]] = list(a.values())
+    # A fresh contiguous copy keeps BLAS on the same path whatever the size of the table it came from.
+    table = spectrum._lag_cov(lo, hi).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = rows @ table @ rows.T
+    if not np.all(np.isfinite(cov)):
+        raise RuntimeError(f"a limiting covariance over the lags {lo}..{hi} left float64")
+    return 0.5 * (cov + cov.T)
 
 
 def variance(spectrum: LimitSpectrum, a: dict[int, float]) -> float:
     """Limiting variance of ``sum_k a_k zeta_k``: ``int |sum a_k (z^k - m^-k)|^2 dnu``."""
-    if spectrum.kind == "circle":
-        return float(_cov_matrix(spectrum, [a])[0, 0])
-    locations, weights = spectrum._atom_arrays()
-    return float(np.sum(weights * np.abs(_symbol_on(locations, _centered_symbol(a, spectrum.m))) ** 2))
+    return float(_cov_matrix(spectrum, [a])[0, 0])
+
+
+def _pairing(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float], centered: bool, lag: int) -> float:
+    """``f M g^T`` for the coefficient rows of the Laurent symbols ``f, g`` on :func:`_moment_matrix`."""
+    keys = [int(k) for k in (*f, *g)] or [0]
+    lo, hi = min(keys), max(keys)
+    rows = np.zeros((2, hi - lo + 1))
+    for row, symbol in zip(rows, (f, g)):
+        row[[int(k) - lo for k in symbol]] = list(symbol.values())
+    return float(rows[0] @ _moment_matrix(spectrum, lo, hi, centered, lag) @ rows[1])
 
 
 def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) -> float:
     """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols."""
-    if spectrum.kind == "circle":
-        return float(_toeplitz(spectrum, spectrum.moments, [f], [g])[0, 0])
-    return float(_atom_gram(spectrum, [f], [g])[0, 0])
+    return _pairing(spectrum, f, g, centered=False, lag=0)
 
 
 def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
@@ -356,13 +326,8 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
     """
     if ell < 0:
         raise ValueError(f"lag ell = {ell} must be non-negative")
-    m = spectrum.m
-    if spectrum.kind == "circle":
-        q = [_quotient_symbol({k: 1.0}, m)]
-        return float(_toeplitz(spectrum, spectrum.centered, q, q, lag=ell)[0, 0])
-    locations, weights = spectrum._atom_arrays()
-    vals = (locations * math.sqrt(m)) ** ell * np.abs(_symbol_on(locations, _centered_symbol({k: 1.0}, m))) ** 2
-    return float(complex(np.sum(weights * vals)).real)
+    q = _quotient_symbol({k: 1.0}, spectrum.m)
+    return _pairing(spectrum, q, q, centered=True, lag=ell)
 
 
 _STEIN_STEPS = 64  #: doublings, or 2^64 epochs; any margin float64 tells from 0 needs about log2(1/margin) + 6

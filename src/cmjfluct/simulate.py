@@ -281,19 +281,20 @@ def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:
     if n_last < 0:
         raise ValueError(f"lag {k_min} reaches beyond the trace horizon {trace.horizon}")
     Z = np.asarray(trace.Z, dtype=float)
-    times = np.arange(n_last + 1)
-    return np.column_stack([_prediction_errors(Z, m, times, k) for k in range(k_min, k_max + 1)])
+    return _prediction_errors(Z, m, np.arange(n_last + 1), range(k_min, k_max + 1))
 
 
-def _prediction_errors(Z: np.ndarray, m: float, t, k: int) -> np.ndarray:
-    """Prediction errors ``X_{t,k} = Z_{t-k} - m^-k Z_t`` at time ``t`` (an int or an array of times).
+def _prediction_errors(Z: np.ndarray, m: float, t, ks) -> np.ndarray:
+    """Prediction errors ``X_{t,k} = Z_{t-k} - m^-k Z_t`` at time ``t`` (an int or an array of times), lag ``k``
+    along a trailing axis for each ``k`` in ``ks``.
 
     Time runs along the last axis of ``Z`` and leading axes index
-    replicates; counts before time 0 are zero.
+    replicates; counts before time 0 are zero.  ``m^-k`` is Python's
+    power, lag by lag, so no lag's bits depend on the others.
     """
-    t = np.asarray(t)
-    past = np.where(t >= k, Z[..., np.maximum(t - k, 0)], 0.0)
-    return past - float(m) ** (-k) * Z[..., t]
+    t, ks = np.asarray(t)[..., None], np.asarray(ks, dtype=int)
+    past = np.where(t >= ks, Z[..., np.maximum(t - ks, 0)], 0.0)
+    return past - np.array([float(m) ** -int(k) for k in ks]) * Z[..., t]
 
 
 def innovations(trace: Trace, moments) -> tuple[np.ndarray, np.ndarray]:
@@ -365,9 +366,9 @@ def _char_scores(trace: Trace, law: OffspringLaw) -> tuple[np.ndarray, float]:
     if law.char_extends and size > k_phi + 1:
         totals[k_phi + 1 :] += np.cumsum(scores[: size - k_phi - 1, k_phi])
         zbar[k_phi + 1 :] += np.cumsum(centered[: size - k_phi - 1, k_phi])
-    lag_dot = np.zeros(size)
+    lag_dot, errors = np.zeros(size), _prediction_errors(Z, m, np.arange(size), range(len(cm.delta_lambda)))
     for k, d in enumerate(cm.delta_lambda):
-        lag_dot += d * _prediction_errors(Z, m, np.arange(size), k)
+        lag_dot += d * errors[:, k]
     lhs = totals - cm.lambda_scalar * Z
     resid = np.abs(lhs - (zbar + lag_dot)) / np.maximum(1.0, np.abs(lhs))
     return totals, float(np.fmax.reduce(resid, initial=0.0))  # fmax skips NaN, as a running max() does
@@ -518,7 +519,7 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     for k, iterate in enumerate(iterates):  # row n subtracts W_{n-k} T^k v in increasing k
         rhs[k:] -= W[: n_small + 1 - k, None] * iterate[: k_cmp + 1]
     Z = np.asarray(trace.Z[: n_small + 1], dtype=float)
-    X = np.column_stack([_prediction_errors(Z, m, np.arange(n_small + 1), k) for k in range(k_cmp + 1)])
+    X = _prediction_errors(Z, m, np.arange(n_small + 1), range(k_cmp + 1))
     return float(np.max(np.abs(X - rhs) / np.maximum(1.0, np.abs(X))))
 
 

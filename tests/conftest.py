@@ -56,6 +56,12 @@ def nonsimple_ii():
 
 
 @pytest.fixture
+def pair_ii():
+    """Three-age law with mu = (2, 4, 16), m = 4: regime II at the conjugate pair -1/4 +- i sqrt(3)/4."""
+    return make_law([(0.5, (1, 4, 16)), (0.5, (3, 4, 16))])
+
+
+@pytest.fixture
 def degenerate_ii():
     """Regime-II law whose litter noise vanishes at the critical root (N_2 = 2 N_1 + 4)."""
     return make_law([(0.5, (1, 6)), (0.5, (3, 10))])

@@ -389,7 +389,7 @@ def test_growth_of_squared_error_norm(gw13, law_ii):
             assert not block.capped.any()
             Z = block.Z.astype(float)
             for k in range(n_hi + 1):
-                acc += np.sum(sim._prediction_errors(Z, report.m, ns, k) ** 2, axis=0)
+                acc += np.sum(sim._prediction_errors(Z, report.m, ns, [k])[..., 0] ** 2, axis=0)
         log_mean = np.log(acc / reps)
         if not critical:
             slope = np.polyfit(ns, log_mean, 1)[0]
