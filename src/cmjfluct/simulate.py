@@ -12,12 +12,14 @@ The module also extracts every path functional the limit theorems refer to:
 prediction errors X_{n,k} = Z_{n-k} - m^-k Z_n, reproduction innovations
 W_{n,k} and W_n, scored characteristic totals, oscillation-coefficient
 estimates, and the conditional quadratic variation of the count martingale.
+Each trace converts its counts to float64 once and keeps one innovations pass
+per moment table, and every functional reads those.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +50,8 @@ __all__ = [
 
 #: Population cap of a run unless the caller sets one.
 _DEFAULT_CAP = 1 << 62
+#: Largest cohort numpy's binomial draw accepts: ``run()`` refuses a larger cap on a law with two or more atoms.
+_DRAW_LIMIT = (1 << 63) - 1
 
 #: Replicates per block of the batch engine; every block simulates all of them.
 _BLOCK_SIZE = 200
@@ -72,6 +76,12 @@ class Trace:
     an integer count; scored totals are derived from ``cohort_atoms`` (see
     :func:`char_total`).  If the population would have exceeded ``cap``, the
     trace ends at the last safe time and ``capped`` is set.
+
+    The per-trace functionals read the counts through one float64 view
+    (``_floats``, each field converted on first read) and :func:`innovations`
+    keeps one outcome per moment table (``_innovations``).  Both are built
+    once per trace and their arrays are read-only; a copy made by
+    ``dataclasses.replace`` starts with both empty.
     """
 
     horizon: int
@@ -82,6 +92,18 @@ class Trace:
     seed: object
     cap: int
     capped: bool
+    # plain fields rather than cached properties, whose first read takes a lock in Python 3.11 (2 us on a 2 vCPU Xeon)
+    _floats: dict = field(default_factory=dict, init=False, repr=False)  # field name -> array, see _as_floats
+    _innovations: dict = field(default_factory=dict, init=False, repr=False)  # id(table) -> (table, outcome)
+
+
+def _as_floats(trace: Trace, name: str) -> np.ndarray:
+    """The count field ``name`` of ``trace`` as a read-only float64 array, converted on first read and kept."""
+    array = trace._floats.get(name)
+    if array is None:
+        array = trace._floats[name] = np.asarray(getattr(trace, name), dtype=float)
+        array.flags.writeable = False
+    return array
 
 
 def _split_counts(rng: np.random.Generator, total: int, probs) -> list[int]:
@@ -112,58 +134,64 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     it is truncated at the last safe time with ``capped = True`` rather than
     faulting.
 
+    A law with two or more atoms splits each cohort by binomial draws, which
+    take int64 counts, so a cap above 2^63 - 1 is refused for it; a
+    single-atom law draws nothing and runs to any cap.  Each cohort is
+    scattered over its atoms' nonzero litter ages only.
+
     The loop stays apart from the batch engine: a one-row engine block pays
     numpy call overhead every step, about 1.5 ms per capped scored path of
-    horizon 70 against 0.15-0.35 ms here (2 vCPU Xeon), and simulation is
-    40-45% of the cost of such a path with its reductions, about 0.6 ms.
+    horizon 70 against 0.18-0.34 ms here (two to four atoms, 2 vCPU Xeon),
+    and simulation is about half of the cost of such a path with its
+    reductions, 0.45 ms at the median.
     """
     _require_admissible(law)
     if horizon < 0:
         raise ValueError(f"horizon = {horizon} must be >= 0")
     if cap < 1:
         raise ValueError(f"cap = {cap} must be >= 1")
+    probs = [atom.prob for atom in law.atoms]
+    if len(probs) > 1 and cap > _DRAW_LIMIT:
+        raise ValueError(
+            f"cap = {cap} exceeds 2^63 - 1 = {_DRAW_LIMIT}, the int64 limit of the binomial draws that split "
+            f"a cohort across {len(probs)} atoms"
+        )
     rng = np.random.default_rng(seed)
     k_max = law.max_age
-    probs = [atom.prob for atom in law.atoms]
-    litters = [atom.births for atom in law.atoms]
+    litters = [[(k, births) for k, births in enumerate(atom.births) if k and births] for atom in law.atoms]
 
-    schedule = [0] * (horizon + k_max + 2)
+    schedule = [0] * (horizon + k_max + 2)  # schedule[n] is final, and is B_n, once step n reads it
     schedule[0] = 1
-    b_list: list[int] = []
     z_list: list[int] = []
     cohort_rows: list[tuple[int, ...]] = []
     bnk_rows: list[tuple[int, ...]] = []
     z_run = 0
-    capped = False
     for n in range(horizon + 1):
         b_n = schedule[n]
-        if z_run + b_n > cap:
-            capped = True
-            break
         z_run += b_n
+        if z_run > cap:
+            break
         counts = _split_counts(rng, b_n, probs) if b_n > 0 else [0] * len(probs)
         row = [0] * (k_max + 1)
-        for idx, c in enumerate(counts):
+        for c, ages in zip(counts, litters):
             if c:
-                births = litters[idx]
-                for k in range(1, k_max + 1):
-                    row[k] += c * births[k]
-        for k in range(1, k_max + 1):
-            if row[k]:
-                schedule[n + k] += row[k]
-        b_list.append(b_n)
+                for k, births in ages:
+                    children = c * births
+                    row[k] += children
+                    schedule[n + k] += children
         z_list.append(z_run)
         cohort_rows.append(tuple(counts))
         bnk_rows.append(tuple(row))
+    steps = len(z_list)
     return Trace(
-        horizon=len(b_list) - 1,
-        B=tuple(b_list),
+        horizon=steps - 1,
+        B=tuple(schedule[:steps]),
         Z=tuple(z_list),
         cohort_atoms=tuple(cohort_rows),
         Bnk=tuple(bnk_rows),
         seed=tuple(seed) if isinstance(seed, (list, tuple)) else seed,
         cap=cap,
-        capped=capped,
+        capped=steps <= horizon,
     )
 
 
@@ -280,8 +308,7 @@ def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:
     n_last = trace.horizon + min(0, k_min)
     if n_last < 0:
         raise ValueError(f"lag {k_min} reaches beyond the trace horizon {trace.horizon}")
-    Z = np.asarray(trace.Z, dtype=float)
-    return _prediction_errors(Z, m, np.arange(n_last + 1), range(k_min, k_max + 1))
+    return _prediction_errors(_as_floats(trace, "Z"), m, np.arange(n_last + 1), range(k_min, k_max + 1))
 
 
 def _prediction_errors(Z: np.ndarray, m: float, t, ks) -> np.ndarray:
@@ -305,8 +332,25 @@ def innovations(trace: Trace, moments) -> tuple[np.ndarray, np.ndarray]:
     ``W_n = sum_k W_{n-k,k}`` is re-derived from the stored cohort matrix and
     a violation beyond 1e-9 relative faults (it would mean the trace is
     internally inconsistent).
+
+    The pass runs once per trace and moment table: the trace keeps the
+    read-only ``(W, Wnk)`` it returns, or the fault's message, and every later
+    call with that table, :func:`estimate_U` and :func:`verify_recursion`
+    included, returns the same arrays or raises the same fault again.
     """
-    return _innovation_arrays(np.asarray(trace.B, dtype=float), np.asarray(trace.Bnk, dtype=float), moments.mu)
+    kept = trace._innovations.get(id(moments))
+    if kept is None:
+        try:
+            outcome = _innovation_arrays(_as_floats(trace, "B"), _as_floats(trace, "Bnk"), moments.mu)
+        except RuntimeError as exc:
+            outcome = str(exc)
+        else:
+            for array in outcome:
+                array.flags.writeable = False
+        kept = trace._innovations[id(moments)] = (moments, outcome)  # holding the table keeps its id unique
+    if isinstance(kept[1], str):
+        raise RuntimeError(kept[1])
+    return kept[1]
 
 
 def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu, replicates=None) -> tuple[np.ndarray, np.ndarray]:
@@ -353,12 +397,11 @@ def _char_scores(trace: Trace, law: OffspringLaw) -> tuple[np.ndarray, float]:
     cm = law._char_moments
     k_phi = law.char_max_age
     size = trace.horizon + 1
-    Z = np.asarray(trace.Z, dtype=float)
-    counts = np.asarray(trace.cohort_atoms, dtype=float)
+    Z, counts = _as_floats(trace, "Z"), _as_floats(trace, "cohort_atoms")
     scores = np.zeros((size, k_phi + 1))  # scores[c, age]: summed score of cohort c at that age
     for a, atom in enumerate(law.atoms):
         scores += counts[:, a, None] * np.asarray(atom.char_values)
-    centered = scores - cm.lambda_phi * np.asarray(trace.B, dtype=float)[:, None]
+    centered = scores - cm.lambda_phi * _as_floats(trace, "B")[:, None]
     totals, zbar = np.zeros(size), np.zeros(size)
     for age in range(min(k_phi, size - 1) + 1):
         totals[age:] += scores[: size - age, age]
@@ -485,7 +528,7 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     # near the regime boundary the forms overflow; the sum raises at that epoch instead
     with np.errstate(over="ignore", invalid="ignore"):
         forms = np.einsum("li,ij,lj->l", windows, moments.sigma[1:, 1:], windows)
-        partial = np.cumsum(np.asarray(trace.B[n - 1 :: -1], dtype=float) * forms)
+        partial = np.cumsum(_as_floats(trace, "B")[n - 1 :: -1] * forms)
     bad = np.flatnonzero(~np.isfinite(partial))
     if bad.size:
         total, ell = float(partial[bad[0]]), int(bad[0]) + 1
@@ -501,7 +544,9 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     Compared over window components ``k <= trunc - n_small``.  All rows
     accumulate together, one array pass per iterate ``T^k v`` in increasing
     ``k`` as a per-row running sum does, so bit-identical to it: O(n_small^2
-    trunc) in C beyond the whole trace's innovations (their check still runs).
+    trunc) in C.  The innovations are the trace's own (:func:`innovations`),
+    so their identity check runs once per trace and table, and a trace that
+    fails it faults here with the same message.
     The iterates are a slice of the moment table's orbit store
     (:func:`~cmjfluct.spectral._orbit`), built once per law and ``m``.
     """
@@ -518,8 +563,7 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     rhs = np.zeros((n_small + 1, k_cmp + 1))
     for k, iterate in enumerate(iterates):  # row n subtracts W_{n-k} T^k v in increasing k
         rhs[k:] -= W[: n_small + 1 - k, None] * iterate[: k_cmp + 1]
-    Z = np.asarray(trace.Z[: n_small + 1], dtype=float)
-    X = _prediction_errors(Z, m, np.arange(n_small + 1), range(k_cmp + 1))
+    X = _prediction_errors(_as_floats(trace, "Z")[: n_small + 1], m, np.arange(n_small + 1), range(k_cmp + 1))
     return float(np.max(np.abs(X - rhs) / np.maximum(1.0, np.abs(X))))
 
 

@@ -1,10 +1,13 @@
-"""``tools/bench_pairs.py`` counts and reports runs whose outputs failed the benchmark's checks."""
+"""``tools/bench_pairs.py`` counts and reports runs whose outputs failed the benchmark's checks, and gives each
+metric a verdict."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
 import pathlib
+
+import pytest
 
 _PATH = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 
@@ -18,7 +21,9 @@ def _load():
 
 def test_incorrect_runs_are_counted_and_fail_the_script(tmp_path, monkeypatch, capsys):
     bench = _load()
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "units_per_s", "better": "higher"}]}))
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "units_per_s", "better": "higher", "bound": 0.25}]})
+    )
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     monkeypatch.setattr(bench, "_unpack", lambda rev, dest: "0" * 40)
 
@@ -36,3 +41,38 @@ def test_incorrect_runs_are_counted_and_fail_the_script(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(bench, "_run", lambda *a: {"correct": True, "environment": {}, "metrics": {"units_per_s": 1.0}})
     assert bench.main(args) == 0
+
+
+def _pairs(parent, tree, name="m"):
+    return [{"parent": {"correct": True, "metrics": {name: p}}, "tree": {"correct": True, "metrics": {name: t}}}
+            for p, t in zip(parent, tree)]
+
+
+_PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.2, 99.8, 100.1, 99.9, 100.0]  # median 100, IQR 0.55
+_NOISY = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 90.0, 110.0, 100.0, 100.0]  # median 100, IQR 40
+
+
+@pytest.mark.parametrize(
+    "better, parent, tree, verdict",
+    [
+        ("higher", _PARENT, [p + 5.0 for p in _PARENT], "gain"),
+        ("lower", _PARENT, [p - 5.0 for p in _PARENT], "gain"),
+        # nine wins of ten is enough, eight is not
+        ("higher", _PARENT, [p + 5.0 for p in _PARENT[:9]] + [_PARENT[9] - 1.0], "gain"),
+        ("higher", _PARENT, [p + 5.0 for p in _PARENT[:8]] + [p - 1.0 for p in _PARENT[8:]], "within_bound"),
+        # every pair won, but by less than the parent's own spread
+        ("higher", _PARENT, [p + 0.01 for p in _PARENT], "within_bound"),
+        ("higher", _PARENT, [p * 0.7 for p in _PARENT], "regression"),
+        ("lower", _PARENT, [p * 1.3 for p in _PARENT], "regression"),
+        ("higher", _PARENT, [p * 0.8 for p in _PARENT], "within_bound"),
+        ("higher", _NOISY, [p * 0.9 for p in _NOISY], "unresolved"),
+        ("lower", _NOISY, _NOISY, "unresolved"),
+        # a noisy parent whose runs every tree run beats, by less than the parent's spread
+        ("higher", [50.0] * 3 + [100.0] * 4 + [101.0] * 3, [102.0] * 10, "within_bound"),
+        ("lower", [150.0] * 3 + [100.0] * 4 + [99.0] * 3, [98.0] * 10, "within_bound"),
+    ],
+)
+def test_verdict_per_metric(better, parent, tree, verdict):
+    bench = _load()
+    summary = bench._summary(_pairs(parent, tree), {"m": {"name": "m", "better": better, "bound": 0.25}})
+    assert summary["m"]["verdict"] == verdict

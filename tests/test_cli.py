@@ -256,6 +256,19 @@ def test_simulate_writes_trace(tmp_path, capsys):
     assert "Z_n 31" in capsys.readouterr().out
 
 
+def test_simulate_refuses_a_cap_past_int64_by_name(tmp_path, capsys):
+    path, _ = _config(tmp_path, command="simulate", law={"atoms": GW13_ATOMS}, horizon=40, cap=1 << 80)
+    assert main([str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cmjfluct: fault: cap = 1208925819614629174706176 exceeds 2^63 - 1 = 9223372036854775807")
+    assert not (tmp_path / "out" / "trace.csv").exists()
+    # one atom draws nothing, so its counts may pass int64
+    path, _ = _config(tmp_path, command="simulate", law={"atoms": [{"prob": 1.0, "births": [2]}]}, horizon=100,
+                      cap=1 << 80)
+    assert main([str(path)]) == 0
+    assert f"Z_n {(1 << 80) - 1}" in capsys.readouterr().out
+
+
 def test_verify_regime_one_passes(tmp_path, capsys):
     # the horizon and R at which test_harness finds the verdict seed-independent
     path, _ = _config(

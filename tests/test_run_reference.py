@@ -1,0 +1,163 @@
+"""``run()`` against a reference copy of the loop it replaced, and the trace's shared float view and innovations.
+
+``run()`` scatters each cohort over its atoms' nonzero litter ages only and
+reads ``B`` back from its birth schedule.  The reference below is the loop
+it replaced: every cohort walks every age ``1..K`` of every atom, with the
+same binomial splitting in the same draw order, so every field of every
+trace must be equal, capped or not.  The per-trace functionals read one
+float64 view of the counts and one innovations pass per moment table; they
+must be read-only, kept per table, and a corrupted copy must fault as often
+as it is asked.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from cmjfluct import make_law
+from cmjfluct import simulate as sim
+from cmjfluct.offspring import moments
+from cmjfluct.spectral import malthusian
+
+_FIELDS = ("horizon", "B", "Z", "cohort_atoms", "Bnk", "seed", "cap", "capped")
+
+
+def _reference_split(rng, total, probs):
+    if len(probs) == 1:
+        return [total]
+    if len(probs) == 2:
+        first = int(rng.binomial(total, probs[0]))
+        return [first, total - first]
+    counts = []
+    remaining = total
+    mass_left = 1.0
+    for p in probs[:-1]:
+        ratio = 1.0 if mass_left <= p else p / mass_left
+        drawn = int(rng.binomial(remaining, ratio))
+        counts.append(drawn)
+        remaining -= drawn
+        mass_left -= p
+    counts.append(remaining)
+    return counts
+
+
+def _reference_run(law, horizon, seed, cap=sim._DEFAULT_CAP):
+    rng = np.random.default_rng(seed)
+    k_max = law.max_age
+    probs = [atom.prob for atom in law.atoms]
+    litters = [atom.births for atom in law.atoms]
+    schedule = [0] * (horizon + k_max + 2)
+    schedule[0] = 1
+    b_list, z_list, cohort_rows, bnk_rows = [], [], [], []
+    z_run = 0
+    capped = False
+    for n in range(horizon + 1):
+        b_n = schedule[n]
+        if z_run + b_n > cap:
+            capped = True
+            break
+        z_run += b_n
+        counts = _reference_split(rng, b_n, probs) if b_n > 0 else [0] * len(probs)
+        row = [0] * (k_max + 1)
+        for idx, c in enumerate(counts):
+            if c:
+                births = litters[idx]
+                for k in range(1, k_max + 1):
+                    row[k] += c * births[k]
+        for k in range(1, k_max + 1):
+            if row[k]:
+                schedule[n + k] += row[k]
+        b_list.append(b_n)
+        z_list.append(z_run)
+        cohort_rows.append(tuple(counts))
+        bnk_rows.append(tuple(row))
+    return sim.Trace(
+        horizon=len(b_list) - 1,
+        B=tuple(b_list),
+        Z=tuple(z_list),
+        cohort_atoms=tuple(cohort_rows),
+        Bnk=tuple(bnk_rows),
+        seed=tuple(seed) if isinstance(seed, (list, tuple)) else seed,
+        cap=cap,
+        capped=capped,
+    )
+
+
+def _sparse_k80():
+    """Three atoms, each bearing at one or two of the 80 ages."""
+    return make_law([(0.3, (1,) + (0,) * 78 + (1,)), (0.5, (2, 0, 0, 1) + (0,) * 76), (0.2, (0, 1) + (0,) * 78)])
+
+
+@pytest.mark.parametrize("name", ["one_atom", "two_atoms", "four_atoms", "sparse_k80"])
+def test_run_matches_reference_loop_field_for_field(name, law_i, gw13_coin, det_two_age):
+    law = {"one_atom": det_two_age, "two_atoms": law_i, "four_atoms": gw13_coin, "sparse_k80": _sparse_k80()}[name]
+    horizon = 60 if name == "sparse_k80" else 40
+    capped = 0
+    for seed in range(200):
+        cap = (sim._DEFAULT_CAP, 5_000, 10**9)[seed % 3]  # default, early and mid-path caps
+        got, want = sim.run(law, horizon, (seed, 7), cap=cap), _reference_run(law, horizon, (seed, 7), cap=cap)
+        for field in _FIELDS:
+            assert getattr(got, field) == getattr(want, field), (seed, field)
+        capped += got.capped
+    assert 0 < capped < 200  # both kinds of path were compared
+
+
+def test_run_refuses_a_cap_past_int64_unless_the_law_has_one_atom(gw13, det_gw):
+    with pytest.raises(ValueError, match=r"cap = 1208925819614629174706176 exceeds 2\^63 - 1 = 9223372036854775807"):
+        sim.run(gw13, 10, 0, cap=1 << 80)
+    assert sim.run(gw13, 10, 0, cap=(1 << 63) - 1).Z == _reference_run(gw13, 10, 0, cap=(1 << 63) - 1).Z
+    trace = sim.run(det_gw, 100, 0, cap=1 << 80)
+    assert trace.capped and trace.horizon == 79 and trace.Z[-1] == (1 << 80) - 1
+    # counts past int64 still reach the functionals, converted straight from the Python ints
+    assert sim._as_floats(trace, "Z").tobytes() == np.asarray(trace.Z, dtype=float).tobytes()
+    assert sim._as_floats(trace, "Bnk").tobytes() == np.asarray(trace.Bnk, dtype=float).tobytes()
+
+
+def test_float_view_is_exact_read_only_and_kept(gw13_coin):
+    trace = sim.run(gw13_coin, 70, 11)
+    assert trace.capped and max(trace.Z) > 1 << 61  # counts near the cap, where float64 must round them
+    for name in ("B", "Z", "Bnk", "cohort_atoms"):
+        view = sim._as_floats(trace, name)
+        assert view.tobytes() == np.asarray(getattr(trace, name), dtype=float).tobytes()
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0.0
+        assert sim._as_floats(trace, name) is view
+    assert dataclasses.replace(trace)._floats == {}
+
+
+def test_innovations_are_read_only_and_kept_per_table(law_i, law_ii):
+    trace = sim.run(law_i, 20, 3)
+    tab_i, tab_ii = moments(law_i), moments(law_ii)  # the same K, different mu
+    W_i, Wnk_i = sim.innovations(trace, tab_i)
+    W_ii, Wnk_ii = sim.innovations(trace, tab_ii)
+    for array in (W_i, Wnk_i, W_ii, Wnk_ii):
+        assert not array.flags.writeable
+    assert sim.innovations(trace, tab_i)[0] is W_i and sim.innovations(trace, tab_ii)[0] is W_ii
+    assert len(trace._innovations) == 2 and not np.array_equal(W_i, W_ii)
+    B, Bnk = np.asarray(trace.B, dtype=float), np.asarray(trace.Bnk, dtype=float)
+    for tab, W, Wnk in ((tab_i, W_i, Wnk_i), (tab_ii, W_ii, Wnk_ii)):
+        want_W, want_Wnk = sim._innovation_arrays(B, Bnk, tab.mu)
+        assert W.tobytes() == want_W.tobytes() and Wnk.tobytes() == want_Wnk.tobytes()
+    copy = dataclasses.replace(trace)
+    assert copy._innovations == {} and sim.innovations(copy, tab_i)[0] is not W_i
+
+
+def test_corrupted_copy_faults_in_each_reader_with_one_message(gw13):
+    trace = sim.run(gw13, 12, 31)
+    tab, m = moments(gw13), malthusian(gw13)
+    sim.innovations(trace, tab)  # the clean original keeps its result
+    rows = list(trace.Bnk)
+    rows[4] = (0, rows[4][1] + 3)
+    bad = dataclasses.replace(trace, Bnk=tuple(rows))
+    messages = []
+    for reader in (lambda: sim.innovations(bad, tab), lambda: sim.verify_recursion(bad, tab, m, 5, 8),
+                   lambda: sim.innovations(bad, tab)):
+        with pytest.raises(RuntimeError, match="innovation identity violated at n = 5") as exc:
+            reader()
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+    assert sim.verify_recursion(trace, tab, m, 5, 8) <= 1e-12

@@ -9,10 +9,10 @@ The parent revision is unpacked with ``git archive`` into a temporary directory 
 each workload and seed, ``perfbench/run.py --trace 0`` runs once in each checkout, each with its own
 ``perfbench/``; the side that runs first alternates from seed to seed.  The output file at the repository root
 holds every pair's end-to-end metrics and, per workload and metric, each side's median and quartiles, the
-relative change of the medians and the pairs the tree won (ties count for neither side), with the direction of
-"better" taken from ``BENCHMARK.json``.  Each workload's summary also counts the runs, per side, whose outputs
-failed the benchmark's correctness checks; if any did, the file is still written and the script exits 1, naming
-the workload, seed and side of each.
+relative change of the medians, the pairs the tree won (ties count for neither side) and a ``verdict`` (see
+``_verdict``), with the direction of "better" and the bound taken from ``BENCHMARK.json``.  Each workload's
+summary also counts the runs, per side, whose outputs failed the benchmark's correctness checks; if any did, the
+file is still written and the script exits 1, naming the workload, seed and side of each.
 """
 
 from __future__ import annotations
@@ -62,11 +62,34 @@ def _run(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> di
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
 
 
-def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
+def _verdict(row: dict, parent: list[float], tree: list[float], bound: float) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``within_bound``, the first that holds, for one metric's pairs.
+
+    ``gain``: the tree won at least nine tenths of the pairs and its median is better than the parent's by more
+    than the parent's interquartile range.  ``regression``: the tree's median is worse than the parent's by more
+    than ``bound`` times the parent's median.  ``unresolved``: the parent's interquartile range is wider than
+    ``bound`` times its median, and not every tree run is better than every parent run.
+    """
+    sign = 1.0 if row["better"] == "higher" else -1.0
+    base = row["parent"]["median"]
+    gain = sign * (row["tree"]["median"] - base)
+    spread = row["parent"]["q3"] - row["parent"]["q1"]
+    if 10 * row["tree_wins"] >= 9 * len(parent) and gain > spread:
+        return "gain"
+    if gain < -bound * abs(base):
+        return "regression"
+    if spread > bound * abs(base) and not min(sign * t for t in tree) > max(sign * p for p in parent):
+        return "unresolved"
+    return "within_bound"
+
+
+def _summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric of ``metrics`` (name -> its ``BENCHMARK.json`` entry): each side's quartiles, the change of the
+    medians, the pairs each side won and the verdict."""
     out = {"incorrect_runs": {side: sum(not p[side]["correct"] for p in pairs) for side in ("parent", "tree")}}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
         sides = {side: [p[side]["metrics"][name] for p in pairs] for side in ("parent", "tree")}
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
         gaps = [sign * (t - p) for p, t in zip(sides["parent"], sides["tree"])]
         row = {}
         for side, values in sides.items():
@@ -76,7 +99,8 @@ def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
         row["change"] = (row["tree"]["median"] - base) / base if base else None
         row["tree_wins"] = sum(g > 0 for g in gaps)
         row["parent_wins"] = sum(g < 0 for g in gaps)
-        row["better"] = direction
+        row["better"] = metric["better"]
+        row["verdict"] = _verdict(row, sides["parent"], sides["tree"], metric["bound"])
         out[name] = row
     return out
 
@@ -91,7 +115,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     report = {"label": args.label, "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
     incorrect = []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -109,7 +133,7 @@ def main(argv=None) -> int:
                 environment = {side: pair[side].pop("environment") for side in ("parent", "tree")}
                 report.setdefault("environment", environment)
                 pairs.append(pair)
-            report["workloads"][workload] = {"summary": _summary(pairs, better), "pairs": pairs}
+            report["workloads"][workload] = {"summary": _summary(pairs, metrics), "pairs": pairs}
             incorrect += [f"{workload} seed {p['seed']} {side}" for p in pairs for side in ("parent", "tree")
                           if not p[side]["correct"]]
     path = ROOT / f"BENCH_{args.label}.json"
