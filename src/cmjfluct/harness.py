@@ -12,16 +12,17 @@ count matrices to the statistics the theorems speak about:
 * ``lag_correlation_check``: time-lagged correlations against the measure's
   oscillating or decaying predictions.
 * ``oscillation_residual``: below criticality there is no limit; instead the
-  estimated oscillation profile must track the rescaled error window, the
-  statistic must alternate in sign, and the centered coefficient estimates
-  must average to zero.
+  profile ``limits.oscillation_profile`` builds from the estimated coefficients
+  must track the rescaled error window, the statistic must alternate in sign,
+  and the centered coefficient estimates must average to zero.
 * ``predictor_backtest``: the measure-derived one-step predictor applied to
   fresh replicates, normalized MSE against the predicted residual.
 
 All tolerances here are finite-n engineering slack around exact limits (the
 theory provides no rates); they are config fields, not hidden constants.
 Replicates that hit the population cap are excluded from the statistics and
-counted in the report — never silently dropped.
+counted in the report — never silently dropped.  ``limits`` decides every
+refusal: ``build_spectrum``, or the regime-III gate of ``oscillation_profile``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import RefusalError
-from .limits import build_spectrum, cov_lagged, predictor_coeffs, variance
+from .limits import _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
 from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _csv_text, _innovation_arrays, _prediction_errors, _simulate_blocks
 from .spectral import classify
@@ -189,15 +189,10 @@ def _normalizer(regime: str, t, z_t: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_for(config: ExperimentConfig):
+    """The law's spectral report and limiting spectrum; :func:`~cmjfluct.limits.build_spectrum` alone refuses a law
+    without a Gaussian limit (regime III, or a multiple critical root in regime II)."""
     report = classify(config.law)
-    if report.regime == "III":
-        raise RefusalError(
-            "regime III: normalized errors oscillate without a limit; use oscillation_residual"
-        )
-    if report.non_simple:
-        raise RefusalError("non-simple critical root: the regime-II limit theorem does not apply")
-    spectrum = build_spectrum(report, moments(config.law))
-    return report, spectrum
+    return report, build_spectrum(report, moments(config.law))
 
 
 def _moment_row(lag: int, sample: np.ndarray, predicted: float, config: ExperimentConfig) -> LagMomentRow:
@@ -251,9 +246,9 @@ def _moment_row(lag: int, sample: np.ndarray, predicted: float, config: Experime
 def run_experiment(config: ExperimentConfig) -> VerificationReport:
     """Simulate R replicates and compare normalized-error moments to the limits.
 
-    Refused below criticality (no limit exists) and on non-simple critical
-    roots.  Capped replicates are excluded from the moments and counted in
-    the report.
+    Refused where ``build_spectrum`` refuses: below criticality (no limit
+    exists) and on a multiple critical root in regime II.  Capped replicates
+    are excluded from the moments and counted in the report.
     """
     report, spectrum = _spectrum_for(config)
     m = report.m
@@ -368,50 +363,40 @@ class OscillationSummary:
     rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
-def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -> OscillationSummary:
+def oscillation_residual(config: ExperimentConfig) -> OscillationSummary:
     """Verify that the estimated oscillation profile tracks the rescaled errors.
 
     Per replicate, each critical root's coefficient is estimated from the
-    innovations up to ``n0`` (default: the horizon) and the profile
-    ``sum_p (conj(gamma_p)/|gamma_p|)^n U_p u_p`` is compared with
-    ``gamma_*^n X_n`` over the configured lags at ``n = horizon``.  Refused
-    outside the oscillating regime and on non-simple critical roots.
+    innovations up to the horizon ``n`` (the summary's ``n0``), and their
+    :func:`~cmjfluct.limits.oscillation_profile` is compared with
+    ``gamma_*^n X_n`` over the configured lags.  Refused before simulating
+    where ``oscillation_profile`` refuses.
     """
     report = classify(config.law)
-    if report.regime != "III":
-        raise RefusalError(f"regime {report.regime}: oscillation checks apply only in regime III")
-    if report.non_simple:
-        raise RefusalError("non-simple critical root: the oscillation expansion does not apply")
+    _require_oscillating(report)
     tab = moments(config.law)
     n = config.horizon
-    n0 = n if n0_rule is None else int(n0_rule)
-    if not 0 <= n0 <= n:
-        raise ValueError(f"n0 = {n0} outside horizon {n}")
     lags = tuple(sorted(set(config.lags)))
     if max(lags) > n:
         raise ValueError(f"lag {max(lags)} exceeds horizon {n}")
     crits = report.gamma_crit
     degenerate = all(sigma_hat(config.law, g) <= 1e-12 for g in crits)
-    inv_m = 1.0 / report.m
     gs = report.gamma_star
 
     Z, W = _counts(config, _DOMAIN_OSCILLATION, n, "summarize", mu=tab.mu)
     used = len(Z)
-    profile = np.zeros((used, len(lags)), dtype=complex)
-    means = []
-    ses = []
+    values = np.zeros((used, len(crits)), dtype=complex)
+    means, ses = [], []
     mean_ok = True
-    for g in crits:
-        value, centered = _coefficient_estimates(W, tab.mu, g, n0)
-        u_vec = np.array([g**k - inv_m**k for k in lags])
-        profile += ((g.conjugate() / abs(g)) ** n * value)[:, None] * u_vec
+    for p, g in enumerate(crits):
+        values[:, p], centered = _coefficient_estimates(W, tab.mu, g, n)
         mu_hat = complex(centered.mean())
         se = math.sqrt((centered.real.var(ddof=1) + centered.imag.var(ddof=1)) / used)
         means.append(mu_hat)
         ses.append(se)
         if se > 0 and abs(mu_hat) > 3.0 * se:
             mean_ok = False
-    profile = profile.real
+    profile = oscillation_profile(report, values, n, max(lags))[:, list(lags)]
     scaled = gs**n * _prediction_errors(Z, report.m, n, lags)
     med_res = float(np.median(np.linalg.norm(scaled - profile, axis=1)))
     med_prof = float(np.median(np.linalg.norm(profile, axis=1)))
@@ -431,7 +416,7 @@ def oscillation_residual(config: ExperimentConfig, n0_rule: int | None = None) -
         gamma_star=gs,
         roots=crits,
         horizon=n,
-        n0=n0,
+        n0=n,
         replicates=config.replicates,
         used=used,
         excluded_capped=config.replicates - used,

@@ -532,37 +532,44 @@ def predictor_coeffs(spectrum: LimitSpectrum, K: int) -> PredictorRule:
     )
 
 
-def oscillation_profile(report: SpectralReport, U, n: int, trunc: int) -> np.ndarray:
-    """Regime-III oscillation profile ``sum_p (conj(gamma_p)/|gamma_p|)^n U_p u_p``.
-
-    ``U`` supplies one complex coefficient per critical root (aligned with
-    ``report.gamma_crit``), conjugate roots carrying conjugate coefficients so
-    the profile is real; a symmetry violation beyond 1e-10 faults.  Returns a
-    real window approximating ``gamma_*^n X_n`` componentwise.
-    """
+def _require_oscillating(report: SpectralReport) -> None:
+    """Refuse unless ``report`` is regime III with simple critical roots, where the oscillation expansion holds."""
     if report.regime != "III":
         raise RefusalError(f"regime {report.regime}: oscillation profiles exist only in regime III")
     if report.non_simple:
         raise RefusalError("non-simple critical root: the oscillation expansion does not apply")
-    U = [complex(c) for c in U]
-    if len(U) != len(report.gamma_crit):
-        raise ValueError(f"need {len(report.gamma_crit)} coefficients (one per critical root), got {len(U)}")
-    scale = max(1.0, max(abs(c) for c in U))
+
+
+def oscillation_profile(report: SpectralReport, U, n: int, trunc: int) -> np.ndarray:
+    """Regime-III oscillation profile ``sum_p (conj(gamma_p)/|gamma_p|)^n U_p u_p`` over the window ``0..trunc``.
+
+    ``U`` holds one complex coefficient per critical root along its last axis (aligned with ``report.gamma_crit``);
+    leading axes index replicates, and the result has shape ``(..., trunc + 1)``.  In every row a real root must
+    carry a real coefficient and conjugate roots conjugate coefficients, to 1e-10 of the row's scale, or the call
+    faults.  The roots are added one at a time in ``gamma_crit`` order, so a row has the same bits as a call on it
+    alone.  Returns the real window approximating ``gamma_*^n X_n`` componentwise.
+    """
+    _require_oscillating(report)
     crit = list(report.gamma_crit)
+    U = np.asarray(U, dtype=complex)
+    if U.shape[-1:] != (len(crit),):
+        raise ValueError(f"need {len(crit)} coefficients (one per critical root) along the last axis, got shape {U.shape}")
+    rows = U.reshape(-1, len(crit))
+    tol = 1e-10 * np.maximum(1.0, abs(rows).max(axis=1))
     for p, g in enumerate(crit):
         if g.imag == 0.0:
-            if abs(U[p].imag) > 1e-10 * scale:
-                raise ValueError(f"coefficient for real root {g!r} must be real, got {U[p]!r}")
+            bad = abs(rows[:, p].imag) > tol
+            if bad.any():
+                raise ValueError(f"coefficient for real root {g!r} must be real, got {complex(rows[bad, p][0])!r}")
         else:
             q = next((j for j, h in enumerate(crit) if h == g.conjugate()), None)
-            if q is None or abs(U[q] - U[p].conjugate()) > 1e-10 * scale:
+            if q is None or (abs(rows[:, q] - rows[:, p].conj()) > tol).any():
                 raise ValueError(f"conjugate-symmetry violated for root pair at {g!r}")
-    k = np.arange(trunc + 1)
-    profile = np.zeros(trunc + 1, dtype=complex)
+    profile = np.zeros((len(rows), trunc + 1), dtype=complex)
     inv_m = 1.0 / report.m
-    for g, c in zip(crit, U):
-        u = np.asarray(g) ** k - inv_m**k
-        profile += (g.conjugate() / abs(g)) ** n * c * u
-    if float(np.max(np.abs(profile.imag))) > 1e-10 * max(1.0, float(np.max(np.abs(profile)))):
+    for p, g in enumerate(crit):
+        u = np.array([g**k - inv_m**k for k in range(trunc + 1)])
+        profile += ((g.conjugate() / abs(g)) ** n * rows[:, p])[:, None] * u
+    if (abs(profile.imag) > 1e-10 * np.maximum(1.0, abs(profile).max(axis=1, keepdims=True))).any():
         raise RuntimeError("profile has a non-vanishing imaginary part; conjugate symmetry check missed a case")
-    return profile.real
+    return profile.real.reshape(*U.shape[:-1], trunc + 1)

@@ -160,8 +160,7 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     k_max = law.max_age
     litters = [[(k, births) for k, births in enumerate(atom.births) if k and births] for atom in law.atoms]
 
-    schedule = [0] * (horizon + k_max + 2)  # schedule[n] is final, and is B_n, once step n reads it
-    schedule[0] = 1
+    schedule = [1] + [0] * k_max  # schedule[n] is final, and is B_n, once step n reads it; a slot more each step
     z_list: list[int] = []
     cohort_rows: list[tuple[int, ...]] = []
     bnk_rows: list[tuple[int, ...]] = []
@@ -179,6 +178,7 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
                     children = c * births
                     row[k] += children
                     schedule[n + k] += children
+        schedule.append(0)
         z_list.append(z_run)
         cohort_rows.append(tuple(counts))
         bnk_rows.append(tuple(row))

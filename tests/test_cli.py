@@ -329,6 +329,19 @@ def test_verify_non_simple_root_refused(tmp_path, capsys):
     assert "non-simple critical root" in capsys.readouterr().err
 
 
+def test_verify_and_predict_regime_one_double_secondary_root(tmp_path, capsys):
+    # 1 - mu_hat = -(4z - 1)(z + 1)^2: the double root -1 lies off the circle |z| = 1/2, so the law is regime I
+    atoms = [{"prob": 0.5, "births": [1, 7, 4]}, {"prob": 0.5, "births": [3, 7, 4]}]
+    path, _ = _config(
+        tmp_path, command="verify", law={"atoms": atoms}, horizon=14, replicates=10_000, seed=1, lags=[1, 2, 3]
+    )
+    assert main([str(path)]) == 0
+    assert "regime = I\n" in capsys.readouterr().out
+    path, _ = _config(tmp_path, command="predict", law={"atoms": atoms}, horizon=14, replicates=2000, seed=1, K=2)
+    assert main([str(path)]) == 0
+    assert (tmp_path / "out" / "backtest.csv").exists()
+
+
 def test_limits_refused_below_criticality(tmp_path, capsys):
     path, _ = _config(tmp_path, command="limits", law={"atoms": E2C_ATOMS})
     assert main([str(path)]) == 2

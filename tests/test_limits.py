@@ -827,20 +827,48 @@ def test_profile_conjugate_pair_gives_real_window():
     prof = oscillation_profile(report, [u, u.conjugate()], 5, 6)
     assert prof.dtype == float
     assert np.max(np.abs(prof)) > 0.0
-    with pytest.raises(ValueError):
-        oscillation_profile(report, [u, 0.1 - 0.2j], 5, 6)
+    for bad in ([u, 0.1 - 0.2j], [[u, u.conjugate()], [u, 0.1 - 0.2j], [u, u.conjugate()]]):
+        with pytest.raises(ValueError, match="conjugate-symmetry"):
+            oscillation_profile(report, bad, 5, 6)
 
 
 def test_profile_real_root_rejects_imaginary_coefficient(law_iii):
     report = classify(law_iii)
-    with pytest.raises(ValueError):
-        oscillation_profile(report, [0.5j], 6, 8)
+    for bad in ([0.5j], [[0.5], [0.5j], [0.3]]):
+        with pytest.raises(ValueError, match="must be real"):
+            oscillation_profile(report, bad, 6, 8)
 
 
 def test_profile_wrong_coefficient_count_faults(law_iii):
     report = classify(law_iii)
-    with pytest.raises(ValueError):
-        oscillation_profile(report, [0.5, 0.5], 6, 8)
+    for bad in ([0.5, 0.5], np.zeros((3, 2)), np.zeros((3, 0)), 0.5):
+        with pytest.raises(ValueError, match="need 1 coefficients"):
+            oscillation_profile(report, bad, 6, 8)
+
+
+@pytest.mark.parametrize("atoms", [[(0.5, (0, 9)), (0.5, (2, 9))], [(0.5, (0, 2, 12)), (0.5, (2, 2, 12))]])
+def test_profile_rows_equal_scalar_calls(atoms):
+    """Leading axes index replicates: each row has the bits of a call on that row alone."""
+    law = make_law(atoms)
+    report = classify(law)
+    assert report.regime == "III"
+    rng = np.random.default_rng(17)
+    crit = report.gamma_crit
+    U = np.zeros((2, 5, len(crit)), dtype=complex)
+    for p, g in enumerate(crit):  # conjugate roots carry conjugate coefficients
+        if g.imag == 0.0:
+            U[..., p] = rng.normal(size=(2, 5))
+        elif g.imag > 0.0:
+            U[..., p] = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+            U[..., crit.index(g.conjugate())] = U[..., p].conjugate()
+    trunc = law.max_age + 4
+    batch = oscillation_profile(report, U, 20, trunc)
+    assert batch.shape == (2, 5, trunc + 1)
+    for i in range(2):
+        assert oscillation_profile(report, U[i], 20, trunc).tobytes() == batch[i].tobytes()
+        for j in range(5):
+            assert oscillation_profile(report, U[i, j], 20, trunc).tobytes() == batch[i, j].tobytes()
+            assert oscillation_profile(report, U[i, j].tolist(), 20, trunc).tobytes() == batch[i, j].tobytes()
 
 
 def test_profile_refused_outside_oscillating_regime(gw13, nonsimple_ii):

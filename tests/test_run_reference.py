@@ -13,6 +13,7 @@ as it is asked.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,14 +96,30 @@ def _sparse_k80():
 def test_run_matches_reference_loop_field_for_field(name, law_i, gw13_coin, det_two_age):
     law = {"one_atom": det_two_age, "two_atoms": law_i, "four_atoms": gw13_coin, "sparse_k80": _sparse_k80()}[name]
     horizon = 60 if name == "sparse_k80" else 40
+    # default, early and mid-path caps, then a horizon far past the cap
+    cases = [(seed, horizon, (sim._DEFAULT_CAP, 5_000, 10**9)[seed % 3]) for seed in range(200)]
+    cases += [(seed, 10**5, sim._DEFAULT_CAP) for seed in range(200, 205)]
     capped = 0
-    for seed in range(200):
-        cap = (sim._DEFAULT_CAP, 5_000, 10**9)[seed % 3]  # default, early and mid-path caps
+    for seed, horizon, cap in cases:
         got, want = sim.run(law, horizon, (seed, 7), cap=cap), _reference_run(law, horizon, (seed, 7), cap=cap)
         for field in _FIELDS:
             assert getattr(got, field) == getattr(want, field), (seed, field)
         capped += got.capped
-    assert 0 < capped < 200  # both kinds of path were compared
+    assert 0 < capped < len(cases)  # both kinds of path were compared
+    assert got.capped and got.horizon < 10**4
+
+
+def test_run_memory_does_not_grow_with_an_unreached_horizon(gw13):
+    """The birth schedule grows one slot a step, so a path capped within 60 steps holds little at any horizon."""
+    sim.run(gw13, 100, 0)  # warm up, so first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        trace = sim.run(gw13, 10**7, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.capped and trace.horizon == 60
+    assert peak < 1 << 20
 
 
 def test_run_refuses_a_cap_past_int64_unless_the_law_has_one_atom(gw13, det_gw):
