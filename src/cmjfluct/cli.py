@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import RefusalError, UsageError
-from .harness import ExperimentConfig, oscillation_residual, predictor_backtest, run_experiment
-from .limits import _cov_matrix, build_spectrum, predictor_coeffs, variance
-from .offspring import OffspringLaw, make_law, moments
+from .harness import ExperimentConfig, _analysis, oscillation_residual, predictor_backtest, run_experiment
+from .limits import _cov_matrix, predictor_coeffs, variance
+from .offspring import OffspringLaw, make_law
 from .simulate import _DEFAULT_CAP, _csv_cell, _csv_text, run, trace_csv
-from .spectral import _MAX_LAG, classify
+from .spectral import _MAX_LAG
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
@@ -322,7 +322,7 @@ def _experiment_config(config: RunConfig) -> ExperimentConfig:
 
 
 def _cmd_analyze(config: RunConfig, sink: _Sink, out) -> int:
-    report = classify(config.law)
+    report, _ = _analysis(config.law, spectrum=False)
     sink.write("analysis.txt", report.to_text())
     crit = set(report.gamma_crit)
     header = ("index", "re", "im", "modulus", "multiplicity", "residual", "deriv_re", "deriv_im", "critical")
@@ -338,8 +338,7 @@ def _cmd_analyze(config: RunConfig, sink: _Sink, out) -> int:
 
 
 def _cmd_limits(config: RunConfig, sink: _Sink, out) -> int:
-    report = classify(config.law)
-    spectrum = build_spectrum(report, moments(config.law))
+    report, spectrum = _analysis(config.law)
     variances = [(k, variance(spectrum, {k: 1.0})) for k in config.lags]
     sink.write("variances.csv", _csv_text(("k", "variance"), variances))
     cov = _cov_matrix(spectrum, [{k: 1.0} for k in config.lags])
@@ -362,8 +361,8 @@ def _cmd_simulate(config: RunConfig, sink: _Sink, out) -> int:
 
 
 def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
-    regime = classify(config.law).regime
-    if regime == "III":
+    report, _ = _analysis(config.law, spectrum=False)
+    if report.regime == "III":
         summary = oscillation_residual(_experiment_config(config))
         alt_ok = math.isnan(summary.alternation_fraction) or (
             summary.alternation_fraction >= config.tol_alternation
@@ -387,8 +386,7 @@ def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
 
 
 def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
-    spectral = classify(config.law)
-    spectrum = build_spectrum(spectral, moments(config.law))
+    _, spectrum = _analysis(config.law)
     rule = predictor_coeffs(spectrum, config.K)
     sink.write("coefficients.csv", _csv_text(("k", "coefficient"), enumerate(rule.coeffs, start=1)))
     back = predictor_backtest(_experiment_config(config), config.K)

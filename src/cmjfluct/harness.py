@@ -23,6 +23,12 @@ theory provides no rates); they are config fields, not hidden constants.
 Replicates that hit the population cap are excluded from the statistics and
 counted in the report — never silently dropped.  ``limits`` decides every
 refusal: ``build_spectrum``, or the regime-III gate of ``oscillation_profile``.
+
+Every campaign, and the CLI commands that need a law's regime or limit, read
+the law's one limit analysis through ``_analysis``: its spectral report and
+limiting spectrum (or the refusal building it raised), built on first use and
+kept with the law object.  A loop of campaigns on one law, as at several
+master seeds, classifies it once and builds its spectrum once.
 """
 
 from __future__ import annotations
@@ -33,10 +39,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .limits import _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs, variance
+from .errors import RefusalError
+from .limits import LimitSpectrum, _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
 from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _csv_text, _innovation_arrays, _prediction_errors, _simulate_blocks
-from .spectral import classify
+from .spectral import SpectralReport, classify
 
 __all__ = [
     "ExperimentConfig",
@@ -188,11 +195,28 @@ def _normalizer(regime: str, t, z_t: np.ndarray) -> np.ndarray:
     return np.sqrt(z_t)
 
 
-def _spectrum_for(config: ExperimentConfig):
-    """The law's spectral report and limiting spectrum; :func:`~cmjfluct.limits.build_spectrum` alone refuses a law
-    without a Gaussian limit (regime III, or a multiple critical root in regime II)."""
-    report = classify(config.law)
-    return report, build_spectrum(report, moments(config.law))
+def _analysis(law: OffspringLaw, spectrum: bool = True) -> tuple[SpectralReport, LimitSpectrum | None]:
+    """The law's spectral report and, with ``spectrum``, its limiting spectrum (else ``None``).
+
+    Both are built on first use and kept with the law (``OffspringLaw._limit_analysis``), so every campaign and CLI
+    command on one law object classifies it once and builds its spectrum at most once.  Both are read-only but for
+    the spectrum's lag table, which reads the same bits whatever was asked of it before.
+    :func:`~cmjfluct.limits.build_spectrum` alone refuses a law without a Gaussian limit (regime III, or a multiple
+    critical root in regime II); its refusal is kept too, and raised again with the same message on each request.
+    """
+    kept = law._limit_analysis
+    if kept.report is None:
+        kept.report = classify(law)
+    if not spectrum:
+        return kept.report, None
+    if kept.spectrum is None:
+        try:
+            kept.spectrum = build_spectrum(kept.report, moments(law))
+        except RefusalError as exc:
+            kept.spectrum = exc
+    if isinstance(kept.spectrum, RefusalError):
+        raise RefusalError(*kept.spectrum.args)
+    return kept.report, kept.spectrum
 
 
 def _moment_row(lag: int, sample: np.ndarray, predicted: float, config: ExperimentConfig) -> LagMomentRow:
@@ -250,7 +274,7 @@ def run_experiment(config: ExperimentConfig) -> VerificationReport:
     exists) and on a multiple critical root in regime II.  Capped replicates
     are excluded from the moments and counted in the report.
     """
-    report, spectrum = _spectrum_for(config)
+    report, spectrum = _analysis(config.law)
     m = report.m
     n = config.horizon
     lags = tuple(config.lags)
@@ -297,7 +321,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     two marginals share the same limiting variance).  Refused below
     criticality.
     """
-    report, spectrum = _spectrum_for(config)
+    report, spectrum = _analysis(config.law)
     ells = [int(e) for e in ell_list]
     if any(e < 0 for e in ells):
         raise ValueError("lags ell must be non-negative")
@@ -372,7 +396,7 @@ def oscillation_residual(config: ExperimentConfig) -> OscillationSummary:
     ``gamma_*^n X_n`` over the configured lags.  Refused before simulating
     where ``oscillation_profile`` refuses.
     """
-    report = classify(config.law)
+    report, _ = _analysis(config.law, spectrum=False)
     _require_oscillating(report)
     tab = moments(config.law)
     n = config.horizon
@@ -461,7 +485,7 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     Refused on deterministic laws (prediction is the exact recurrence) and
     below criticality.
     """
-    report, spectrum = _spectrum_for(config)
+    report, spectrum = _analysis(config.law)
     rule = predictor_coeffs(spectrum, K)
     m = report.m
     n = config.horizon

@@ -265,30 +265,48 @@ def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool, 
     float64 screen freezes every replicate whose new total reaches
     ``_SCREEN_FLOAT``; the other totals stay below 2^63, so no unfrozen
     count can wrap.
+
+    Both tests run only where they can fire.  A step's newborns are part of
+    the committed total and each bears at most ``L`` children (the largest
+    litter), so no total grows by more than a factor ``1 + L`` in a step:
+    while the largest committed total times ``2 (1 + L)`` (a 2x margin for
+    float64 rounding) stays below ``_SCREEN_FLOAT`` the screen is skipped,
+    and while no committed total exceeds ``cap`` so is the freeze test.
+    Once every replicate has frozen nothing is left to draw, and the loop
+    stops.
     """
     size = _BLOCK_SIZE
     k_top = litters.shape[1] - 1
     by_age = np.ascontiguousarray(litters.T)
     litter_sums = np.cumsum(litters.astype(float), axis=1)
+    growth = 2 * (1 + max(map(sum, litters.tolist())))  # Python ints: a sum of litters near 2^62 would wrap int64
     sched = np.zeros((horizon + 1, size), dtype=np.int64)
     sched[0] = 1
     Bnk = np.zeros((horizon + 1, k_top + 1, size), dtype=np.int64) if cohorts else None
     committed = np.ones(size, dtype=np.int64)
+    largest = 1  # the largest committed total
     capped = np.zeros(size, dtype=bool)
     for n in range(horizon):
         counts = rng.multinomial(sched[n], probs)
         top = min(k_top, horizon - n)
-        over = committed + counts @ litter_sums[:, top] >= _SCREEN_FLOAT
-        if over.any():
-            counts[over] = 0
+        screened = largest * growth >= _SCREEN_FLOAT
+        if screened:
+            over = committed + counts @ litter_sums[:, top] >= _SCREEN_FLOAT
+            screened = over.any()
+            if screened:
+                counts[over] = 0
         row = by_age[1 : top + 1] @ counts.T
         committed += row.sum(axis=0)
-        frozen = over | (committed > cap)
-        if frozen.any():
+        largest = int(committed.max())
+        if screened or largest > cap:
+            frozen = (over | (committed > cap)) if screened else committed > cap
             row[:, frozen] = 0
             sched[n + 1 :, frozen] = 0
             capped |= frozen
             committed[frozen] = 0  # a frozen replicate draws nothing more; keep it from freezing again
+            if capped.all():
+                break
+            largest = int(committed.max())
         sched[n + 1 : n + top + 1] += row
         if cohorts:
             Bnk[n, 1 : top + 1] = row
