@@ -25,11 +25,11 @@ from dataclasses import dataclass
 
 from . import __version__
 from .errors import RefusalError, UsageError
-from .harness import ExperimentConfig, _analysis, oscillation_residual, predictor_backtest, run_experiment
+from .harness import ExperimentConfig, _spectrum_for, oscillation_residual, predictor_backtest, run_experiment
 from .limits import _cov_matrix, predictor_coeffs, variance
 from .offspring import OffspringLaw, make_law
 from .simulate import _DEFAULT_CAP, _csv_cell, _csv_text, run, trace_csv
-from .spectral import _MAX_LAG
+from .spectral import _MAX_LAG, classify
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
@@ -322,7 +322,7 @@ def _experiment_config(config: RunConfig) -> ExperimentConfig:
 
 
 def _cmd_analyze(config: RunConfig, sink: _Sink, out) -> int:
-    report, _ = _analysis(config.law, spectrum=False)
+    report = classify(config.law)
     sink.write("analysis.txt", report.to_text())
     crit = set(report.gamma_crit)
     header = ("index", "re", "im", "modulus", "multiplicity", "residual", "deriv_re", "deriv_im", "critical")
@@ -338,7 +338,7 @@ def _cmd_analyze(config: RunConfig, sink: _Sink, out) -> int:
 
 
 def _cmd_limits(config: RunConfig, sink: _Sink, out) -> int:
-    report, spectrum = _analysis(config.law)
+    report, spectrum = _spectrum_for(config.law)
     variances = [(k, variance(spectrum, {k: 1.0})) for k in config.lags]
     sink.write("variances.csv", _csv_text(("k", "variance"), variances))
     cov = _cov_matrix(spectrum, [{k: 1.0} for k in config.lags])
@@ -361,9 +361,9 @@ def _cmd_simulate(config: RunConfig, sink: _Sink, out) -> int:
 
 
 def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
-    report, _ = _analysis(config.law, spectrum=False)
-    if report.regime == "III":
-        summary = oscillation_residual(_experiment_config(config))
+    spectral = classify(config.law)
+    if spectral.regime == "III":
+        summary = oscillation_residual(_experiment_config(config), report=spectral)
         alt_ok = math.isnan(summary.alternation_fraction) or (
             summary.alternation_fraction >= config.tol_alternation
         )
@@ -379,17 +379,17 @@ def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
             out.write(f"{key} = {_csv_cell(value)}\n")
         out.write(f"rng_scheme = {summary.rng_scheme}\n")
         return 0 if passed else 4
-    report = run_experiment(_experiment_config(config))
+    report = run_experiment(_experiment_config(config), report=spectral)
     sink.write("verification.csv", report.to_csv())
     out.write(report.to_text())
     return 0 if report.passed else 4
 
 
 def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
-    _, spectrum = _analysis(config.law)
-    rule = predictor_coeffs(spectrum, config.K)
+    analysis = _spectrum_for(config.law)
+    rule = predictor_coeffs(analysis[1], config.K)
     sink.write("coefficients.csv", _csv_text(("k", "coefficient"), enumerate(rule.coeffs, start=1)))
-    back = predictor_backtest(_experiment_config(config), config.K)
+    back = predictor_backtest(_experiment_config(config), config.K, analysis=analysis)
     sink.write("backtest.csv", _csv_text(_BACKTEST_COLUMNS, [[getattr(back, name) for name in _BACKTEST_COLUMNS]]))
     out.write(
         f"m {_csv_cell(rule.m)}, coefficients [{', '.join(format(c, '.12g') for c in rule.coeffs)}], "

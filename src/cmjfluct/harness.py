@@ -24,11 +24,10 @@ Replicates that hit the population cap are excluded from the statistics and
 counted in the report — never silently dropped.  ``limits`` decides every
 refusal: ``build_spectrum``, or the regime-III gate of ``oscillation_profile``.
 
-Every campaign, and the CLI commands that need a law's regime or limit, read
-the law's one limit analysis through ``_analysis``: its spectral report and
-limiting spectrum (or the refusal building it raised), built on first use and
-kept with the law object.  A loop of campaigns on one law, as at several
-master seeds, classifies it once and builds its spectrum once.
+A caller that has already classified the law hands its report on
+(``run_experiment``, ``oscillation_residual``), or its report and spectrum
+(``predictor_backtest``), so one CLI ``verify`` or ``predict`` analyses its
+law once.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import RefusalError
 from .limits import LimitSpectrum, _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
 from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _csv_text, _innovation_arrays, _prediction_errors, _simulate_blocks
@@ -195,28 +193,12 @@ def _normalizer(regime: str, t, z_t: np.ndarray) -> np.ndarray:
     return np.sqrt(z_t)
 
 
-def _analysis(law: OffspringLaw, spectrum: bool = True) -> tuple[SpectralReport, LimitSpectrum | None]:
-    """The law's spectral report and, with ``spectrum``, its limiting spectrum (else ``None``).
-
-    Both are built on first use and kept with the law (``OffspringLaw._limit_analysis``), so every campaign and CLI
-    command on one law object classifies it once and builds its spectrum at most once.  Both are read-only but for
-    the spectrum's lag table, which reads the same bits whatever was asked of it before.
+def _spectrum_for(law: OffspringLaw, report: SpectralReport | None = None) -> tuple[SpectralReport, LimitSpectrum]:
+    """The law's spectral report (``classify``, unless the caller passes it) and limiting spectrum;
     :func:`~cmjfluct.limits.build_spectrum` alone refuses a law without a Gaussian limit (regime III, or a multiple
-    critical root in regime II); its refusal is kept too, and raised again with the same message on each request.
-    """
-    kept = law._limit_analysis
-    if kept.report is None:
-        kept.report = classify(law)
-    if not spectrum:
-        return kept.report, None
-    if kept.spectrum is None:
-        try:
-            kept.spectrum = build_spectrum(kept.report, moments(law))
-        except RefusalError as exc:
-            kept.spectrum = exc
-    if isinstance(kept.spectrum, RefusalError):
-        raise RefusalError(*kept.spectrum.args)
-    return kept.report, kept.spectrum
+    critical root in regime II)."""
+    report = classify(law) if report is None else report
+    return report, build_spectrum(report, moments(law))
 
 
 def _moment_row(lag: int, sample: np.ndarray, predicted: float, config: ExperimentConfig) -> LagMomentRow:
@@ -267,14 +249,15 @@ def _moment_row(lag: int, sample: np.ndarray, predicted: float, config: Experime
     )
 
 
-def run_experiment(config: ExperimentConfig) -> VerificationReport:
+def run_experiment(config: ExperimentConfig, *, report: SpectralReport | None = None) -> VerificationReport:
     """Simulate R replicates and compare normalized-error moments to the limits.
 
     Refused where ``build_spectrum`` refuses: below criticality (no limit
     exists) and on a multiple critical root in regime II.  Capped replicates
-    are excluded from the moments and counted in the report.
+    are excluded from the moments and counted in the report.  ``report`` is
+    ``classify(config.law)``, if the caller already has it.
     """
-    report, spectrum = _analysis(config.law)
+    report, spectrum = _spectrum_for(config.law, report)
     m = report.m
     n = config.horizon
     lags = tuple(config.lags)
@@ -321,7 +304,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     two marginals share the same limiting variance).  Refused below
     criticality.
     """
-    report, spectrum = _analysis(config.law)
+    report, spectrum = _spectrum_for(config.law)
     ells = [int(e) for e in ell_list]
     if any(e < 0 for e in ells):
         raise ValueError("lags ell must be non-negative")
@@ -387,16 +370,17 @@ class OscillationSummary:
     rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
-def oscillation_residual(config: ExperimentConfig) -> OscillationSummary:
+def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | None = None) -> OscillationSummary:
     """Verify that the estimated oscillation profile tracks the rescaled errors.
 
     Per replicate, each critical root's coefficient is estimated from the
     innovations up to the horizon ``n`` (the summary's ``n0``), and their
     :func:`~cmjfluct.limits.oscillation_profile` is compared with
     ``gamma_*^n X_n`` over the configured lags.  Refused before simulating
-    where ``oscillation_profile`` refuses.
+    where ``oscillation_profile`` refuses.  ``report`` is
+    ``classify(config.law)``, if the caller already has it.
     """
-    report, _ = _analysis(config.law, spectrum=False)
+    report = classify(config.law) if report is None else report
     _require_oscillating(report)
     tab = moments(config.law)
     n = config.horizon
@@ -476,16 +460,19 @@ class BacktestReport:
     rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
-def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
+def predictor_backtest(
+    config: ExperimentConfig, K: int, *, analysis: tuple[SpectralReport, LimitSpectrum] | None = None
+) -> BacktestReport:
     """Apply the one-step predictor to fresh replicates and compare MSEs.
 
     The normalized mean squared error (per ``Z_n``, or ``n Z_n`` at
     criticality) estimates the same quantity the measure predicts as
     ``residual_sq``; the naive rule's error estimates ``target_sq``.
     Refused on deterministic laws (prediction is the exact recurrence) and
-    below criticality.
+    below criticality.  ``analysis`` is the law's report and spectrum as
+    ``_spectrum_for(config.law)`` gives them, if the caller already has them.
     """
-    report, spectrum = _analysis(config.law)
+    report, spectrum = _spectrum_for(config.law) if analysis is None else analysis
     rule = predictor_coeffs(spectrum, K)
     m = report.m
     n = config.horizon

@@ -137,20 +137,6 @@ class OffspringLaw:
         """:func:`char_moments` at the law's growth factor, built on first use and shared."""
         return char_moments(self, self.moment_table.growth)
 
-    @cached_property
-    def _limit_analysis(self) -> _LimitAnalysis:
-        """The law's limit analysis, empty until :func:`~cmjfluct.harness._analysis` fills it in, and shared."""
-        return _LimitAnalysis()
-
-
-class _LimitAnalysis:
-    """A law's spectral report, and its limiting spectrum or the ``RefusalError`` building it raised (``None``
-    until asked for); see :func:`~cmjfluct.harness._analysis`."""
-
-    def __init__(self) -> None:
-        self.report = None
-        self.spectrum = None
-
 
 class _Orbit:
     """A moment table's orbit store: read-only rows ``T^s v`` for the growth factor ``m`` (see
