@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import __version__
 from .errors import RefusalError, UsageError
 from .harness import ExperimentConfig, _spectrum_for, oscillation_residual, predictor_backtest, run_experiment
-from .limits import _cov_matrix, predictor_coeffs, variance
+from .limits import _cov_matrix, variance
 from .offspring import OffspringLaw, make_law
 from .simulate import _DEFAULT_CAP, _csv_cell, _csv_text, run, trace_csv
 from .spectral import _MAX_LAG, classify
@@ -386,14 +386,12 @@ def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
 
 
 def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
-    analysis = _spectrum_for(config.law)
-    rule = predictor_coeffs(analysis[1], config.K)
-    sink.write("coefficients.csv", _csv_text(("k", "coefficient"), enumerate(rule.coeffs, start=1)))
-    back = predictor_backtest(_experiment_config(config), config.K, analysis=analysis)
+    back = predictor_backtest(_experiment_config(config), config.K)
+    sink.write("coefficients.csv", _csv_text(("k", "coefficient"), enumerate(back.coeffs, start=1)))
     sink.write("backtest.csv", _csv_text(_BACKTEST_COLUMNS, [[getattr(back, name) for name in _BACKTEST_COLUMNS]]))
     out.write(
-        f"m {_csv_cell(rule.m)}, coefficients [{', '.join(format(c, '.12g') for c in rule.coeffs)}], "
-        f"residual {_csv_cell(rule.residual_norm)}, regularized {str(rule.regularized).lower()}\n"
+        f"m {_csv_cell(back.m)}, coefficients [{', '.join(format(c, '.12g') for c in back.coeffs)}], "
+        f"residual {_csv_cell(math.sqrt(back.predicted_residual_sq))}, regularized {str(back.regularized).lower()}\n"
         f"mse {_csv_cell(back.mse_normalized)} vs naive {_csv_cell(back.naive_mse_normalized)}, "
         f"beats_naive {str(back.beats_naive).lower()}\n"
         f"rng_scheme = {back.rng_scheme}\n"

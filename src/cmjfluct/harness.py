@@ -25,9 +25,9 @@ counted in the report — never silently dropped.  ``limits`` decides every
 refusal: ``build_spectrum``, or the regime-III gate of ``oscillation_profile``.
 
 A caller that has already classified the law hands its report on
-(``run_experiment``, ``oscillation_residual``), or its report and spectrum
-(``predictor_backtest``), so one CLI ``verify`` or ``predict`` analyses its
-law once.
+(``run_experiment``, ``oscillation_residual``), so one CLI ``verify``
+analyses its law once; ``predictor_backtest`` reports the rule it applies,
+so one CLI ``predict`` solves its predictor once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 
 from .limits import LimitSpectrum, _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
-from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _coefficient_estimates, _csv_text, _innovation_arrays, _prediction_errors, _simulate_blocks
+from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _births_innovations, _coefficient_estimates, _csv_text, _prediction_errors, _simulate_blocks
 from .spectral import SpectralReport, classify
 
 __all__ = [
@@ -163,23 +163,16 @@ def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, m
 
     Rows are the replicates below the population cap, in replicate order;
     the caller counts the others as ``replicates - used``.  ``W`` holds the
-    innovations of each row for the mean offspring ``mu``, or is ``None``
-    without it; they are formed block by block, so only one block's cohort
-    matrix is held at a time.  Faults if fewer than two were usable, naming
-    what they were for.
+    innovations of each row for the mean offspring ``mu``, formed from its
+    births block by block, or is ``None`` without ``mu``.  Faults if fewer
+    than two were usable, naming what they were for.
     """
-    blocks = _simulate_blocks(
-        config.law, horizon, config.replicates, config.master_seed, domain, config.cap, cohorts=mu is not None
-    )
     Z, W = [], []
-    start = 0
-    for block in blocks:
+    for block in _simulate_blocks(config.law, horizon, config.replicates, config.master_seed, domain, config.cap):
         kept = ~block.capped
         Z.append(block.Z[kept].astype(float))
         if mu is not None:
-            rows = start + np.flatnonzero(kept)
-            W.append(_innovation_arrays(block.B[kept].astype(float), block.Bnk[kept].astype(float), mu, rows)[0])
-        start += len(kept)
+            W.append(_births_innovations(block.B[kept].astype(float), mu))
     used = sum(len(rows) for rows in Z)
     if used < 2:
         raise RuntimeError(f"only {used} replicates below the cap; cannot {purpose}")
@@ -442,11 +435,15 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
 
 @dataclass(frozen=True, eq=False)
 class BacktestReport:
-    """One-step prediction quality of the measure-derived rule on fresh paths."""
+    """One-step prediction quality of the measure-derived rule on fresh paths.
+
+    ``coeffs`` are the rule's lag coefficients (``PredictorRule.coeffs``).
+    """
 
     regime: str
     m: float
     K: int
+    coeffs: tuple[float, ...]
     horizon: int
     replicates: int
     used: int
@@ -460,19 +457,16 @@ class BacktestReport:
     rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
-def predictor_backtest(
-    config: ExperimentConfig, K: int, *, analysis: tuple[SpectralReport, LimitSpectrum] | None = None
-) -> BacktestReport:
+def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     """Apply the one-step predictor to fresh replicates and compare MSEs.
 
     The normalized mean squared error (per ``Z_n``, or ``n Z_n`` at
     criticality) estimates the same quantity the measure predicts as
     ``residual_sq``; the naive rule's error estimates ``target_sq``.
     Refused on deterministic laws (prediction is the exact recurrence) and
-    below criticality.  ``analysis`` is the law's report and spectrum as
-    ``_spectrum_for(config.law)`` gives them, if the caller already has them.
+    below criticality.
     """
-    report, spectrum = _spectrum_for(config.law) if analysis is None else analysis
+    report, spectrum = _spectrum_for(config.law)
     rule = predictor_coeffs(spectrum, K)
     m = report.m
     n = config.horizon
@@ -489,6 +483,7 @@ def predictor_backtest(
         regime=report.regime,
         m=m,
         K=K,
+        coeffs=tuple(map(float, rule.coeffs)),
         horizon=n,
         replicates=config.replicates,
         used=used,

@@ -201,15 +201,14 @@ class _Batch:
 
     ``B[i, n]`` and ``Z[i, n]`` are exact for every row with ``capped[i]``
     false.  A capped row stops at the step its total is known to exceed the
-    cap: its later births are zero.  ``Bnk[i, n, k]`` (only when requested)
-    counts the children cohort ``n`` bears at ``n + k <= horizon``; births
-    past the horizon are never formed.
+    cap: its later births are zero.  Births past the horizon are never
+    formed.  A campaign's innovations come from ``B`` alone
+    (:func:`_births_innovations`).
     """
 
     B: np.ndarray
     Z: np.ndarray
     capped: np.ndarray
-    Bnk: np.ndarray | None
 
 
 def _simulate_blocks(
@@ -219,9 +218,8 @@ def _simulate_blocks(
     master_seed: int,
     domain: int,
     cap: int = _DEFAULT_CAP,
-    cohorts: bool = False,
 ):
-    """Simulate ``replicates`` independent paths to ``horizon`` as int64 cohort arrays, block by block.
+    """Simulate ``replicates`` independent paths to ``horizon`` as int64 count arrays, block by block.
 
     Replicates come in blocks of ``_BLOCK_SIZE``; block ``b`` draws from
     ``default_rng((master_seed, domain, b, _BLOCK_TAG))`` and always
@@ -231,7 +229,7 @@ def _simulate_blocks(
     is capped exactly when ``Z_horizon > cap``, as in :func:`run`.  Returns
     an iterator of one ``_Batch`` per block, the last cut to ``replicates``;
     a caller that reduces each block before taking the next holds one
-    block's cohort matrix at a time.  Refuses a cap or litter above
+    block's births at a time.  Refuses a cap or litter above
     ``_SCREEN_LIMIT``, where the overflow screen cannot certify int64 products.
     """
     _require_admissible(law)
@@ -249,13 +247,13 @@ def _simulate_blocks(
     return (
         _simulate_block(
             np.random.default_rng((master_seed, domain, start // _BLOCK_SIZE, _BLOCK_TAG)),
-            probs, litters, horizon, cap, cohorts, min(_BLOCK_SIZE, replicates - start),
+            probs, litters, horizon, cap, min(_BLOCK_SIZE, replicates - start),
         )
         for start in range(0, replicates, _BLOCK_SIZE)
     )
 
 
-def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool, rows: int) -> _Batch:
+def _simulate_block(rng, probs, litters, horizon: int, cap: int, rows: int) -> _Batch:
     """One block of the batch engine, returned as its first ``rows`` replicates.
 
     Replicates run along the last axis.  ``committed`` is ``Z_n`` plus the
@@ -282,7 +280,6 @@ def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool, 
     growth = 2 * (1 + max(map(sum, litters.tolist())))  # Python ints: a sum of litters near 2^62 would wrap int64
     sched = np.zeros((horizon + 1, size), dtype=np.int64)
     sched[0] = 1
-    Bnk = np.zeros((horizon + 1, k_top + 1, size), dtype=np.int64) if cohorts else None
     committed = np.ones(size, dtype=np.int64)
     largest = 1  # the largest committed total
     capped = np.zeros(size, dtype=bool)
@@ -308,10 +305,8 @@ def _simulate_block(rng, probs, litters, horizon: int, cap: int, cohorts: bool, 
                 break
             largest = int(committed.max())
         sched[n + 1 : n + top + 1] += row
-        if cohorts:
-            Bnk[n, 1 : top + 1] = row
     B = sched.T[:rows]
-    return _Batch(B=B, Z=np.cumsum(B, axis=1), capped=capped[:rows], Bnk=None if Bnk is None else np.moveaxis(Bnk, -1, 0)[:rows])
+    return _Batch(B=B, Z=np.cumsum(B, axis=1), capped=capped[:rows])
 
 
 def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:
@@ -371,18 +366,25 @@ def innovations(trace: Trace, moments) -> tuple[np.ndarray, np.ndarray]:
     return kept[1]
 
 
-def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu, replicates=None) -> tuple[np.ndarray, np.ndarray]:
-    """``W`` and ``W_{n,k}`` from births ``B[..., n]`` and cohort births ``Bnk[..., n, k]``.
+def _births_innovations(B: np.ndarray, mu) -> np.ndarray:
+    """Innovations ``W_n = B_n - sum_k mu_k B_{n-k}`` from births ``B[..., n]``, subtracted in increasing ``k``.
 
-    Leading axes index replicates.  Each ``W_n`` subtracts ``mu_k B_{n-k}``
-    in increasing ``k``, and a violation of ``W_n = sum_k W_{n-k,k}`` beyond
-    1e-9 relative faults, naming the first offending time and replicate
-    (``replicates[i]`` for row ``i`` when given).
+    Leading axes index replicates; ``W_0 = B_0``.
+    """
+    W = B.copy()
+    for k in range(1, len(mu)):
+        W[..., k:] -= mu[k] * B[..., :-k]
+    return W
+
+
+def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
+    """``W`` (:func:`_births_innovations`) and ``W_{n,k}`` from births ``B[..., n]`` and cohort births ``Bnk[..., n, k]``.
+
+    Leading axes index replicates.  A violation of ``W_n = sum_k W_{n-k,k}``
+    beyond 1e-9 relative faults, naming the first offending time (and row).
     """
     k_top = len(mu) - 1
-    W = B.copy()
-    for k in range(1, k_top + 1):
-        W[..., k:] -= mu[k] * B[..., :-k]
+    W = _births_innovations(B, mu)
     Wnk = Bnk - mu * B[..., None]
     Wnk[..., 0] = 0.0
     total = np.zeros_like(W)
@@ -392,7 +394,7 @@ def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu, replicates=None) -> t
     bad[..., 0] = False
     if bad.any():
         where = tuple(int(i) for i in np.argwhere(bad)[0])
-        replicate = f" of replicate {where[0] if replicates is None else replicates[where[0]]}" if len(where) > 1 else ""
+        replicate = f" of replicate {where[0]}" if len(where) > 1 else ""
         raise RuntimeError(
             f"innovation identity violated at n = {where[-1]}{replicate}: {float(W[where])!r} vs {float(total[where])!r}"
         )

@@ -48,6 +48,8 @@ _CLUSTER_TOL = 1e-3
 _MULTIPLE_TOL = 1e-13
 #: A polished root whose backward error (see :func:`_backward_error`) stays above this is flagged.
 _RESIDUAL_FLAG = 1e-10
+#: Most Newton steps :func:`_newton_polish` takes.
+_NEWTON_STEPS = 100
 #: Relative width of the regime-II boundary: a law is critical when ``|gamma_star sqrt(m) - 1|`` is at most this.
 _REGIME_TOL = 1e-9
 #: Largest lag a window statistic takes: the epoch-series functions cost O(lag^3) and their windows grow with it.
@@ -111,19 +113,19 @@ def malthusian(law: OffspringLaw) -> float:
     return moments(law).growth
 
 
-def _newton_polish(coeffs_f: np.ndarray, z: np.ndarray, max_iter: int = 100) -> np.ndarray:
+def _newton_polish(coeffs_f: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Newton-polish simple roots ``z`` (an array) of the polynomial with coefficients ``coeffs_f``.
 
     All roots step together and each keeps its best iterate.  Stepping ends once every
     root's best residual is within 1e-15 of the coefficient scale at its start, or after
-    three steps in which no root improved.
+    three steps in which no root improved, or after ``_NEWTON_STEPS`` steps.
     """
     done_at = 1e-15 * float(np.abs(coeffs_f).sum()) * np.maximum(1.0, np.abs(z)) ** (len(coeffs_f) - 1)
     coeffs_f, dcoeffs = coeffs_f.tolist(), _poly_deriv(coeffs_f).tolist()  # Python floats: cheaper Horner steps
     fz = _polyval(coeffs_f, z)
     best, best_val, stall = z.copy(), np.abs(fz), 0
     with np.errstate(all="ignore"):  # a zero derivative sends its iterate to inf or nan, which never improves
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             z = z - fz / _polyval(dcoeffs, z)
             fz = _polyval(coeffs_f, z)
             val = np.abs(fz)

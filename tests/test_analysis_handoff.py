@@ -1,12 +1,12 @@
 """A campaign given the analysis its caller already made matches one that makes its own.
 
-``run_experiment`` and ``oscillation_residual`` take the law's spectral report,
-and ``predictor_backtest`` its report and limiting spectrum, from a caller that
-already has them; the CLI ``verify`` and ``predict`` hand theirs on.  A handed
-analysis, even one that wider calls have read first, must give every field
-the campaign gives on its own; a refusal must keep its message and come
-before any simulation; and the counts of ``classify`` and ``build_spectrum``
-calls must show that one CLI command analyses its law once.
+``run_experiment`` and ``oscillation_residual`` take the law's spectral report
+from a caller that already has it; the CLI ``verify`` hands its report on, and
+the CLI ``predict`` reads its rule from the backtest's report.  A handed
+report must give every field the campaign gives on its own; a refusal must
+keep its message and come before any simulation; and the counts of
+``classify``, ``build_spectrum`` and ``predictor_coeffs`` calls must show that
+one CLI command analyses its law, and solves its predictor, once.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import pytest
 
 from cmjfluct import cli, harness, make_law
 from cmjfluct.errors import RefusalError
-from cmjfluct.harness import ExperimentConfig, oscillation_residual, predictor_backtest, run_experiment
-from cmjfluct.limits import cov_lagged, predictor_coeffs
+from cmjfluct.harness import ExperimentConfig, oscillation_residual, run_experiment
 from cmjfluct.spectral import classify
 
 _LAWS = {
@@ -34,7 +33,6 @@ _LAWS = {
     "double_root_i": [(0.5, (1, 7, 4)), (0.5, (3, 7, 4))],  # regime I with a double root -1 off the circle
     "law_iii": [(0.5, (0, 9)), (0.5, (2, 9))],  # oscillating: every Gaussian campaign refuses
 }
-_GAUSSIAN = sorted(name for name in _LAWS if name != "law_iii")
 
 
 def _fields(x):
@@ -68,18 +66,6 @@ def test_a_handed_report_matches_the_campaigns_own(name):
         assert got[0] == ("refused" if (campaign is run_experiment) == (name == "law_iii") else "ok")
 
 
-@pytest.mark.parametrize("name", _GAUSSIAN)
-def test_a_handed_spectrum_read_by_wider_calls_matches_the_backtests_own(name):
-    law = make_law(_LAWS[name])
-    analysis = harness._spectrum_for(law)
-    predictor_coeffs(analysis[1], 8)  # wider reads of the spectrum's lag table than the backtest's K = 2
-    cov_lagged(analysis[1], 1, 6)
-    config = ExperimentConfig(law, 24, 300, 11)
-    got = _outcome(predictor_backtest, config, 2, analysis=analysis)
-    assert got[0] == "ok"
-    assert got == _outcome(predictor_backtest, ExperimentConfig(make_law(_LAWS[name]), 24, 300, 11), 2)
-
-
 def test_refusals_on_a_handed_report_come_first_with_their_messages(monkeypatch):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before refusing")
@@ -102,10 +88,11 @@ def _raises(fn, *args, **kwargs) -> RefusalError:
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of ``classify`` and ``build_spectrum`` calls, by wrappers on every name ``harness`` and ``cli`` call."""
+    """Counts of ``classify``, ``build_spectrum`` and ``predictor_coeffs`` calls, by wrappers on every name
+    ``harness`` and ``cli`` call."""
     counts = collections.Counter()
     for module in (harness, cli):
-        for name in ("classify", "build_spectrum"):
+        for name in ("classify", "build_spectrum", "predictor_coeffs"):
             original = getattr(module, name, None)
             if original is None:
                 continue
@@ -128,7 +115,7 @@ def _main(tmp_path, **doc):
 def test_cli_predict_analyses_its_law_once(calls, tmp_path):
     atoms = [{"prob": p, "births": list(b)} for p, b in _LAWS["law_i"]]
     assert _main(tmp_path, command="predict", law={"atoms": atoms}, horizon=12, replicates=200, K=2) == 0
-    assert calls == {"classify": 1, "build_spectrum": 1}
+    assert calls == {"classify": 1, "build_spectrum": 1, "predictor_coeffs": 1}
 
 
 @pytest.mark.parametrize("name", ["law_ii", "law_iii"])

@@ -317,6 +317,13 @@ def test_verify_regime_three_uses_oscillation_summary(tmp_path, capsys):
     assert "passed" in body and ",true" in body
 
 
+def test_verify_regime_three_past_float64_integers_completes(tmp_path, capsys):
+    # births pass 2^53 by horizon 32; a float64 identity re-check once faulted here (exit 3) on rounding alone
+    path, _ = _config(tmp_path, command="verify", law={"atoms": E2C_ATOMS}, horizon=32, replicates=200, seed=5)
+    assert main([str(path)]) in (0, 4)
+    assert "used = 200" in capsys.readouterr().out
+
+
 def test_verify_non_simple_root_refused(tmp_path, capsys):
     path, _ = _config(
         tmp_path,
@@ -400,6 +407,14 @@ def test_precondition_violations_are_faults(tmp_path, capsys):
     assert "fault" in capsys.readouterr().err
 
 
+def test_predict_rejected_campaign_writes_no_coefficients(tmp_path, capsys):
+    # the coefficients come from the backtest report, so a campaign config fault comes before any artifact
+    path, _ = _config(tmp_path, command="predict", law={"atoms": E2B_ATOMS}, horizon=3, replicates=200, K=1)
+    assert main([str(path)]) == 3
+    assert "need at least 2 K" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main([str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -413,7 +428,7 @@ def test_usage_errors(tmp_path, capsys):
 def test_console_module_entry(tmp_path):
     path, _ = _config(tmp_path, command="analyze", law={"atoms": GW13_ATOMS})
     # the child interpreter imports the same package the suite tests
-    src = str(pathlib.Path(cmjfluct.__file__).resolve().parent.parent)
+    src = str(pathlib.Path(cmjfluct.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "cmjfluct.cli", str(path)],

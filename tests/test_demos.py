@@ -1,4 +1,4 @@
-"""The fast demos run to completion against the package sources.
+"""The fast demos run to completion against the package the suite tests.
 
 Each demo is a seeded script over the public API (the variance cross-checks
 call ``sigma2_series``, the prediction demo ``predictor_coeffs``); running
@@ -15,13 +15,16 @@ import sys
 
 import pytest
 
+import cmjfluct
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["regime_gallery.py", "variance_crosschecks.py", "oscillation_and_prediction.py"])
 def test_demo_runs_cleanly(demo):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    src = str(pathlib.Path(cmjfluct.__file__).resolve().parents[1])  # the tree the suite imports, not ROOT / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=ROOT,

@@ -8,14 +8,22 @@ every replicate at every step to the horizon.  With the same block seeds every
 field of every block must be equal, over laws of one to four atoms, caps that
 freeze no replicate, some or all of them, and litter laws whose totals trip
 the screen.
+
+The reference also keeps the cohort matrix ``Bnk`` the engine no longer forms.
+It is the oracle for the campaign's innovations: ``harness._counts`` forms
+``W`` from births alone, and it must equal, bit for bit, the ``W`` that
+``_innovation_arrays`` forms from the reference's births and cohort matrix,
+where the identity ``W_n = sum_k W_{n-k,k}`` is checked as well.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from cmjfluct import make_law
+from cmjfluct import harness, make_law, moments
 from cmjfluct import simulate as sim
 
 _R = 350  # two blocks, the last one cut
@@ -38,15 +46,16 @@ _LAWS = {
 _SCREEN_LAWS = ([(0.5, (1000,)), (0.5, (3000,))], [(0.5, (1,)), (0.5, (3000,))])
 
 
-def _reference_block(rng, probs, litters, horizon, cap, cohorts, rows):
-    """The engine's block with both tests at every step and no early stop; also reports whether the screen fired."""
+def _reference_block(rng, probs, litters, horizon, cap, rows):
+    """The engine's block with both tests at every step, no early stop and the cohort matrix ``Bnk[i, n, k]``;
+    also reports whether the screen fired."""
     size = sim._BLOCK_SIZE
     k_top = litters.shape[1] - 1
     by_age = np.ascontiguousarray(litters.T)
     litter_sums = np.cumsum(litters.astype(float), axis=1)
     sched = np.zeros((horizon + 1, size), dtype=np.int64)
     sched[0] = 1
-    Bnk = np.zeros((horizon + 1, k_top + 1, size), dtype=np.int64) if cohorts else None
+    Bnk = np.zeros((horizon + 1, k_top + 1, size), dtype=np.int64)
     committed = np.ones(size, dtype=np.int64)
     capped = np.zeros(size, dtype=bool)
     screened = False
@@ -66,40 +75,55 @@ def _reference_block(rng, probs, litters, horizon, cap, cohorts, rows):
             capped |= frozen
             committed[frozen] = 0
         sched[n + 1 : n + top + 1] += row
-        if cohorts:
-            Bnk[n, 1 : top + 1] = row
+        Bnk[n, 1 : top + 1] = row
     B = sched.T[:rows]
-    batch = sim._Batch(B=B, Z=np.cumsum(B, axis=1), capped=capped[:rows], Bnk=None if Bnk is None else np.moveaxis(Bnk, -1, 0)[:rows])
+    batch = SimpleNamespace(B=B, Z=np.cumsum(B, axis=1), capped=capped[:rows], Bnk=np.moveaxis(Bnk, -1, 0)[:rows])
     return batch, screened
 
 
-def _reference_blocks(law, horizon, replicates, master_seed, domain, cap, cohorts):
+def _reference_blocks(law, horizon, replicates, master_seed, domain, cap):
     probs = np.array([atom.prob for atom in law.atoms])
     litters = np.array([atom.births for atom in law.atoms], dtype=np.int64)
     return [
         _reference_block(
             np.random.default_rng((master_seed, domain, start // sim._BLOCK_SIZE, sim._BLOCK_TAG)),
-            probs, litters, horizon, cap, cohorts, min(sim._BLOCK_SIZE, replicates - start),
+            probs, litters, horizon, cap, min(sim._BLOCK_SIZE, replicates - start),
         )
         for start in range(0, replicates, sim._BLOCK_SIZE)
     ]
 
 
-def _assert_same(law, horizon, seed, cap, cohorts):
-    """Compare every block field; return (all capped, screen fired) over the reference blocks."""
-    got = list(sim._simulate_blocks(law, horizon, _R, seed, 0, cap, cohorts=cohorts))
-    want = _reference_blocks(law, horizon, _R, seed, 0, cap, cohorts)
+def _assert_same(law, horizon, seed, cap):
+    """Compare every block field and the campaign's ``Z`` and ``W``; return (all capped, screen fired) over the
+    reference blocks."""
+    got = list(sim._simulate_blocks(law, horizon, _R, seed, 0, cap))
+    want = _reference_blocks(law, horizon, _R, seed, 0, cap)
     assert len(got) == len(want) == 2
     for g, (w, _) in zip(got, want):
         for name in ("B", "Z", "capped"):
             a, b = getattr(g, name), getattr(w, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (name, horizon, seed, cap, cohorts)
-        if cohorts:
-            assert g.Bnk.dtype == w.Bnk.dtype and np.array_equal(g.Bnk, w.Bnk), (horizon, seed, cap)
-        else:
-            assert g.Bnk is None and w.Bnk is None
+            assert a.dtype == b.dtype and np.array_equal(a, b), (name, horizon, seed, cap)
     assert sum(len(g.capped) for g in got) == _R
+    _assert_campaign_counts(law, horizon, seed, cap, [w for w, _ in want])
     return all(w.capped.all() for w, _ in want), any(s for _, s in want)
+
+
+def _assert_campaign_counts(law, horizon, seed, cap, want):
+    """The campaign's ``Z`` and births-only ``W`` equal the reference's, ``W`` formed with its cohort matrix."""
+    mu = moments(law).mu
+    kept = [~w.capped for w in want]
+    want_Z = np.concatenate([w.Z[k].astype(float) for w, k in zip(want, kept)])
+    want_W = np.concatenate(
+        [sim._innovation_arrays(w.B[k].astype(float), w.Bnk[k].astype(float), mu)[0] for w, k in zip(want, kept)]
+    )
+    config = harness.ExperimentConfig(law, max(horizon, 2 * law.max_age), _R, seed, cap=cap)
+    if len(want_Z) < 2:
+        with pytest.raises(RuntimeError, match="replicates below the cap"):
+            harness._counts(config, 0, horizon, "compare", mu=mu)
+        return
+    Z, W = harness._counts(config, 0, horizon, "compare", mu=mu)
+    assert Z.tobytes() == want_Z.tobytes(), (horizon, seed, cap)
+    assert W.tobytes() == want_W.tobytes(), (horizon, seed, cap)
 
 
 @pytest.mark.parametrize("name", sorted(_LAWS))
@@ -108,10 +132,9 @@ def test_engine_matches_reference_block_for_block(name):
     all_capped = 0
     for cap in _CAPS:
         for horizon in _HORIZONS:
-            for cohorts in (False, True):
-                for seed in _SEEDS:
-                    every, _ = _assert_same(law, horizon, seed, cap, cohorts)
-                    all_capped += every
+            for seed in _SEEDS:
+                every, _ = _assert_same(law, horizon, seed, cap)
+                all_capped += every
     assert all_capped  # some case freezes every replicate, so the early stop is exercised
 
 
@@ -120,8 +143,7 @@ def test_engine_matches_reference_where_the_screen_fires(atoms):
     law = make_law(atoms)
     fired = 0
     for horizon in _HORIZONS:
-        for cohorts in (False, True):
-            for seed in _SEEDS:
-                _, screened = _assert_same(law, horizon, seed, 1 << 62, cohorts)
-                fired += screened
+        for seed in _SEEDS:
+            _, screened = _assert_same(law, horizon, seed, 1 << 62)
+            fired += screened
     assert fired  # the float64 screen froze replicates below the cap

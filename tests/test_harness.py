@@ -272,6 +272,22 @@ def test_oscillation_summary_on_a_complex_critical_pair():
         assert not summary.degenerate
 
 
+@pytest.mark.parametrize(
+    "atoms, horizon",
+    [([(0.5, (0, 9)), (0.5, (2, 9))], 32), ([(0.5, (0, 2, 12)), (0.5, (2, 2, 12))], 36)],
+    ids=("law_iii", "complex_pair"),
+)
+def test_oscillation_campaign_past_float64_integers_completes(atoms, horizon):
+    """Births past 2^53, where float64 rounds the counts, must not fault the campaign.
+
+    At master seed 5 every replicate's births reach about 2^56 by these horizons.  A float64 re-check of
+    ``W_n = sum_k W_{n-k,k}`` against a cohort matrix once faulted here on rounding alone (at n = 30 and
+    n = 36); the campaign now forms ``W`` from births only, and every replicate is used.
+    """
+    summary = oscillation_residual(ExperimentConfig(make_law(atoms), horizon, 200, 5))
+    assert summary.used == 200
+
+
 # ------------------------------------------------------- backtest
 
 

@@ -419,11 +419,10 @@ def test_batch_matches_run_on_deterministic_laws(det_gw, det_two_age):
             for i in range(3):
                 assert tuple(int(b) for b in batch.B[i]) == trace.B
                 assert tuple(int(z) for z in batch.Z[i]) == trace.Z
-            # cohort births, formed only up to the horizon
-            (block,) = sim._simulate_blocks(law, horizon, 3, 0, 0, cohorts=True)
-            K = law.max_age
-            expected = [[trace.Bnk[n][k] if 0 < k and n + k <= horizon else 0 for k in range(K + 1)] for n in range(horizon + 1)]
-            assert all(block.Bnk[i].tolist() == expected for i in range(3))
+            # innovations from births, as campaigns form them: the seed W_0 = 1, then exactly zero
+            W = sim._births_innovations(batch.B.astype(float), moments(law).mu)
+            assert W.tobytes() == np.tile(sim.innovations(trace, moments(law))[0], (3, 1)).tobytes()
+            assert np.all(W[:, 0] == 1.0) and not W[:, 1:].any()
 
 
 def test_batch_cap_rule_matches_run(det_gw, det_two_age):
