@@ -63,7 +63,6 @@ _OSCILLATION_COLUMNS = (
     "m",
     "gamma_star",
     "horizon",
-    "n0",
     "replicates",
     "used",
     "excluded_capped",

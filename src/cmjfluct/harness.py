@@ -347,7 +347,6 @@ class OscillationSummary:
     gamma_star: float
     roots: tuple[complex, ...]
     horizon: int
-    n0: int
     replicates: int
     used: int
     excluded_capped: int
@@ -367,7 +366,7 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
     """Verify that the estimated oscillation profile tracks the rescaled errors.
 
     Per replicate, each critical root's coefficient is estimated from the
-    innovations up to the horizon ``n`` (the summary's ``n0``), and their
+    innovations up to the horizon ``n``, and their
     :func:`~cmjfluct.limits.oscillation_profile` is compared with
     ``gamma_*^n X_n`` over the configured lags.  Refused before simulating
     where ``oscillation_profile`` refuses.  ``report`` is
@@ -417,7 +416,6 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
         gamma_star=gs,
         roots=crits,
         horizon=n,
-        n0=n,
         replicates=config.replicates,
         used=used,
         excluded_capped=config.replicates - used,

@@ -13,13 +13,18 @@ prediction errors X_{n,k} = Z_{n-k} - m^-k Z_n, reproduction innovations
 W_{n,k} and W_n, scored characteristic totals, oscillation-coefficient
 estimates, and the conditional quadratic variation of the count martingale.
 Each trace converts its counts to float64 once and keeps one innovations pass
-per moment table, and every functional reads those.
+per moment table, and every functional reads those.  The pathwise identities
+the innovations and the scored totals rest on reduce to statements about the
+counts alone, so they are checked exactly on the Python integers, with no
+tolerance: a trace with one count off faults, naming the time it is off.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from .offspring import (
     law_fingerprint,
     moments,
 )
-from .spectral import _MAX_LAG, SpectralReport, _orbit, malthusian
+from .spectral import _MAX_LAG, SpectralReport, _orbit
 
 __all__ = [
     "Trace",
@@ -40,7 +45,6 @@ __all__ = [
     "fluctuations",
     "innovations",
     "char_total",
-    "char_decomposition_residual",
     "estimate_U",
     "martingale_qv",
     "verify_recursion",
@@ -79,9 +83,10 @@ class Trace:
 
     The per-trace functionals read the counts through one float64 view
     (``_floats``, each field converted on first read) and :func:`innovations`
-    keeps one outcome per moment table (``_innovations``).  Both are built
+    keeps its arrays per moment table (``_innovations``).  Both are built
     once per trace and their arrays are read-only; a copy made by
-    ``dataclasses.replace`` starts with both empty.
+    ``dataclasses.replace`` starts with both empty.  The identity checks read
+    the integer fields themselves.
     """
 
     horizon: int
@@ -94,7 +99,7 @@ class Trace:
     capped: bool
     # plain fields rather than cached properties, whose first read takes a lock in Python 3.11 (2 us on a 2 vCPU Xeon)
     _floats: dict = field(default_factory=dict, init=False, repr=False)  # field name -> array, see _as_floats
-    _innovations: dict = field(default_factory=dict, init=False, repr=False)  # id(table) -> (table, outcome)
+    _innovations: dict = field(default_factory=dict, init=False, repr=False)  # id(table) -> (table, (W, Wnk))
 
 
 def _as_floats(trace: Trace, name: str) -> np.ndarray:
@@ -342,27 +347,35 @@ def innovations(trace: Trace, moments) -> tuple[np.ndarray, np.ndarray]:
 
     ``W_0 = B_0 = 1`` seeds the recursion; for ``n >= 1``,
     ``W_n = B_n - sum_k mu_k B_{n-k}``.  The pathwise identity
-    ``W_n = sum_k W_{n-k,k}`` is re-derived from the stored cohort matrix and
-    a violation beyond 1e-9 relative faults (it would mean the trace is
-    internally inconsistent).
+    ``W_n = sum_k W_{n-k,k}`` holds exactly when every ``B_n`` equals the
+    births its earlier cohorts bear at time ``n``, ``sum_k B_{n-k,k}`` (the
+    ``mu_k B_{n-k}`` terms cancel), so that is what is checked, exactly on
+    the trace's integer counts; the first time it fails faults, naming it.
 
-    The pass runs once per trace and moment table: the trace keeps the
-    read-only ``(W, Wnk)`` it returns, or the fault's message, and every later
-    call with that table, :func:`estimate_U` and :func:`verify_recursion`
-    included, returns the same arrays or raises the same fault again.
+    The arrays are formed once per trace and moment table: the trace keeps
+    the read-only ``(W, Wnk)`` it returns, and every later call with that
+    table, :func:`estimate_U` and :func:`verify_recursion` included, returns
+    the same arrays.  A trace that fails the check keeps nothing and faults
+    again, with the same message, on every call.
     """
     kept = trace._innovations.get(id(moments))
     if kept is None:
-        try:
-            outcome = _innovation_arrays(_as_floats(trace, "B"), _as_floats(trace, "Bnk"), moments.mu)
-        except RuntimeError as exc:
-            outcome = str(exc)
-        else:
-            for array in outcome:
-                array.flags.writeable = False
-        kept = trace._innovations[id(moments)] = (moments, outcome)  # holding the table keeps its id unique
-    if isinstance(kept[1], str):
-        raise RuntimeError(kept[1])
+        births = trace.B
+        ages = tuple(zip(*trace.Bnk))  # ages[k][c]: the births cohort c bears at age k
+        born = (0,) + ages[1]  # born[n] = sum_k B_{n-k,k}, summed in increasing k
+        for k in range(2, len(ages)):
+            born = tuple(map(add, born, (0,) * k + ages[k]))
+        if born[1 : len(births)] != births[1:]:
+            n = next(n for n in range(1, len(births)) if born[n] != births[n])
+            raise RuntimeError(
+                f"innovation identity violated at n = {n}: B_n = {births[n]} but earlier cohorts bear {born[n]}"
+            )
+        B = _as_floats(trace, "B")
+        W = _births_innovations(B, moments.mu)
+        Wnk = _as_floats(trace, "Bnk") - moments.mu * B[:, None]
+        Wnk[:, 0] = 0.0
+        W.flags.writeable = Wnk.flags.writeable = False
+        kept = trace._innovations[id(moments)] = (moments, (W, Wnk))  # holding the table keeps its id unique
     return kept[1]
 
 
@@ -377,88 +390,44 @@ def _births_innovations(B: np.ndarray, mu) -> np.ndarray:
     return W
 
 
-def _innovation_arrays(B: np.ndarray, Bnk: np.ndarray, mu) -> tuple[np.ndarray, np.ndarray]:
-    """``W`` (:func:`_births_innovations`) and ``W_{n,k}`` from births ``B[..., n]`` and cohort births ``Bnk[..., n, k]``.
-
-    Leading axes index replicates.  A violation of ``W_n = sum_k W_{n-k,k}``
-    beyond 1e-9 relative faults, naming the first offending time (and row).
-    """
-    k_top = len(mu) - 1
-    W = _births_innovations(B, mu)
-    Wnk = Bnk - mu * B[..., None]
-    Wnk[..., 0] = 0.0
-    total = np.zeros_like(W)
-    for k in range(1, k_top + 1):
-        total[..., k:] += Wnk[..., :-k, k]
-    bad = np.abs(W - total) > 1e-9 * np.maximum(1.0, np.maximum(np.abs(W), np.abs(total)))
-    bad[..., 0] = False
-    if bad.any():
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        replicate = f" of replicate {where[0]}" if len(where) > 1 else ""
-        raise RuntimeError(
-            f"innovation identity violated at n = {where[-1]}{replicate}: {float(W[where])!r} vs {float(total[where])!r}"
-        )
-    return W, Wnk
-
-
-def _char_scores(trace: Trace, law: OffspringLaw) -> tuple[np.ndarray, float]:
-    """Scored totals ``Z^phi_n`` and the max relative residual of their decomposition.
-
-    A few array passes, O((atoms + K_phi + len(delta)) n) in C: the cohort
-    score matrix is summed atom by atom from zeros, then the totals and the
-    decomposition ``Z^phi_n - lambda^phi Z_n = Zbar^phi_n + <X_n, dlambda>``
-    accumulate along its age diagonals in increasing age, the frozen tails by
-    a sequential cumsum and ``<X_n, dlambda>`` in increasing lag: the order of
-    a per-cohort loop, so the results are bit-identical to it.
-    """
-    if not law.has_char:
-        raise ValueError("law carries no characteristic")
-    m = malthusian(law)
-    cm = law._char_moments
-    k_phi = law.char_max_age
-    size = trace.horizon + 1
-    Z, counts = _as_floats(trace, "Z"), _as_floats(trace, "cohort_atoms")
-    scores = np.zeros((size, k_phi + 1))  # scores[c, age]: summed score of cohort c at that age
-    for a, atom in enumerate(law.atoms):
-        scores += counts[:, a, None] * np.asarray(atom.char_values)
-    centered = scores - cm.lambda_phi * _as_floats(trace, "B")[:, None]
-    totals, zbar = np.zeros(size), np.zeros(size)
-    for age in range(min(k_phi, size - 1) + 1):
-        totals[age:] += scores[: size - age, age]
-        zbar[age:] += centered[: size - age, age]
-    if law.char_extends and size > k_phi + 1:
-        totals[k_phi + 1 :] += np.cumsum(scores[: size - k_phi - 1, k_phi])
-        zbar[k_phi + 1 :] += np.cumsum(centered[: size - k_phi - 1, k_phi])
-    lag_dot, errors = np.zeros(size), _prediction_errors(Z, m, np.arange(size), range(len(cm.delta_lambda)))
-    for k, d in enumerate(cm.delta_lambda):
-        lag_dot += d * errors[:, k]
-    lhs = totals - cm.lambda_scalar * Z
-    resid = np.abs(lhs - (zbar + lag_dot)) / np.maximum(1.0, np.abs(lhs))
-    return totals, float(np.fmax.reduce(resid, initial=0.0))  # fmax skips NaN, as a running max() does
-
-
 def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
     """Total characteristic score ``Z^phi_n`` of the population at each time.
 
     Cohort ``c`` contributes its summed score at age ``n - c``; beyond the
-    table the score is frozen (extending characteristic) or zero.  Before
-    returning, the exact decomposition of the total into its mean part, the
-    centered scores, and the lag-weighted prediction errors is re-checked to
-    1e-9 relative and a violation faults.
+    table the score is frozen (extending characteristic) or zero.  The
+    decomposition of the total into its mean part, the centered scores and
+    the lag-weighted prediction errors,
+    ``Z^phi_n - lambda^phi Z_n = Zbar^phi_n + <X_n, dlambda>``, holds exactly
+    whenever ``Z_n = sum_{c<=n} B_c``: both sides sum the same cohort scores,
+    and the increment vector telescopes the mean scores onto past counts.  So
+    that is what is checked, exactly on the trace's integer counts, and the
+    first time ``Z_n`` differs from that sum faults, naming it.
+
+    A few array passes, O((atoms + K_phi) n) in C: the cohort score matrix is
+    summed atom by atom from zeros, then the totals accumulate along its age
+    diagonals in increasing age and the frozen tail by a sequential cumsum:
+    the order of a per-cohort loop, so the totals are bit-identical to it.
     """
-    totals, worst = _char_scores(trace, law)
-    if worst > 1e-9:
-        raise RuntimeError(f"characteristic decomposition violated: max relative residual {float(worst)!r}")
+    if not law.has_char:
+        raise ValueError("law carries no characteristic")
+    running = tuple(accumulate(trace.B))
+    if running != trace.Z:
+        n = next(n for n, (r, z) in enumerate(zip(running, trace.Z)) if r != z)
+        raise RuntimeError(
+            f"characteristic decomposition violated at n = {n}: Z_n = {trace.Z[n]} but B_0 + ... + B_n = {running[n]}"
+        )
+    k_phi = law.char_max_age
+    size = trace.horizon + 1
+    counts = _as_floats(trace, "cohort_atoms")
+    scores = np.zeros((size, k_phi + 1))  # scores[c, age]: summed score of cohort c at that age
+    for a, atom in enumerate(law.atoms):
+        scores += counts[:, a, None] * np.asarray(atom.char_values)
+    totals = np.zeros(size)
+    for age in range(min(k_phi, size - 1) + 1):
+        totals[age:] += scores[: size - age, age]
+    if law.char_extends and size > k_phi + 1:
+        totals[k_phi + 1 :] += np.cumsum(scores[: size - k_phi - 1, k_phi])
     return totals
-
-
-def char_decomposition_residual(trace: Trace, law: OffspringLaw) -> float:
-    """Max relative residual of ``Z^phi_n - lambda^phi Z_n = Zbar^phi_n + <X_n, dlambda>``.
-
-    An exact pathwise identity (the increment vector telescopes the mean
-    scores onto past counts), so the residual only measures float rounding.
-    """
-    return _char_scores(trace, law)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -565,8 +534,8 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     accumulate together, one array pass per iterate ``T^k v`` in increasing
     ``k`` as a per-row running sum does, so bit-identical to it: O(n_small^2
     trunc) in C.  The innovations are the trace's own (:func:`innovations`),
-    so their identity check runs once per trace and table, and a trace that
-    fails it faults here with the same message.
+    formed once per trace and table, and a trace whose counts fail their
+    exact identity check faults here with the same message.
     The iterates are a slice of the moment table's orbit store
     (:func:`~cmjfluct.spectral._orbit`), built once per law and ``m``.
     """

@@ -269,6 +269,16 @@ def test_simulate_refuses_a_cap_past_int64_by_name(tmp_path, capsys):
     assert f"Z_n {(1 << 80) - 1}" in capsys.readouterr().out
 
 
+def test_simulate_scores_a_capped_path_without_fault(tmp_path, capsys):
+    # counts pass 2^53 long before the cap; the scored totals' identity check is exact on the integer counts
+    atoms = [{"prob": 0.5, "births": [1, 1], "char": [1.0, 1.0]}, {"prob": 0.5, "births": [3, 1], "char": [1.0, 0.5]}]
+    for seed in range(1, 6):
+        path, _ = _config(tmp_path, command="simulate", law={"atoms": atoms}, horizon=70, seed=seed)
+        assert main([str(path)]) == 0
+        assert "capped true" in capsys.readouterr().out
+        assert "Zphi" in (tmp_path / "out" / "trace.csv").read_text()
+
+
 def test_verify_regime_one_passes(tmp_path, capsys):
     # the horizon and R at which test_harness finds the verdict seed-independent
     path, _ = _config(

@@ -10,10 +10,11 @@ freeze no replicate, some or all of them, and litter laws whose totals trip
 the screen.
 
 The reference also keeps the cohort matrix ``Bnk`` the engine no longer forms.
-It is the oracle for the campaign's innovations: ``harness._counts`` forms
-``W`` from births alone, and it must equal, bit for bit, the ``W`` that
-``_innovation_arrays`` forms from the reference's births and cohort matrix,
-where the identity ``W_n = sum_k W_{n-k,k}`` is checked as well.
+It is the oracle for the campaign's innovations: on every kept replicate the
+births ``B_n`` equal, exactly, the births ``sum_k B_{n-k,k}`` its cohorts bear
+at time ``n``, so ``W_n = sum_k W_{n-k,k}`` holds and ``W`` is fixed by the
+births alone.  ``harness._counts`` forms ``W`` from births, and it must equal,
+bit for bit, ``_births_innovations`` of the reference's births.
 """
 
 from __future__ import annotations
@@ -109,13 +110,18 @@ def _assert_same(law, horizon, seed, cap):
 
 
 def _assert_campaign_counts(law, horizon, seed, cap, want):
-    """The campaign's ``Z`` and births-only ``W`` equal the reference's, ``W`` formed with its cohort matrix."""
+    """The reference's kept births equal those its cohort matrix bears, and the campaign's ``Z`` and births-only
+    ``W`` equal the reference's."""
     mu = moments(law).mu
     kept = [~w.capped for w in want]
+    for w, k in zip(want, kept):
+        B, Bnk = w.B[k], w.Bnk[k]
+        born = np.zeros_like(B)
+        for age in range(1, Bnk.shape[2]):
+            born[:, age:] += Bnk[:, :-age, age]
+        assert np.array_equal(B[:, 1:], born[:, 1:]), (horizon, seed, cap)
     want_Z = np.concatenate([w.Z[k].astype(float) for w, k in zip(want, kept)])
-    want_W = np.concatenate(
-        [sim._innovation_arrays(w.B[k].astype(float), w.Bnk[k].astype(float), mu)[0] for w, k in zip(want, kept)]
-    )
+    want_W = np.concatenate([sim._births_innovations(w.B[k].astype(float), mu) for w, k in zip(want, kept)])
     config = harness.ExperimentConfig(law, max(horizon, 2 * law.max_age), _R, seed, cap=cap)
     if len(want_Z) < 2:
         with pytest.raises(RuntimeError, match="replicates below the cap"):

@@ -222,7 +222,6 @@ def test_oscillation_summary_tracks_profile(law_iii):
     summary = oscillation_residual(config)
     assert summary.regime == "III"
     assert summary.used == 500
-    assert summary.n0 == 20
     assert summary.median_relative_residual < 0.05
     assert summary.alternation_fraction >= 0.95
     assert summary.mean_ok
@@ -265,7 +264,7 @@ def test_oscillation_summary_on_a_complex_critical_pair():
         summary = oscillation_residual(
             ExperimentConfig(law=law, horizon=16, replicates=500, master_seed=seed, lags=(1, 2, 3))
         )
-        assert summary.used == 500 and summary.n0 == 16
+        assert summary.used == 500
         assert summary.median_relative_residual < 0.03
         assert summary.mean_ok
         assert math.isnan(summary.alternation_fraction)

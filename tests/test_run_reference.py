@@ -157,7 +157,11 @@ def test_innovations_are_read_only_and_kept_per_table(law_i, law_ii):
     assert len(trace._innovations) == 2 and not np.array_equal(W_i, W_ii)
     B, Bnk = np.asarray(trace.B, dtype=float), np.asarray(trace.Bnk, dtype=float)
     for tab, W, Wnk in ((tab_i, W_i, Wnk_i), (tab_ii, W_ii, Wnk_ii)):
-        want_W, want_Wnk = sim._innovation_arrays(B, Bnk, tab.mu)
+        want_W = B.copy()  # W_n = B_n - sum_k mu_k B_{n-k}, subtracted in increasing k
+        for k in range(1, len(tab.mu)):
+            want_W[k:] -= tab.mu[k] * B[:-k]
+        want_Wnk = Bnk - tab.mu * B[:, None]  # W_{n,k} = B_{n,k} - mu_k B_n, and W_{n,0} = 0
+        want_Wnk[:, 0] = 0.0
         assert W.tobytes() == want_W.tobytes() and Wnk.tobytes() == want_Wnk.tobytes()
     copy = dataclasses.replace(trace)
     assert copy._innovations == {} and sim.innovations(copy, tab_i)[0] is not W_i

@@ -175,32 +175,70 @@ def test_char_zero_scores_zero():
     assert np.all(sim.char_total(trace, law) == 0.0)
 
 
-def test_char_fault_message_prints_a_plain_float(gw13_deaths):
+def test_char_fault_message_names_n_and_prints_integers(gw13_deaths):
     trace = sim.run(gw13_deaths, 10, 7)
     B = list(trace.B)
     B[5] += 1
-    with pytest.raises(RuntimeError, match="characteristic decomposition violated") as exc:
+    with pytest.raises(RuntimeError, match="characteristic decomposition violated at n = 5: ") as exc:
         sim.char_total(dataclasses.replace(trace, B=tuple(B)), gw13_deaths)
-    assert "np.float64" not in str(exc.value)
-    assert float(str(exc.value).rsplit(" ", 1)[1]) > 1e-9
+    assert str(exc.value).endswith(f"Z_n = {trace.Z[5]} but B_0 + ... + B_n = {trace.Z[5] + 1}")
 
 
 def test_char_requires_characteristic(gw13):
     trace = sim.run(gw13, 5, 0)
     with pytest.raises(ValueError):
         sim.char_total(trace, gw13)
-    with pytest.raises(ValueError):
-        sim.char_decomposition_residual(trace, gw13)
 
 
-def test_char_decomposition_residual_is_rounding_only():
-    # score correlated with the litter: exercises every term of the identity
-    law = make_law([(0.5, (1,), (1.0, 0.25)), (0.5, (3,), (3.0, -0.5))])
-    trace = sim.run(law, 14, 11)
-    assert sim.char_decomposition_residual(trace, law) <= 1e-12
-    ext = make_law([(0.5, (1,), (1.0, 0.25)), (0.5, (3,), (3.0, -0.5))], char_extends=True)
-    trace2 = sim.run(ext, 14, 11)
-    assert sim.char_decomposition_residual(trace2, ext) <= 1e-12
+# ---------------------------------------------------------------- exact identity checks on capped paths
+
+#: Scored laws whose paths reach the default cap of 2^62 before horizon 70, far past float64's exact integers.
+_LONG_SCORED = {
+    "gw13_coin": [(0.25, (1,), (1.0,)), (0.25, (1,), (-1.0,)), (0.25, (3,), (1.0,)), (0.25, (3,), (-1.0,))],
+    "gw13_deaths": [(0.5, (1,), (1.0, 1.0)), (0.5, (3,), (1.0, 1.0))],
+    "law_i_scored": [(0.5, (1, 1), (1.0, 1.0)), (0.5, (3, 1), (1.0, 0.5))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_SCORED))
+def test_clean_capped_paths_pass_every_identity_check(name):
+    law = make_law(_LONG_SCORED[name])
+    tab, m = moments(law), classify(law).m
+    for seed in range(5):
+        trace = sim.run(law, 70, seed)
+        assert trace.capped and trace.Z[-1] > 1 << 53
+        W, _ = sim.innovations(trace, tab)
+        totals = sim.char_total(trace, law)
+        assert np.all(np.isfinite(W)) and np.all(np.isfinite(totals))
+        assert sim.verify_recursion(trace, tab, m, 10, law.max_age + 12) <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(_LONG_SCORED))
+def test_one_count_off_on_a_capped_path_faults_at_its_n(name):
+    law = make_law(_LONG_SCORED[name])
+    tab = moments(law)
+    trace = sim.run(law, 70, 3)
+    n, k = trace.horizon - 3, law.max_age
+    assert trace.capped and trace.B[n] > 1 << 53
+
+    B = list(trace.B)
+    B[n] += 1
+    bad = dataclasses.replace(trace, B=tuple(B))
+    with pytest.raises(RuntimeError, match=f"innovation identity violated at n = {n}: ") as exc:
+        sim.innovations(bad, tab)
+    assert f"B_n = {B[n]} but earlier cohorts bear {trace.B[n]}" in str(exc.value)
+    with pytest.raises(RuntimeError, match=f"characteristic decomposition violated at n = {n}: "):
+        sim.char_total(bad, law)
+
+    rows = list(trace.Bnk)
+    rows[n - k] = rows[n - k][:k] + (rows[n - k][k] + 1,) + rows[n - k][k + 1 :]
+    with pytest.raises(RuntimeError, match=f"innovation identity violated at n = {n}: "):
+        sim.innovations(dataclasses.replace(trace, Bnk=tuple(rows)), tab)
+
+    Z = list(trace.Z)
+    Z[n] += 1
+    with pytest.raises(RuntimeError, match=f"characteristic decomposition violated at n = {n}: "):
+        sim.char_total(dataclasses.replace(trace, Z=tuple(Z)), law)
 
 
 # ---------------------------------------------------------------- oscillation coefficient
