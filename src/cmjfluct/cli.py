@@ -40,6 +40,10 @@ _COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
 #: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256, the widest these bounds
 #: let it grow, about 40 ms and 11 MB.  The lag bound is the one the epoch-series functions keep.
 _MAX_REPLICATES, _MAX_K = 10**6, _MAX_LAG
+#: Largest ``horizon``: the batch engine's birth schedule takes 1,600 bytes a step per block (3,200 with its totals),
+#: 32 MB here, and ``run()`` about 160 bytes a step.  Largest ``replicates * (horizon + 1)`` of ``verify`` and
+#: ``predict``: a campaign keeps 8 bytes of totals per replicate and step, 200 MB here, enough for 10^6 x 25 steps.
+_MAX_HORIZON, _MAX_CELLS = 10**4, 25 * 10**6
 
 _TOP_KEYS = {
     "command",
@@ -193,8 +197,8 @@ def parse_config(text: str) -> RunConfig:
     horizon = replicates = k_lags = None
     if "horizon" in obj:
         horizon = _as_int(obj["horizon"], "config.horizon")
-        if horizon < 0:
-            raise UsageError(f"config.horizon: {horizon} is negative")
+        if not 0 <= horizon <= _MAX_HORIZON:
+            raise UsageError(f"config.horizon: {horizon} is outside [0, {_MAX_HORIZON}]")
     if "replicates" in obj:
         replicates = _as_int(obj["replicates"], "config.replicates")
         if not 1 <= replicates <= _MAX_REPLICATES:
@@ -238,6 +242,8 @@ def parse_config(text: str) -> RunConfig:
     for key in required:
         if provided[key] is None:
             raise UsageError(f"config: command '{command}' requires key '{key}'")
+    if "replicates" in required and replicates * (horizon + 1) > _MAX_CELLS:
+        raise UsageError(f"config: replicates * (horizon + 1) = {replicates * (horizon + 1)} exceeds {_MAX_CELLS}")
 
     return RunConfig(
         command=command,

@@ -1,30 +1,29 @@
 """Exact cohort-aggregated simulation of the lattice branching process.
 
-Individuals born at the same time are exchangeable, so a path is fully
-described by how many newborns of each cohort realized each litter atom.  One
-time step costs O(#atoms) regardless of population size: the B_n newborns are
+Individuals born at the same time are exchangeable, and each draws one litter
+atom, so a path is its draws: how many newborns of each cohort drew each atom.
+A trace stores them alone, as Python integers; births and totals derive from
+them.  A step costs O(#atoms) whatever the population: the B_n newborns are
 split across atoms by an exact multinomial draw (sequential binomial
-splitting), and future births accumulate as integer counts.  All counts are
-Python integers, so every pathwise identity below holds exactly until the
-configured cap truncates the run.
+splitting), and future births accumulate as integer counts.
 
 The module also extracts every path functional the limit theorems refer to:
-prediction errors X_{n,k} = Z_{n-k} - m^-k Z_n, reproduction innovations
-W_{n,k} and W_n, scored characteristic totals, oscillation-coefficient
-estimates, and the conditional quadratic variation of the count martingale.
-Each trace converts its counts to float64 once and keeps one innovations pass
-per moment table, and every functional reads those.  The pathwise identities
-the innovations and the scored totals rest on reduce to statements about the
-counts alone, so they are checked exactly on the Python integers, with no
-tolerance: a trace with one count off faults, naming the time it is off.
+prediction errors X_{n,k} = Z_{n-k} - m^-k Z_n, reproduction innovations W_n,
+scored characteristic totals, oscillation-coefficient estimates, and the
+conditional quadratic variation of the count martingale.  Each trace converts
+its counts to float64 once and keeps one innovations pass per moment table,
+and every functional reads those.  One identity binds the draws, each cohort
+being the births its elders bear; it is checked exactly on the Python
+integers, once per trace, before the innovations or the scored totals are
+formed: a trace with one draw off faults, naming the time it is off.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -71,35 +70,41 @@ _RNG_SCHEME = f"PCG64 block multinomial, {_BLOCK_SIZE} replicates per block"
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """One exact population path, aggregated by birth cohort.
+    """One exact population path, held as its draws.
 
-    ``B[n]`` newborns arrive at time ``n`` (``B[0] = 1``), ``Z[n]`` is the
-    running total, ``cohort_atoms[n]`` counts how many of the ``B[n]``
-    newborns realized each atom, and ``Bnk[n][k]`` is the number of children
-    cohort ``n`` bears at time ``n + k`` (index 0 unused).  Every field is
-    an integer count; scored totals are derived from ``cohort_atoms`` (see
-    :func:`char_total`).  If the population would have exceeded ``cap``, the
-    trace ends at the last safe time and ``capped`` is set.
+    ``cohort_atoms[n][a]`` counts the newborns at time ``n`` that drew atom
+    ``a``, and ``litters[a]`` is that atom's births by age (the law's
+    ``births``).  ``B[n]``, the newborns at time ``n``, and ``Z[n]``, their
+    running total, are derived from the draws when the trace is built, so no
+    copy can set them apart.  Every count is a Python integer.  If the
+    population would have exceeded ``cap``, the trace ends at the last safe
+    time and ``capped`` is set.
 
-    The per-trace functionals read the counts through one float64 view
-    (``_floats``, each field converted on first read) and :func:`innovations`
-    keeps its arrays per moment table (``_innovations``).  Both are built
-    once per trace and their arrays are read-only; a copy made by
-    ``dataclasses.replace`` starts with both empty.  The identity checks read
-    the integer fields themselves.
+    Each trace keeps one read-only float64 view of its counts (``_floats``,
+    a field converted on first read), one innovations array per moment
+    table (``_innovations``) and the verdict of its birth identity
+    (``_births``, see :func:`_require_births`); a copy made by
+    ``dataclasses.replace`` starts with all three empty.
     """
 
     horizon: int
-    B: tuple[int, ...]
-    Z: tuple[int, ...]
     cohort_atoms: tuple[tuple[int, ...], ...]
-    Bnk: tuple[tuple[int, ...], ...]
+    litters: tuple[tuple[int, ...], ...]
     seed: object
     cap: int
     capped: bool
-    # plain fields rather than cached properties, whose first read takes a lock in Python 3.11 (2 us on a 2 vCPU Xeon)
+    # plain fields rather than cached properties: perfbench reads B[n] and Z[n] one by one on every path (6 us a path,
+    # against 10 us), and a cached property's first read takes a lock in Python 3.11 (2 us; 2 vCPU Xeon)
+    B: tuple[int, ...] = field(init=False)
+    Z: tuple[int, ...] = field(init=False)
     _floats: dict = field(default_factory=dict, init=False, repr=False)  # field name -> array, see _as_floats
-    _innovations: dict = field(default_factory=dict, init=False, repr=False)  # id(table) -> (table, (W, Wnk))
+    _innovations: dict = field(default_factory=dict, init=False, repr=False)  # id(table) -> (table, W)
+    _births: list = field(default_factory=list, init=False, repr=False)  # [] until checked, then [fault or None]
+
+    def __post_init__(self):
+        births = tuple(map(sum, self.cohort_atoms))
+        object.__setattr__(self, "B", births)
+        object.__setattr__(self, "Z", tuple(accumulate(births)))
 
 
 def _as_floats(trace: Trace, name: str) -> np.ndarray:
@@ -142,13 +147,13 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     A law with two or more atoms splits each cohort by binomial draws, which
     take int64 counts, so a cap above 2^63 - 1 is refused for it; a
     single-atom law draws nothing and runs to any cap.  Each cohort is
-    scattered over its atoms' nonzero litter ages only.
+    scattered over its atoms' nonzero litter ages, and only the draws are kept.
 
     The loop stays apart from the batch engine: a one-row engine block pays
-    numpy call overhead every step, about 1.5 ms per capped scored path of
-    horizon 70 against 0.18-0.34 ms here (two to four atoms, 2 vCPU Xeon),
+    numpy call overhead every step, 0.8-1.1 ms per capped scored path of
+    horizon 70 against 0.12-0.30 ms here (two to four atoms, 2 vCPU Xeon),
     and simulation is about half of the cost of such a path with its
-    reductions, 0.45 ms at the median.
+    reductions, 0.32-0.53 ms.
     """
     _require_admissible(law)
     if horizon < 0:
@@ -166,9 +171,7 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     litters = [[(k, births) for k, births in enumerate(atom.births) if k and births] for atom in law.atoms]
 
     schedule = [1] + [0] * k_max  # schedule[n] is final, and is B_n, once step n reads it; a slot more each step
-    z_list: list[int] = []
     cohort_rows: list[tuple[int, ...]] = []
-    bnk_rows: list[tuple[int, ...]] = []
     z_run = 0
     for n in range(horizon + 1):
         b_n = schedule[n]
@@ -176,27 +179,19 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
         if z_run > cap:
             break
         counts = _split_counts(rng, b_n, probs) if b_n > 0 else [0] * len(probs)
-        row = [0] * (k_max + 1)
         for c, ages in zip(counts, litters):
             if c:
                 for k, births in ages:
-                    children = c * births
-                    row[k] += children
-                    schedule[n + k] += children
+                    schedule[n + k] += c * births
         schedule.append(0)
-        z_list.append(z_run)
         cohort_rows.append(tuple(counts))
-        bnk_rows.append(tuple(row))
-    steps = len(z_list)
     return Trace(
-        horizon=steps - 1,
-        B=tuple(schedule[:steps]),
-        Z=tuple(z_list),
+        horizon=len(cohort_rows) - 1,
         cohort_atoms=tuple(cohort_rows),
-        Bnk=tuple(bnk_rows),
+        litters=tuple(atom.births for atom in law.atoms),
         seed=tuple(seed) if isinstance(seed, (list, tuple)) else seed,
         cap=cap,
-        capped=steps <= horizon,
+        capped=len(cohort_rows) <= horizon,
     )
 
 
@@ -342,40 +337,47 @@ def _prediction_errors(Z: np.ndarray, m: float, t, ks) -> np.ndarray:
     return past - np.array([float(m) ** -int(k) for k in ks]) * Z[..., t]
 
 
-def innovations(trace: Trace, moments) -> tuple[np.ndarray, np.ndarray]:
-    """Reproduction innovations ``W_n`` and ``W_{n,k} = B_{n,k} - mu_k B_n``.
+def _require_births(trace: Trace) -> None:
+    """Check the one identity that binds a trace's draws, once per trace; fault at the first time it fails.
 
-    ``W_0 = B_0 = 1`` seeds the recursion; for ``n >= 1``,
-    ``W_n = B_n - sum_k mu_k B_{n-k}``.  The pathwise identity
-    ``W_n = sum_k W_{n-k,k}`` holds exactly when every ``B_n`` equals the
-    births its earlier cohorts bear at time ``n``, ``sum_k B_{n-k,k}`` (the
-    ``mu_k B_{n-k}`` terms cancel), so that is what is checked, exactly on
-    the trace's integer counts; the first time it fails faults, naming it.
+    ``B_0 = 1``, and for ``n >= 1`` each cohort is the births its elders bear,
+    ``sum_a cohort_atoms[n][a] = sum_{k>=1} sum_a cohort_atoms[n-k][a] litters[a][k]``, exactly on the Python
+    integers.  The verdict is kept, so a failing trace faults with the same message on every call.  The elders'
+    births are summed a column and a nonzero age at a time by ``map``: 17-44 us on a capped path of horizon 70,
+    a third to a half of a per-count loop's time (2 vCPU Xeon).
+    """
+    if not trace._births:
+        births = trace.B
+        size = len(births)
+        born = [1] + [0] * (size - 1)  # born[n]: the root at n = 0, then the births cohorts before n bear at n
+        for column, litter in zip(zip(*trace.cohort_atoms), trace.litters):
+            for k, b in enumerate(litter[1:size], 1):
+                if b:
+                    born[k:] = map(add, born[k:], column if b == 1 else map(mul, column, repeat(b)))
+        fault = None
+        if tuple(born) != births:
+            n = next(n for n in range(size) if born[n] != births[n])
+            fault = f"birth identity violated at n = {n}: B_n = {births[n]} but earlier cohorts bear {born[n]}"
+        trace._births.append(fault)
+    if trace._births[0] is not None:
+        raise RuntimeError(trace._births[0])
 
-    The arrays are formed once per trace and moment table: the trace keeps
-    the read-only ``(W, Wnk)`` it returns, and every later call with that
-    table, :func:`estimate_U` and :func:`verify_recursion` included, returns
-    the same arrays.  A trace that fails the check keeps nothing and faults
-    again, with the same message, on every call.
+
+def innovations(trace: Trace, moments) -> np.ndarray:
+    """Reproduction innovations ``W_n = B_n - sum_k mu_k B_{n-k}``, with ``W_0 = B_0 = 1``.
+
+    The trace's draws must pass the birth identity (:func:`_require_births`)
+    first; a trace that fails it faults, naming the time.  ``W`` is formed
+    once per trace and moment table: the trace keeps the read-only array it
+    returns, and every later call with that table, :func:`estimate_U` and
+    :func:`verify_recursion` included, returns the same array.
     """
     kept = trace._innovations.get(id(moments))
     if kept is None:
-        births = trace.B
-        ages = tuple(zip(*trace.Bnk))  # ages[k][c]: the births cohort c bears at age k
-        born = (0,) + ages[1]  # born[n] = sum_k B_{n-k,k}, summed in increasing k
-        for k in range(2, len(ages)):
-            born = tuple(map(add, born, (0,) * k + ages[k]))
-        if born[1 : len(births)] != births[1:]:
-            n = next(n for n in range(1, len(births)) if born[n] != births[n])
-            raise RuntimeError(
-                f"innovation identity violated at n = {n}: B_n = {births[n]} but earlier cohorts bear {born[n]}"
-            )
-        B = _as_floats(trace, "B")
-        W = _births_innovations(B, moments.mu)
-        Wnk = _as_floats(trace, "Bnk") - moments.mu * B[:, None]
-        Wnk[:, 0] = 0.0
-        W.flags.writeable = Wnk.flags.writeable = False
-        kept = trace._innovations[id(moments)] = (moments, (W, Wnk))  # holding the table keeps its id unique
+        _require_births(trace)
+        W = _births_innovations(_as_floats(trace, "B"), moments.mu)
+        W.flags.writeable = False
+        kept = trace._innovations[id(moments)] = (moments, W)  # holding the table keeps its id unique
     return kept[1]
 
 
@@ -394,14 +396,10 @@ def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
     """Total characteristic score ``Z^phi_n`` of the population at each time.
 
     Cohort ``c`` contributes its summed score at age ``n - c``; beyond the
-    table the score is frozen (extending characteristic) or zero.  The
-    decomposition of the total into its mean part, the centered scores and
-    the lag-weighted prediction errors,
-    ``Z^phi_n - lambda^phi Z_n = Zbar^phi_n + <X_n, dlambda>``, holds exactly
-    whenever ``Z_n = sum_{c<=n} B_c``: both sides sum the same cohort scores,
-    and the increment vector telescopes the mean scores onto past counts.  So
-    that is what is checked, exactly on the trace's integer counts, and the
-    first time ``Z_n`` differs from that sum faults, naming it.
+    table the score is frozen (extending characteristic) or zero.  The draws
+    the scores are summed from must pass the birth identity
+    (:func:`_require_births`) first; a trace that fails it faults, naming the
+    time.
 
     A few array passes, O((atoms + K_phi) n) in C: the cohort score matrix is
     summed atom by atom from zeros, then the totals accumulate along its age
@@ -410,12 +408,7 @@ def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
     """
     if not law.has_char:
         raise ValueError("law carries no characteristic")
-    running = tuple(accumulate(trace.B))
-    if running != trace.Z:
-        n = next(n for n, (r, z) in enumerate(zip(running, trace.Z)) if r != z)
-        raise RuntimeError(
-            f"characteristic decomposition violated at n = {n}: Z_n = {trace.Z[n]} but B_0 + ... + B_n = {running[n]}"
-        )
+    _require_births(trace)
     k_phi = law.char_max_age
     size = trace.horizon + 1
     counts = _as_floats(trace, "cohort_atoms")
@@ -467,7 +460,7 @@ def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, 
     g = complex(match)
     if not 0 <= n0 <= trace.horizon:
         raise ValueError(f"n0 = {n0} outside trace horizon {trace.horizon}")
-    W, _ = innovations(trace, moments)
+    W = innovations(trace, moments)
     value, centered = _coefficient_estimates(W, moments.mu, g, n0)
     return UEstimate(
         value=complex(value),
@@ -546,7 +539,7 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
         raise ValueError(f"n_small = {n_small} exceeds trace horizon {trace.horizon}")
     if trunc < k_top + n_small:
         raise ValueError(f"trunc = {trunc} too small: need at least K + n_small = {k_top + n_small}")
-    W, _ = innovations(trace, moments)
+    W = innovations(trace, moments)
     iterates = _orbit(moments, m, n_small, trunc)
     k_cmp = trunc - n_small
     rhs = np.zeros((n_small + 1, k_cmp + 1))
@@ -585,9 +578,10 @@ def _csv_text(header, rows) -> str:
 
 def trace_csv(trace: Trace, law: OffspringLaw) -> str:
     """Serialize a trace to CSV with the law hash, seed, and cap in the header."""
-    k_top = law.max_age
-    cols = ["n", "B", "Z"] + [f"B_k{k}" for k in range(1, k_top + 1)]
-    rows = [[n, trace.B[n], trace.Z[n], *trace.Bnk[n][1 : k_top + 1]] for n in range(trace.horizon + 1)]
+    ages = tuple(zip(*trace.litters))[1:]  # ages[k - 1][a]: the children atom a bears at age k
+    cols = ["n", "B", "Z"] + [f"B_k{k}" for k in range(1, len(ages) + 1)]
+    rows = [[n, b, z, *(sum(map(mul, counts, age)) for age in ages)]
+            for n, (b, z, counts) in enumerate(zip(trace.B, trace.Z, trace.cohort_atoms))]
     if law.has_char:
         cols.append("Zphi")
         totals = char_total(trace, law)

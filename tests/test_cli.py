@@ -12,7 +12,7 @@ import time
 import pytest
 
 import cmjfluct
-from cmjfluct.cli import _MAX_K, _MAX_REPLICATES, main, parse_config, serialize_config
+from cmjfluct.cli import _MAX_CELLS, _MAX_HORIZON, _MAX_K, _MAX_REPLICATES, main, parse_config, serialize_config
 from cmjfluct.errors import UsageError
 
 GW13_ATOMS = [{"prob": 0.5, "births": [1]}, {"prob": 0.5, "births": [3]}]
@@ -93,6 +93,26 @@ def test_unbounded_campaigns_are_usage_errors(tmp_path, capsys):
         assert main([str(path)]) == 1
         assert time.perf_counter() - start < 1.0
         assert f"config.{key}: " in capsys.readouterr().err
+
+
+def test_horizon_and_campaign_size_are_bounded():
+    # the engine's birth schedule grows with the horizon and a campaign's totals with replicates x steps;
+    # parse_config alone decides, so nothing is allocated here
+    law = {"atoms": E2B_ATOMS}
+    simulate = {"command": "simulate", "law": law}
+    assert parse_config(json.dumps({**simulate, "horizon": _MAX_HORIZON})).horizon == _MAX_HORIZON
+    for horizon in (_MAX_HORIZON + 1, 10**400, -1):
+        with pytest.raises(UsageError, match=rf"config.horizon: {horizon} is outside \[0, {_MAX_HORIZON}\]"):
+            parse_config(json.dumps({**simulate, "horizon": horizon}))
+    for doc in ({"command": "verify", "law": law}, {"command": "predict", "law": law, "K": 2}):
+        # the documented largest campaign, 10^6 replicates of 25 steps, fits the budget exactly
+        assert parse_config(json.dumps({**doc, "horizon": 24, "replicates": 10**6})).replicates == 10**6
+        assert 10**6 * 25 == _MAX_CELLS
+        for horizon, replicates in ((25, 10**6), (_MAX_HORIZON, _MAX_CELLS // _MAX_HORIZON)):
+            with pytest.raises(UsageError, match=rf"replicates \* \(horizon \+ 1\) = {replicates * (horizon + 1)} "):
+                parse_config(json.dumps({**doc, "horizon": horizon, "replicates": replicates}))
+    # the cell budget binds campaigns only: a simulate config may carry replicates it never runs
+    assert parse_config(json.dumps({**simulate, "horizon": _MAX_HORIZON, "replicates": 10**6})).horizon == _MAX_HORIZON
 
 
 def test_lags_beyond_max_k_are_usage_errors(tmp_path, capsys):

@@ -378,7 +378,8 @@ def test_qv_overflow_raises_at_its_epoch():
     # the ladder law's epoch forms overflow float64 after about 520 epochs; a
     # path of 600 single births reaches them, and the sum must refuse there
     law = ladder_law(0.032)
-    trace = dataclasses.replace(run(law, 0, 0), horizon=600, B=(1,) * 601)
+    root = run(law, 0, 0)
+    trace = dataclasses.replace(root, horizon=600, cohort_atoms=root.cohort_atoms * 601)  # B_n = 1 at every n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"at epoch \d+") as err:

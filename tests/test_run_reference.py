@@ -1,19 +1,21 @@
 """``run()`` against a reference copy of the loop it replaced, and the trace's shared float view and innovations.
 
 ``run()`` scatters each cohort over its atoms' nonzero litter ages only and
-reads ``B`` back from its birth schedule.  The reference below is the loop
-it replaced: every cohort walks every age ``1..K`` of every atom, with the
-same binomial splitting in the same draw order, so every field of every
-trace must be equal, capped or not.  The per-trace functionals read one
-float64 view of the counts and one innovations pass per moment table; they
-must be read-only, kept per table, and a corrupted copy must fault as often
-as it is asked.
+keeps only its draws; births and totals are derived from them.  The
+reference below is the loop it replaced: every cohort walks every age
+``1..K`` of every atom, with the same binomial splitting in the same draw
+order, and keeps its own births, totals and cohort birth matrix, so every
+one of them must equal the trace's, capped or not.  The per-trace
+functionals read one float64 view of the counts and one innovations pass per
+moment table; they must be read-only, kept per table, and a corrupted copy
+must fault as often as it is asked.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from cmjfluct import simulate as sim
 from cmjfluct.offspring import moments
 from cmjfluct.spectral import malthusian
 
-_FIELDS = ("horizon", "B", "Z", "cohort_atoms", "Bnk", "seed", "cap", "capped")
+_FIELDS = ("horizon", "B", "Z", "cohort_atoms", "seed", "cap", "capped")
 
 
 def _reference_split(rng, total, probs):
@@ -75,7 +77,7 @@ def _reference_run(law, horizon, seed, cap=sim._DEFAULT_CAP):
         z_list.append(z_run)
         cohort_rows.append(tuple(counts))
         bnk_rows.append(tuple(row))
-    return sim.Trace(
+    return SimpleNamespace(
         horizon=len(b_list) - 1,
         B=tuple(b_list),
         Z=tuple(z_list),
@@ -84,6 +86,14 @@ def _reference_run(law, horizon, seed, cap=sim._DEFAULT_CAP):
         seed=tuple(seed) if isinstance(seed, (list, tuple)) else seed,
         cap=cap,
         capped=capped,
+    )
+
+
+def _cohort_births(trace):
+    """``Bnk[c][k] = sum_a cohort_atoms[c][a] litters[a][k]``: the children cohort ``c`` bears at age ``k``."""
+    return tuple(
+        tuple(sum(c * litter[k] for c, litter in zip(counts, trace.litters)) for k in range(len(trace.litters[0])))
+        for counts in trace.cohort_atoms
     )
 
 
@@ -104,6 +114,7 @@ def test_run_matches_reference_loop_field_for_field(name, law_i, gw13_coin, det_
         got, want = sim.run(law, horizon, (seed, 7), cap=cap), _reference_run(law, horizon, (seed, 7), cap=cap)
         for field in _FIELDS:
             assert getattr(got, field) == getattr(want, field), (seed, field)
+        assert _cohort_births(got) == want.Bnk, seed
         capped += got.capped
     assert 0 < capped < len(cases)  # both kinds of path were compared
     assert got.capped and got.horizon < 10**4
@@ -130,13 +141,13 @@ def test_run_refuses_a_cap_past_int64_unless_the_law_has_one_atom(gw13, det_gw):
     assert trace.capped and trace.horizon == 79 and trace.Z[-1] == (1 << 80) - 1
     # counts past int64 still reach the functionals, converted straight from the Python ints
     assert sim._as_floats(trace, "Z").tobytes() == np.asarray(trace.Z, dtype=float).tobytes()
-    assert sim._as_floats(trace, "Bnk").tobytes() == np.asarray(trace.Bnk, dtype=float).tobytes()
+    assert sim._as_floats(trace, "B").tobytes() == np.asarray(trace.B, dtype=float).tobytes()
 
 
 def test_float_view_is_exact_read_only_and_kept(gw13_coin):
     trace = sim.run(gw13_coin, 70, 11)
     assert trace.capped and max(trace.Z) > 1 << 61  # counts near the cap, where float64 must round them
-    for name in ("B", "Z", "Bnk", "cohort_atoms"):
+    for name in ("B", "Z", "cohort_atoms"):
         view = sim._as_floats(trace, name)
         assert view.tobytes() == np.asarray(getattr(trace, name), dtype=float).tobytes()
         assert not view.flags.writeable
@@ -149,35 +160,33 @@ def test_float_view_is_exact_read_only_and_kept(gw13_coin):
 def test_innovations_are_read_only_and_kept_per_table(law_i, law_ii):
     trace = sim.run(law_i, 20, 3)
     tab_i, tab_ii = moments(law_i), moments(law_ii)  # the same K, different mu
-    W_i, Wnk_i = sim.innovations(trace, tab_i)
-    W_ii, Wnk_ii = sim.innovations(trace, tab_ii)
-    for array in (W_i, Wnk_i, W_ii, Wnk_ii):
+    W_i = sim.innovations(trace, tab_i)
+    W_ii = sim.innovations(trace, tab_ii)
+    for array in (W_i, W_ii):
         assert not array.flags.writeable
-    assert sim.innovations(trace, tab_i)[0] is W_i and sim.innovations(trace, tab_ii)[0] is W_ii
+    assert sim.innovations(trace, tab_i) is W_i and sim.innovations(trace, tab_ii) is W_ii
     assert len(trace._innovations) == 2 and not np.array_equal(W_i, W_ii)
-    B, Bnk = np.asarray(trace.B, dtype=float), np.asarray(trace.Bnk, dtype=float)
-    for tab, W, Wnk in ((tab_i, W_i, Wnk_i), (tab_ii, W_ii, Wnk_ii)):
+    B = np.asarray(trace.B, dtype=float)
+    for tab, W in ((tab_i, W_i), (tab_ii, W_ii)):
         want_W = B.copy()  # W_n = B_n - sum_k mu_k B_{n-k}, subtracted in increasing k
         for k in range(1, len(tab.mu)):
             want_W[k:] -= tab.mu[k] * B[:-k]
-        want_Wnk = Bnk - tab.mu * B[:, None]  # W_{n,k} = B_{n,k} - mu_k B_n, and W_{n,0} = 0
-        want_Wnk[:, 0] = 0.0
-        assert W.tobytes() == want_W.tobytes() and Wnk.tobytes() == want_Wnk.tobytes()
+        assert W.tobytes() == want_W.tobytes()
     copy = dataclasses.replace(trace)
-    assert copy._innovations == {} and sim.innovations(copy, tab_i)[0] is not W_i
+    assert copy._innovations == {} and copy._births == [] and sim.innovations(copy, tab_i) is not W_i
 
 
 def test_corrupted_copy_faults_in_each_reader_with_one_message(gw13):
     trace = sim.run(gw13, 12, 31)
     tab, m = moments(gw13), malthusian(gw13)
     sim.innovations(trace, tab)  # the clean original keeps its result
-    rows = list(trace.Bnk)
-    rows[4] = (0, rows[4][1] + 3)
-    bad = dataclasses.replace(trace, Bnk=tuple(rows))
+    rows = list(trace.cohort_atoms)
+    rows[5] = (rows[5][0] + 3, rows[5][1])
+    bad = dataclasses.replace(trace, cohort_atoms=tuple(rows))
     messages = []
     for reader in (lambda: sim.innovations(bad, tab), lambda: sim.verify_recursion(bad, tab, m, 5, 8),
                    lambda: sim.innovations(bad, tab)):
-        with pytest.raises(RuntimeError, match="innovation identity violated at n = 5") as exc:
+        with pytest.raises(RuntimeError, match="birth identity violated at n = 5") as exc:
             reader()
         messages.append(str(exc.value))
     assert len(set(messages)) == 1

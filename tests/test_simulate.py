@@ -60,8 +60,12 @@ def test_counts_are_exact_and_consistent(law_i):
         assert isinstance(trace.B[n], int) and isinstance(trace.Z[n], int)
         assert trace.Z[n] == (trace.Z[n - 1] if n else 0) + trace.B[n]
         assert sum(trace.cohort_atoms[n]) == trace.B[n]
-    for n in range(1, trace.horizon + 1):
-        assert trace.B[n] == sum(trace.Bnk[n - k][k] for k in range(1, min(n, K) + 1))
+    for n in range(1, trace.horizon + 1):  # each cohort is the births its elders bear
+        ages = range(1, min(n, K) + 1)
+        assert trace.B[n] == sum(c * litter[k] for k in ages for c, litter in zip(trace.cohort_atoms[n - k], trace.litters))
+    for name in ("B", "Z"):  # derived from the draws, so no copy can set them apart
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(trace, **{name: getattr(trace, name)})
 
 
 def test_same_seed_reproduces_bit_identical_trace(gw13):
@@ -120,36 +124,40 @@ def test_fluctuation_negative_lag_looks_ahead(det_gw):
 # ---------------------------------------------------------------- innovations
 
 
+def _draw_off(trace, n, atom, step):
+    """A copy of ``trace`` with ``step`` more newborns of cohort ``n`` drawing ``atom``."""
+    rows = list(trace.cohort_atoms)
+    rows[n] = rows[n][:atom] + (rows[n][atom] + step,) + rows[n][atom + 1 :]
+    return dataclasses.replace(trace, cohort_atoms=tuple(rows))
+
+
 def test_innovations_deterministic_all_zero_after_seed(det_two_age):
     trace = sim.run(det_two_age, 8, 0)
-    W, Wnk = sim.innovations(trace, moments(det_two_age))
+    W = sim.innovations(trace, moments(det_two_age))
     assert W[0] == 1.0
     assert np.all(W[1:] == 0.0)
-    assert np.all(Wnk == 0.0)
 
 
 def test_innovations_single_age_formula(gw13):
     trace = sim.run(gw13, 12, 31)
-    W, _ = sim.innovations(trace, moments(gw13))
+    W = sim.innovations(trace, moments(gw13))
     for n in range(1, 13):
         assert W[n] == pytest.approx(trace.B[n] - 2.0 * trace.B[n - 1], abs=1e-12)
 
 
 def test_innovation_identity_detects_corruption(gw13):
     trace = sim.run(gw13, 8, 31)
-    rows = list(trace.Bnk)
-    rows[3] = (0, rows[3][1] + 5)
-    bad = dataclasses.replace(trace, Bnk=tuple(rows))
+    rows = list(trace.cohort_atoms)
+    rows[3] = (rows[3][0], rows[3][1] + 5)
+    bad = dataclasses.replace(trace, cohort_atoms=tuple(rows))
     with pytest.raises(RuntimeError):
         sim.innovations(bad, moments(gw13))
 
 
 def test_innovation_fault_message_prints_plain_floats(gw13):
     trace = sim.run(gw13, 10, 7)
-    B = list(trace.B)
-    B[5] += 1
-    with pytest.raises(RuntimeError, match="innovation identity violated at n = 5") as exc:
-        sim.innovations(dataclasses.replace(trace, B=tuple(B)), moments(gw13))
+    with pytest.raises(RuntimeError, match="birth identity violated at n = 5") as exc:
+        sim.innovations(_draw_off(trace, 5, 0, 1), moments(gw13))
     assert "np.float64" not in str(exc.value)
 
 
@@ -177,11 +185,33 @@ def test_char_zero_scores_zero():
 
 def test_char_fault_message_names_n_and_prints_integers(gw13_deaths):
     trace = sim.run(gw13_deaths, 10, 7)
-    B = list(trace.B)
-    B[5] += 1
-    with pytest.raises(RuntimeError, match="characteristic decomposition violated at n = 5: ") as exc:
-        sim.char_total(dataclasses.replace(trace, B=tuple(B)), gw13_deaths)
-    assert str(exc.value).endswith(f"Z_n = {trace.Z[5]} but B_0 + ... + B_n = {trace.Z[5] + 1}")
+    with pytest.raises(RuntimeError, match="birth identity violated at n = 5: ") as exc:
+        sim.char_total(_draw_off(trace, 5, 0, 1), gw13_deaths)
+    assert str(exc.value).endswith(f"B_n = {trace.B[5] + 1} but earlier cohorts bear {trace.B[5]}")
+
+
+def test_a_draw_off_by_one_faults_where_the_scores_would_move(gw13_deaths):
+    # one more newborn drawing atom 0 at n = 5 would move the scored totals at n = 5 and 6 without a fault
+    trace = sim.run(gw13_deaths, 12, 7)
+    assert tuple(sim.char_total(trace, gw13_deaths)[5:7]) == (10.0, 18.0)
+    bad = _draw_off(trace, 5, 0, 1)
+    for reader in (lambda: sim.innovations(bad, moments(gw13_deaths)), lambda: sim.char_total(bad, gw13_deaths)):
+        with pytest.raises(RuntimeError, match="birth identity violated at n = 5: B_n = 8 but earlier cohorts bear 7"):
+            reader()
+
+
+def test_a_newborn_moved_between_atoms_faults_where_its_children_land(gw13_coin):
+    # B_c is unchanged, so only the births of the next cohort can show it: atom 0 bears 1 child at age 1, atom 2 bears 3
+    trace = sim.run(gw13_coin, 12, 5)
+    c = next(c for c, counts in enumerate(trace.cohort_atoms) if counts[0] and c < trace.horizon)
+    rows = [list(counts) for counts in trace.cohort_atoms]
+    rows[c][0] -= 1
+    rows[c][2] += 1
+    bad = dataclasses.replace(trace, cohort_atoms=tuple(map(tuple, rows)))
+    assert bad.B == trace.B
+    for reader in (lambda: sim.innovations(bad, moments(gw13_coin)), lambda: sim.char_total(bad, gw13_coin)):
+        with pytest.raises(RuntimeError, match=f"birth identity violated at n = {c + 1}: "):
+            reader()
 
 
 def test_char_requires_characteristic(gw13):
@@ -207,38 +237,28 @@ def test_clean_capped_paths_pass_every_identity_check(name):
     for seed in range(5):
         trace = sim.run(law, 70, seed)
         assert trace.capped and trace.Z[-1] > 1 << 53
-        W, _ = sim.innovations(trace, tab)
+        W = sim.innovations(trace, tab)
         totals = sim.char_total(trace, law)
         assert np.all(np.isfinite(W)) and np.all(np.isfinite(totals))
         assert sim.verify_recursion(trace, tab, m, 10, law.max_age + 12) <= 1e-9
 
 
-@pytest.mark.parametrize("name", sorted(_LONG_SCORED))
-def test_one_count_off_on_a_capped_path_faults_at_its_n(name):
-    law = make_law(_LONG_SCORED[name])
+@pytest.mark.parametrize("name", sorted(_LONG_SCORED) + ["early_law_k40"])
+def test_one_count_off_on_a_capped_path_faults_at_its_n(name, early_law):
+    # K = 40 runs the birth identity over many ages; every law caps before n = 100, past 2^53 by n = horizon - 3
+    law = early_law(40) if name == "early_law_k40" else make_law(_LONG_SCORED[name])
     tab = moments(law)
-    trace = sim.run(law, 70, 3)
-    n, k = trace.horizon - 3, law.max_age
-    assert trace.capped and trace.B[n] > 1 << 53
-
-    B = list(trace.B)
-    B[n] += 1
-    bad = dataclasses.replace(trace, B=tuple(B))
-    with pytest.raises(RuntimeError, match=f"innovation identity violated at n = {n}: ") as exc:
-        sim.innovations(bad, tab)
-    assert f"B_n = {B[n]} but earlier cohorts bear {trace.B[n]}" in str(exc.value)
-    with pytest.raises(RuntimeError, match=f"characteristic decomposition violated at n = {n}: "):
-        sim.char_total(bad, law)
-
-    rows = list(trace.Bnk)
-    rows[n - k] = rows[n - k][:k] + (rows[n - k][k] + 1,) + rows[n - k][k + 1 :]
-    with pytest.raises(RuntimeError, match=f"innovation identity violated at n = {n}: "):
-        sim.innovations(dataclasses.replace(trace, Bnk=tuple(rows)), tab)
-
-    Z = list(trace.Z)
-    Z[n] += 1
-    with pytest.raises(RuntimeError, match=f"characteristic decomposition violated at n = {n}: "):
-        sim.char_total(dataclasses.replace(trace, Z=tuple(Z)), law)
+    trace = sim.run(law, 100, 3)
+    assert trace.capped and trace.B[trace.horizon - 3] > 1 << 53
+    for n in (trace.horizon - 3, 0):
+        for atom in range(len(law.atoms)):
+            for step in (1, -1):
+                bad = _draw_off(trace, n, atom, step)
+                readers = [lambda: sim.innovations(bad, tab)] + [lambda: sim.char_total(bad, law)] * law.has_char
+                for reader in readers:
+                    with pytest.raises(RuntimeError, match=f"birth identity violated at n = {n}: ") as exc:
+                        reader()
+                    assert f"B_n = {trace.B[n] + step} but earlier cohorts bear {trace.B[n]}" in str(exc.value)
 
 
 # ---------------------------------------------------------------- oscillation coefficient
@@ -384,9 +404,10 @@ def test_innovation_mean_nulls(gw13):
     w_nk = np.empty(reps)
     for i in range(reps):
         trace = sim.run(gw13, n, (404, 0, i))
-        W, Wnk = sim.innovations(trace, tab)
+        W = sim.innovations(trace, tab)
+        born = sum(c * litter[1] for c, litter in zip(trace.cohort_atoms[n], trace.litters))  # B_{n,1}
         w_n[i] = W[n] / math.sqrt(2.0**n)
-        w_nk[i] = Wnk[n, 1] / math.sqrt(ez[n])
+        w_nk[i] = (born - tab.mu[1] * trace.B[n]) / math.sqrt(ez[n])  # W_{n,1} = B_{n,1} - mu_1 B_n
     for sample in (w_n, w_nk):
         se = sample.std(ddof=1) / math.sqrt(reps)
         assert abs(sample.mean()) <= 3.0 * se
@@ -459,7 +480,7 @@ def test_batch_matches_run_on_deterministic_laws(det_gw, det_two_age):
                 assert tuple(int(z) for z in batch.Z[i]) == trace.Z
             # innovations from births, as campaigns form them: the seed W_0 = 1, then exactly zero
             W = sim._births_innovations(batch.B.astype(float), moments(law).mu)
-            assert W.tobytes() == np.tile(sim.innovations(trace, moments(law))[0], (3, 1)).tobytes()
+            assert W.tobytes() == np.tile(sim.innovations(trace, moments(law)), (3, 1)).tobytes()
             assert np.all(W[:, 0] == 1.0) and not W[:, 1:].any()
 
 
