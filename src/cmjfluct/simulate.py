@@ -4,8 +4,9 @@ Individuals born at the same time are exchangeable, and each draws one litter
 atom, so a path is its draws: how many newborns of each cohort drew each atom.
 A trace stores them alone, as Python integers; births and totals derive from
 them.  A step costs O(#atoms) whatever the population: the B_n newborns are
-split across atoms by an exact multinomial draw (sequential binomial
-splitting), and future births accumulate as integer counts.
+split across atoms by one exact draw of numpy's generator (a binomial for two
+atoms, a multinomial for more), and future births accumulate as integer
+counts.
 
 The module also extracts every path functional the limit theorems refer to:
 prediction errors X_{n,k} = Z_{n-k} - m^-k Z_n, reproduction innovations W_n,
@@ -53,7 +54,7 @@ __all__ = [
 
 #: Population cap of a run unless the caller sets one.
 _DEFAULT_CAP = 1 << 62
-#: Largest cohort numpy's binomial draw accepts: ``run()`` refuses a larger cap on a law with two or more atoms.
+#: Largest cohort numpy's draws accept: ``run()`` refuses a larger cap on a law with two or more atoms.
 _DRAW_LIMIT = (1 << 63) - 1
 
 #: Replicates per block of the batch engine; every block simulates all of them.
@@ -74,11 +75,11 @@ class Trace:
 
     ``cohort_atoms[n][a]`` counts the newborns at time ``n`` that drew atom
     ``a``, and ``litters[a]`` is that atom's births by age (the law's
-    ``births``).  ``B[n]``, the newborns at time ``n``, and ``Z[n]``, their
-    running total, are derived from the draws when the trace is built, so no
-    copy can set them apart.  Every count is a Python integer.  If the
-    population would have exceeded ``cap``, the trace ends at the last safe
-    time and ``capped`` is set.
+    ``births``).  ``horizon``, the last time drawn, ``B[n]``, the newborns at
+    time ``n``, and ``Z[n]``, their running total, are derived from the draws
+    when the trace is built, so no copy can set them apart.  Every count is a
+    Python integer.  If the population would have exceeded ``cap``, the trace
+    ends at the last safe time and ``capped`` is set.
 
     Each trace keeps one read-only float64 view of its counts (``_floats``,
     a field converted on first read), one innovations array per moment
@@ -87,12 +88,12 @@ class Trace:
     ``dataclasses.replace`` starts with all three empty.
     """
 
-    horizon: int
     cohort_atoms: tuple[tuple[int, ...], ...]
     litters: tuple[tuple[int, ...], ...]
     seed: object
     cap: int
     capped: bool
+    horizon: int = field(init=False)
     # plain fields rather than cached properties: perfbench reads B[n] and Z[n] one by one on every path (6 us a path,
     # against 10 us), and a cached property's first read takes a lock in Python 3.11 (2 us; 2 vCPU Xeon)
     B: tuple[int, ...] = field(init=False)
@@ -103,6 +104,7 @@ class Trace:
 
     def __post_init__(self):
         births = tuple(map(sum, self.cohort_atoms))
+        object.__setattr__(self, "horizon", len(births) - 1)
         object.__setattr__(self, "B", births)
         object.__setattr__(self, "Z", tuple(accumulate(births)))
 
@@ -116,26 +118,6 @@ def _as_floats(trace: Trace, name: str) -> np.ndarray:
     return array
 
 
-def _split_counts(rng: np.random.Generator, total: int, probs) -> list[int]:
-    """Assign ``total`` newborns to atoms: exact multinomial via binomial splitting."""
-    if len(probs) == 1:
-        return [total]
-    if len(probs) == 2:
-        first = int(rng.binomial(total, probs[0]))
-        return [first, total - first]
-    counts: list[int] = []
-    remaining = total
-    mass_left = 1.0
-    for p in probs[:-1]:
-        ratio = 1.0 if mass_left <= p else p / mass_left
-        drawn = int(rng.binomial(remaining, ratio))
-        counts.append(drawn)
-        remaining -= drawn
-        mass_left -= p
-    counts.append(remaining)
-    return counts
-
-
 def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace:
     """Simulate one path started from a single individual born at time 0.
 
@@ -144,49 +126,62 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     it is truncated at the last safe time with ``capped = True`` rather than
     faulting.
 
-    A law with two or more atoms splits each cohort by binomial draws, which
-    take int64 counts, so a cap above 2^63 - 1 is refused for it; a
-    single-atom law draws nothing and runs to any cap.  Each cohort is
-    scattered over its atoms' nonzero litter ages, and only the draws are kept.
+    Each nonempty cohort is split across the atoms by one generator call, a
+    binomial for two atoms and a multinomial for more: numpy's multinomial is
+    sequential binomial splitting that draws nothing once no newborn is left.
+    The draws take int64 counts, so a cap above 2^63 - 1 is refused for a law
+    with two or more atoms; a single-atom law draws nothing and runs to any
+    cap.  Each cohort is scattered over its atoms' nonzero litter ages, and
+    only the draws are kept.
 
     The loop stays apart from the batch engine: a one-row engine block pays
-    numpy call overhead every step, 0.8-1.1 ms per capped scored path of
-    horizon 70 against 0.12-0.30 ms here (two to four atoms, 2 vCPU Xeon),
-    and simulation is about half of the cost of such a path with its
-    reductions, 0.32-0.53 ms.
+    numpy call overhead every step, 0.7-1.2 ms per capped scored path of
+    horizon 70 against 0.12-0.22 ms here (two to four atoms, 2 vCPU Xeon),
+    and simulation is 40-50% of the cost of such a path with its reductions,
+    0.27-0.47 ms.
     """
     _require_admissible(law)
     if horizon < 0:
         raise ValueError(f"horizon = {horizon} must be >= 0")
     if cap < 1:
         raise ValueError(f"cap = {cap} must be >= 1")
-    probs = [atom.prob for atom in law.atoms]
-    if len(probs) > 1 and cap > _DRAW_LIMIT:
+    atoms = len(law.atoms)
+    if atoms > 1 and cap > _DRAW_LIMIT:
         raise ValueError(
             f"cap = {cap} exceeds 2^63 - 1 = {_DRAW_LIMIT}, the int64 limit of the binomial draws that split "
-            f"a cohort across {len(probs)} atoms"
+            f"a cohort across {atoms} atoms"
         )
     rng = np.random.default_rng(seed)
     k_max = law.max_age
+    probs = np.array([atom.prob for atom in law.atoms])
+    first = law.atoms[0].prob
     litters = [[(k, births) for k, births in enumerate(atom.births) if k and births] for atom in law.atoms]
 
     schedule = [1] + [0] * k_max  # schedule[n] is final, and is B_n, once step n reads it; a slot more each step
     cohort_rows: list[tuple[int, ...]] = []
+    empty = (0,) * atoms
     z_run = 0
     for n in range(horizon + 1):
         b_n = schedule[n]
         z_run += b_n
         if z_run > cap:
             break
-        counts = _split_counts(rng, b_n, probs) if b_n > 0 else [0] * len(probs)
+        if not b_n:
+            counts = empty
+        elif atoms == 1:
+            counts = (b_n,)
+        elif atoms == 2:
+            drawn = int(rng.binomial(b_n, first))
+            counts = (drawn, b_n - drawn)
+        else:
+            counts = tuple(rng.multinomial(b_n, probs).tolist())
         for c, ages in zip(counts, litters):
             if c:
                 for k, births in ages:
                     schedule[n + k] += c * births
         schedule.append(0)
-        cohort_rows.append(tuple(counts))
+        cohort_rows.append(counts)
     return Trace(
-        horizon=len(cohort_rows) - 1,
         cohort_atoms=tuple(cohort_rows),
         litters=tuple(atom.births for atom in law.atoms),
         seed=tuple(seed) if isinstance(seed, (list, tuple)) else seed,
@@ -523,9 +518,10 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
 
     The identity is exact pathwise; the returned residual measures float
     rounding only and is the statistic a verification harness thresholds.
-    Compared over window components ``k <= trunc - n_small``.  All rows
-    accumulate together, one array pass per iterate ``T^k v`` in increasing
-    ``k`` as a per-row running sum does, so bit-identical to it: O(n_small^2
+    Compared over window components ``k <= trunc - n_small``.  Every term
+    ``W_{n-k} T^k v`` is formed in one product, the terms with ``k > n`` are
+    masked out, and each row's terms are summed in increasing ``k``; the
+    negated sum equals a per-row running subtraction bit for bit: O(n_small^2
     trunc) in C.  The innovations are the trace's own (:func:`innovations`),
     formed once per trace and table, and a trace whose counts fail their
     exact identity check faults here with the same message.
@@ -542,9 +538,10 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     W = innovations(trace, moments)
     iterates = _orbit(moments, m, n_small, trunc)
     k_cmp = trunc - n_small
-    rhs = np.zeros((n_small + 1, k_cmp + 1))
-    for k, iterate in enumerate(iterates):  # row n subtracts W_{n-k} T^k v in increasing k
-        rhs[k:] -= W[: n_small + 1 - k, None] * iterate[: k_cmp + 1]
+    lag = np.arange(n_small + 1)[:, None] - np.arange(n_small + 1)  # lag[n, k] = n - k
+    terms = W[np.maximum(lag, 0), None] * iterates[:, : k_cmp + 1]  # terms[n, k] = W_{n-k} T^k v
+    # where, not a product with a 0/1 mask: an iterate past float64 would make 0 * inf a nan
+    rhs = -np.where(lag[:, :, None] >= 0, terms, 0.0).sum(axis=1)
     X = _prediction_errors(_as_floats(trace, "Z")[: n_small + 1], m, np.arange(n_small + 1), range(k_cmp + 1))
     return float(np.max(np.abs(X - rhs) / np.maximum(1.0, np.abs(X))))
 

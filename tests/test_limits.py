@@ -379,7 +379,7 @@ def test_qv_overflow_raises_at_its_epoch():
     # path of 600 single births reaches them, and the sum must refuse there
     law = ladder_law(0.032)
     root = run(law, 0, 0)
-    trace = dataclasses.replace(root, horizon=600, cohort_atoms=root.cohort_atoms * 601)  # B_n = 1 at every n
+    trace = dataclasses.replace(root, cohort_atoms=root.cohort_atoms * 601)  # B_n = 1 at every n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"at epoch \d+") as err:

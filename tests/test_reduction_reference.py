@@ -140,13 +140,13 @@ def test_overflow_term_and_epoch_match_reference(eps):
     exact = variance(build_spectrum(report, tab), {1: 1.0})
     assert sigma2_series(law, report, {1: 1.0}) == pytest.approx(exact, rel=1e-13)
     root = sim.run(law, 0, 0)
-    trace = dataclasses.replace(root, horizon=1200, cohort_atoms=root.cohort_atoms * 1201)  # B_n = 1 at every n
+    trace = dataclasses.replace(root, cohort_atoms=root.cohort_atoms * 1201)  # B_n = 1 at every n
     qv = _outcome(sim.martingale_qv, trace, tab, {1: 1.0}, 1200)
     assert "at epoch" in qv
     assert qv == _outcome(_reference_qv, trace, tab, {1: 1.0}, 1200)
 
 
-def test_recursion_matches_per_row_reference(gw13, law_i, early_law):
+def test_recursion_matches_per_row_reference(gw13, law_i, early_law, gw13_coin, law_iii):
     for law in (gw13, law_i, early_law(10)):
         report = classify(law)
         tab = moments(law)
@@ -157,6 +157,18 @@ def test_recursion_matches_per_row_reference(gw13, law_i, early_law):
                     got = sim.verify_recursion(trace, tab, report.m, n_small, trunc)
                     want = _reference_recursion(trace, tab, report.m, n_small, trunc)
                     assert got == want  # the same sums in the same order, so no 1e-15 slack is needed
+    # long paths that reach the default cap, with counts past 2^53, on the laws a benchmark pass reduces
+    law_i_scored = make_law([(0.5, (1, 1), (1.0, 1.0)), (0.5, (3, 1), (1.0, 0.5))])
+    for law in (gw13_coin, law_i_scored, law_iii):
+        report = classify(law)
+        tab = moments(law)
+        for seed in range(3):
+            trace = sim.run(law, 70, (seed, 70))
+            assert trace.capped and trace.Z[-1] > 1 << 53
+            for n_small in (0, 10, 20):
+                for trunc in (law.max_age + n_small, law.max_age + n_small + 2):
+                    got = sim.verify_recursion(trace, tab, report.m, n_small, trunc)
+                    assert got == _reference_recursion(trace, tab, report.m, n_small, trunc)
 
 
 def test_recursion_detects_a_total_off_by_one(gw13, law_i):
@@ -186,7 +198,7 @@ def test_orbit_reads_the_same_bits_whatever_was_asked_first(gw13, law_i, early_l
     for law in (gw13, law_i, early_law(40)):
         tab, m, k_top = moments(law), malthusian(law), law.max_age
         root = sim.run(law, 0, 0)
-        long = dataclasses.replace(root, horizon=600, cohort_atoms=root.cohort_atoms * 601)
+        long = dataclasses.replace(root, cohort_atoms=root.cohort_atoms * 601)
         short = sim.run(law, 25, 3)
         n_small = min(10, short.horizon)
         recursion = [(sim.verify_recursion, short, m, n_small, k_top + n_small + extra) for extra in (100, 0)]

@@ -3,8 +3,9 @@
 ``run()`` scatters each cohort over its atoms' nonzero litter ages only and
 keeps only its draws; births and totals are derived from them.  The
 reference below is the loop it replaced: every cohort walks every age
-``1..K`` of every atom, with the same binomial splitting in the same draw
-order, and keeps its own births, totals and cohort birth matrix, so every
+``1..K`` of every atom, splits its newborns by one binomial call per atom
+(the draws ``run()``'s one multinomial call per cohort makes, in the same
+order), and keeps its own births, totals and cohort birth matrix, so every
 one of them must equal the trace's, capped or not.  The per-trace
 functionals read one float64 view of the counts and one innovations pass per
 moment table; they must be read-only, kept per table, and a corrupted copy
@@ -102,9 +103,23 @@ def _sparse_k80():
     return make_law([(0.3, (1,) + (0,) * 78 + (1,)), (0.5, (2, 0, 0, 1) + (0,) * 76), (0.2, (0, 1) + (0,) * 78)])
 
 
-@pytest.mark.parametrize("name", ["one_atom", "two_atoms", "four_atoms", "sparse_k80"])
+#: Laws where one multinomial call per cohort could part from the binomial splitting it replaced: many atoms, a
+#: trailing atom of 1e-300 after one whose mass exceeds the rounded mass left (the reference's ``mass_left <= p``
+#: clamp), and probabilities 1e-12 short of and past 1 (the most ``make_law`` accepts), each off on the first atom.
+_MANY_ATOMS = {
+    "five_atoms": [(0.1, (1,)), (0.2, (0, 1)), (0.3, (2,)), (0.25, (1, 1)), (0.15, (0, 0, 2))],
+    "eight_atoms": [(0.05, (1,)), (0.1, (0, 2)), (0.15, (1, 0, 1)), (0.2, (2,)), (0.1, (0, 0, 0, 3)),
+                    (0.2, (1, 1)), (0.15, (0, 1, 1)), (0.05, (3, 0, 0, 1))],
+    "tiny_tail": [(0.3, (1,)), (0.3, (0, 2)), (0.4, (2, 1)), (1e-300, (0, 0, 5))],
+    "sum_below_one": [(0.25 - 1e-12, (1,)), (0.25, (2,)), (0.25, (0, 3)), (0.25, (1, 1))],
+    "sum_above_one": [(0.25 + 0.9999e-12, (1,)), (0.25, (2,)), (0.25, (0, 3)), (0.25, (1, 1))],
+}
+
+
+@pytest.mark.parametrize("name", ["one_atom", "two_atoms", "four_atoms", "sparse_k80", *_MANY_ATOMS])
 def test_run_matches_reference_loop_field_for_field(name, law_i, gw13_coin, det_two_age):
-    law = {"one_atom": det_two_age, "two_atoms": law_i, "four_atoms": gw13_coin, "sparse_k80": _sparse_k80()}[name]
+    law = {"one_atom": det_two_age, "two_atoms": law_i, "four_atoms": gw13_coin, "sparse_k80": _sparse_k80(),
+           **{key: make_law(spec) for key, spec in _MANY_ATOMS.items()}}[name]
     horizon = 60 if name == "sparse_k80" else 40
     # default, early and mid-path caps, then a horizon far past the cap
     cases = [(seed, horizon, (sim._DEFAULT_CAP, 5_000, 10**9)[seed % 3]) for seed in range(200)]
@@ -118,6 +133,14 @@ def test_run_matches_reference_loop_field_for_field(name, law_i, gw13_coin, det_
         capped += got.capped
     assert 0 < capped < len(cases)  # both kinds of path were compared
     assert got.capped and got.horizon < 10**4
+
+
+def test_horizon_is_derived_from_the_draws(gw13_deaths):
+    trace = sim.run(gw13_deaths, 12, 7)
+    assert trace.horizon == len(trace.cohort_atoms) - 1 == 12
+    with pytest.raises(ValueError, match="horizon"):
+        dataclasses.replace(trace, horizon=5)
+    assert dataclasses.replace(trace, cohort_atoms=trace.cohort_atoms[:6]).horizon == 5
 
 
 def test_run_memory_does_not_grow_with_an_unreached_horizon(gw13):
