@@ -20,9 +20,11 @@ count matrices to the statistics the theorems speak about:
 
 All tolerances here are finite-n engineering slack around exact limits (the
 theory provides no rates); they are config fields, not hidden constants.
-Replicates that hit the population cap are excluded from the statistics and
-counted in the report — never silently dropped.  ``limits`` decides every
-refusal: ``build_spectrum``, or the regime-III gate of ``oscillation_profile``.
+Every report extends :class:`CampaignHeader`, which says how it was computed:
+regime, growth factor, horizon, replicates (used, and capped: excluded from
+the statistics, never silently dropped), master seed and RNG scheme.
+``limits`` decides every refusal: ``build_spectrum``, or the regime-III gate
+of ``oscillation_profile``.
 
 A caller that has already classified the law hands its report on
 (``run_experiment``, ``oscillation_residual``), so one CLI ``verify``
@@ -45,6 +47,7 @@ from .spectral import SpectralReport, classify
 
 __all__ = [
     "ExperimentConfig",
+    "CampaignHeader",
     "LagMomentRow",
     "VerificationReport",
     "LagCorrelationRow",
@@ -94,6 +97,28 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class CampaignHeader:
+    """How a campaign report was computed: ``used + excluded_capped == replicates``, where a replicate whose total
+    passed the cap is excluded from the statistics, and ``rng_scheme`` names the block seeding of the replicates."""
+
+    regime: str
+    m: float
+    horizon: int
+    replicates: int
+    used: int
+    excluded_capped: int
+    master_seed: int
+    rng_scheme: ClassVar[str] = _RNG_SCHEME
+
+
+def _header(config: ExperimentConfig, report: SpectralReport, used: int) -> dict:
+    """The :class:`CampaignHeader` fields of a campaign on ``config`` that used ``used`` replicates."""
+    r = config.replicates
+    return dict(regime=report.regime, m=report.m, horizon=config.horizon, replicates=r, used=used,
+                excluded_capped=r - used, master_seed=config.master_seed)
+
+
+@dataclass(frozen=True, eq=False)
 class LagMomentRow:
     """Empirical moments of one normalized lag statistic, with their SEs."""
 
@@ -113,22 +138,11 @@ class LagMomentRow:
 
 
 @dataclass(frozen=True, eq=False)
-class VerificationReport:
-    """Reduced result of one run_experiment campaign.
+class VerificationReport(CampaignHeader):
+    """Reduced result of one run_experiment campaign; every pass flag is a pure function of the stored numbers and
+    the configured tolerances."""
 
-    ``used + excluded_capped == replicates``; every pass flag is a pure
-    function of the stored numbers and the configured tolerances.
-    """
-
-    regime: str
-    m: float
-    horizon: int
-    replicates: int
-    used: int
-    excluded_capped: int
-    master_seed: int
     rows: tuple[LagMomentRow, ...]
-    rng_scheme: ClassVar[str] = _RNG_SCHEME
 
     @property
     def passed(self) -> bool:
@@ -161,8 +175,8 @@ class VerificationReport:
 def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, mu=None):
     """Simulate the campaign's replicates to ``horizon``: ``(Z, W)`` of the uncapped ones, as floats.
 
-    Rows are the replicates below the population cap, in replicate order;
-    the caller counts the others as ``replicates - used``.  ``W`` holds the
+    Rows are the replicates below the population cap, in replicate order
+    (``_header`` counts the others).  ``W`` holds the
     innovations of each row for the mean offspring ``mu``, formed from its
     births block by block, or is ``None`` without ``mu``.  Faults if fewer
     than two were usable, naming what they were for.
@@ -257,17 +271,7 @@ def run_experiment(config: ExperimentConfig, *, report: SpectralReport | None = 
     Z, _ = _counts(config, _DOMAIN_EXPERIMENT, n, "form moments")
     errors = _prediction_errors(Z, m, n, lags) / _normalizer(report.regime, n, Z[:, n])[:, None]
     rows = tuple(_moment_row(k, errors[:, j], variance(spectrum, {k: 1.0}), config) for j, k in enumerate(lags))
-    used = len(Z)
-    return VerificationReport(
-        regime=report.regime,
-        m=m,
-        horizon=n,
-        replicates=config.replicates,
-        used=used,
-        excluded_capped=config.replicates - used,
-        master_seed=config.master_seed,
-        rows=rows,
-    )
+    return VerificationReport(**_header(config, report, len(Z)), rows=rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,15 +282,10 @@ class LagCorrelationRow:
 
 
 @dataclass(frozen=True, eq=False)
-class LagCorrelationTable:
+class LagCorrelationTable(CampaignHeader):
     """Empirical vs predicted correlation of one lag statistic across time."""
 
-    regime: str
     k: int
-    horizon: int
-    replicates: int
-    used: int
-    excluded_capped: int
     rows: tuple[LagCorrelationRow, ...]
 
 
@@ -307,7 +306,6 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
         raise ValueError(f"horizon {n} too short for ell up to {max(ells)}")
     base = cov_lagged(spectrum, k, 0)
     Z, _ = _counts(config, _DOMAIN_LAGCHECK, n, "form correlations")
-    used = len(Z)
     times = np.array([n, *(n - e for e in ells)])
     stats = _prediction_errors(Z, m, times, [k])[..., 0] / _normalizer(report.regime, times, Z[:, times])
     a = stats[:, 0]
@@ -316,19 +314,11 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
         pred = cov_lagged(spectrum, k, e) / base if base > 0 else 0.0
         emp = float(np.corrcoef(b, a)[0, 1]) if a.std() > 0 and b.std() > 0 else 0.0
         rows.append(LagCorrelationRow(ell=e, predicted=pred, empirical=emp))
-    return LagCorrelationTable(
-        regime=report.regime,
-        k=k,
-        horizon=n,
-        replicates=config.replicates,
-        used=used,
-        excluded_capped=config.replicates - used,
-        rows=tuple(rows),
-    )
+    return LagCorrelationTable(**_header(config, report, len(Z)), k=k, rows=tuple(rows))
 
 
 @dataclass(frozen=True, eq=False)
-class OscillationSummary:
+class OscillationSummary(CampaignHeader):
     """Self-consistency of the oscillation expansion below criticality.
 
     ``median_relative_residual`` compares the rescaled error window at the
@@ -342,14 +332,8 @@ class OscillationSummary:
     deterministic and the distributional content of the check is empty.
     """
 
-    regime: str
-    m: float
     gamma_star: float
     roots: tuple[complex, ...]
-    horizon: int
-    replicates: int
-    used: int
-    excluded_capped: int
     lags: tuple[int, ...]
     median_residual: float
     median_profile_norm: float
@@ -359,7 +343,6 @@ class OscillationSummary:
     centered_ses: tuple[float, ...]
     mean_ok: bool
     degenerate: bool
-    rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
 def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | None = None) -> OscillationSummary:
@@ -411,14 +394,9 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
         alternating = np.all(later != 0.0, axis=1) & np.all(later == -signs[:, :-1], axis=1)
         alternation_fraction = float(np.count_nonzero(alternating)) / used
     return OscillationSummary(
-        regime=report.regime,
-        m=report.m,
+        **_header(config, report, used),
         gamma_star=gs,
         roots=crits,
-        horizon=n,
-        replicates=config.replicates,
-        used=used,
-        excluded_capped=config.replicates - used,
         lags=lags,
         median_residual=med_res,
         median_profile_norm=med_prof,
@@ -432,27 +410,20 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
 
 
 @dataclass(frozen=True, eq=False)
-class BacktestReport:
+class BacktestReport(CampaignHeader):
     """One-step prediction quality of the measure-derived rule on fresh paths.
 
     ``coeffs`` are the rule's lag coefficients (``PredictorRule.coeffs``).
     """
 
-    regime: str
-    m: float
     K: int
     coeffs: tuple[float, ...]
-    horizon: int
-    replicates: int
-    used: int
-    excluded_capped: int
     mse_normalized: float
     naive_mse_normalized: float
     predicted_residual_sq: float
     predicted_target_sq: float
     regularized: bool
     beats_naive: bool
-    rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
 def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
@@ -469,7 +440,6 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     m = report.m
     n = config.horizon
     Z, _ = _counts(config, _DOMAIN_BACKTEST, n + 1, "form MSE")
-    used = len(Z)
     z_n = Z[:, n]
     x_lags = _prediction_errors(Z, m, n, range(1, K + 1))
     actual = Z[:, n + 1]
@@ -478,14 +448,9 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     naive_mse = float(np.mean((actual - m * z_n) ** 2 / denom))
     beats = mse < naive_mse if rule.residual_sq < rule.target_sq else True
     return BacktestReport(
-        regime=report.regime,
-        m=m,
+        **_header(config, report, len(Z)),
         K=K,
         coeffs=tuple(map(float, rule.coeffs)),
-        horizon=n,
-        replicates=config.replicates,
-        used=used,
-        excluded_capped=config.replicates - used,
         mse_normalized=mse,
         naive_mse_normalized=naive_mse,
         predicted_residual_sq=rule.residual_sq,

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RefusalError
-from .offspring import _SIGMA_CLAMP, OffspringLaw, _poly_deriv, _polyval, _sigma_folds, _sigma_form, moments
+from .offspring import _SIGMA_CLAMP, OffspringLaw, _poly_deriv, _polyval, _sigma_folds, _sigma_form, char_moments, moments
 from .spectral import _MAX_LAG, SpectralReport, _pow2_at_least, vector_v
 
 __all__ = [
@@ -304,30 +304,40 @@ def variance(spectrum: LimitSpectrum, a: dict[int, float]) -> float:
 
 
 def _pairing(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float], centered: bool, lag: int) -> float:
-    """``f M g^T`` for the coefficient rows of the Laurent symbols ``f, g`` on :func:`_moment_matrix`."""
+    """``f M g^T`` for the coefficient rows of the Laurent symbols ``f, g`` on :func:`_moment_matrix`; ``inf`` or
+    nan, without a warning, past float64 (the caller names the fault)."""
     keys = [int(k) for k in (*f, *g)] or [0]
     lo, hi = min(keys), max(keys)
     rows = np.zeros((2, hi - lo + 1))
     for row, symbol in zip(rows, (f, g)):
         row[[int(k) - lo for k in symbol]] = list(symbol.values())
-    return float(rows[0] @ _moment_matrix(spectrum, lo, hi, centered, lag) @ rows[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(rows[0] @ _moment_matrix(spectrum, lo, hi, centered, lag) @ rows[1])
 
 
 def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) -> float:
-    """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols."""
-    return _pairing(spectrum, f, g, centered=False, lag=0)
+    """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols; faults (RuntimeError) past
+    float64."""
+    value = _pairing(spectrum, f, g, centered=False, lag=0)
+    if not math.isfinite(value):
+        raise RuntimeError(f"the pairing of {f} with {g} left float64")
+    return value
 
 
 def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
     """Covariance of ``zeta_k`` with its ``ell``-step-later counterpart.
 
     ``Re int (z m^(1/2))^ell |z^k - m^-k|^2 dnu``; on the circle the lag factor
-    is the pure oscillation ``e^(i ell theta)``.
+    is the pure oscillation ``e^(i ell theta)``.  Faults (RuntimeError) past
+    float64.
     """
     if ell < 0:
         raise ValueError(f"lag ell = {ell} must be non-negative")
     q = _quotient_symbol({k: 1.0}, spectrum.m)
-    return _pairing(spectrum, q, q, centered=True, lag=ell)
+    value = _pairing(spectrum, q, q, centered=True, lag=ell)
+    if not math.isfinite(value):
+        raise RuntimeError(f"the covariance of zeta_{k} at lag ell = {ell} left float64")
+    return value
 
 
 _STEIN_STEPS = 64  #: doublings, or 2^64 epochs; any margin float64 tells from 0 needs about log2(1/margin) + 6
@@ -451,7 +461,7 @@ def char_variance_full(law: OffspringLaw, report: SpectralReport, spectrum: Limi
     if not law.has_char:
         raise ValueError("law has no characteristic")
     m = report.m
-    cm = law._char_moments
+    cm = char_moments(law, m)
 
     own, cross = _weighted_var_sum(law, m), _score_cross(law, m, cm)
     mean_part = variance(spectrum, {k: float(c) for k, c in enumerate(cm.delta_lambda)})

@@ -132,11 +132,6 @@ class OffspringLaw:
         problems = validate_law(self)
         return "law fails standing assumptions: " + "; ".join(problems) if problems else ""
 
-    @cached_property
-    def _char_moments(self) -> CharMoments:
-        """:func:`char_moments` at the law's growth factor, built on first use and shared."""
-        return char_moments(self, self.moment_table.growth)
-
 
 class _Orbit:
     """A moment table's orbit store: read-only rows ``T^s v`` for the growth factor ``m`` (see

@@ -28,6 +28,7 @@ from operator import add, mul
 
 import numpy as np
 
+from .limits import _require_oscillating
 from .offspring import (
     OffspringLaw,
     _poly_deriv,
@@ -441,13 +442,11 @@ class UEstimate:
 def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, n0: int) -> UEstimate:
     """Estimate the oscillation coefficient attached to critical root ``gamma_i``.
 
-    Faults outside regime III, on a root not among the critical ones, on a
-    non-simple critical root, and when ``n0`` exceeds the trace horizon.
+    Refused (RefusalError) outside regime III and on a non-simple critical
+    root, as ``limits.oscillation_profile`` is; faults (ValueError) on a root
+    not among the critical ones and when ``n0`` exceeds the trace horizon.
     """
-    if report.regime != "III":
-        raise ValueError(f"regime {report.regime}: oscillation coefficients exist only in regime III")
-    if report.non_simple:
-        raise ValueError("non-simple critical root: the oscillation expansion does not apply")
+    _require_oscillating(report)
     g = complex(gamma_i)
     match = min(report.gamma_crit, key=lambda r: abs(r - g))
     if abs(match - g) > 1e-8 * max(1.0, abs(g)):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from cmjfluct import harness
+from cmjfluct import harness, simulate
 from cmjfluct.errors import RefusalError
 from cmjfluct.harness import (
     ExperimentConfig,
@@ -387,3 +387,30 @@ def test_all_replicates_capped_is_an_error(gw13):
     )
     with pytest.raises(RuntimeError):
         run_experiment(config)
+
+
+
+_HEADER_FIELDS = ("regime", "m", "horizon", "replicates", "used", "excluded_capped", "master_seed")
+
+
+@pytest.mark.parametrize(
+    "law_name, cap, campaign",
+    [
+        ("gw13", 500, lambda config: run_experiment(config)),
+        ("gw13", 500, lambda config: lag_correlation_check(config, 1, [1, 2])),
+        ("law_iii", 30_000, lambda config: oscillation_residual(config)),
+        ("gw13", 500, lambda config: predictor_backtest(config, 2)),
+    ],
+    ids=["run_experiment", "lag_correlation_check", "oscillation_residual", "predictor_backtest"],
+)
+def test_every_campaign_report_carries_the_header(law_name, cap, campaign, request):
+    # each cap excludes some replicates of its campaign, but not all
+    config = ExperimentConfig(law=request.getfixturevalue(law_name), horizon=8, replicates=200, master_seed=11, cap=cap)
+    out = campaign(config)
+    assert all(hasattr(out, name) for name in _HEADER_FIELDS)
+    spectral = classify(config.law)
+    assert (out.regime, out.m, out.horizon, out.replicates) == (spectral.regime, spectral.m, 8, 200)
+    assert 0 < out.excluded_capped < out.replicates
+    assert out.used + out.excluded_capped == out.replicates
+    assert out.master_seed == config.master_seed
+    assert out.rng_scheme == simulate._RNG_SCHEME

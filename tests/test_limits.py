@@ -760,6 +760,19 @@ def test_lag_past_float64_faults_without_spoiling_other_lags():
         assert variance(spec, {1: 1.0}) == pytest.approx(1.0 / 8000.0, rel=1e-12)
 
 
+def test_pairings_past_float64_fault_by_name():
+    # m = 6: zeta_{-256}, zeta_{-200} and the raw symbol z^-400 pair past float64; zeta_{-150} stays finite
+    _, spec = spectrum_of(make_law([(0.5, (5,)), (0.5, (7,))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=r"zeta_-256 at lag ell = 0 left float64"):
+            cov_lagged(spec, -256, 0)
+        with pytest.raises(RuntimeError, match=r"zeta_-200 at lag ell = 3 left float64"):
+            cov_lagged(spec, -200, 3)
+        with pytest.raises(RuntimeError, match=r"pairing of \{-400: 1\.0\} with \{-400: 1\.0\} left float64"):
+            cov_pair(spec, {-400: 1.0}, {-400: 1.0})
+        assert cov_lagged(spec, -150, 0) == 1.301313382581256e232
+
 def test_predictor_residual_decreases_with_more_lags(gw13):
     _, spec = spectrum_of(gw13)
     residuals = [predictor_coeffs(spec, K).residual_sq for K in range(0, 6)]

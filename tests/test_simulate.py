@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from cmjfluct import simulate as sim
+from cmjfluct.errors import RefusalError
 from cmjfluct.limits import sigma2_series
 from cmjfluct.offspring import make_law, moments
 from cmjfluct.spectral import classify, vector_v
@@ -290,10 +291,12 @@ def test_estimate_u_real_root_gives_real_value(law_iii):
 def test_estimate_u_faults(gw13, law_iii):
     report_i = classify(gw13)
     trace_i = sim.run(gw13, 8, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(RefusalError, match="regime I: oscillation profiles exist only in regime III"):
         sim.estimate_U(trace_i, moments(gw13), report_i, 0.5, 8)
     report = classify(law_iii)
     trace = sim.run(law_iii, 8, 0)
+    with pytest.raises(RefusalError, match="non-simple critical root"):
+        sim.estimate_U(trace, moments(law_iii), dataclasses.replace(report, non_simple=True), report.gamma_crit[0], 8)
     with pytest.raises(ValueError):
         sim.estimate_U(trace, moments(law_iii), report, 0.9 + 0.0j, 8)
     with pytest.raises(ValueError):
