@@ -61,38 +61,6 @@ _LAW_KEYS = {"atoms", "char_extends"}
 _ATOM_KEYS = {"prob", "births", "char"}
 _TOL_KEYS = {"var", "skew", "kurt", "residual", "alternation"}
 
-#: Summary fields written to ``oscillation.csv`` (followed by the overall ``passed``).
-_OSCILLATION_COLUMNS = (
-    "regime",
-    "m",
-    "gamma_star",
-    "horizon",
-    "replicates",
-    "used",
-    "excluded_capped",
-    "median_residual",
-    "median_profile_norm",
-    "median_relative_residual",
-    "alternation_fraction",
-    "mean_ok",
-    "degenerate",
-)
-#: Report fields written to ``backtest.csv``.
-_BACKTEST_COLUMNS = (
-    "K",
-    "horizon",
-    "replicates",
-    "used",
-    "excluded_capped",
-    "mse_normalized",
-    "naive_mse_normalized",
-    "predicted_residual_sq",
-    "predicted_target_sq",
-    "regularized",
-    "beats_naive",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One fully-resolved run: command, law, and materialized parameters."""
@@ -222,8 +190,8 @@ def parse_config(text: str) -> RunConfig:
     tol_var = _as_number(tol.get("var", ExperimentConfig.tol_var), "config.tolerances.var")
     tol_skew = _as_number(tol.get("skew", ExperimentConfig.tol_skew), "config.tolerances.skew")
     tol_kurt = _as_number(tol.get("kurt", ExperimentConfig.tol_kurt), "config.tolerances.kurt")
-    tol_res = _as_number(tol.get("residual", 0.15), "config.tolerances.residual")
-    tol_alt = _as_number(tol.get("alternation", 0.90), "config.tolerances.alternation")
+    tol_res = _as_number(tol.get("residual", ExperimentConfig.tol_residual), "config.tolerances.residual")
+    tol_alt = _as_number(tol.get("alternation", ExperimentConfig.tol_alternation), "config.tolerances.alternation")
     outdir = obj.get("outdir", ".")
     if not isinstance(outdir, str):
         raise UsageError("config.outdir: expected a string")
@@ -322,6 +290,8 @@ def _experiment_config(config: RunConfig) -> ExperimentConfig:
         tol_var=config.tol_var,
         tol_skew=config.tol_skew,
         tol_kurt=config.tol_kurt,
+        tol_residual=config.tol_residual,
+        tol_alternation=config.tol_alternation,
         cap=config.cap,
     )
 
@@ -368,24 +338,11 @@ def _cmd_simulate(config: RunConfig, sink: _Sink, out) -> int:
 def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
     spectral = classify(config.law)
     if spectral.regime == "III":
-        summary = oscillation_residual(_experiment_config(config), report=spectral)
-        alt_ok = math.isnan(summary.alternation_fraction) or (
-            summary.alternation_fraction >= config.tol_alternation
-        )
-        passed = (
-            summary.mean_ok
-            and summary.median_relative_residual <= config.tol_residual
-            and alt_ok
-        )
-        cols = {name: getattr(summary, name) for name in _OSCILLATION_COLUMNS}
-        cols["passed"] = passed
-        sink.write("oscillation.csv", _csv_text(cols, [cols.values()]))
-        for key, value in cols.items():
-            out.write(f"{key} = {_csv_cell(value)}\n")
-        out.write(f"rng_scheme = {summary.rng_scheme}\n")
-        return 0 if passed else 4
-    report = run_experiment(_experiment_config(config), report=spectral)
-    sink.write("verification.csv", report.to_csv())
+        campaign, name = oscillation_residual, "oscillation.csv"
+    else:
+        campaign, name = run_experiment, "verification.csv"
+    report = campaign(_experiment_config(config), report=spectral)
+    sink.write(name, report.to_csv())
     out.write(report.to_text())
     return 0 if report.passed else 4
 
@@ -393,14 +350,8 @@ def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
 def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
     back = predictor_backtest(_experiment_config(config), config.K)
     sink.write("coefficients.csv", _csv_text(("k", "coefficient"), enumerate(back.coeffs, start=1)))
-    sink.write("backtest.csv", _csv_text(_BACKTEST_COLUMNS, [[getattr(back, name) for name in _BACKTEST_COLUMNS]]))
-    out.write(
-        f"m {_csv_cell(back.m)}, coefficients [{', '.join(format(c, '.12g') for c in back.coeffs)}], "
-        f"residual {_csv_cell(math.sqrt(back.predicted_residual_sq))}, regularized {str(back.regularized).lower()}\n"
-        f"mse {_csv_cell(back.mse_normalized)} vs naive {_csv_cell(back.naive_mse_normalized)}, "
-        f"beats_naive {str(back.beats_naive).lower()}\n"
-        f"rng_scheme = {back.rng_scheme}\n"
-    )
+    sink.write("backtest.csv", back.to_csv())
+    out.write(back.to_text())
     return 0
 
 

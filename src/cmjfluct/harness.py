@@ -14,7 +14,8 @@ count matrices to the statistics the theorems speak about:
 * ``oscillation_residual``: below criticality there is no limit; instead the
   profile ``limits.oscillation_profile`` builds from the estimated coefficients
   must track the rescaled error window, the statistic must alternate in sign,
-  and the centered coefficient estimates must average to zero.
+  and the centered coefficient estimates must average to zero; the summary
+  stores that verdict as ``passed``.
 * ``predictor_backtest``: the measure-derived one-step predictor applied to
   fresh replicates, normalized MSE against the predicted residual.
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .limits import LimitSpectrum, _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
-from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _births_innovations, _coefficient_estimates, _csv_text, _prediction_errors, _simulate_blocks
+from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _births_innovations, _coefficient_estimates, _csv_cell, _csv_text, _prediction_errors, _simulate_blocks
 from .spectral import SpectralReport, classify
 
 __all__ = [
@@ -72,7 +73,9 @@ class ExperimentConfig:
 
     ``tol_var`` is the allowed relative error of empirical vs predicted
     variance; ``tol_skew``/``tol_kurt`` bound the normality diagnostics
-    (defaults calibrated for R around 10^4).
+    (defaults calibrated for R around 10^4).  ``tol_residual`` bounds the
+    oscillation summary's median relative residual and ``tol_alternation``
+    is the least share of replicates that must alternate in sign.
     """
 
     law: OffspringLaw
@@ -83,6 +86,8 @@ class ExperimentConfig:
     tol_var: float = 0.10
     tol_skew: float = 0.15
     tol_kurt: float = 0.30
+    tol_residual: float = 0.15
+    tol_alternation: float = 0.90
     cap: int = _DEFAULT_CAP
 
     def __post_init__(self):
@@ -330,7 +335,16 @@ class OscillationSummary(CampaignHeader):
     have exact mean zero.  ``degenerate`` flags laws whose litter transform
     carries no noise at the critical roots — the coefficients are then
     deterministic and the distributional content of the check is empty.
+    ``passed`` holds when ``mean_ok`` does, ``median_relative_residual <=
+    tol_residual``, and ``alternation_fraction`` is nan or at least
+    ``tol_alternation`` (the config's tolerances).
     """
+
+    #: Fields of ``to_csv`` and ``to_text``, in order.
+    _columns: ClassVar[tuple[str, ...]] = (
+        "regime", "m", "gamma_star", "horizon", "replicates", "used", "excluded_capped", "median_residual",
+        "median_profile_norm", "median_relative_residual", "alternation_fraction", "mean_ok", "degenerate", "passed",
+    )
 
     gamma_star: float
     roots: tuple[complex, ...]
@@ -343,6 +357,14 @@ class OscillationSummary(CampaignHeader):
     centered_ses: tuple[float, ...]
     mean_ok: bool
     degenerate: bool
+    passed: bool
+
+    def to_text(self) -> str:
+        lines = [f"{name} = {_csv_cell(getattr(self, name))}" for name in self._columns]
+        return "\n".join([*lines, f"rng_scheme = {self.rng_scheme}"]) + "\n"
+
+    def to_csv(self) -> str:
+        return _csv_text(self._columns, [[getattr(self, name) for name in self._columns]])
 
 
 def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | None = None) -> OscillationSummary:
@@ -393,6 +415,7 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
         later = signs[:, 1:]
         alternating = np.all(later != 0.0, axis=1) & np.all(later == -signs[:, :-1], axis=1)
         alternation_fraction = float(np.count_nonzero(alternating)) / used
+    alt_ok = math.isnan(alternation_fraction) or alternation_fraction >= config.tol_alternation
     return OscillationSummary(
         **_header(config, report, used),
         gamma_star=gs,
@@ -406,6 +429,7 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
         centered_ses=tuple(ses),
         mean_ok=mean_ok,
         degenerate=degenerate,
+        passed=mean_ok and rel <= config.tol_residual and alt_ok,
     )
 
 
@@ -416,6 +440,12 @@ class BacktestReport(CampaignHeader):
     ``coeffs`` are the rule's lag coefficients (``PredictorRule.coeffs``).
     """
 
+    #: Fields of ``to_csv``, in order.
+    _columns: ClassVar[tuple[str, ...]] = (
+        "K", "horizon", "replicates", "used", "excluded_capped", "mse_normalized", "naive_mse_normalized",
+        "predicted_residual_sq", "predicted_target_sq", "regularized", "beats_naive",
+    )
+
     K: int
     coeffs: tuple[float, ...]
     mse_normalized: float
@@ -424,6 +454,17 @@ class BacktestReport(CampaignHeader):
     predicted_target_sq: float
     regularized: bool
     beats_naive: bool
+
+    def to_text(self) -> str:
+        return (
+            f"m {_csv_cell(self.m)}, coefficients [{', '.join(format(c, '.12g') for c in self.coeffs)}], "
+            f"residual {_csv_cell(math.sqrt(self.predicted_residual_sq))}, regularized {_csv_cell(self.regularized)}\n"
+            f"mse {_csv_cell(self.mse_normalized)} vs naive {_csv_cell(self.naive_mse_normalized)}, "
+            f"beats_naive {_csv_cell(self.beats_naive)}\nrng_scheme = {self.rng_scheme}\n"
+        )
+
+    def to_csv(self) -> str:
+        return _csv_text(self._columns, [[getattr(self, name) for name in self._columns]])
 
 
 def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RefusalError
-from .offspring import _SIGMA_CLAMP, OffspringLaw, _poly_deriv, _polyval, _sigma_folds, _sigma_form, char_moments, moments
+from .offspring import _SIGMA_CLAMP, OffspringLaw, _polyval, _sigma_folds, _sigma_form, char_moments, moments
 from .spectral import _MAX_LAG, SpectralReport, _pow2_at_least, vector_v
 
 __all__ = [
@@ -206,7 +206,7 @@ def build_spectrum(report: SpectralReport, tab) -> LimitSpectrum:
     m = report.m
     if report.regime == "II":
         crit = np.array(report.gamma_crit, dtype=complex)
-        deriv = _polyval(_poly_deriv(tab.mu), crit)
+        deriv = np.array([report.derivs[report.roots.index(g)] for g in report.gamma_crit])  # mu_hat' from classify
         weights = (m - 1.0) * _sigma_form(tab.sigma, crit, np.abs(crit) ** 2) / (np.abs(1.0 - crit) ** 2 * np.abs(deriv) ** 2)
         return LimitSpectrum(kind="atoms", m=m, atoms=tuple((complex(g), float(w)) for g, w in zip(crit, weights)))
     r, sigma = m**-0.5, tab.sigma

@@ -328,9 +328,12 @@ def _prediction_errors(Z: np.ndarray, m: float, t, ks) -> np.ndarray:
     replicates; counts before time 0 are zero.  ``m^-k`` is Python's
     power, lag by lag, so no lag's bits depend on the others.
     """
-    t, ks = np.asarray(t)[..., None], np.asarray(ks, dtype=int)
-    past = np.where(t >= ks, Z[..., np.maximum(t - ks, 0)], 0.0)
-    return past - np.array([float(m) ** -int(k) for k in ks]) * Z[..., t]
+    t = np.asarray(t)[..., None]
+    ks = np.arange(ks.start, ks.stop, ks.step) if isinstance(ks, range) else np.asarray(ks, dtype=int)
+    back = t - ks
+    past = np.where(back >= 0, Z[..., np.maximum(back, 0)], 0.0)
+    m = float(m)
+    return past - np.array([m ** -k for k in ks.tolist()]) * Z[..., t]
 
 
 def _require_births(trace: Trace) -> None:

@@ -14,6 +14,7 @@ import pytest
 import cmjfluct
 from cmjfluct.cli import _MAX_CELLS, _MAX_HORIZON, _MAX_K, _MAX_REPLICATES, main, parse_config, serialize_config
 from cmjfluct.errors import UsageError
+from cmjfluct.harness import ExperimentConfig, oscillation_residual
 
 GW13_ATOMS = [{"prob": 0.5, "births": [1]}, {"prob": 0.5, "births": [3]}]
 E2B_ATOMS = [{"prob": 0.5, "births": [1, 8]}, {"prob": 0.5, "births": [3, 8]}]
@@ -345,6 +346,31 @@ def test_verify_regime_three_uses_oscillation_summary(tmp_path, capsys):
     assert "median_relative_residual" in out
     body = (tmp_path / "out" / "oscillation.csv").read_text()
     assert "passed" in body and ",true" in body
+
+
+def test_verify_regime_three_exits_as_the_summary_verdict(tmp_path, capsys):
+    """The exit code is ``oscillation_residual(...).passed``: at the default tolerances, and with
+    ``tolerances.residual`` and then ``tolerances.alternation`` tightened until only their own clause fails."""
+    doc = dict(command="verify", law={"atoms": E2C_ATOMS}, horizon=12, replicates=200, seed=0)
+    law = parse_config(json.dumps(doc)).law
+    base = oscillation_residual(ExperimentConfig(law, 12, 200, 0))
+    assert base.passed and base.median_relative_residual > 0.0 and base.alternation_fraction < 1.0
+    cases = [
+        ({}, (True, True)),
+        ({"residual": base.median_relative_residual / 2}, (False, True)),
+        ({"alternation": (1.0 + base.alternation_fraction) / 2}, (True, False)),
+    ]
+    for tolerances, (residual_ok, alternation_ok) in cases:
+        path, _ = _config(tmp_path, **doc, tolerances=tolerances)
+        config = ExperimentConfig(law, 12, 200, 0, **{f"tol_{key}": value for key, value in tolerances.items()})
+        summary = oscillation_residual(config)
+        assert summary.mean_ok
+        assert (summary.median_relative_residual <= config.tol_residual) is residual_ok
+        assert (summary.alternation_fraction >= config.tol_alternation) is alternation_ok
+        assert summary.passed is (residual_ok and alternation_ok)
+        assert main([str(path)]) == (0 if summary.passed else 4)
+        assert f"passed = {str(summary.passed).lower()}" in capsys.readouterr().out
+        assert (tmp_path / "out" / "oscillation.csv").read_text().endswith(f",{str(summary.passed).lower()}\n")
 
 
 def test_verify_regime_three_past_float64_integers_completes(tmp_path, capsys):

@@ -7,12 +7,14 @@ Monte Carlo margin.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cmjfluct import harness, simulate
+from cmjfluct.cli import parse_config
 from cmjfluct.errors import RefusalError
 from cmjfluct.harness import (
     ExperimentConfig,
@@ -46,6 +48,12 @@ def test_config_rejects_bad_lags(gw13):
         ExperimentConfig(law=gw13, horizon=10, replicates=100, master_seed=0, lags=())
     with pytest.raises(ValueError):
         ExperimentConfig(law=gw13, horizon=10, replicates=100, master_seed=0, lags=(1, -1))
+
+
+def test_config_regime_three_tolerances_are_the_cli_defaults():
+    assert (ExperimentConfig.tol_residual, ExperimentConfig.tol_alternation) == (0.15, 0.90)
+    parsed = parse_config(json.dumps({"command": "analyze", "law": {"atoms": [{"prob": 1.0, "births": [2]}]}}))
+    assert (parsed.tol_residual, parsed.tol_alternation) == (0.15, 0.90)
 
 
 # ---------------------------------------------------- run_experiment
@@ -226,6 +234,7 @@ def test_oscillation_summary_tracks_profile(law_iii):
     assert summary.alternation_fraction >= 0.95
     assert summary.mean_ok
     assert not summary.degenerate
+    assert summary.passed
 
 
 def test_oscillation_degenerate_law_flagged():
@@ -269,6 +278,10 @@ def test_oscillation_summary_on_a_complex_critical_pair():
         assert summary.mean_ok
         assert math.isnan(summary.alternation_fraction)
         assert not summary.degenerate
+        assert summary.passed
+    # a nan alternation fraction is not judged, however high the alternation tolerance
+    strict = ExperimentConfig(law=law, horizon=16, replicates=500, master_seed=1, lags=(1, 2, 3), tol_alternation=1.0)
+    assert oscillation_residual(strict).passed
 
 
 @pytest.mark.parametrize(
