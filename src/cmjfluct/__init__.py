@@ -23,7 +23,6 @@ from .offspring import (
     mu_hat_prime,
     sigma_hat,
     validate_law,
-    xi_hat_sample,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .errors import RefusalError, UsageError
 from .harness import ExperimentConfig, _spectrum_for, oscillation_residual, predictor_backtest, run_experiment
 from .limits import _cov_matrix, variance
 from .offspring import OffspringLaw, make_law
-from .simulate import _DEFAULT_CAP, _csv_cell, _csv_text, run, trace_csv
+from .simulate import _DEFAULT_CAP, _MAX_HORIZON, _csv_cell, _csv_text, run, trace_csv
 from .spectral import _MAX_LAG, classify
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
@@ -40,10 +40,9 @@ _COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
 #: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256, the widest these bounds
 #: let it grow, about 40 ms and 11 MB.  The lag bound is the one the epoch-series functions keep.
 _MAX_REPLICATES, _MAX_K = 10**6, _MAX_LAG
-#: Largest ``horizon``: the batch engine's birth schedule takes 1,600 bytes a step per block (3,200 with its totals),
-#: 32 MB here, and ``run()`` about 160 bytes a step.  Largest ``replicates * (horizon + 1)`` of ``verify`` and
-#: ``predict``: a campaign keeps 8 bytes of totals per replicate and step, 200 MB here, enough for 10^6 x 25 steps.
-_MAX_HORIZON, _MAX_CELLS = 10**4, 25 * 10**6
+#: Largest ``replicates * (horizon + 1)`` of ``verify`` and ``predict``: a campaign keeps 8 bytes of totals per
+#: replicate and step, 200 MB here, enough for 10^6 x 25 steps.  ``horizon`` keeps the engine's bound.
+_MAX_CELLS = 25 * 10**6
 
 _TOP_KEYS = {
     "command",

@@ -43,7 +43,7 @@ import numpy as np
 
 from .limits import LimitSpectrum, _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs, variance
 from .offspring import OffspringLaw, moments, sigma_hat
-from .simulate import _DEFAULT_CAP, _RNG_SCHEME, _births_innovations, _coefficient_estimates, _csv_cell, _csv_text, _prediction_errors, _simulate_blocks
+from .simulate import _DEFAULT_CAP, _MAX_HORIZON, _RNG_SCHEME, _births_innovations, _coefficient_estimates, _csv_cell, _csv_text, _prediction_errors, _simulate_blocks
 from .spectral import SpectralReport, classify
 
 __all__ = [
@@ -75,7 +75,8 @@ class ExperimentConfig:
     variance; ``tol_skew``/``tol_kurt`` bound the normality diagnostics
     (defaults calibrated for R around 10^4).  ``tol_residual`` bounds the
     oscillation summary's median relative residual and ``tol_alternation``
-    is the least share of replicates that must alternate in sign.
+    is the least share of replicates that must alternate in sign.  A horizon
+    past the batch engine's bound, or a lag past the horizon, is refused.
     """
 
     law: OffspringLaw
@@ -95,10 +96,14 @@ class ExperimentConfig:
             raise ValueError(f"replicates = {self.replicates}: need at least 100 for stable moments")
         if self.horizon < 2 * self.law.max_age:
             raise ValueError(f"horizon = {self.horizon}: need at least 2 K = {2 * self.law.max_age}")
+        if self.horizon > _MAX_HORIZON:
+            raise ValueError(f"horizon = {self.horizon}: exceeds {_MAX_HORIZON}, the batch engine's bound")
         if not self.lags:
             raise ValueError("need at least one lag")
         if any(k < 0 for k in self.lags):
             raise ValueError("lags must be non-negative")
+        if max(self.lags) > self.horizon:  # a lag past the horizon would read counts before time 0
+            raise ValueError(f"lag {max(self.lags)} exceeds horizon {self.horizon}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,8 +387,6 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
     tab = moments(config.law)
     n = config.horizon
     lags = tuple(sorted(set(config.lags)))
-    if max(lags) > n:
-        raise ValueError(f"lag {max(lags)} exceeds horizon {n}")
     crits = report.gamma_crit
     degenerate = all(sigma_hat(config.law, g) <= 1e-12 for g in crits)
     gs = report.gamma_star
@@ -476,10 +479,12 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     Refused on deterministic laws (prediction is the exact recurrence) and
     below criticality.
     """
+    n = config.horizon
+    if K > n:
+        raise ValueError(f"predictor order K = {K} exceeds horizon {n}")
     report, spectrum = _spectrum_for(config.law)
     rule = predictor_coeffs(spectrum, K)
     m = report.m
-    n = config.horizon
     Z, _ = _counts(config, _DOMAIN_BACKTEST, n + 1, "form MSE")
     z_n = Z[:, n]
     x_lags = _prediction_errors(Z, m, n, range(1, K + 1))

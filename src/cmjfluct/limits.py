@@ -58,7 +58,6 @@ __all__ = [
     "cov_pair",
     "cov_lagged",
     "sigma2_series",
-    "char_variance_centered",
     "char_variance_full",
     "predictor_coeffs",
     "oscillation_profile",
@@ -393,32 +392,6 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
     return (1.0 - 1.0 / m) * float(np.sum(tab.sigma[1:, 1:] * weights))
 
 
-def _weighted_var_sum(law: OffspringLaw, m: float) -> float:
-    """``sum_k m^-k Var phi(k)`` including the geometric tail of a frozen characteristic."""
-    var_phi = moments(law).var_phi
-    k = np.arange(len(var_phi))
-    total = float(np.sum(var_phi * (1.0 / m) ** k))
-    if law.char_extends:
-        total += float(var_phi[-1]) * m ** -(len(var_phi) - 1) / (m - 1.0)
-    return total
-
-
-def char_variance_centered(law: OffspringLaw, m: float) -> float:
-    """Limiting variance of the scored total for a mean-zero characteristic.
-
-    ``Var zeta^phi = ((m-1)/m) sum_k m^-k Var phi(k)``; exact finite sum (plus
-    a geometric tail when the characteristic extends).  Faults unless
-    ``E phi(k) = 0`` for every age within 1e-12.
-    """
-    if not law.has_char:
-        raise ValueError("law has no characteristic")
-    lam = moments(law).lambda_phi
-    worst = float(np.max(np.abs(lam)))
-    if worst > 1e-12:
-        raise ValueError(f"characteristic is not centered: max |E phi(k)| = {worst!r}")
-    return ((m - 1.0) / m) * _weighted_var_sum(law, m)
-
-
 def _score_cross(law: OffspringLaw, m: float, cm) -> float:
     """``char_variance_full``'s cross term ``int g(z) C(z) dtheta/2pi`` on ``|z| = m^{-1/2}``, as a finite sum.
 
@@ -463,7 +436,11 @@ def char_variance_full(law: OffspringLaw, report: SpectralReport, spectrum: Limi
     m = report.m
     cm = char_moments(law, m)
 
-    own, cross = _weighted_var_sum(law, m), _score_cross(law, m, cm)
+    var_phi = moments(law).var_phi
+    own = float(np.sum(var_phi * (1.0 / m) ** np.arange(len(var_phi))))
+    if law.char_extends:  # a frozen characteristic adds the geometric tail of its last age
+        own += float(var_phi[-1]) * m ** -(len(var_phi) - 1) / (m - 1.0)
+    cross = _score_cross(law, m, cm)
     mean_part = variance(spectrum, {k: float(c) for k, c in enumerate(cm.delta_lambda)})
     return ((m - 1.0) / m) * (own - 2.0 * cross) + mean_part
 

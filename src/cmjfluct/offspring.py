@@ -38,7 +38,6 @@ __all__ = [
     "mu_hat",
     "mu_hat_prime",
     "sigma_hat",
-    "xi_hat_sample",
     "char_moments",
     "law_fingerprint",
 ]
@@ -395,11 +394,6 @@ def mu_hat(law: OffspringLaw, z):
 def mu_hat_prime(law: OffspringLaw, z):
     """Derivative ``mu_hat'(z) = sum_k k E[N_k] z^(k-1)``."""
     return _polyval(_poly_deriv(moments(law).mu), np.asarray(z))
-
-
-def xi_hat_sample(atom: LitterAtom, z):
-    """Litter transform of a single atom, ``Xi_a(z) = sum_k births_a[k] z^k``."""
-    return _polyval(np.asarray(atom.births, dtype=float), np.asarray(z))
 
 
 def sigma_hat(law: OffspringLaw, z):

@@ -66,6 +66,9 @@ _BLOCK_TAG = 0x626C6B
 _SCREEN_LIMIT = 1 << 62
 #: A float64 total at or above this exceeds every admissible cap, even after rounding.
 _SCREEN_FLOAT = 1.5 * _SCREEN_LIMIT
+#: Largest campaign horizon: the batch engine's birth schedule takes 1,600 bytes a step per block (3,200 with its
+#: totals), 32 MB here, and ``run()`` about 160 bytes a step.
+_MAX_HORIZON = 10**4
 #: How campaign replicates are drawn; campaign reports carry it.
 _RNG_SCHEME = f"PCG64 block multinomial, {_BLOCK_SIZE} replicates per block"
 

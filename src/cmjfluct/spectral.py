@@ -33,13 +33,11 @@ from .offspring import OffspringLaw, _poly_deriv, _polyval, _require_admissible,
 __all__ = [
     "SpectralReport",
     "malthusian",
-    "all_roots",
     "classify",
     "apply_T",
     "vector_v",
     "eigen_direction",
     "resolvent_vector",
-    "power_growth",
 ]
 
 #: Located roots whose sorted gaps are all within this (relative) are tested as one multiple root.
@@ -210,17 +208,6 @@ def _backward_error(mu: np.ndarray, z):
     return abs(1.0 - _polyval(mu, z)) / (1.0 + _polyval(mu, abs(z)))
 
 
-def all_roots(law: OffspringLaw) -> list[complex]:
-    """All K roots of ``mu_hat(z) = 1``, polished and canonically ordered.
-
-    Multiple roots repeat according to multiplicity.  A root whose residual
-    cannot be driven below 1e-10 is still returned (see
-    :class:`SpectralReport` for the flag).
-    """
-    roots, _ = _root_analysis(law, malthusian(law))
-    return roots.tolist()
-
-
 def classify(law: OffspringLaw) -> SpectralReport:
     """Classify the fluctuation regime from the root geometry.
 
@@ -375,25 +362,3 @@ def resolvent_vector(lam: complex, law: OffspringLaw, m: float, trunc: int) -> n
     base = (1.0 / lam.real if real_case else 1.0 / lam) ** k
     f = (base - (1.0 / m) ** k) / (denom.real if real_case and denom.imag == 0.0 else denom)
     return f
-
-
-def power_growth(law: OffspringLaw, m: float, y0: np.ndarray, n: int, radius: float = 1.0) -> np.ndarray:
-    """Per-step weighted-norm ratios ``||T^(j+1) y0|| / ||T^j y0||``.
-
-    The norm is the radius-weighted l2 norm ``sqrt(sum_k |y_k|^2 radius^(2k))``
-    over the window.  Requires the window to cover ``0..K + n`` so every
-    iterate is exact on it.  A zero norm yields a zero ratio.
-    """
-    y = np.asarray(y0, dtype=float if np.isrealobj(y0) else complex).copy()
-    if len(y) - 1 < law.max_age + n:
-        raise ValueError(f"window covers 0..{len(y) - 1}, need 0..{law.max_age + n}")
-    weights = radius ** (2.0 * np.arange(len(y)))
-    norm = lambda w: math.sqrt(float(np.sum(np.abs(w) ** 2 * weights)))
-    ratios = np.empty(n)
-    prev = norm(y)
-    for j in range(n):
-        y = apply_T(law, m, y)
-        cur = norm(y)
-        ratios[j] = cur / prev if prev > 0.0 else 0.0
-        prev = cur
-    return ratios

@@ -50,6 +50,21 @@ def test_config_rejects_bad_lags(gw13):
         ExperimentConfig(law=gw13, horizon=10, replicates=100, master_seed=0, lags=(1, -1))
 
 
+def test_config_rejects_a_lag_past_the_horizon(law_ii):
+    # a lag-30 statistic at horizon 24 would read Z_{-6} as zero counts
+    assert ExperimentConfig(law_ii, 24, 100, 0, lags=(24,)).lags == (24,)
+    with pytest.raises(ValueError, match="lag 30 exceeds horizon 24"):
+        ExperimentConfig(law_ii, 24, 100, 0, lags=(1, 30))
+
+
+def test_config_rejects_a_horizon_past_the_engine_bound(gw13):
+    # the batch engine allocates its birth schedule for the whole horizon; constructing the config allocates nothing
+    assert ExperimentConfig(gw13, simulate._MAX_HORIZON, 100, 0).horizon == simulate._MAX_HORIZON
+    for horizon in (simulate._MAX_HORIZON + 1, 10**400):
+        with pytest.raises(ValueError, match=f"horizon = {horizon}: exceeds {simulate._MAX_HORIZON}"):
+            ExperimentConfig(gw13, horizon, 100, 0)
+
+
 def test_config_regime_three_tolerances_are_the_cli_defaults():
     assert (ExperimentConfig.tol_residual, ExperimentConfig.tol_alternation) == (0.15, 0.90)
     parsed = parse_config(json.dumps({"command": "analyze", "law": {"atoms": [{"prob": 1.0, "births": [2]}]}}))
@@ -329,6 +344,14 @@ def test_backtest_more_lags_never_hurt(gw13):
     # K = 0 is literally the naive rule
     assert b0.mse_normalized == b0.naive_mse_normalized
     assert b0.predicted_residual_sq == pytest.approx(b0.predicted_target_sq, rel=1e-12)
+
+
+def test_backtest_refuses_an_order_past_the_horizon(law_ii):
+    # lags 5..8 at horizon 4 would read Z before time 0 as zero counts
+    config = ExperimentConfig(law_ii, 4, 100, 0)
+    assert predictor_backtest(config, 4).K == 4
+    with pytest.raises(ValueError, match="predictor order K = 8 exceeds horizon 4"):
+        predictor_backtest(config, 8)
 
 
 def test_backtest_refuses_deterministic_law(det_gw):

@@ -39,7 +39,6 @@ from cmjfluct.limits import (
     _quotient_symbol,
     _score_cross,
     build_spectrum,
-    char_variance_centered,
     char_variance_full,
     cov_lagged,
     cov_pair,
@@ -319,6 +318,40 @@ def test_boundary_ladder_tends_to_half_the_critical_variance(eps):
     assert np.all(np.isfinite(rule.coeffs)) and math.isfinite(rule.residual_sq)
 
 
+def test_boundary_continuity_on_generated_regime_two_laws():
+    # Two-age laws with mean litters (s^2 - s, s^3) are regime II at m = s^2 with critical root -1/s.  Mixing in an
+    # atom (a, b - 1) at weight eps pushes each into regime I, and margin * sigma^2_I(k) -> sigma^2_II(k) / 2 with an
+    # error linear in the margin, so 100x less eps gives about 100x less error.  When e = d s, Sigma vanishes at the
+    # critical root: sigma^2_II = 0 and sigma^2_I stays bounded, so margin * sigma^2_I itself falls with the margin.
+    # At eps = 1e-7 the margin (about 1e-9) keeps only about 8 digits, which bounds how far the last step can fall.
+    rng = np.random.default_rng(3)
+    degenerate = 0
+    for s in (2, 3, 4) * 4:
+        a, b = s * s - s, s**3
+        d, e = int(rng.integers(1, a + 1)), int(rng.integers(0, b))
+        base = make_law([(0.5, (a - d, b - e)), (0.5, (a + d, b + e))])
+        base_report, critical = spectrum_of(base)
+        assert base_report.regime == "II"
+        degenerate += e == d * s
+        for k in (1, 2):
+            sigma2_ii = variance(critical, {k: 1.0})
+            errors = []
+            for eps in (1e-3, 1e-5, 1e-7):
+                report, spec = spectrum_of(
+                    make_law([(0.5 - eps / 2, (a - d, b - e)), (0.5 - eps / 2, (a + d, b + e)), (eps, (a, b - 1))])
+                )
+                assert report.regime == "I"
+                scaled = report.margin * variance(spec, {k: 1.0})
+                errors.append(scaled if e == d * s else abs(2.0 * scaled / sigma2_ii - 1.0))
+            if e == d * s:
+                assert sigma2_ii <= 1e-15
+                assert all(0.008 <= after / before <= 0.0125 for before, after in zip(errors, errors[1:]))
+            else:
+                assert 0.008 <= errors[1] / errors[0] <= 0.0125
+                assert errors[2] / errors[1] <= 0.05
+    assert 0 < degenerate < 12
+
+
 @pytest.mark.parametrize("eps", [0.032, 0.0864])
 def test_series_agrees_with_exact_route_where_its_forms_overflow(eps):
     # at margins 1e-2 and 2.7e-2 the per-epoch forms overflow float64 long before the weights shrink them
@@ -484,11 +517,6 @@ def test_lagged_rejects_negative_separation(gw13):
 # ---------------------------------------------------------------- characteristics
 
 
-def test_centered_coin_variance(gw13_coin):
-    report = classify(gw13_coin)
-    assert char_variance_centered(gw13_coin, report.m) == pytest.approx(0.5, rel=1e-14)
-
-
 def test_centered_coin_scored_at_age_one():
     law = make_law(
         [
@@ -498,12 +526,8 @@ def test_centered_coin_scored_at_age_one():
             (0.25, (3,), (0.0, -1.0)),
         ]
     )
-    assert char_variance_centered(law, 2.0) == pytest.approx(0.25, rel=1e-14)
-
-
-def test_centered_requires_zero_mean(gw13_deaths):
-    with pytest.raises(ValueError):
-        char_variance_centered(gw13_deaths, 2.0)
+    report, spec = spectrum_of(law)
+    assert char_variance_full(law, report, spec) == pytest.approx(0.25, rel=1e-14)
 
 
 def test_full_equals_centered_for_independent_coin(gw13_coin):

@@ -16,9 +16,8 @@ from cmjfluct import (
     mu_hat_prime,
     sigma_hat,
     validate_law,
-    xi_hat_sample,
 )
-from cmjfluct.offspring import _sigma_form
+from cmjfluct.offspring import _polyval, _sigma_form
 from cmjfluct.spectral import classify
 
 
@@ -138,22 +137,21 @@ def test_mu_hat_strictly_increasing_on_positive_axis(law_i, law_iii):
         assert np.all(np.diff(vals) > 0)
 
 
-def test_xi_hat_sample(law_ii):
-    atom = law_ii.atoms[1]  # births (3, 8)
-    z = 0.3 + 0.4j
-    assert xi_hat_sample(atom, z) == pytest.approx(3 * z + 8 * z**2)
-
-
 def _sigma_by_einsum(sigma, z):
     """Reference conjugate-bilinear form through the (M, K+1) power matrix (complex; imaginary part is roundoff)."""
     powers = z[:, None] ** np.arange(sigma.shape[0])
     return np.einsum("ni,ij,nj->n", powers, sigma, np.conj(powers))
 
 
+def _xi_hat(atom, z):
+    """Litter transform of a single atom, ``Xi_a(z) = sum_k births_a[k] z^k``."""
+    return _polyval(np.asarray(atom.births, dtype=float), np.asarray(z))
+
+
 def _sigma_by_atoms(law, z):
     """Reference defining sum over atoms, ``sum_a p_a |Xi_a(z) - mu_hat(z)|^2``."""
     mean = mu_hat(law, z)
-    return sum(a.prob * np.abs(xi_hat_sample(a, z) - mean) ** 2 for a in law.atoms)
+    return sum(a.prob * np.abs(_xi_hat(a, z) - mean) ** 2 for a in law.atoms)
 
 
 def test_sigma_hat_matches_covariance_form_on_random_points(law_i, law_ii, gw13_coin):
