@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from .errors import RefusalError, UsageError
 from .offspring import (
-    CharMoments,
     LitterAtom,
     MomentTable,
     OffspringLaw,
-    char_moments,
     law_fingerprint,
     make_law,
     moments,

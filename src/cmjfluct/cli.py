@@ -21,11 +21,11 @@ import json
 import math
 import pathlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .errors import RefusalError, UsageError
-from .harness import ExperimentConfig, _spectrum_for, oscillation_residual, predictor_backtest, run_experiment
+from .harness import _MAX_CELLS, ExperimentConfig, _spectrum_for, oscillation_residual, predictor_backtest, run_experiment
 from .limits import _cov_matrix, variance
 from .offspring import OffspringLaw, make_law
 from .simulate import _DEFAULT_CAP, _MAX_HORIZON, _csv_cell, _csv_text, run, trace_csv
@@ -33,16 +33,11 @@ from .spectral import _MAX_LAG, classify
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
-_COMMANDS = ("analyze", "limits", "simulate", "verify", "predict")
-
 #: Largest ``replicates``, and largest ``K`` and ``|lag|``, a config may ask for: a campaign simulates about 10^5
 #: replicates of 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 14 ms
 #: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256, the widest these bounds
 #: let it grow, about 40 ms and 11 MB.  The lag bound is the one the epoch-series functions keep.
 _MAX_REPLICATES, _MAX_K = 10**6, _MAX_LAG
-#: Largest ``replicates * (horizon + 1)`` of ``verify`` and ``predict``: a campaign keeps 8 bytes of totals per
-#: replicate and step, 200 MB here, enough for 10^6 x 25 steps.  ``horizon`` keeps the engine's bound.
-_MAX_CELLS = 25 * 10**6
 
 _TOP_KEYS = {
     "command",
@@ -58,7 +53,8 @@ _TOP_KEYS = {
 }
 _LAW_KEYS = {"atoms", "char_extends"}
 _ATOM_KEYS = {"prob", "births", "char"}
-_TOL_KEYS = {"var", "skew", "kurt", "residual", "alternation"}
+#: The ``tolerances`` keys: each names the ``ExperimentConfig`` field ``tol_<key>``, in field order.
+_TOL_KEYS = tuple(f.name.removeprefix("tol_") for f in fields(ExperimentConfig) if f.name.startswith("tol_"))
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -71,11 +67,7 @@ class RunConfig:
     seed: int
     lags: tuple[int, ...]
     K: int | None
-    tol_var: float
-    tol_skew: float
-    tol_kurt: float
-    tol_residual: float
-    tol_alternation: float
+    tolerances: tuple[tuple[str, float], ...]  # (key, value) in _TOL_KEYS order
     outdir: str
     cap: int
 
@@ -110,7 +102,7 @@ def _as_number(x, path: str) -> float:
     return v
 
 
-def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
+def _reject_unknown(obj: dict, allowed: set[str] | tuple[str, ...], path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise UsageError(f"{path}.{key}: unknown key")
@@ -186,11 +178,10 @@ def parse_config(text: str) -> RunConfig:
             raise UsageError(f"config.lags[{j}]: {lag} repeats config.lags[{lags.index(lag)}]")
     tol = _as_object(obj.get("tolerances", {}), "config.tolerances")
     _reject_unknown(tol, _TOL_KEYS, "config.tolerances")
-    tol_var = _as_number(tol.get("var", ExperimentConfig.tol_var), "config.tolerances.var")
-    tol_skew = _as_number(tol.get("skew", ExperimentConfig.tol_skew), "config.tolerances.skew")
-    tol_kurt = _as_number(tol.get("kurt", ExperimentConfig.tol_kurt), "config.tolerances.kurt")
-    tol_res = _as_number(tol.get("residual", ExperimentConfig.tol_residual), "config.tolerances.residual")
-    tol_alt = _as_number(tol.get("alternation", ExperimentConfig.tol_alternation), "config.tolerances.alternation")
+    tolerances = tuple(
+        (key, _as_number(tol.get(key, getattr(ExperimentConfig, f"tol_{key}")), f"config.tolerances.{key}"))
+        for key in _TOL_KEYS
+    )
     outdir = obj.get("outdir", ".")
     if not isinstance(outdir, str):
         raise UsageError("config.outdir: expected a string")
@@ -198,13 +189,7 @@ def parse_config(text: str) -> RunConfig:
     if cap < 1:
         raise UsageError(f"config.cap: {cap} is not positive")
 
-    required = {
-        "analyze": (),
-        "limits": (),
-        "simulate": ("horizon",),
-        "verify": ("horizon", "replicates"),
-        "predict": ("horizon", "replicates", "K"),
-    }[command]
+    required = _COMMANDS[command][1]
     provided = {"horizon": horizon, "replicates": replicates, "K": k_lags}
     for key in required:
         if provided[key] is None:
@@ -220,11 +205,7 @@ def parse_config(text: str) -> RunConfig:
         seed=seed,
         lags=lags,
         K=k_lags,
-        tol_var=tol_var,
-        tol_skew=tol_skew,
-        tol_kurt=tol_kurt,
-        tol_residual=tol_res,
-        tol_alternation=tol_alt,
+        tolerances=tolerances,
         outdir=outdir,
         cap=cap,
     )
@@ -243,13 +224,7 @@ def serialize_config(config: RunConfig) -> str:
         "law": {"atoms": atoms, "char_extends": config.law.char_extends},
         "seed": config.seed,
         "lags": list(config.lags),
-        "tolerances": {
-            "var": config.tol_var,
-            "skew": config.tol_skew,
-            "kurt": config.tol_kurt,
-            "residual": config.tol_residual,
-            "alternation": config.tol_alternation,
-        },
+        "tolerances": dict(config.tolerances),
         "outdir": config.outdir,
         "cap": config.cap,
     }
@@ -286,12 +261,8 @@ def _experiment_config(config: RunConfig) -> ExperimentConfig:
         replicates=config.replicates,
         master_seed=config.seed,
         lags=config.lags,
-        tol_var=config.tol_var,
-        tol_skew=config.tol_skew,
-        tol_kurt=config.tol_kurt,
-        tol_residual=config.tol_residual,
-        tol_alternation=config.tol_alternation,
         cap=config.cap,
+        **{f"tol_{key}": value for key, value in config.tolerances},
     )
 
 
@@ -354,18 +325,20 @@ def _cmd_predict(config: RunConfig, sink: _Sink, out) -> int:
     return 0
 
 
+#: Each command: its handler, and the keys its config must give.
+_COMMANDS = {
+    "analyze": (_cmd_analyze, ()),
+    "limits": (_cmd_limits, ()),
+    "simulate": (_cmd_simulate, ("horizon",)),
+    "verify": (_cmd_verify, ("horizon", "replicates")),
+    "predict": (_cmd_predict, ("horizon", "replicates", "K")),
+}
+
+
 def dispatch(config: RunConfig, out=None) -> int:
     """Run one parsed configuration; write artifacts; return the exit code."""
     out = sys.stdout if out is None else out
-    sink = _Sink(config)
-    handler = {
-        "analyze": _cmd_analyze,
-        "limits": _cmd_limits,
-        "simulate": _cmd_simulate,
-        "verify": _cmd_verify,
-        "predict": _cmd_predict,
-    }[config.command]
-    return handler(config, sink, out)
+    return _COMMANDS[config.command][0](config, _Sink(config), out)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -66,6 +66,10 @@ _DOMAIN_BACKTEST = 1
 _DOMAIN_OSCILLATION = 2
 _DOMAIN_LAGCHECK = 3
 
+#: Largest ``replicates * (horizon + 1)`` of a campaign: a campaign keeps 8 bytes of totals per replicate and step,
+#: 200 MB here, enough for 10^6 x 25 steps.
+_MAX_CELLS = 25 * 10**6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -76,7 +80,8 @@ class ExperimentConfig:
     (defaults calibrated for R around 10^4).  ``tol_residual`` bounds the
     oscillation summary's median relative residual and ``tol_alternation``
     is the least share of replicates that must alternate in sign.  A horizon
-    past the batch engine's bound, or a lag past the horizon, is refused.
+    past the batch engine's bound, more than ``_MAX_CELLS`` totals
+    (``replicates * (horizon + 1)``), or a lag past the horizon, is refused.
     """
 
     law: OffspringLaw
@@ -98,6 +103,8 @@ class ExperimentConfig:
             raise ValueError(f"horizon = {self.horizon}: need at least 2 K = {2 * self.law.max_age}")
         if self.horizon > _MAX_HORIZON:
             raise ValueError(f"horizon = {self.horizon}: exceeds {_MAX_HORIZON}, the batch engine's bound")
+        if self.replicates * (self.horizon + 1) > _MAX_CELLS:
+            raise ValueError(f"replicates * (horizon + 1) = {self.replicates * (self.horizon + 1)} exceeds {_MAX_CELLS}")
         if not self.lags:
             raise ValueError("need at least one lag")
         if any(k < 0 for k in self.lags):

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RefusalError
-from .offspring import _SIGMA_CLAMP, OffspringLaw, _polyval, _sigma_folds, _sigma_form, char_moments, moments
+from .offspring import _SIGMA_CLAMP, OffspringLaw, _polyval, _sigma_folds, _sigma_form, moments
 from .spectral import _MAX_LAG, SpectralReport, _pow2_at_least, vector_v
 
 __all__ = [
@@ -392,7 +392,7 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
     return (1.0 - 1.0 / m) * float(np.sum(tab.sigma[1:, 1:] * weights))
 
 
-def _score_cross(law: OffspringLaw, m: float, cm) -> float:
+def _score_cross(law: OffspringLaw, m: float) -> float:
     """``char_variance_full``'s cross term ``int g(z) C(z) dtheta/2pi`` on ``|z| = m^{-1/2}``, as a finite sum.
 
     ``g = N / ((z - 1)(1 - mu_hat)) = -Ntilde(z) / (m (z - 1) b(z))`` with ``N = sum_k delta_k (z^k - m^-k)``,
@@ -401,11 +401,12 @@ def _score_cross(law: OffspringLaw, m: float, cm) -> float:
     ``m^-a``.  An extending characteristic repeats its last row for every ``a > K_phi``: over ``n = a - i``
     that sums to ``g(1/m)`` less a partial sum.
     """
-    cov = cm.gamma_phi  # (K_phi+1, K+1)
+    tab = moments(law)
+    cov = tab.gamma_phi  # (K_phi+1, K+1)
     ages, k_top = cov.shape[0], cov.shape[1] - 1
-    b = _deflate(moments(law).mu.tolist(), m)
-    quotient = _quotient_symbol(dict(enumerate(cm.delta_lambda)), m)
-    ntilde = [quotient.get(j, 0.0) for j in range(len(cm.delta_lambda) - 1)]
+    b = _deflate(tab.mu.tolist(), m)
+    quotient = _quotient_symbol(dict(enumerate(tab.delta_lambda)), m)
+    ntilde = [quotient.get(j, 0.0) for j in range(len(tab.delta_lambda) - 1)]
     g = _series_ratio(ntilde, np.convolve([1.0, -1.0], b), ages) / m
     a, i = np.arange(ages)[:, None], np.arange(k_top + 1)
     cross = float(np.sum(cov * np.where(a >= i, g[np.clip(a - i, 0, None)], 0.0) * (1.0 / m) ** a))
@@ -433,15 +434,13 @@ def char_variance_full(law: OffspringLaw, report: SpectralReport, spectrum: Limi
         raise RefusalError("need the circle-form spectrum of the same law")
     if not law.has_char:
         raise ValueError("law has no characteristic")
-    m = report.m
-    cm = char_moments(law, m)
-
-    var_phi = moments(law).var_phi
+    m, tab = report.m, moments(law)
+    var_phi = tab.var_phi
     own = float(np.sum(var_phi * (1.0 / m) ** np.arange(len(var_phi))))
     if law.char_extends:  # a frozen characteristic adds the geometric tail of its last age
         own += float(var_phi[-1]) * m ** -(len(var_phi) - 1) / (m - 1.0)
-    cross = _score_cross(law, m, cm)
-    mean_part = variance(spectrum, {k: float(c) for k, c in enumerate(cm.delta_lambda)})
+    cross = _score_cross(law, m)
+    mean_part = variance(spectrum, {k: float(c) for k, c in enumerate(tab.delta_lambda)})
     return ((m - 1.0) / m) * (own - 2.0 * cross) + mean_part
 
 

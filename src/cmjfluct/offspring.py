@@ -31,14 +31,12 @@ __all__ = [
     "LitterAtom",
     "OffspringLaw",
     "MomentTable",
-    "CharMoments",
     "make_law",
     "validate_law",
     "moments",
     "mu_hat",
     "mu_hat_prime",
     "sigma_hat",
-    "char_moments",
     "law_fingerprint",
 ]
 
@@ -104,25 +102,28 @@ class OffspringLaw:
         sigma = second - np.outer(mu, mu)
         sigma[0, :] = 0.0
         sigma[:, 0] = 0.0
-        mean_total = float(mu.sum())
 
-        lambda_phi = var_phi = gamma_phi = None
+        lambda_phi = var_phi = gamma_phi = delta_lambda = None
         if self.has_char:
             phi = np.array([a.char_values for a in self.atoms], dtype=float)  # (n_atoms, K_phi+1)
             lambda_phi = probs @ phi
             var_phi = probs @ (phi**2) - lambda_phi**2
             np.maximum(var_phi, 0.0, out=var_phi)
             gamma_phi = (phi * probs[:, None]).T @ births - np.outer(lambda_phi, mu)
-        for arr in (mu, sigma, lambda_phi, var_phi, gamma_phi):
+            delta_lambda = np.zeros(len(lambda_phi) + 1)
+            delta_lambda[: len(lambda_phi)] = lambda_phi
+            delta_lambda[1 : len(lambda_phi)] -= lambda_phi[:-1]
+            delta_lambda[len(lambda_phi)] = 0.0 if self.char_extends else -lambda_phi[-1]
+        for arr in (mu, sigma, lambda_phi, var_phi, gamma_phi, delta_lambda):
             if arr is not None:
                 arr.flags.writeable = False
         return MomentTable(
             mu=mu,
             sigma=sigma,
-            mean_total=mean_total,
             lambda_phi=lambda_phi,
             var_phi=var_phi,
             gamma_phi=gamma_phi,
+            delta_lambda=delta_lambda,
         )
 
     @cached_property
@@ -147,20 +148,22 @@ class MomentTable:
 
     mu : (K+1,) array, ``mu[k] = E N_k`` (children borne at age k); ``mu[0] = 0``.
     sigma : (K+1, K+1) array, ``sigma[i, j] = Cov(N_i, N_j)``.
-    mean_total : ``E[N] = sum_k mu[k]``.
     lambda_phi / var_phi : (K_phi+1,) arrays of ``E phi(k)`` and ``Var phi(k)``,
         or ``None`` when the law has no characteristic.
     gamma_phi : (K_phi+1, K+1) array, ``gamma_phi[k, j] = Cov(phi(k), N_j)``.
+    delta_lambda : (K_phi+2,) array of the increments ``lambda_phi[k] - lambda_phi[k-1]``, one slot past the
+        table (zero when the characteristic extends, ``-lambda_phi[K_phi]`` when it drops to zero), so that
+        ``(1 - z) * Lambda_hat(z) = sum_k delta_lambda[k] z^k`` exactly; ``None`` without a characteristic.
 
     The table also keeps the orbit ``T^s v`` of the forcing window, built lazily (:func:`~cmjfluct.spectral._orbit`).
     """
 
     mu: np.ndarray
     sigma: np.ndarray
-    mean_total: float
     lambda_phi: np.ndarray | None = None
     var_phi: np.ndarray | None = None
     gamma_phi: np.ndarray | None = None
+    delta_lambda: np.ndarray | None = None
     _orbit: _Orbit = field(default_factory=_Orbit, init=False, repr=False)
 
     @cached_property
@@ -192,26 +195,6 @@ class MomentTable:
         if abs(f(x)) > 1e-12:
             raise RuntimeError(f"growth-factor solve did not converge: residual {abs(f(x))!r}")
         return m
-
-
-@dataclass(frozen=True, eq=False)
-class CharMoments:
-    """Characteristic moment summary relative to a given growth rate m.
-
-    ``delta_lambda`` holds the increments ``lambda_phi[k] - lambda_phi[k-1]``
-    over ``k = 0..K_phi+1`` (one slot past the table: zero when the
-    characteristic extends, ``-lambda_phi[K_phi]`` when it drops to zero), so
-    that ``(1 - z) * Lambda_hat(z) = sum_k delta_lambda[k] z^k`` exactly.
-    ``lambda_scalar`` is the asymptotic mean score per individual,
-    ``(1 - 1/m) * Lambda_hat(1/m) = sum_k delta_lambda[k] m^-k``.
-    """
-
-    lambda_phi: np.ndarray
-    var_phi: np.ndarray
-    gamma_phi: np.ndarray
-    delta_lambda: np.ndarray
-    lambda_scalar: float
-    extends: bool
 
 
 def make_law(
@@ -405,43 +388,6 @@ def sigma_hat(law: OffspringLaw, z):
     """
     out = _sigma_form(moments(law).sigma, z, np.abs(z) ** 2)
     return out if out.shape else float(out)
-
-
-def char_moments(law: OffspringLaw, m: float) -> CharMoments:
-    """Characteristic moment summary relative to growth factor ``m``.
-
-    Computes the mean-score table, its increment vector ``delta_lambda`` (one
-    slot past the table so the drop-to-zero tail is represented exactly), and
-    the asymptotic mean score per individual
-    ``lambda_scalar = sum_k delta_lambda[k] m^-k``.
-
-    Raises ValueError if the law carries no characteristic or ``m <= 1``.
-    """
-    if not law.has_char:
-        raise ValueError("law has no characteristic")
-    if not m > 1.0:
-        raise ValueError(f"growth factor m = {m!r} must exceed 1")
-    tab = moments(law)
-    assert tab.lambda_phi is not None and tab.var_phi is not None and tab.gamma_phi is not None
-    lam = tab.lambda_phi
-    delta = np.zeros(len(lam) + 1)
-    delta[: len(lam)] = lam
-    delta[1 : len(lam)] -= lam[:-1]
-    if law.char_extends:
-        delta[len(lam)] = 0.0
-    else:
-        delta[len(lam)] = -lam[-1]
-    delta.flags.writeable = False
-    weights = (1.0 / m) ** np.arange(len(delta))
-    lambda_scalar = float(delta @ weights)
-    return CharMoments(
-        lambda_phi=lam,
-        var_phi=tab.var_phi,
-        gamma_phi=tab.gamma_phi,
-        delta_lambda=delta,
-        lambda_scalar=lambda_scalar,
-        extends=law.char_extends,
-    )
 
 
 def law_fingerprint(law: OffspringLaw) -> str:

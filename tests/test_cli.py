@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -12,7 +13,17 @@ import time
 import pytest
 
 import cmjfluct
-from cmjfluct.cli import _MAX_CELLS, _MAX_HORIZON, _MAX_K, _MAX_REPLICATES, main, parse_config, serialize_config
+from cmjfluct.cli import (
+    _MAX_CELLS,
+    _MAX_HORIZON,
+    _MAX_K,
+    _MAX_REPLICATES,
+    _TOL_KEYS,
+    _experiment_config,
+    main,
+    parse_config,
+    serialize_config,
+)
 from cmjfluct.errors import UsageError
 from cmjfluct.harness import ExperimentConfig, oscillation_residual
 
@@ -218,6 +229,21 @@ def test_round_trip():
     }
     config = parse_config(json.dumps(doc))
     assert parse_config(serialize_config(config)) == config
+
+
+def test_each_tolerance_key_is_an_experiment_config_field():
+    names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name.startswith("tol_")]
+    assert [f"tol_{key}" for key in _TOL_KEYS] == names
+    doc = {"command": "verify", "law": {"atoms": GW13_ATOMS}, "horizon": 12, "replicates": 200}
+    for key in _TOL_KEYS:
+        config = parse_config(json.dumps({**doc, "tolerances": {key: 0.625}}))
+        assert parse_config(serialize_config(config)) == config
+        assert json.loads(serialize_config(config))["tolerances"][key] == 0.625
+        campaign = _experiment_config(config)
+        for name in names:
+            assert getattr(campaign, name) == (0.625 if name == f"tol_{key}" else getattr(ExperimentConfig, name))
+    with pytest.raises(UsageError, match=r"config.tolerances.kurt: expected a number"):
+        parse_config(json.dumps({**doc, "tolerances": {"kurt": "tight"}}))
 
 
 # -------------------------------------------------------- dispatch

@@ -65,10 +65,21 @@ def test_config_rejects_a_horizon_past_the_engine_bound(gw13):
             ExperimentConfig(gw13, horizon, 100, 0)
 
 
+def test_config_rejects_a_campaign_past_the_cell_budget(gw13, law_ii):
+    # a campaign keeps replicates x (horizon + 1) totals; constructing the config allocates nothing
+    assert harness._MAX_CELLS == 10**6 * 25
+    assert ExperimentConfig(gw13, 24, 10**6, 0).replicates == 10**6
+    assert ExperimentConfig(gw13, 12, 200_000, 0).replicates == 200_000  # the largest campaign in this suite
+    for horizon, replicates in ((25, 10**6), (24, 10**9)):
+        with pytest.raises(ValueError, match=rf"replicates \* \(horizon \+ 1\) = {replicates * (horizon + 1)} exceeds"):
+            ExperimentConfig(law_ii, horizon, replicates, 0)
+
+
 def test_config_regime_three_tolerances_are_the_cli_defaults():
     assert (ExperimentConfig.tol_residual, ExperimentConfig.tol_alternation) == (0.15, 0.90)
     parsed = parse_config(json.dumps({"command": "analyze", "law": {"atoms": [{"prob": 1.0, "births": [2]}]}}))
-    assert (parsed.tol_residual, parsed.tol_alternation) == (0.15, 0.90)
+    tolerances = dict(parsed.tolerances)
+    assert (tolerances["residual"], tolerances["alternation"]) == (0.15, 0.90)
 
 
 # ---------------------------------------------------- run_experiment

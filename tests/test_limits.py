@@ -47,7 +47,7 @@ from cmjfluct.limits import (
     sigma2_series,
     variance,
 )
-from cmjfluct.offspring import _polyval, _sigma_form, char_moments, make_law, moments, validate_law
+from cmjfluct.offspring import _polyval, _sigma_form, make_law, moments, validate_law
 from cmjfluct.simulate import martingale_qv, run
 from cmjfluct.spectral import classify
 
@@ -247,9 +247,9 @@ def _regime_one_laws(draw):
 
 def _cross_on_grid(law, m, points):
     """The cross term of char_variance_full as a contour mean (the quadrature it replaced)."""
-    cm = char_moments(law, m)
+    cm = moments(law)
     n_sym = sum(c * points**k for k, c in _centered_symbol(dict(enumerate(cm.delta_lambda)), m).items())
-    g = n_sym / ((points - 1.0) * (1.0 - _polyval(moments(law).mu, points)))
+    g = n_sym / ((points - 1.0) * (1.0 - _polyval(cm.mu, points)))
     births = points[:, None] ** np.arange(cm.gamma_phi.shape[1])
     c_sym = sum(np.conj(points) ** age * (births @ row) for age, row in enumerate(cm.gamma_phi))
     if law.char_extends:
@@ -289,8 +289,8 @@ def test_exact_route_matches_contour_and_series(law, data):
     assert np.array_equal(cov, cov.T)
     assert np.max(np.abs(cov - gram)) <= 1e-10 * np.max(gram)
     cross = _cross_on_grid(law, m, points)
-    scale = max(abs(cross), float(np.max(np.abs(char_moments(law, m).gamma_phi))))
-    assert abs(_score_cross(law, m, char_moments(law, m)) - cross) <= 1e-10 * scale
+    scale = max(abs(cross), float(np.max(np.abs(tab.gamma_phi))))
+    assert abs(_score_cross(law, m) - cross) <= 1e-10 * scale
 
 
 def test_series_matches_quadrature_on_random_vectors(gw13, law_i):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cmjfluct import (
-    char_moments,
     law_fingerprint,
     make_law,
     moments,
@@ -17,6 +16,7 @@ from cmjfluct import (
     sigma_hat,
     validate_law,
 )
+from cmjfluct.limits import build_spectrum, char_variance_full
 from cmjfluct.offspring import _polyval, _sigma_form
 from cmjfluct.spectral import classify
 
@@ -80,7 +80,7 @@ def test_moments_gw13(gw13):
     tab = moments(gw13)
     assert tab.mu.tolist() == [0.0, 2.0]
     assert tab.sigma[1, 1] == pytest.approx(1.0, abs=1e-15)
-    assert tab.mean_total == pytest.approx(2.0)
+    assert gw13.mean_total == pytest.approx(2.0)
 
 
 def test_moments_law_ii(law_ii):
@@ -218,35 +218,32 @@ def test_sigma_hat_zero_for_deterministic_law(det_gw):
 
 
 def test_char_moments_coin(gw13_coin):
-    cm = char_moments(gw13_coin, m=2.0)
+    cm = moments(gw13_coin)
     assert cm.lambda_phi.tolist() == [0.0]
     assert cm.var_phi.tolist() == [1.0]
     assert np.allclose(cm.gamma_phi, 0.0, atol=1e-15)
     assert cm.delta_lambda.tolist() == [0.0, 0.0]
-    assert cm.lambda_scalar == pytest.approx(0.0, abs=1e-15)
 
 
 def test_char_moments_deaths(gw13_deaths):
-    # phi = (1, 1) then 0: increments (1, 0, -1); mean score (1 - 1/m) * (1 + 1/m).
-    cm = char_moments(gw13_deaths, m=2.0)
+    # phi = (1, 1) then 0: increments (1, 0, -1)
+    cm = moments(gw13_deaths)
     assert cm.lambda_phi.tolist() == [1.0, 1.0]
     assert cm.delta_lambda.tolist() == [1.0, 0.0, -1.0]
-    assert cm.lambda_scalar == pytest.approx(0.75)
     assert np.allclose(cm.var_phi, 0.0, atol=1e-15)
 
 
 def test_char_moments_constant_extends(gw13_alive):
-    cm = char_moments(gw13_alive, m=2.0)
-    assert cm.extends
+    cm = moments(gw13_alive)
     assert cm.delta_lambda.tolist() == [1.0, 0.0]
-    assert cm.lambda_scalar == pytest.approx(1.0)
+    assert not cm.delta_lambda.flags.writeable
 
 
-def test_char_moments_requires_char_and_growth(gw13, gw13_coin):
-    with pytest.raises(ValueError, match="characteristic"):
-        char_moments(gw13, m=2.0)
-    with pytest.raises(ValueError, match="m ="):
-        char_moments(gw13_coin, m=1.0)
+def test_char_moments_requires_char(gw13):
+    assert moments(gw13).delta_lambda is None
+    report = classify(gw13)
+    with pytest.raises(ValueError, match="law has no characteristic"):
+        char_variance_full(gw13, report, build_spectrum(report, moments(gw13)))
 
 
 def test_char_cross_covariance(law_ii):

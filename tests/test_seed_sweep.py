@@ -7,6 +7,7 @@ import importlib.util
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from cmjfluct.cli import _experiment_config, parse_config
@@ -50,7 +51,20 @@ def test_each_seed_verdict_is_the_direct_campaign_verdict(doc, campaign):
         assert passed == (not any(failed for _, failed in clauses.values()))
     table = sweep.render(name, results)
     assert table.startswith(f"{name}, 5 seeds\n")
-    assert len(table.splitlines()) == len(results[0][2]) + 3
+    # title, column header, the clause lines (plus run_experiment's variance z-score line), verdict
+    assert len(table.splitlines()) == {"run_experiment": 7, "oscillation_residual": 6, "predictor_backtest": 4}[name]
+
+
+def test_variance_z_line_is_a_statistic_of_the_same_reports():
+    sweep = _load()
+    text = json.dumps({"command": "verify", "law": _GW13, "horizon": 14, "replicates": 1000, "lags": [1, 2]})
+    name, results = sweep.sweep(text, range(1, 6))
+    base = _experiment_config(parse_config(text))
+    rows = [run_experiment(dataclasses.replace(base, master_seed=seed)).rows[1] for seed in range(1, 6)]
+    median = float(np.median([(r.variance - r.predicted_variance) / r.variance_se for r in rows]))
+    line = next(line for line in sweep.render(name, results).splitlines() if line.startswith("lag 2 variance z "))
+    fail_frac, _, q50, _ = line.split()[4:]
+    assert (fail_frac, q50) == ("-", f"{median:.4g}")
 
 
 def test_sweep_refuses_a_command_without_a_campaign():

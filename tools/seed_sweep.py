@@ -18,6 +18,9 @@ the 5%, 50% and 95% quantiles over the seeds of the statistic that the clause bo
   for ``mean_ok``, the largest ``|centered mean| / SE`` over the critical roots (it fails above 3);
 * ``predictor_backtest``: for ``beats_naive``, the ratio of the rule's MSE to the naive MSE.
 
+``run_experiment`` also gets one line per lag for the variance z-score
+``(variance - predicted_variance) / variance_se``: a statistic no clause bounds, so its ``fail_frac`` reads ``-``.
+
 The last line gives the share of seeds whose verdict failed, and lists them.
 """
 
@@ -42,10 +45,11 @@ def _seeds(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def clauses(report, config) -> dict[str, tuple[float, bool]]:
+def clauses(report, config) -> dict[str, tuple[float, bool | None]]:
     """Each pass clause of a campaign report on ``config``: its name, the statistic it bounds, and whether it failed.
 
-    The report's verdict holds exactly when no clause failed.
+    The report's verdict holds exactly when no clause failed.  A statistic that no clause bounds (the variance
+    z-score of ``run_experiment``) comes with ``None`` in place of the flag.
     """
     if isinstance(report, VerificationReport):
         out = {}
@@ -54,6 +58,8 @@ def clauses(report, config) -> dict[str, tuple[float, bool]]:
             # a constant statistic has skewness and excess kurtosis 0, so it is normal here as in the report
             out[f"lag {r.lag} |skewness|"] = (abs(r.skewness), abs(r.skewness) > config.tol_skew)
             out[f"lag {r.lag} |ex_kurtosis|"] = (abs(r.ex_kurtosis), abs(r.ex_kurtosis) > config.tol_kurt)
+            z = (r.variance - r.predicted_variance) / r.variance_se if r.variance_se > 0 else math.nan
+            out[f"lag {r.lag} variance z"] = (z, None)
         return out
     if isinstance(report, BacktestReport):
         ratio = report.mse_normalized / report.naive_mse_normalized if report.naive_mse_normalized > 0 else math.nan
@@ -68,7 +74,7 @@ def clauses(report, config) -> dict[str, tuple[float, bool]]:
     return out
 
 
-def sweep(text: str, seeds) -> tuple[str, list[tuple[int, bool, dict[str, tuple[float, bool]]]]]:
+def sweep(text: str, seeds) -> tuple[str, list[tuple[int, bool, dict[str, tuple[float, bool | None]]]]]:
     """Run the campaign of the CLI run config ``text`` at each master seed: its name, and per seed
     ``(seed, passed, clauses)``."""
     run_config = parse_config(text)
@@ -90,13 +96,14 @@ def sweep(text: str, seeds) -> tuple[str, list[tuple[int, bool, dict[str, tuple[
 
 
 def render(name: str, results) -> str:
-    """The sweep's table: one line per clause, then the verdict."""
+    """The sweep's table: one line per clause or statistic, then the verdict."""
     lines = [f"{name}, {len(results)} seeds", f"{'clause':<28} {'fail_frac':>9} {'q05':>11} {'q50':>11} {'q95':>11}"]
     for clause in results[0][2]:
         stats = np.array([r[2][clause][0] for r in results])
-        fails = sum(r[2][clause][1] for r in results) / len(results)
+        flags = [r[2][clause][1] for r in results]
+        fails = "-" if flags[0] is None else f"{sum(flags) / len(results):.3f}"
         q = np.quantile(stats, [0.05, 0.5, 0.95])
-        lines.append(f"{clause:<28} {fails:>9.3f} " + " ".join(f"{v:>11.4g}" for v in q))
+        lines.append(f"{clause:<28} {fails:>9} " + " ".join(f"{v:>11.4g}" for v in q))
     failed = [seed for seed, passed, _ in results if not passed]
     lines.append(f"verdict failed at {len(failed) / len(results):.3f} of seeds: {', '.join(map(str, failed)) or '-'}")
     return "\n".join(lines) + "\n"
