@@ -10,7 +10,8 @@ byte-identical artifacts.
 
 Exit codes: 0 success; 1 usage (bad arguments or config); 2 refusal (the
 requested analysis does not apply to the law); 3 fault (precondition or
-internal error); 4 verification ran but a pass flag is false.
+internal error, or an artifact that cannot be written); 4 verification ran
+but a pass flag is false.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, fields
 from . import __version__
 from .errors import RefusalError, UsageError
 from .harness import _MAX_CELLS, ExperimentConfig, _spectrum_for, oscillation_residual, predictor_backtest, run_experiment
-from .limits import _cov_matrix, variance
+from .limits import _cov_matrix
 from .offspring import OffspringLaw, make_law
 from .simulate import _DEFAULT_CAP, _MAX_HORIZON, _csv_cell, _csv_text, run, trace_csv
 from .spectral import _MAX_LAG, classify
@@ -36,29 +37,13 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 #: Largest ``replicates``, and largest ``K`` and ``|lag|``, a config may ask for: a campaign simulates about 10^5
 #: replicates of 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 14 ms
 #: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256, the widest these bounds
-#: let it grow, about 40 ms and 11 MB.  The lag bound is the one the epoch-series functions keep.
+#: let it grow, about 40 ms and 11 MB.  The lag bound is the one the epoch-series functions and library campaigns keep.
 _MAX_REPLICATES, _MAX_K = 10**6, _MAX_LAG
 
-_TOP_KEYS = {
-    "command",
-    "law",
-    "horizon",
-    "replicates",
-    "seed",
-    "lags",
-    "K",
-    "tolerances",
-    "outdir",
-    "cap",
-}
-_LAW_KEYS = {"atoms", "char_extends"}
-_ATOM_KEYS = {"prob", "births", "char"}
-#: The ``tolerances`` keys: each names the ``ExperimentConfig`` field ``tol_<key>``, in field order.
-_TOL_KEYS = tuple(f.name.removeprefix("tol_") for f in fields(ExperimentConfig) if f.name.startswith("tol_"))
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully-resolved run: command, law, and materialized parameters."""
+    """One fully-resolved run: command, law, and materialized parameters; its fields are the config's keys."""
 
     command: str
     law: OffspringLaw
@@ -70,6 +55,15 @@ class RunConfig:
     tolerances: tuple[tuple[str, float], ...]  # (key, value) in _TOL_KEYS order
     outdir: str
     cap: int
+
+
+_TOP_KEYS = tuple(f.name for f in fields(RunConfig))
+_LAW_KEYS = {"atoms", "char_extends"}
+_ATOM_KEYS = {"prob", "births", "char"}
+#: The ``tolerances`` keys: each names the ``ExperimentConfig`` field ``tol_<key>``, in field order.
+_TOL_KEYS = tuple(f.name.removeprefix("tol_") for f in fields(ExperimentConfig) if f.name.startswith("tol_"))
+#: Inclusive bounds of the integer keys that are ``None`` unless given, in the order they are checked.
+_BOUNDS = {"horizon": (0, _MAX_HORIZON), "replicates": (1, _MAX_REPLICATES), "K": (0, _MAX_K)}
 
 
 def _need(obj: dict, key: str, path: str):
@@ -146,6 +140,8 @@ def parse_config(text: str) -> RunConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit, or nesting past its depth
+        raise UsageError(f"config: {exc}") from exc
     obj = _as_object(raw, "config")
     _reject_unknown(obj, _TOP_KEYS, "config")
     command = _need(obj, "command", "config")
@@ -153,19 +149,11 @@ def parse_config(text: str) -> RunConfig:
         raise UsageError(f"config.command: {command!r} is not one of {', '.join(_COMMANDS)}")
     law = _parse_law(_need(obj, "law", "config"), "config.law")
 
-    horizon = replicates = k_lags = None
-    if "horizon" in obj:
-        horizon = _as_int(obj["horizon"], "config.horizon")
-        if not 0 <= horizon <= _MAX_HORIZON:
-            raise UsageError(f"config.horizon: {horizon} is outside [0, {_MAX_HORIZON}]")
-    if "replicates" in obj:
-        replicates = _as_int(obj["replicates"], "config.replicates")
-        if not 1 <= replicates <= _MAX_REPLICATES:
-            raise UsageError(f"config.replicates: {replicates} is outside [1, {_MAX_REPLICATES}]")
-    if "K" in obj:
-        k_lags = _as_int(obj["K"], "config.K")
-        if not 0 <= k_lags <= _MAX_K:
-            raise UsageError(f"config.K: {k_lags} is outside [0, {_MAX_K}]")
+    bounded = {}
+    for key, (lo, hi) in _BOUNDS.items():
+        value = bounded[key] = _as_int(obj[key], f"config.{key}") if key in obj else None
+        if value is not None and not lo <= value <= hi:
+            raise UsageError(f"config.{key}: {value} is outside [{lo}, {hi}]")
     seed = _as_int(obj.get("seed", 0), "config.seed")
     lags_raw = obj.get("lags", [1])
     if not isinstance(lags_raw, list) or not lags_raw:
@@ -190,50 +178,30 @@ def parse_config(text: str) -> RunConfig:
         raise UsageError(f"config.cap: {cap} is not positive")
 
     required = _COMMANDS[command][1]
-    provided = {"horizon": horizon, "replicates": replicates, "K": k_lags}
     for key in required:
-        if provided[key] is None:
+        if bounded[key] is None:
             raise UsageError(f"config: command '{command}' requires key '{key}'")
-    if "replicates" in required and replicates * (horizon + 1) > _MAX_CELLS:
-        raise UsageError(f"config: replicates * (horizon + 1) = {replicates * (horizon + 1)} exceeds {_MAX_CELLS}")
+    if "replicates" in required:
+        cells = bounded["replicates"] * (bounded["horizon"] + 1)
+        if cells > _MAX_CELLS:
+            raise UsageError(f"config: replicates * (horizon + 1) = {cells} exceeds {_MAX_CELLS}")
 
-    return RunConfig(
-        command=command,
-        law=law,
-        horizon=horizon,
-        replicates=replicates,
-        seed=seed,
-        lags=lags,
-        K=k_lags,
-        tolerances=tolerances,
-        outdir=outdir,
-        cap=cap,
-    )
+    return RunConfig(command=command, law=law, seed=seed, lags=lags, tolerances=tolerances, outdir=outdir, cap=cap,
+                     **bounded)
 
 
 def serialize_config(config: RunConfig) -> str:
-    """Canonical JSON for a RunConfig; ``parse_config`` round-trips it."""
+    """Canonical JSON for a RunConfig, one key per field that is not ``None``; ``parse_config`` round-trips it."""
+    values = ((f.name, getattr(config, f.name)) for f in fields(config))
+    doc = {key: value for key, value in values if value is not None}  # json writes the lags tuple as a list
     atoms = []
     for atom in config.law.atoms:
         entry: dict = {"prob": atom.prob, "births": list(atom.births[1:])}
         if atom.char_values is not None:
             entry["char"] = list(atom.char_values)
         atoms.append(entry)
-    doc: dict = {
-        "command": config.command,
-        "law": {"atoms": atoms, "char_extends": config.law.char_extends},
-        "seed": config.seed,
-        "lags": list(config.lags),
-        "tolerances": dict(config.tolerances),
-        "outdir": config.outdir,
-        "cap": config.cap,
-    }
-    if config.horizon is not None:
-        doc["horizon"] = config.horizon
-    if config.replicates is not None:
-        doc["replicates"] = config.replicates
-    if config.K is not None:
-        doc["K"] = config.K
+    doc["law"] = {"atoms": atoms, "char_extends": config.law.char_extends}
+    doc["tolerances"] = dict(config.tolerances)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -248,9 +216,12 @@ class _Sink:
         )
 
     def write(self, name: str, body: str) -> pathlib.Path:
-        self.outdir.mkdir(parents=True, exist_ok=True)
         path = self.outdir / name
-        path.write_text(self.header + body)
+        try:
+            self.outdir.mkdir(parents=True, exist_ok=True)
+            path.write_text(self.header + body)
+        except OSError as exc:  # not every OSError names its file, so name it here
+            raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return path
 
 
@@ -284,9 +255,9 @@ def _cmd_analyze(config: RunConfig, sink: _Sink, out) -> int:
 
 def _cmd_limits(config: RunConfig, sink: _Sink, out) -> int:
     report, spectrum = _spectrum_for(config.law)
-    variances = [(k, variance(spectrum, {k: 1.0})) for k in config.lags]
-    sink.write("variances.csv", _csv_text(("k", "variance"), variances))
     cov = _cov_matrix(spectrum, [{k: 1.0} for k in config.lags])
+    variances = [(k, float(cov[a, a])) for a, k in enumerate(config.lags)]
+    sink.write("variances.csv", _csv_text(("k", "variance"), variances))
     covariances = [(j, k, float(cov[a, b])) for a, j in enumerate(config.lags) for b, k in enumerate(config.lags)]
     sink.write("covariances.csv", _csv_text(("j", "k", "covariance"), covariances))
     out.write(f"regime {report.regime}, spectrum {spectrum.kind}, lags {list(config.lags)}\n")
@@ -361,7 +332,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"cmjfluct: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cmjfluct: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
@@ -374,7 +345,7 @@ def main(argv=None) -> int:
     except RefusalError as exc:
         print(f"cmjfluct: refused: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, ArithmeticError, OverflowError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:  # OSError: an artifact cannot be written
         print(f"cmjfluct: fault: {exc}", file=sys.stderr)
         return 3
 

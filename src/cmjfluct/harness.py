@@ -41,10 +41,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .limits import LimitSpectrum, _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs, variance
+from .limits import LimitSpectrum, _cov_matrix, _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs
 from .offspring import OffspringLaw, moments, sigma_hat
 from .simulate import _DEFAULT_CAP, _MAX_HORIZON, _RNG_SCHEME, _births_innovations, _coefficient_estimates, _csv_cell, _csv_text, _prediction_errors, _simulate_blocks
-from .spectral import SpectralReport, classify
+from .spectral import _MAX_LAG, SpectralReport, classify
 
 __all__ = [
     "ExperimentConfig",
@@ -81,7 +81,9 @@ class ExperimentConfig:
     oscillation summary's median relative residual and ``tol_alternation``
     is the least share of replicates that must alternate in sign.  A horizon
     past the batch engine's bound, more than ``_MAX_CELLS`` totals
-    (``replicates * (horizon + 1)``), or a lag past the horizon, is refused.
+    (``replicates * (horizon + 1)``), or a lag past the horizon or past
+    ``_MAX_LAG`` (the CLI's bound, which keeps the lag table small), is
+    refused.
     """
 
     law: OffspringLaw
@@ -111,6 +113,8 @@ class ExperimentConfig:
             raise ValueError("lags must be non-negative")
         if max(self.lags) > self.horizon:  # a lag past the horizon would read counts before time 0
             raise ValueError(f"lag {max(self.lags)} exceeds horizon {self.horizon}")
+        if max(self.lags) > _MAX_LAG:
+            raise ValueError(f"lag {max(self.lags)} exceeds {_MAX_LAG}: the lag table grows as its square")
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +291,8 @@ def run_experiment(config: ExperimentConfig, *, report: SpectralReport | None = 
     lags = tuple(config.lags)
     Z, _ = _counts(config, _DOMAIN_EXPERIMENT, n, "form moments")
     errors = _prediction_errors(Z, m, n, lags) / _normalizer(report.regime, n, Z[:, n])[:, None]
-    rows = tuple(_moment_row(k, errors[:, j], variance(spectrum, {k: 1.0}), config) for j, k in enumerate(lags))
+    cov = _cov_matrix(spectrum, [{k: 1.0} for k in lags])
+    rows = tuple(_moment_row(k, errors[:, j], float(cov[j, j]), config) for j, k in enumerate(lags))
     return VerificationReport(**_header(config, report, len(Z)), rows=rows)
 
 
@@ -484,11 +489,14 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     criticality) estimates the same quantity the measure predicts as
     ``residual_sq``; the naive rule's error estimates ``target_sq``.
     Refused on deterministic laws (prediction is the exact recurrence) and
-    below criticality.
+    below criticality; an order ``K`` past the horizon or past ``_MAX_LAG``
+    faults before the law is analysed.
     """
     n = config.horizon
     if K > n:
         raise ValueError(f"predictor order K = {K} exceeds horizon {n}")
+    if K > _MAX_LAG:
+        raise ValueError(f"predictor order K = {K} exceeds {_MAX_LAG}: the lag table grows as its square")
     report, spectrum = _spectrum_for(config.law)
     rule = predictor_coeffs(spectrum, K)
     m = report.m

@@ -374,9 +374,10 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
         for _ in range(_STEIN_STEPS):
             step = B @ P @ B.T
             P += step
-            if not np.all(np.isfinite(P)):
+            scale = np.max(np.abs(P))  # not finite exactly when some entry of P is not
+            if not np.isfinite(scale):
                 raise RuntimeError("the epoch-series Stein solve left float64")
-            if np.max(np.abs(step)) <= 1e-17 * np.max(np.abs(P)):
+            if np.max(np.abs(step)) <= 1e-17 * scale:
                 break
             B = B @ B
         else:

@@ -519,6 +519,31 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unwritable_outdir_is_a_fault_naming_the_path(tmp_path, capsys):
+    # an outdir under a regular file cannot be made: a fault (exit 3) naming the file, not a traceback and exit 1
+    blocker = tmp_path / "notadir"
+    blocker.write_text("")
+    outdir = blocker / "out"
+    path, _ = _config(tmp_path, command="analyze", law={"atoms": GW13_ATOMS}, outdir=str(outdir))
+    assert main([str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"cmjfluct: fault: cannot write {outdir / 'analysis.txt'}: ")
+    assert err.count("\n") == 1
+
+
+def test_undecodable_config_is_a_usage_error(tmp_path, capsys):
+    # text that is not UTF-8, an integer past Python's digit limit, or nesting past its depth: exit 1, no traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"command": "analyze", "law": "\xff"}')
+    assert main([str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("cmjfluct: cannot read config: ")
+    for text in ('{"seed": ' + "9" * 5000 + "}", "[" * 100_000):
+        bad.write_text(text)
+        assert main([str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cmjfluct: config: ") and err.count("\n") == 1
+
+
 def test_console_module_entry(tmp_path):
     path, _ = _config(tmp_path, command="analyze", law={"atoms": GW13_ATOMS})
     # the child interpreter imports the same package the suite tests

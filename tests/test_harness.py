@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cmjfluct import harness, simulate
+from cmjfluct import harness, simulate, spectral
 from cmjfluct.cli import parse_config
 from cmjfluct.errors import RefusalError
 from cmjfluct.harness import (
@@ -73,6 +73,29 @@ def test_config_rejects_a_campaign_past_the_cell_budget(gw13, law_ii):
     for horizon, replicates in ((25, 10**6), (24, 10**9)):
         with pytest.raises(ValueError, match=rf"replicates \* \(horizon \+ 1\) = {replicates * (horizon + 1)} exceeds"):
             ExperimentConfig(law_ii, horizon, replicates, 0)
+
+
+@pytest.fixture
+def no_spectrum(monkeypatch):
+    """Make building a spectrum fail the test: a campaign refused by its lag or order must fault before it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a campaign refused by its lag or order built a spectrum")
+
+    monkeypatch.setattr(harness, "build_spectrum", refuse)
+
+
+def test_config_rejects_a_lag_past_the_lag_bound(law_i, no_spectrum):
+    # the lag table grows as the square of the largest lag, so a library campaign keeps the CLI's bound
+    assert ExperimentConfig(law_i, 300, 100, 0, lags=(spectral._MAX_LAG,)).lags == (spectral._MAX_LAG,)
+    with pytest.raises(ValueError, match=f"lag 257 exceeds {spectral._MAX_LAG}"):
+        ExperimentConfig(law_i, 300, 100, 0, lags=(1, 257))
+
+
+def test_backtest_refuses_an_order_past_the_lag_bound(law_i, no_spectrum):
+    # K = 257 is within the horizon, but its predictor would need a lag table over lags -1..512
+    with pytest.raises(ValueError, match=f"predictor order K = 257 exceeds {spectral._MAX_LAG}"):
+        predictor_backtest(ExperimentConfig(law_i, 300, 100, 0), 257)
 
 
 def test_config_regime_three_tolerances_are_the_cli_defaults():
