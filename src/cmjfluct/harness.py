@@ -81,9 +81,10 @@ class ExperimentConfig:
     oscillation summary's median relative residual and ``tol_alternation``
     is the least share of replicates that must alternate in sign.  A horizon
     past the batch engine's bound, more than ``_MAX_CELLS`` totals
-    (``replicates * (horizon + 1)``), or a lag past the horizon or past
-    ``_MAX_LAG`` (the CLI's bound, which keeps the lag table small), is
-    refused.
+    (``replicates * (horizon + 1)``), a lag past the horizon or past
+    ``_MAX_LAG`` (the CLI's bound, which keeps the lag table small), or a
+    tolerance no campaign can meet (negative, NaN, or ``tol_alternation``
+    above 1) is refused.
     """
 
     law: OffspringLaw
@@ -115,6 +116,11 @@ class ExperimentConfig:
             raise ValueError(f"lag {max(self.lags)} exceeds horizon {self.horizon}")
         if max(self.lags) > _MAX_LAG:
             raise ValueError(f"lag {max(self.lags)} exceeds {_MAX_LAG}: the lag table grows as its square")
+        for name in (f.name for f in fields(self) if f.name.startswith("tol_")):
+            if not getattr(self, name) >= 0.0:  # NaN fails too: no statistic meets it
+                raise ValueError(f"{name} = {getattr(self, name)}: a tolerance must be a number >= 0")
+        if self.tol_alternation > 1.0:
+            raise ValueError(f"tol_alternation = {self.tol_alternation} exceeds 1: no share of replicates reaches it")
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,9 +263,6 @@ def _moment_row(lag: int, sample: np.ndarray, predicted: float, config: Experime
         rel = 0.0 if var == 0.0 else math.inf
         var_ok = var == 0.0
     normal_ok = abs(skew) <= config.tol_skew and abs(kurt) <= config.tol_kurt
-    if m2 == 0.0:
-        # a degenerate (deterministic) statistic is vacuously normal
-        normal_ok = True
     return LagMomentRow(
         lag=lag,
         mean=mean,
@@ -316,16 +319,21 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
 
     The prediction is the ratio ``cov_lagged(k, ell) / cov_lagged(k, 0)`` (the
     two marginals share the same limiting variance).  Refused below
-    criticality.
+    criticality; a negative lag, or one past the horizon or past
+    ``_MAX_LAG``, faults before the law is analysed.
     """
-    report, spectrum = _spectrum_for(config.law)
     ells = [int(e) for e in ell_list]
+    if k < 0:
+        raise ValueError(f"lag k = {k} must be non-negative")
     if any(e < 0 for e in ells):
         raise ValueError("lags ell must be non-negative")
-    m = report.m
+    if max([k, *ells]) > _MAX_LAG:
+        raise ValueError(f"lag {max([k, *ells])} exceeds {_MAX_LAG}: the lag table grows as its square")
     n = config.horizon
     if n - max(ells) - k < 0:
         raise ValueError(f"horizon {n} too short for ell up to {max(ells)}")
+    report, spectrum = _spectrum_for(config.law)
+    m = report.m
     base = cov_lagged(spectrum, k, 0)
     Z, _ = _counts(config, _DOMAIN_LAGCHECK, n, "form correlations")
     times = np.array([n, *(n - e for e in ells)])

@@ -69,18 +69,27 @@ class LitterAtom:
 class OffspringLaw:
     """A finite-support offspring law, plus optional characteristic.
 
-    ``max_age`` is the largest age at which any atom bears a child.  All
-    atoms store births over the common index range ``0..max_age`` and, when a
-    characteristic is present, scores over ``0..char_max_age``.
+    All atoms store births over the common index range ``0..max_age`` and,
+    when a characteristic is present, scores over ``0..char_max_age``;
+    :func:`make_law` pads them so, and both ages are read off ``atoms[0]``.
     ``char_extends`` selects the tail convention for the characteristic:
     ``False`` means ``phi(age) = 0`` for ``age > char_max_age``; ``True``
     means the last tabulated value repeats forever.
     """
 
     atoms: tuple[LitterAtom, ...]
-    max_age: int
-    char_max_age: int | None = None
     char_extends: bool = False
+
+    @property
+    def max_age(self) -> int:
+        """The largest age at which any atom bears a child."""
+        return len(self.atoms[0].births) - 1
+
+    @property
+    def char_max_age(self) -> int | None:
+        """The last age the characteristic tabulates, or ``None`` without one."""
+        values = self.atoms[0].char_values
+        return None if values is None else len(values) - 1
 
     @property
     def has_char(self) -> bool:
@@ -271,12 +280,7 @@ def make_law(
         )
         for p, by_age, c in raw
     )
-    return OffspringLaw(
-        atoms=atoms,
-        max_age=max_age,
-        char_max_age=None if first is None else len(first) - 1,
-        char_extends=bool(char_extends) if first is not None else False,
-    )
+    return OffspringLaw(atoms=atoms, char_extends=bool(char_extends) if first is not None else False)
 
 
 def _to_float(value, what: str) -> float:

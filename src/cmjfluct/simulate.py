@@ -14,9 +14,9 @@ scored characteristic totals, oscillation-coefficient estimates, and the
 conditional quadratic variation of the count martingale.  Each trace converts
 its counts to float64 once and keeps one innovations pass per moment table,
 and every functional reads those.  One identity binds the draws, each cohort
-being the births its elders bear; it is checked exactly on the Python
-integers, once per trace, before the innovations or the scored totals are
-formed: a trace with one draw off faults, naming the time it is off.
+being the births its elders bear; a trace checks it exactly on the Python
+integers when it is built, so a trace with one draw off cannot be built and
+no functional reads it.
 """
 
 from __future__ import annotations
@@ -85,11 +85,18 @@ class Trace:
     Python integer.  If the population would have exceeded ``cap``, the trace
     ends at the last safe time and ``capped`` is set.
 
+    Building a trace, a ``dataclasses.replace`` copy included, checks the
+    one identity that binds its draws, exactly on the Python integers:
+    ``B_0 = 1``, and for ``n >= 1`` each cohort is the births its elders
+    bear, ``B_n = sum_{k>=1} sum_a cohort_atoms[n-k][a] litters[a][k]``.
+    The first time it fails raises ``RuntimeError`` naming ``n`` and both
+    counts.  The elders' births are summed a column and a nonzero age at a
+    time by ``map``: 17-44 us on a capped path of horizon 70, a third to a
+    half of a per-count loop's time (2 vCPU Xeon).
+
     Each trace keeps one read-only float64 view of its counts (``_floats``,
-    a field converted on first read), one innovations array per moment
-    table (``_innovations``) and the verdict of its birth identity
-    (``_births``, see :func:`_require_births`); a copy made by
-    ``dataclasses.replace`` starts with all three empty.
+    a field converted on first read) and one innovations array per moment
+    table (``_innovations``); a copy starts with both empty.
     """
 
     cohort_atoms: tuple[tuple[int, ...], ...]
@@ -104,13 +111,21 @@ class Trace:
     Z: tuple[int, ...] = field(init=False)
     _floats: dict = field(default_factory=dict, init=False, repr=False)  # field name -> array, see _as_floats
     _innovations: dict = field(default_factory=dict, init=False, repr=False)  # id(table) -> (table, W)
-    _births: list = field(default_factory=list, init=False, repr=False)  # [] until checked, then [fault or None]
 
     def __post_init__(self):
         births = tuple(map(sum, self.cohort_atoms))
         object.__setattr__(self, "horizon", len(births) - 1)
         object.__setattr__(self, "B", births)
         object.__setattr__(self, "Z", tuple(accumulate(births)))
+        size = len(births)
+        born = [1] + [0] * (size - 1)  # born[n]: the root at n = 0, then the births cohorts before n bear at n
+        for column, litter in zip(zip(*self.cohort_atoms), self.litters):
+            for k, b in enumerate(litter[1:size], 1):
+                if b:
+                    born[k:] = map(add, born[k:], column if b == 1 else map(mul, column, repeat(b)))
+        if tuple(born) != births:
+            n = next(n for n in range(size) if born[n] != births[n])
+            raise RuntimeError(f"birth identity violated at n = {n}: B_n = {births[n]} but earlier cohorts bear {born[n]}")
 
 
 def _as_floats(trace: Trace, name: str) -> np.ndarray:
@@ -339,44 +354,16 @@ def _prediction_errors(Z: np.ndarray, m: float, t, ks) -> np.ndarray:
     return past - np.array([m ** -k for k in ks.tolist()]) * Z[..., t]
 
 
-def _require_births(trace: Trace) -> None:
-    """Check the one identity that binds a trace's draws, once per trace; fault at the first time it fails.
-
-    ``B_0 = 1``, and for ``n >= 1`` each cohort is the births its elders bear,
-    ``sum_a cohort_atoms[n][a] = sum_{k>=1} sum_a cohort_atoms[n-k][a] litters[a][k]``, exactly on the Python
-    integers.  The verdict is kept, so a failing trace faults with the same message on every call.  The elders'
-    births are summed a column and a nonzero age at a time by ``map``: 17-44 us on a capped path of horizon 70,
-    a third to a half of a per-count loop's time (2 vCPU Xeon).
-    """
-    if not trace._births:
-        births = trace.B
-        size = len(births)
-        born = [1] + [0] * (size - 1)  # born[n]: the root at n = 0, then the births cohorts before n bear at n
-        for column, litter in zip(zip(*trace.cohort_atoms), trace.litters):
-            for k, b in enumerate(litter[1:size], 1):
-                if b:
-                    born[k:] = map(add, born[k:], column if b == 1 else map(mul, column, repeat(b)))
-        fault = None
-        if tuple(born) != births:
-            n = next(n for n in range(size) if born[n] != births[n])
-            fault = f"birth identity violated at n = {n}: B_n = {births[n]} but earlier cohorts bear {born[n]}"
-        trace._births.append(fault)
-    if trace._births[0] is not None:
-        raise RuntimeError(trace._births[0])
-
-
 def innovations(trace: Trace, moments) -> np.ndarray:
     """Reproduction innovations ``W_n = B_n - sum_k mu_k B_{n-k}``, with ``W_0 = B_0 = 1``.
 
-    The trace's draws must pass the birth identity (:func:`_require_births`)
-    first; a trace that fails it faults, naming the time.  ``W`` is formed
-    once per trace and moment table: the trace keeps the read-only array it
-    returns, and every later call with that table, :func:`estimate_U` and
-    :func:`verify_recursion` included, returns the same array.
+    ``W`` is formed once per trace and moment table: the trace keeps the
+    read-only array it returns, and every later call with that table,
+    :func:`estimate_U` and :func:`verify_recursion` included, returns the
+    same array.
     """
     kept = trace._innovations.get(id(moments))
     if kept is None:
-        _require_births(trace)
         W = _births_innovations(_as_floats(trace, "B"), moments.mu)
         W.flags.writeable = False
         kept = trace._innovations[id(moments)] = (moments, W)  # holding the table keeps its id unique
@@ -398,10 +385,7 @@ def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
     """Total characteristic score ``Z^phi_n`` of the population at each time.
 
     Cohort ``c`` contributes its summed score at age ``n - c``; beyond the
-    table the score is frozen (extending characteristic) or zero.  The draws
-    the scores are summed from must pass the birth identity
-    (:func:`_require_births`) first; a trace that fails it faults, naming the
-    time.
+    table the score is frozen (extending characteristic) or zero.
 
     A few array passes, O((atoms + K_phi) n) in C: the cohort score matrix is
     summed atom by atom from zeros, then the totals accumulate along its age
@@ -410,7 +394,6 @@ def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
     """
     if not law.has_char:
         raise ValueError("law carries no characteristic")
-    _require_births(trace)
     k_phi = law.char_max_age
     size = trace.horizon + 1
     counts = _as_floats(trace, "cohort_atoms")
@@ -528,10 +511,9 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     masked out, and each row's terms are summed in increasing ``k``; the
     negated sum equals a per-row running subtraction bit for bit: O(n_small^2
     trunc) in C.  The innovations are the trace's own (:func:`innovations`),
-    formed once per trace and table, and a trace whose counts fail their
-    exact identity check faults here with the same message.
-    The iterates are a slice of the moment table's orbit store
-    (:func:`~cmjfluct.spectral._orbit`), built once per law and ``m``.
+    formed once per trace and table.  The iterates are a slice of the moment
+    table's orbit store (:func:`~cmjfluct.spectral._orbit`), built once per
+    law and ``m``.
     """
     k_top = len(moments.mu) - 1
     if n_small > 20:

@@ -531,6 +531,15 @@ def test_unwritable_outdir_is_a_fault_naming_the_path(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_verify_refuses_a_tolerance_it_can_never_meet(tmp_path, capsys):
+    # a negative variance tolerance fails every variance clause: a refused config (exit 3), not a failed check (exit 4)
+    path, _ = _config(tmp_path, command="verify", law={"atoms": GW13_ATOMS}, horizon=8, replicates=200,
+                      tolerances={"var": -0.1})
+    assert main([str(path)]) == 3
+    assert capsys.readouterr().err == "cmjfluct: fault: tol_var = -0.1: a tolerance must be a number >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_undecodable_config_is_a_usage_error(tmp_path, capsys):
     # text that is not UTF-8, an integer past Python's digit limit, or nesting past its depth: exit 1, no traceback
     bad = tmp_path / "bad.json"

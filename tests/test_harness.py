@@ -7,6 +7,7 @@ Monte Carlo margin.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -96,6 +97,32 @@ def test_backtest_refuses_an_order_past_the_lag_bound(law_i, no_spectrum):
     # K = 257 is within the horizon, but its predictor would need a lag table over lags -1..512
     with pytest.raises(ValueError, match=f"predictor order K = 257 exceeds {spectral._MAX_LAG}"):
         predictor_backtest(ExperimentConfig(law_i, 300, 100, 0), 257)
+
+
+def test_lag_check_refuses_a_bad_lag_before_it_analyses_the_law(gw13, no_spectrum):
+    # k = -1 once read a total past the horizon (an IndexError); k or an ell past 256 would ask for a k x k table
+    config = ExperimentConfig(gw13, 300, 200, 0)
+    cases = [
+        (-1, [1], "lag k = -1 must be non-negative"),
+        (1, [-1], "lags ell must be non-negative"),
+        (257, [1], f"lag 257 exceeds {spectral._MAX_LAG}"),
+        (1, [2, 257], f"lag 257 exceeds {spectral._MAX_LAG}"),
+    ]
+    for k, ells, message in cases:
+        with pytest.raises(ValueError, match=message):
+            lag_correlation_check(config, k, ells)
+
+
+def test_config_refuses_a_tolerance_no_campaign_can_meet(gw13):
+    names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name.startswith("tol_")]
+    for name in names:
+        for value in (-0.1, math.nan):
+            with pytest.raises(ValueError, match=f"{name} = {value}: a tolerance must be a number >= 0"):
+                ExperimentConfig(gw13, 8, 100, 0, **{name: value})
+        assert getattr(ExperimentConfig(gw13, 8, 100, 0, **{name: 0.0}), name) == 0.0
+    with pytest.raises(ValueError, match="tol_alternation = 1.01 exceeds 1"):
+        ExperimentConfig(gw13, 8, 100, 0, tol_alternation=1.01)
+    assert ExperimentConfig(gw13, 8, 100, 0, tol_alternation=1.0).tol_alternation == 1.0
 
 
 def test_config_regime_three_tolerances_are_the_cli_defaults():

@@ -48,7 +48,7 @@ from cmjfluct.limits import (
     variance,
 )
 from cmjfluct.offspring import _polyval, _sigma_form, make_law, moments, validate_law
-from cmjfluct.simulate import martingale_qv, run
+from cmjfluct.simulate import Trace, martingale_qv
 from cmjfluct.spectral import classify
 
 
@@ -411,8 +411,7 @@ def test_qv_overflow_raises_at_its_epoch():
     # the ladder law's epoch forms overflow float64 after about 520 epochs; a
     # path of 600 single births reaches them, and the sum must refuse there
     law = ladder_law(0.032)
-    root = run(law, 0, 0)
-    trace = dataclasses.replace(root, cohort_atoms=root.cohort_atoms * 601)  # B_n = 1 at every n
+    trace = Trace(cohort_atoms=((1,),) * 601, litters=((0, 1),), seed=0, cap=1 << 62, capped=False)  # B_n = 1 at every n
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match=r"at epoch \d+") as err:

@@ -44,6 +44,11 @@ def _reference_forms(tab, m, a):
             yield float(window @ sig @ window)
 
 
+def _single_births(horizon):
+    """A path with ``B_n = 1`` at every ``n`` up to ``horizon``: each individual bears one child, at age 1."""
+    return sim.Trace(cohort_atoms=((1,),) * (horizon + 1), litters=((0, 1),), seed=0, cap=1 << 62, capped=False)
+
+
 def _reference_qv(trace, tab, a, n):
     m = tab.growth
     total = 0.0
@@ -139,8 +144,7 @@ def test_overflow_term_and_epoch_match_reference(eps):
     assert "at term" in _outcome(_reference_series, law, report, {1: 1.0})
     exact = variance(build_spectrum(report, tab), {1: 1.0})
     assert sigma2_series(law, report, {1: 1.0}) == pytest.approx(exact, rel=1e-13)
-    root = sim.run(law, 0, 0)
-    trace = dataclasses.replace(root, cohort_atoms=root.cohort_atoms * 1201)  # B_n = 1 at every n
+    trace = _single_births(1200)
     qv = _outcome(sim.martingale_qv, trace, tab, {1: 1.0}, 1200)
     assert "at epoch" in qv
     assert qv == _outcome(_reference_qv, trace, tab, {1: 1.0}, 1200)
@@ -197,8 +201,7 @@ def test_orbit_reads_the_same_bits_whatever_was_asked_first(gw13, law_i, early_l
     # the same call on a fresh table: the store grows longer, then wider, then serves the first calls again
     for law in (gw13, law_i, early_law(40)):
         tab, m, k_top = moments(law), malthusian(law), law.max_age
-        root = sim.run(law, 0, 0)
-        long = dataclasses.replace(root, cohort_atoms=root.cohort_atoms * 601)
+        long = _single_births(600)
         short = sim.run(law, 25, 3)
         n_small = min(10, short.horizon)
         recursion = [(sim.verify_recursion, short, m, n_small, k_top + n_small + extra) for extra in (100, 0)]

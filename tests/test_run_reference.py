@@ -196,7 +196,7 @@ def test_innovations_are_read_only_and_kept_per_table(law_i, law_ii):
             want_W[k:] -= tab.mu[k] * B[:-k]
         assert W.tobytes() == want_W.tobytes()
     copy = dataclasses.replace(trace)
-    assert copy._innovations == {} and copy._births == [] and sim.innovations(copy, tab_i) is not W_i
+    assert copy._innovations == {} and sim.innovations(copy, tab_i) is not W_i
 
 
 def test_corrupted_copy_faults_in_each_reader_with_one_message(gw13):
@@ -205,12 +205,10 @@ def test_corrupted_copy_faults_in_each_reader_with_one_message(gw13):
     sim.innovations(trace, tab)  # the clean original keeps its result
     rows = list(trace.cohort_atoms)
     rows[5] = (rows[5][0] + 3, rows[5][1])
-    bad = dataclasses.replace(trace, cohort_atoms=tuple(rows))
     messages = []
-    for reader in (lambda: sim.innovations(bad, tab), lambda: sim.verify_recursion(bad, tab, m, 5, 8),
-                   lambda: sim.innovations(bad, tab)):
+    for _ in range(2):
         with pytest.raises(RuntimeError, match="birth identity violated at n = 5") as exc:
-            reader()
+            dataclasses.replace(trace, cohort_atoms=tuple(rows))
         messages.append(str(exc.value))
     assert len(set(messages)) == 1
     assert sim.verify_recursion(trace, tab, m, 5, 8) <= 1e-12

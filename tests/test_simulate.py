@@ -150,9 +150,8 @@ def test_innovation_identity_detects_corruption(gw13):
     trace = sim.run(gw13, 8, 31)
     rows = list(trace.cohort_atoms)
     rows[3] = (rows[3][0], rows[3][1] + 5)
-    bad = dataclasses.replace(trace, cohort_atoms=tuple(rows))
     with pytest.raises(RuntimeError):
-        sim.innovations(bad, moments(gw13))
+        dataclasses.replace(trace, cohort_atoms=tuple(rows))
 
 
 def test_innovation_fault_message_prints_plain_floats(gw13):
@@ -195,10 +194,19 @@ def test_a_draw_off_by_one_faults_where_the_scores_would_move(gw13_deaths):
     # one more newborn drawing atom 0 at n = 5 would move the scored totals at n = 5 and 6 without a fault
     trace = sim.run(gw13_deaths, 12, 7)
     assert tuple(sim.char_total(trace, gw13_deaths)[5:7]) == (10.0, 18.0)
-    bad = _draw_off(trace, 5, 0, 1)
-    for reader in (lambda: sim.innovations(bad, moments(gw13_deaths)), lambda: sim.char_total(bad, gw13_deaths)):
-        with pytest.raises(RuntimeError, match="birth identity violated at n = 5: B_n = 8 but earlier cohorts bear 7"):
-            reader()
+    with pytest.raises(RuntimeError, match="birth identity violated at n = 5: B_n = 8 but earlier cohorts bear 7"):
+        _draw_off(trace, 5, 0, 1)
+
+
+def test_a_draw_off_cannot_be_built_so_no_reader_sees_it(gw13):
+    # fluctuations, martingale_qv and trace_csv on an unscored law never form the innovations, yet read the copy
+    trace = sim.run(gw13, 10, 7)
+    tab, m = moments(gw13), classify(gw13).m
+    assert sim.fluctuations(trace, m, 0, 3).shape == (11, 4)
+    assert sim.martingale_qv(trace, tab, {1: 1.0}, 10) > 0.0
+    assert "Zphi" not in sim.trace_csv(trace, gw13)
+    with pytest.raises(RuntimeError, match="birth identity violated at n = 5: B_n = 8 but earlier cohorts bear 7"):
+        _draw_off(trace, 5, 0, 1)
 
 
 def test_a_newborn_moved_between_atoms_faults_where_its_children_land(gw13_coin):
@@ -208,11 +216,9 @@ def test_a_newborn_moved_between_atoms_faults_where_its_children_land(gw13_coin)
     rows = [list(counts) for counts in trace.cohort_atoms]
     rows[c][0] -= 1
     rows[c][2] += 1
-    bad = dataclasses.replace(trace, cohort_atoms=tuple(map(tuple, rows)))
-    assert bad.B == trace.B
-    for reader in (lambda: sim.innovations(bad, moments(gw13_coin)), lambda: sim.char_total(bad, gw13_coin)):
-        with pytest.raises(RuntimeError, match=f"birth identity violated at n = {c + 1}: "):
-            reader()
+    assert tuple(map(sum, rows)) == trace.B
+    with pytest.raises(RuntimeError, match=f"birth identity violated at n = {c + 1}: "):
+        dataclasses.replace(trace, cohort_atoms=tuple(map(tuple, rows)))
 
 
 def test_char_requires_characteristic(gw13):
@@ -248,18 +254,14 @@ def test_clean_capped_paths_pass_every_identity_check(name):
 def test_one_count_off_on_a_capped_path_faults_at_its_n(name, early_law):
     # K = 40 runs the birth identity over many ages; every law caps before n = 100, past 2^53 by n = horizon - 3
     law = early_law(40) if name == "early_law_k40" else make_law(_LONG_SCORED[name])
-    tab = moments(law)
     trace = sim.run(law, 100, 3)
     assert trace.capped and trace.B[trace.horizon - 3] > 1 << 53
     for n in (trace.horizon - 3, 0):
         for atom in range(len(law.atoms)):
             for step in (1, -1):
-                bad = _draw_off(trace, n, atom, step)
-                readers = [lambda: sim.innovations(bad, tab)] + [lambda: sim.char_total(bad, law)] * law.has_char
-                for reader in readers:
-                    with pytest.raises(RuntimeError, match=f"birth identity violated at n = {n}: ") as exc:
-                        reader()
-                    assert f"B_n = {trace.B[n] + step} but earlier cohorts bear {trace.B[n]}" in str(exc.value)
+                with pytest.raises(RuntimeError, match=f"birth identity violated at n = {n}: ") as exc:
+                    _draw_off(trace, n, atom, step)
+                assert f"B_n = {trace.B[n] + step} but earlier cohorts bear {trace.B[n]}" in str(exc.value)
 
 
 # ---------------------------------------------------------------- oscillation coefficient
