@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 from . import __version__
 from .errors import RefusalError, UsageError
-from .harness import _MAX_CELLS, ExperimentConfig, _spectrum_for, oscillation_residual, predictor_backtest, run_experiment
+from .harness import _MAX_CELLS, ExperimentConfig, OscillationSummary, _spectrum_for, predictor_backtest, verify
 from .limits import _cov_matrix
 from .offspring import OffspringLaw, make_law
 from .simulate import _DEFAULT_CAP, _MAX_HORIZON, _csv_cell, _csv_text, run, trace_csv
@@ -277,13 +277,8 @@ def _cmd_simulate(config: RunConfig, sink: _Sink, out) -> int:
 
 
 def _cmd_verify(config: RunConfig, sink: _Sink, out) -> int:
-    spectral = classify(config.law)
-    if spectral.regime == "III":
-        campaign, name = oscillation_residual, "oscillation.csv"
-    else:
-        campaign, name = run_experiment, "verification.csv"
-    report = campaign(_experiment_config(config), report=spectral)
-    sink.write(name, report.to_csv())
+    report = verify(_experiment_config(config))
+    sink.write("oscillation.csv" if isinstance(report, OscillationSummary) else "verification.csv", report.to_csv())
     out.write(report.to_text())
     return 0 if report.passed else 4
 

@@ -6,6 +6,8 @@ Each campaign simulates R independent replicates in int64 blocks (see
 enlarging one campaign never perturbs another — and the campaign reduces the
 count matrices to the statistics the theorems speak about:
 
+* ``verify``: the regime's verdict, ``oscillation_residual`` in regime III
+  and ``run_experiment`` elsewhere, on one analysis of the law.
 * ``run_experiment``: per-lag moments of the normalized prediction error
   (``X/sqrt(Z_n)`` away from criticality, ``X/sqrt(n Z_n)`` at it) against
   the predicted limiting variances, with moment-based normality diagnostics.
@@ -14,13 +16,14 @@ count matrices to the statistics the theorems speak about:
 * ``oscillation_residual``: below criticality there is no limit; instead the
   profile ``limits.oscillation_profile`` builds from the estimated coefficients
   must track the rescaled error window, the statistic must alternate in sign,
-  and the centered coefficient estimates must average to zero; the summary
-  stores that verdict as ``passed``.
+  and the centered coefficient estimates must average to zero.
 * ``predictor_backtest``: the measure-derived one-step predictor applied to
   fresh replicates, normalized MSE against the predicted residual.
 
 All tolerances here are finite-n engineering slack around exact limits (the
 theory provides no rates); they are config fields, not hidden constants.
+Each report with a verdict lists its pass clauses, ``(name, statistic, ok)``
+in order, where the campaign decides them, and ``passed`` is ``all(ok)``.
 Every report extends :class:`CampaignHeader`, which says how it was computed:
 regime, growth factor, horizon, replicates (used, and capped: excluded from
 the statistics, never silently dropped), master seed and RNG scheme.
@@ -28,8 +31,8 @@ the statistics, never silently dropped), master seed and RNG scheme.
 of ``oscillation_profile``.
 
 A caller that has already classified the law hands its report on
-(``run_experiment``, ``oscillation_residual``), so one CLI ``verify``
-analyses its law once; ``predictor_backtest`` reports the rule it applies,
+(``run_experiment``, ``oscillation_residual``), so one ``verify`` analyses
+its law once; ``predictor_backtest`` reports the rule it applies,
 so one CLI ``predict`` solves its predictor once.
 """
 
@@ -59,6 +62,7 @@ __all__ = [
     "lag_correlation_check",
     "oscillation_residual",
     "predictor_backtest",
+    "verify",
 ]
 
 _DOMAIN_EXPERIMENT = 0
@@ -138,6 +142,14 @@ class CampaignHeader:
     rng_scheme: ClassVar[str] = _RNG_SCHEME
 
 
+class _Verdict:
+    """A report that judges itself: ``passed`` holds when every ``(name, statistic, ok)`` of ``clauses`` is ok."""
+
+    @property
+    def passed(self) -> bool:
+        return all(ok for _, _, ok in self.clauses)
+
+
 def _header(config: ExperimentConfig, report: SpectralReport, used: int) -> dict:
     """The :class:`CampaignHeader` fields of a campaign on ``config`` that used ``used`` replicates."""
     r = config.replicates
@@ -147,7 +159,7 @@ def _header(config: ExperimentConfig, report: SpectralReport, used: int) -> dict
 
 @dataclass(frozen=True, eq=False)
 class LagMomentRow:
-    """Empirical moments of one normalized lag statistic, with their SEs."""
+    """One lag's normalized-error moments with their SEs; its clauses give ``var_ok`` (first) and ``normal_ok``."""
 
     lag: int
     mean: float
@@ -162,18 +174,18 @@ class LagMomentRow:
     rel_error: float
     var_ok: bool
     normal_ok: bool
+    clauses: tuple[tuple[str, float, bool], ...]
 
 
 @dataclass(frozen=True, eq=False)
-class VerificationReport(CampaignHeader):
-    """Reduced result of one run_experiment campaign; every pass flag is a pure function of the stored numbers and
-    the configured tolerances."""
+class VerificationReport(_Verdict, CampaignHeader):
+    """Reduced result of one run_experiment campaign; its clauses are its rows' clauses, lag by lag."""
 
     rows: tuple[LagMomentRow, ...]
 
     @property
-    def passed(self) -> bool:
-        return all(r.var_ok and r.normal_ok for r in self.rows)
+    def clauses(self) -> tuple[tuple[str, float, bool], ...]:
+        return tuple(c for r in self.rows for c in r.clauses)
 
     def to_text(self) -> str:
         lines = [
@@ -195,7 +207,7 @@ class VerificationReport(CampaignHeader):
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        names = [f.name for f in fields(LagMomentRow)]
+        names = [f.name for f in fields(LagMomentRow) if f.name != "clauses"]
         return _csv_text(names, [[getattr(r, name) for name in names] for r in self.rows])
 
 
@@ -220,11 +232,10 @@ def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, m
     return np.concatenate(Z), np.concatenate(W) if mu is not None else None
 
 
-def _normalizer(regime: str, t, z_t: np.ndarray) -> np.ndarray:
-    """``sqrt(t Z_t)`` at criticality, else ``sqrt(Z_t)``, for a time or an array of times along ``z_t``'s last axis."""
-    if regime == "II":
-        return np.sqrt(np.asarray(t, dtype=float) * z_t)
-    return np.sqrt(z_t)
+def _scale(regime: str, t, z_t: np.ndarray) -> np.ndarray:
+    """``t Z_t`` at criticality, else ``Z_t``: the scale of a squared prediction error at time ``t``, for a time or
+    an array of times along ``z_t``'s last axis."""
+    return np.asarray(t, dtype=float) * z_t if regime == "II" else z_t
 
 
 def _spectrum_for(law: OffspringLaw, report: SpectralReport | None = None) -> tuple[SpectralReport, LimitSpectrum]:
@@ -262,7 +273,11 @@ def _moment_row(lag: int, sample: np.ndarray, predicted: float, config: Experime
     else:
         rel = 0.0 if var == 0.0 else math.inf
         var_ok = var == 0.0
-    normal_ok = abs(skew) <= config.tol_skew and abs(kurt) <= config.tol_kurt
+    clauses = (
+        (f"lag {lag} rel_error", rel, var_ok),
+        (f"lag {lag} |skewness|", abs(skew), abs(skew) <= config.tol_skew),
+        (f"lag {lag} |ex_kurtosis|", abs(kurt), abs(kurt) <= config.tol_kurt),
+    )
     return LagMomentRow(
         lag=lag,
         mean=mean,
@@ -276,7 +291,8 @@ def _moment_row(lag: int, sample: np.ndarray, predicted: float, config: Experime
         predicted_variance=predicted,
         rel_error=rel,
         var_ok=var_ok,
-        normal_ok=normal_ok,
+        normal_ok=all(ok for _, _, ok in clauses[1:]),
+        clauses=clauses,
     )
 
 
@@ -293,7 +309,7 @@ def run_experiment(config: ExperimentConfig, *, report: SpectralReport | None = 
     n = config.horizon
     lags = tuple(config.lags)
     Z, _ = _counts(config, _DOMAIN_EXPERIMENT, n, "form moments")
-    errors = _prediction_errors(Z, m, n, lags) / _normalizer(report.regime, n, Z[:, n])[:, None]
+    errors = _prediction_errors(Z, m, n, lags) / np.sqrt(_scale(report.regime, n, Z[:, n]))[:, None]
     cov = _cov_matrix(spectrum, [{k: 1.0} for k in lags])
     rows = tuple(_moment_row(k, errors[:, j], float(cov[j, j]), config) for j, k in enumerate(lags))
     return VerificationReport(**_header(config, report, len(Z)), rows=rows)
@@ -319,10 +335,12 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
 
     The prediction is the ratio ``cov_lagged(k, ell) / cov_lagged(k, 0)`` (the
     two marginals share the same limiting variance).  Refused below
-    criticality; a negative lag, or one past the horizon or past
-    ``_MAX_LAG``, faults before the law is analysed.
+    criticality; an empty ``ell_list``, a negative lag, or one past the
+    horizon or past ``_MAX_LAG``, faults before the law is analysed.
     """
     ells = [int(e) for e in ell_list]
+    if not ells:
+        raise ValueError("ell_list is empty: need at least one lag ell")
     if k < 0:
         raise ValueError(f"lag k = {k} must be non-negative")
     if any(e < 0 for e in ells):
@@ -337,7 +355,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     base = cov_lagged(spectrum, k, 0)
     Z, _ = _counts(config, _DOMAIN_LAGCHECK, n, "form correlations")
     times = np.array([n, *(n - e for e in ells)])
-    stats = _prediction_errors(Z, m, times, [k])[..., 0] / _normalizer(report.regime, times, Z[:, times])
+    stats = _prediction_errors(Z, m, times, [k])[..., 0] / np.sqrt(_scale(report.regime, times, Z[:, times]))
     a = stats[:, 0]
     rows = []
     for e, b in zip(ells, stats.T[1:]):
@@ -348,7 +366,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
 
 
 @dataclass(frozen=True, eq=False)
-class OscillationSummary(CampaignHeader):
+class OscillationSummary(_Verdict, CampaignHeader):
     """Self-consistency of the oscillation expansion below criticality.
 
     ``median_relative_residual`` compares the rescaled error window at the
@@ -360,9 +378,9 @@ class OscillationSummary(CampaignHeader):
     have exact mean zero.  ``degenerate`` flags laws whose litter transform
     carries no noise at the critical roots — the coefficients are then
     deterministic and the distributional content of the check is empty.
-    ``passed`` holds when ``mean_ok`` does, ``median_relative_residual <=
-    tol_residual``, and ``alternation_fraction`` is nan or at least
-    ``tol_alternation`` (the config's tolerances).
+    Its clauses: ``median_relative_residual <= tol_residual``,
+    ``alternation_fraction >= tol_alternation`` (where it is defined), and
+    ``mean_ok``, bounding the largest ``|centered mean| / SE`` by 3.
     """
 
     #: Fields of ``to_csv`` and ``to_text``, in order.
@@ -382,7 +400,7 @@ class OscillationSummary(CampaignHeader):
     centered_ses: tuple[float, ...]
     mean_ok: bool
     degenerate: bool
-    passed: bool
+    clauses: tuple[tuple[str, float, bool], ...]
 
     def to_text(self) -> str:
         lines = [f"{name} = {_csv_cell(getattr(self, name))}" for name in self._columns]
@@ -415,21 +433,18 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
     used = len(Z)
     values = np.zeros((used, len(crits)), dtype=complex)
     means, ses = [], []
-    mean_ok = True
     for p, g in enumerate(crits):
         values[:, p], centered = _coefficient_estimates(W, tab.mu, g, n)
-        mu_hat = complex(centered.mean())
-        se = math.sqrt((centered.real.var(ddof=1) + centered.imag.var(ddof=1)) / used)
-        means.append(mu_hat)
-        ses.append(se)
-        if se > 0 and abs(mu_hat) > 3.0 * se:
-            mean_ok = False
+        means.append(complex(centered.mean()))
+        ses.append(math.sqrt((centered.real.var(ddof=1) + centered.imag.var(ddof=1)) / used))
+    mean_z = max(abs(mu) / se if se > 0 else 0.0 for mu, se in zip(means, ses))
     profile = oscillation_profile(report, values, n, max(lags))[:, list(lags)]
     scaled = gs**n * _prediction_errors(Z, report.m, n, lags)
     med_res = float(np.median(np.linalg.norm(scaled - profile, axis=1)))
     med_prof = float(np.median(np.linalg.norm(profile, axis=1)))
     rel = med_res / med_prof if med_prof > 0 else math.inf
 
+    clauses = [("median_relative_residual", rel, rel <= config.tol_residual)]
     alternation_fraction = math.nan
     if len(crits) == 1 and crits[0].imag == 0.0 and crits[0].real < 0.0:
         # a single negative real root: the statistic must strictly alternate in sign over the last steps
@@ -438,7 +453,8 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
         later = signs[:, 1:]
         alternating = np.all(later != 0.0, axis=1) & np.all(later == -signs[:, :-1], axis=1)
         alternation_fraction = float(np.count_nonzero(alternating)) / used
-    alt_ok = math.isnan(alternation_fraction) or alternation_fraction >= config.tol_alternation
+        clauses.append(("alternation_fraction", alternation_fraction, alternation_fraction >= config.tol_alternation))
+    clauses.append(("mean_ok |mean|/SE", mean_z, mean_z <= 3.0))
     return OscillationSummary(
         **_header(config, report, used),
         gamma_star=gs,
@@ -450,17 +466,18 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
         alternation_fraction=alternation_fraction,
         centered_means=tuple(means),
         centered_ses=tuple(ses),
-        mean_ok=mean_ok,
+        mean_ok=clauses[-1][2],
         degenerate=degenerate,
-        passed=mean_ok and rel <= config.tol_residual and alt_ok,
+        clauses=tuple(clauses),
     )
 
 
 @dataclass(frozen=True, eq=False)
-class BacktestReport(CampaignHeader):
+class BacktestReport(_Verdict, CampaignHeader):
     """One-step prediction quality of the measure-derived rule on fresh paths.
 
     ``coeffs`` are the rule's lag coefficients (``PredictorRule.coeffs``).
+    Its one clause is ``beats_naive``, with the ratio of its MSE to the naive MSE.
     """
 
     #: Fields of ``to_csv``, in order.
@@ -477,6 +494,7 @@ class BacktestReport(CampaignHeader):
     predicted_target_sq: float
     regularized: bool
     beats_naive: bool
+    clauses: tuple[tuple[str, float, bool], ...]
 
     def to_text(self) -> str:
         return (
@@ -512,7 +530,7 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     z_n = Z[:, n]
     x_lags = _prediction_errors(Z, m, n, range(1, K + 1))
     actual = Z[:, n + 1]
-    denom = float(n) * z_n if report.regime == "II" else z_n
+    denom = _scale(report.regime, n, z_n)
     mse = float(np.mean((actual - rule.predict(z_n, x_lags)) ** 2 / denom))
     naive_mse = float(np.mean((actual - m * z_n) ** 2 / denom))
     beats = mse < naive_mse if rule.residual_sq < rule.target_sq else True
@@ -526,4 +544,13 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
         predicted_target_sq=rule.target_sq,
         regularized=rule.regularized,
         beats_naive=beats,
+        clauses=(("beats_naive mse/naive", mse / naive_mse if naive_mse > 0 else math.nan, beats),),
     )
+
+
+def verify(config: ExperimentConfig) -> VerificationReport | OscillationSummary:
+    """The regime's campaign on ``config``, given the law's one analysis: ``oscillation_residual`` in regime III,
+    ``run_experiment`` elsewhere."""
+    report = classify(config.law)
+    campaign = oscillation_residual if report.regime == "III" else run_experiment
+    return campaign(config, report=report)

@@ -107,8 +107,10 @@ class OffspringLaw:
         births = np.array([a.births for a in self.atoms], dtype=float)  # (n_atoms, K+1)
         mu = probs @ births
         mu[0] = 0.0
-        second = (births * probs[:, None]).T @ births
-        sigma = second - np.outer(mu, mu)
+        # covariance of the litters shifted by the first atom's: exact integers, so repeated litters give exactly 0
+        shifted = births - births[0]
+        mean_shift = probs @ shifted
+        sigma = (shifted * probs[:, None]).T @ shifted - np.outer(mean_shift, mean_shift)
         sigma[0, :] = 0.0
         sigma[:, 0] = 0.0
 

@@ -90,9 +90,10 @@ class Trace:
     ``B_0 = 1``, and for ``n >= 1`` each cohort is the births its elders
     bear, ``B_n = sum_{k>=1} sum_a cohort_atoms[n-k][a] litters[a][k]``.
     The first time it fails raises ``RuntimeError`` naming ``n`` and both
-    counts.  The elders' births are summed a column and a nonzero age at a
-    time by ``map``: 17-44 us on a capped path of horizon 70, a third to a
-    half of a per-count loop's time (2 vCPU Xeon).
+    counts; a trace with no draws (not even ``n = 0``'s) raises
+    ``ValueError``.  The elders' births are summed a column and a nonzero
+    age at a time by ``map``: 17-44 us on a capped path of horizon 70, a
+    third to a half of a per-count loop's time (2 vCPU Xeon).
 
     Each trace keeps one read-only float64 view of its counts (``_floats``,
     a field converted on first read) and one innovations array per moment
@@ -113,6 +114,8 @@ class Trace:
     _innovations: dict = field(default_factory=dict, init=False, repr=False)  # id(table) -> (table, W)
 
     def __post_init__(self):
+        if not self.cohort_atoms:
+            raise ValueError("a trace needs the draw at n = 0: cohort_atoms is empty")
         births = tuple(map(sum, self.cohort_atoms))
         object.__setattr__(self, "horizon", len(births) - 1)
         object.__setattr__(self, "B", births)

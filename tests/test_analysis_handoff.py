@@ -1,7 +1,8 @@
 """A campaign given the analysis its caller already made matches one that makes its own.
 
 ``run_experiment`` and ``oscillation_residual`` take the law's spectral report
-from a caller that already has it; the CLI ``verify`` hands its report on, and
+from a caller that already has it; ``verify`` hands its report on to the
+regime's campaign, and gives that campaign's report field for field; and
 the CLI ``predict`` reads its rule from the backtest's report.  A handed
 report must give every field the campaign gives on its own; a refusal must
 keep its message and come before any simulation; and the counts of
@@ -23,7 +24,7 @@ import pytest
 
 from cmjfluct import cli, harness, make_law
 from cmjfluct.errors import RefusalError
-from cmjfluct.harness import ExperimentConfig, oscillation_residual, run_experiment
+from cmjfluct.harness import ExperimentConfig, oscillation_residual, run_experiment, verify
 from cmjfluct.spectral import classify
 
 _LAWS = {
@@ -64,6 +65,14 @@ def test_a_handed_report_matches_the_campaigns_own(name):
         got = _outcome(campaign, config, report=report)
         assert got == _outcome(campaign, ExperimentConfig(make_law(_LAWS[name]), 24, 300, 11, lags=(1, 2)))
         assert got[0] == ("refused" if (campaign is run_experiment) == (name == "law_iii") else "ok")
+
+
+@pytest.mark.parametrize("name", ["law_i", "law_ii", "pair_ii", "law_iii"])
+def test_verify_is_the_regimes_campaign(name):
+    config = ExperimentConfig(make_law(_LAWS[name]), 24, 300, 11, lags=(1, 2))
+    campaign = oscillation_residual if name == "law_iii" else run_experiment
+    got, want = verify(config), campaign(config)
+    assert type(got) is type(want) and _fields(got) == _fields(want)
 
 
 def test_refusals_on_a_handed_report_come_first_with_their_messages(monkeypatch):

@@ -488,6 +488,17 @@ def test_predict_deterministic_law_refused(tmp_path, capsys):
     assert main([str(path)]) == 2
 
 
+def test_repeated_litters_verify_as_deterministic_and_predict_refuses(tmp_path, capsys):
+    # two atoms share one litter, so the law is deterministic: the limit is 0 exactly and no predictor applies
+    atoms = [{"prob": 0.12598327537554543, "births": [1, 1]}, {"prob": 0.8740167246244545, "births": [1, 1]}]
+    path, _ = _config(tmp_path, command="verify", law={"atoms": atoms}, horizon=12, replicates=200)
+    assert main([str(path)]) == 0
+    assert "lag 1: var = 0 (predicted 0, rel err 0, ok)" in capsys.readouterr().out
+    path, _ = _config(tmp_path, command="predict", law={"atoms": atoms}, horizon=12, replicates=200, K=1)
+    assert main([str(path)]) == 2
+    assert "deterministic litters" in capsys.readouterr().err
+
+
 def test_precondition_violations_are_faults(tmp_path, capsys):
     # replicates below the harness minimum parse fine but fault downstream
     path, _ = _config(

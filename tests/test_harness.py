@@ -113,6 +113,13 @@ def test_lag_check_refuses_a_bad_lag_before_it_analyses_the_law(gw13, no_spectru
             lag_correlation_check(config, k, ells)
 
 
+def test_lag_check_refuses_an_empty_ell_list_by_name(gw13, no_spectrum, monkeypatch):
+    # the refusal names the argument, where the largest ell of an empty list would not; classify must not run
+    monkeypatch.setattr(harness, "classify", None)
+    with pytest.raises(ValueError, match="ell_list is empty: need at least one lag ell"):
+        lag_correlation_check(ExperimentConfig(gw13, 12, 200, 0), 1, [])
+
+
 def test_config_refuses_a_tolerance_no_campaign_can_meet(gw13):
     names = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name.startswith("tol_")]
     for name in names:
@@ -511,3 +518,40 @@ def test_every_campaign_report_carries_the_header(law_name, cap, campaign, reque
     assert out.used + out.excluded_capped == out.replicates
     assert out.master_seed == config.master_seed
     assert out.rng_scheme == simulate._RNG_SCHEME
+
+
+def _clauses_verdict(report) -> bool:
+    return all(ok for _, _, ok in report.clauses)
+
+
+def test_each_report_passes_exactly_when_its_clauses_hold(gw13, law_iii):
+    """Each verdict is ``all(ok)`` over its report's ``(name, statistic, ok)`` clauses, in the order they print."""
+    verdicts = []
+    for tol_var in (0.10, 1e-6):
+        config = ExperimentConfig(gw13, 14, 1000, 3, lags=(1, 2), tol_var=tol_var)
+        report = run_experiment(config)
+        assert [name for name, _, _ in report.clauses] == [
+            f"lag {k} {stat}" for k in (1, 2) for stat in ("rel_error", "|skewness|", "|ex_kurtosis|")]
+        for r in report.rows:
+            (_, rel, var_ok), (_, skew, skew_ok), (_, kurt, kurt_ok) = r.clauses
+            assert (rel, skew, kurt) == (r.rel_error, abs(r.skewness), abs(r.ex_kurtosis))
+            assert (var_ok, skew_ok and kurt_ok) == (r.var_ok, r.normal_ok)
+            assert (skew_ok, kurt_ok) == (skew <= config.tol_skew, kurt <= config.tol_kurt)
+        assert report.passed == _clauses_verdict(report)
+        verdicts.append(report.passed)
+    assert verdicts == [True, False]
+
+    base = ExperimentConfig(law_iii, 12, 200, 0)
+    summary = oscillation_residual(base)
+    names = [name for name, _, _ in summary.clauses]
+    assert names == ["median_relative_residual", "alternation_fraction", "mean_ok |mean|/SE"]
+    assert summary.passed and summary.passed == _clauses_verdict(summary)
+    strict = oscillation_residual(dataclasses.replace(base, tol_residual=summary.median_relative_residual / 2))
+    assert [ok for _, _, ok in strict.clauses] == [False, True, True] and not strict.passed
+    assert "passed = false" in strict.to_text()
+
+    back = predictor_backtest(ExperimentConfig(gw13, 10, 200, 0), 2)
+    ((name, ratio, ok),) = back.clauses
+    assert name == "beats_naive mse/naive"
+    assert (ratio, ok) == (back.mse_normalized / back.naive_mse_normalized, back.beats_naive)
+    assert back.passed == back.beats_naive == _clauses_verdict(back)

@@ -98,6 +98,12 @@ def test_moments_law_i(law_i):
     assert tab.sigma[2, 2] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_repeated_litters_have_an_exactly_zero_covariance():
+    # the probabilities sum to 1 - 1.1e-16, which the form E N N^T - mu mu^T would leave in sigma as a variance
+    law = make_law([(0.12598327537554543, (1, 1)), (0.8740167246244545, (1, 1))])
+    assert not np.any(moments(law).sigma)
+
+
 def test_moment_table_built_once_and_read_only(gw13_coin):
     tab = moments(gw13_coin)
     assert moments(gw13_coin) is tab

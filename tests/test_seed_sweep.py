@@ -47,8 +47,10 @@ def test_each_seed_verdict_is_the_direct_campaign_verdict(doc, campaign):
     base = _experiment_config(parse_config(text))
     for seed, passed, clauses in results:
         direct = campaign(dataclasses.replace(base, master_seed=seed))
-        assert passed == (direct.passed if hasattr(direct, "passed") else direct.beats_naive)
-        assert passed == (not any(failed for _, failed in clauses.values()))
+        assert passed == direct.passed == (not any(failed for _, failed in clauses.values()))
+        # each clause is the report's own, as the report decided it
+        assert [(name, (statistic, not ok)) for name, statistic, ok in direct.clauses] == [
+            (name, value) for name, value in clauses.items() if value[1] is not None]
     table = sweep.render(name, results)
     assert table.startswith(f"{name}, 5 seeds\n")
     # title, column header, the clause lines (plus run_experiment's variance z-score line), verdict
@@ -62,9 +64,13 @@ def test_variance_z_line_is_a_statistic_of_the_same_reports():
     base = _experiment_config(parse_config(text))
     rows = [run_experiment(dataclasses.replace(base, master_seed=seed)).rows[1] for seed in range(1, 6)]
     median = float(np.median([(r.variance - r.predicted_variance) / r.variance_se for r in rows]))
-    line = next(line for line in sweep.render(name, results).splitlines() if line.startswith("lag 2 variance z "))
+    lines = sweep.render(name, results).splitlines()
+    line = next(line for line in lines if line.startswith("lag 2 variance z "))
     fail_frac, _, q50, _ = line.split()[4:]
     assert (fail_frac, q50) == ("-", f"{median:.4g}")
+    # each lag's z line comes directly after that lag's clauses
+    assert [line.rsplit(maxsplit=4)[0] for line in lines[2:-1]] == [
+        f"lag {k} {stat}" for k in (1, 2) for stat in ("rel_error", "|skewness|", "|ex_kurtosis|", "variance z")]
 
 
 def test_sweep_refuses_a_command_without_a_campaign():

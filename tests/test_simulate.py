@@ -154,11 +154,16 @@ def test_innovation_identity_detects_corruption(gw13):
         dataclasses.replace(trace, cohort_atoms=tuple(rows))
 
 
-def test_innovation_fault_message_prints_plain_floats(gw13):
+def test_birth_identity_fault_message_prints_no_numpy_types(gw13):
     trace = sim.run(gw13, 10, 7)
     with pytest.raises(RuntimeError, match="birth identity violated at n = 5") as exc:
-        sim.innovations(_draw_off(trace, 5, 0, 1), moments(gw13))
+        _draw_off(trace, 5, 0, 1)
     assert "np.float64" not in str(exc.value)
+
+
+def test_a_trace_without_draws_is_refused_by_name():
+    with pytest.raises(ValueError, match="a trace needs the draw at n = 0"):
+        sim.Trace(cohort_atoms=(), litters=((0, 1),), seed=0, cap=10, capped=False)
 
 
 # ---------------------------------------------------------------- characteristics
@@ -183,10 +188,10 @@ def test_char_zero_scores_zero():
     assert np.all(sim.char_total(trace, law) == 0.0)
 
 
-def test_char_fault_message_names_n_and_prints_integers(gw13_deaths):
+def test_birth_identity_fault_message_names_n_and_both_integer_counts(gw13_deaths):
     trace = sim.run(gw13_deaths, 10, 7)
     with pytest.raises(RuntimeError, match="birth identity violated at n = 5: ") as exc:
-        sim.char_total(_draw_off(trace, 5, 0, 1), gw13_deaths)
+        _draw_off(trace, 5, 0, 1)
     assert str(exc.value).endswith(f"B_n = {trace.B[5] + 1} but earlier cohorts bear {trace.B[5]}")
 
 

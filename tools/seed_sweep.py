@@ -7,18 +7,12 @@ Usage (from the repository root):
 
 ``config.json`` is a CLI run config (see README "Command line") whose command is ``verify`` or ``predict``; its
 ``seed`` is ignored and each seed of ``--seeds`` is the master seed of one campaign.  ``verify`` runs
-``oscillation_residual`` in regime III and ``run_experiment`` otherwise, as CLI ``verify`` does; ``predict`` runs
-``predictor_backtest``.  All campaigns run in this one process, on one analysis of the law.
+``harness.verify``, as CLI ``verify`` does; ``predict`` runs ``predictor_backtest``.  All campaigns run in this one
+process.
 
-For every clause of the campaign's verdict the script prints the share of seeds at which the clause failed, and
-the 5%, 50% and 95% quantiles over the seeds of the statistic that the clause bounds:
-
-* ``run_experiment``: each lag's ``rel_error``, ``|skewness|`` and ``|ex_kurtosis|``;
-* ``oscillation_residual``: ``median_relative_residual``, ``alternation_fraction`` (only where it is defined) and,
-  for ``mean_ok``, the largest ``|centered mean| / SE`` over the critical roots (it fails above 3);
-* ``predictor_backtest``: for ``beats_naive``, the ratio of the rule's MSE to the naive MSE.
-
-``run_experiment`` also gets one line per lag for the variance z-score
+For every clause the report lists (``report.clauses``) the script prints the share of seeds at which the clause
+failed, and the 5%, 50% and 95% quantiles over the seeds of the statistic that the clause bounds.  A
+``run_experiment`` report also gets one line per lag, after that lag's clauses, for the variance z-score
 ``(variance - predicted_variance) / variance_se``: a statistic no clause bounds, so its ``fail_frac`` reads ``-``.
 
 The last line gives the share of seeds whose verdict failed, and lists them.
@@ -35,8 +29,11 @@ import sys
 import numpy as np
 
 from cmjfluct.cli import _experiment_config, parse_config
-from cmjfluct.harness import BacktestReport, VerificationReport, oscillation_residual, predictor_backtest, run_experiment
-from cmjfluct.spectral import classify
+from cmjfluct.harness import BacktestReport, OscillationSummary, VerificationReport, predictor_backtest, verify
+
+#: The campaign that gives each report type.
+_CAMPAIGNS = {VerificationReport: "run_experiment", OscillationSummary: "oscillation_residual",
+              BacktestReport: "predictor_backtest"}
 
 
 def _seeds(text: str) -> range:
@@ -45,32 +42,19 @@ def _seeds(text: str) -> range:
     return range(int(lo), int(hi or lo) + 1)
 
 
-def clauses(report, config) -> dict[str, tuple[float, bool | None]]:
-    """Each pass clause of a campaign report on ``config``: its name, the statistic it bounds, and whether it failed.
+def clauses(report) -> dict[str, tuple[float, bool | None]]:
+    """Each pass clause of a campaign report: its name, the statistic it bounds, and whether it failed.
 
     The report's verdict holds exactly when no clause failed.  A statistic that no clause bounds (the variance
-    z-score of ``run_experiment``) comes with ``None`` in place of the flag.
+    z-score of each ``run_experiment`` lag, after that lag's clauses) comes with ``None`` in place of the flag.
     """
-    if isinstance(report, VerificationReport):
-        out = {}
-        for r in report.rows:
-            out[f"lag {r.lag} rel_error"] = (r.rel_error, not r.var_ok)
-            # a constant statistic has skewness and excess kurtosis 0, so it is normal here as in the report
-            out[f"lag {r.lag} |skewness|"] = (abs(r.skewness), abs(r.skewness) > config.tol_skew)
-            out[f"lag {r.lag} |ex_kurtosis|"] = (abs(r.ex_kurtosis), abs(r.ex_kurtosis) > config.tol_kurt)
-            z = (r.variance - r.predicted_variance) / r.variance_se if r.variance_se > 0 else math.nan
-            out[f"lag {r.lag} variance z"] = (z, None)
-        return out
-    if isinstance(report, BacktestReport):
-        ratio = report.mse_normalized / report.naive_mse_normalized if report.naive_mse_normalized > 0 else math.nan
-        return {"beats_naive mse/naive": (ratio, not report.beats_naive)}
-    out = {"median_relative_residual": (report.median_relative_residual,
-                                        not report.median_relative_residual <= config.tol_residual)}
-    if not math.isnan(report.alternation_fraction):
-        out["alternation_fraction"] = (report.alternation_fraction,
-                                       report.alternation_fraction < config.tol_alternation)
-    z = max(abs(mu) / se if se > 0 else 0.0 for mu, se in zip(report.centered_means, report.centered_ses))
-    out["mean_ok |mean|/SE"] = (z, not report.mean_ok)
+    if not isinstance(report, VerificationReport):
+        return {name: (statistic, not ok) for name, statistic, ok in report.clauses}
+    out = {}
+    for r in report.rows:
+        out.update((name, (statistic, not ok)) for name, statistic, ok in r.clauses)
+        z = (r.variance - r.predicted_variance) / r.variance_se if r.variance_se > 0 else math.nan
+        out[f"lag {r.lag} variance z"] = (z, None)
     return out
 
 
@@ -81,18 +65,11 @@ def sweep(text: str, seeds) -> tuple[str, list[tuple[int, bool, dict[str, tuple[
     if run_config.command not in ("verify", "predict"):
         raise ValueError(f"command {run_config.command!r}: a sweep runs 'verify' or 'predict'")
     base = _experiment_config(run_config)
-    if run_config.command == "predict":
-        name, campaign = "predictor_backtest", lambda config: predictor_backtest(config, run_config.K)
-    else:
-        report = classify(run_config.law)
-        fn = oscillation_residual if report.regime == "III" else run_experiment
-        name, campaign = fn.__name__, lambda config: fn(config, report=report)
-    results = []
-    for seed in seeds:
-        config = dataclasses.replace(base, master_seed=seed)
-        out = campaign(config)
-        results.append((seed, out.beats_naive if isinstance(out, BacktestReport) else out.passed, clauses(out, config)))
-    return name, results
+    campaign = verify if run_config.command == "verify" else lambda config: predictor_backtest(config, run_config.K)
+    reports = [(seed, campaign(dataclasses.replace(base, master_seed=seed))) for seed in seeds]
+    if not reports:
+        raise ValueError("no master seeds to sweep")
+    return _CAMPAIGNS[type(reports[0][1])], [(seed, out.passed, clauses(out)) for seed, out in reports]
 
 
 def render(name: str, results) -> str:
