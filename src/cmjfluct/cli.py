@@ -34,11 +34,11 @@ from .spectral import _MAX_LAG, classify
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
-#: Largest ``replicates``, and largest ``K`` and ``|lag|``, a config may ask for: a campaign simulates about 10^5
-#: replicates of 25 steps per second and keeps 8 (horizon + 1) bytes each; ``predictor_coeffs`` takes about 14 ms
-#: at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for lags -256..256, the widest these bounds
-#: let it grow, about 40 ms and 11 MB.  The lag bound is the one the epoch-series functions and library campaigns keep.
-_MAX_REPLICATES, _MAX_K = 10**6, _MAX_LAG
+#: Largest ``replicates`` a config may ask for: a campaign simulates about 10^5 replicates of 25 steps per second
+#: and keeps 8 (horizon + 1) bytes each.  ``K`` and ``|lag|`` are bounded by ``_MAX_LAG``, as in the library:
+#: ``predictor_coeffs`` takes about 14 ms at K = 256 on a fresh spectrum (one BLAS thread), and the lag table for
+#: lags -256..256, the widest that bound lets it grow, about 40 ms and 11 MB.
+_MAX_REPLICATES = 10**6
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ _ATOM_KEYS = {"prob", "births", "char"}
 #: The ``tolerances`` keys: each names the ``ExperimentConfig`` field ``tol_<key>``, in field order.
 _TOL_KEYS = tuple(f.name.removeprefix("tol_") for f in fields(ExperimentConfig) if f.name.startswith("tol_"))
 #: Inclusive bounds of the integer keys that are ``None`` unless given, in the order they are checked.
-_BOUNDS = {"horizon": (0, _MAX_HORIZON), "replicates": (1, _MAX_REPLICATES), "K": (0, _MAX_K)}
+_BOUNDS = {"horizon": (0, _MAX_HORIZON), "replicates": (1, _MAX_REPLICATES), "K": (0, _MAX_LAG)}
 
 
 def _need(obj: dict, key: str, path: str):
@@ -160,9 +160,9 @@ def parse_config(text: str) -> RunConfig:
         raise UsageError("config.lags: expected a non-empty list of integers")
     lags = tuple(_as_int(e, f"config.lags[{j}]") for j, e in enumerate(lags_raw))
     for j, lag in enumerate(lags):
-        if abs(lag) > _MAX_K:
-            raise UsageError(f"config.lags[{j}]: {lag} is outside [-{_MAX_K}, {_MAX_K}]")
-        if lag in lags[:j]:  # so at most 2 _MAX_K + 1 lags, and the covariance table stays bounded
+        if abs(lag) > _MAX_LAG:
+            raise UsageError(f"config.lags[{j}]: {lag} is outside [-{_MAX_LAG}, {_MAX_LAG}]")
+        if lag in lags[:j]:  # so at most 2 _MAX_LAG + 1 lags, and the covariance table stays bounded
             raise UsageError(f"config.lags[{j}]: {lag} repeats config.lags[{lags.index(lag)}]")
     tol = _as_object(obj.get("tolerances", {}), "config.tolerances")
     _reject_unknown(tol, _TOL_KEYS, "config.tolerances")
@@ -206,10 +206,15 @@ def serialize_config(config: RunConfig) -> str:
 
 
 class _Sink:
-    """Collects artifact files, prefixing each with the provenance header."""
+    """Collects artifact files, prefixing each with the provenance header; made before the command runs, it refuses
+    an ``outdir`` whose nearest existing ancestor is not a directory, and creates nothing until the first write."""
 
     def __init__(self, config: RunConfig):
-        self.outdir = pathlib.Path(config.outdir)
+        self.outdir = ancestor = pathlib.Path(config.outdir)
+        while not ancestor.is_dir():
+            if ancestor.exists() or ancestor == ancestor.parent:
+                raise OSError(f"cannot write {self.outdir}: {ancestor} is not a directory")
+            ancestor = ancestor.parent
         sha = hashlib.sha256(serialize_config(config).encode()).hexdigest()
         self.header = (
             f"# cmjfluct {__version__}\n# config-sha256 = {sha}\n# seed = {config.seed}\n"
@@ -324,16 +329,12 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         text = pathlib.Path(ns.config).read_text()
+        config = parse_config(text)
     except UsageError as exc:
         print(f"cmjfluct: {exc}", file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as exc:
         print(f"cmjfluct: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config = parse_config(text)
-    except UsageError as exc:
-        print(f"cmjfluct: {exc}", file=sys.stderr)
         return 1
     try:
         return dispatch(config)

@@ -349,7 +349,7 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
         raise ValueError(f"lag {max([k, *ells])} exceeds {_MAX_LAG}: the lag table grows as its square")
     n = config.horizon
     if n - max(ells) - k < 0:
-        raise ValueError(f"horizon {n} too short for ell up to {max(ells)}")
+        raise ValueError(f"horizon {n} too short for k = {k} and ell up to {max(ells)}")
     report, spectrum = _spectrum_for(config.law)
     m = report.m
     base = cov_lagged(spectrum, k, 0)

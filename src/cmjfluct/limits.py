@@ -280,10 +280,13 @@ def _cov_matrix(spectrum: LimitSpectrum, vectors: list) -> np.ndarray:
     """Limiting covariance matrix of the statistics ``sum_k a_k zeta_k`` for coefficient vectors ``a``.
 
     It is ``A C A^T`` over the lags the vectors use (``zeta_0 = 0`` adds nothing, nor does a zero coefficient); an
-    entry past float64 faults (RuntimeError).
+    entry past float64 faults (RuntimeError); a lag past ``_MAX_LAG`` either way is refused (ValueError).
     """
     support = [{int(k): float(c) for k, c in a.items() if k and c} for a in vectors]
     lags = [0, *(k for a in support for k in a)]
+    if max(map(abs, lags)) > _MAX_LAG:
+        far = max(lags, key=abs)
+        raise ValueError(f"lag {far} is outside [-{_MAX_LAG}, {_MAX_LAG}]: the lag table grows as its square")
     lo, hi = min(lags), max(lags)
     rows = np.zeros((len(support), hi - lo))
     for row, a in zip(rows, support):
@@ -328,10 +331,13 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
 
     ``Re int (z m^(1/2))^ell |z^k - m^-k|^2 dnu``; on the circle the lag factor
     is the pure oscillation ``e^(i ell theta)``.  Faults (RuntimeError) past
-    float64.
+    float64; ``k`` or ``ell`` past ``_MAX_LAG`` is refused (ValueError).
     """
     if ell < 0:
         raise ValueError(f"lag ell = {ell} must be non-negative")
+    for name, lag in (("k", k), ("ell", ell)):
+        if abs(lag) > _MAX_LAG:
+            raise ValueError(f"lag {name} = {lag} is outside [-{_MAX_LAG}, {_MAX_LAG}]: its pairing grows with it")
     q = _quotient_symbol({k: 1.0}, spectrum.m)
     value = _pairing(spectrum, q, q, centered=True, lag=ell)
     if not math.isfinite(value):
@@ -490,6 +496,8 @@ def predictor_coeffs(spectrum: LimitSpectrum, K: int) -> PredictorRule:
     """
     if K < 0:
         raise ValueError(f"K = {K} must be >= 0")
+    if K > _MAX_LAG:
+        raise ValueError(f"K = {K} exceeds {_MAX_LAG}: the Gram spans the lags -1..K")
     if spectrum.total_mass <= 0.0:
         raise RefusalError("the limiting measure is zero (deterministic litters): use the exact recurrence")
     m = spectrum.m
@@ -537,6 +545,8 @@ def oscillation_profile(report: SpectralReport, U, n: int, trunc: int) -> np.nda
     alone.  Returns the real window approximating ``gamma_*^n X_n`` componentwise.
     """
     _require_oscillating(report)
+    if trunc < 0:
+        raise ValueError(f"trunc = {trunc} must be >= 0")
     crit = list(report.gamma_crit)
     U = np.asarray(U, dtype=complex)
     if U.shape[-1:] != (len(crit),):

@@ -145,11 +145,10 @@ class OffspringLaw:
 
 
 class _Orbit:
-    """A moment table's orbit store: read-only rows ``T^s v`` for the growth factor ``m`` (see
+    """A moment table's orbit store: read-only rows ``T^s v`` at the table's growth factor (see
     :func:`~cmjfluct.spectral._orbit`)."""
 
     def __init__(self) -> None:
-        self.m = math.nan
         self.rows = np.zeros((0, 0))
 
 

@@ -11,12 +11,11 @@ counts.
 The module also extracts every path functional the limit theorems refer to:
 prediction errors X_{n,k} = Z_{n-k} - m^-k Z_n, reproduction innovations W_n,
 scored characteristic totals, oscillation-coefficient estimates, and the
-conditional quadratic variation of the count martingale.  Each trace converts
-its counts to float64 once and keeps one innovations pass per moment table,
-and every functional reads those.  One identity binds the draws, each cohort
-being the births its elders bear; a trace checks it exactly on the Python
-integers when it is built, so a trace with one draw off cannot be built and
-no functional reads it.
+conditional quadratic variation of the count martingale, reading float64
+arrays of the births and totals that a trace makes when it is built.  One
+identity binds the draws, each cohort being the births its elders bear; a
+trace checks it exactly on the Python integers when it is built, so a trace
+with one draw off cannot be built and no functional reads it.
 """
 
 from __future__ import annotations
@@ -93,11 +92,9 @@ class Trace:
     counts; a trace with no draws (not even ``n = 0``'s) raises
     ``ValueError``.  The elders' births are summed a column and a nonzero
     age at a time by ``map``: 17-44 us on a capped path of horizon 70, a
-    third to a half of a per-count loop's time (2 vCPU Xeon).
-
-    Each trace keeps one read-only float64 view of its counts (``_floats``,
-    a field converted on first read) and one innovations array per moment
-    table (``_innovations``); a copy starts with both empty.
+    third to a half of a per-count loop's time (2 vCPU Xeon).  It then makes
+    read-only float64 arrays of ``B`` and ``Z``, ``B_float`` and ``Z_float``,
+    which the functionals read.
     """
 
     cohort_atoms: tuple[tuple[int, ...], ...]
@@ -110,8 +107,8 @@ class Trace:
     # against 10 us), and a cached property's first read takes a lock in Python 3.11 (2 us; 2 vCPU Xeon)
     B: tuple[int, ...] = field(init=False)
     Z: tuple[int, ...] = field(init=False)
-    _floats: dict = field(default_factory=dict, init=False, repr=False)  # field name -> array, see _as_floats
-    _innovations: dict = field(default_factory=dict, init=False, repr=False)  # id(table) -> (table, W)
+    B_float: np.ndarray = field(init=False, repr=False)
+    Z_float: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.cohort_atoms:
@@ -129,15 +126,10 @@ class Trace:
         if tuple(born) != births:
             n = next(n for n in range(size) if born[n] != births[n])
             raise RuntimeError(f"birth identity violated at n = {n}: B_n = {births[n]} but earlier cohorts bear {born[n]}")
-
-
-def _as_floats(trace: Trace, name: str) -> np.ndarray:
-    """The count field ``name`` of ``trace`` as a read-only float64 array, converted on first read and kept."""
-    array = trace._floats.get(name)
-    if array is None:
-        array = trace._floats[name] = np.asarray(getattr(trace, name), dtype=float)
-        array.flags.writeable = False
-    return array
+        for name, counts in (("B_float", births), ("Z_float", self.Z)):
+            view = np.asarray(counts, dtype=float)
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
 
 def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace:
@@ -338,7 +330,7 @@ def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:
     n_last = trace.horizon + min(0, k_min)
     if n_last < 0:
         raise ValueError(f"lag {k_min} reaches beyond the trace horizon {trace.horizon}")
-    return _prediction_errors(_as_floats(trace, "Z"), m, np.arange(n_last + 1), range(k_min, k_max + 1))
+    return _prediction_errors(trace.Z_float, m, np.arange(n_last + 1), range(k_min, k_max + 1))
 
 
 def _prediction_errors(Z: np.ndarray, m: float, t, ks) -> np.ndarray:
@@ -358,19 +350,8 @@ def _prediction_errors(Z: np.ndarray, m: float, t, ks) -> np.ndarray:
 
 
 def innovations(trace: Trace, moments) -> np.ndarray:
-    """Reproduction innovations ``W_n = B_n - sum_k mu_k B_{n-k}``, with ``W_0 = B_0 = 1``.
-
-    ``W`` is formed once per trace and moment table: the trace keeps the
-    read-only array it returns, and every later call with that table,
-    :func:`estimate_U` and :func:`verify_recursion` included, returns the
-    same array.
-    """
-    kept = trace._innovations.get(id(moments))
-    if kept is None:
-        W = _births_innovations(_as_floats(trace, "B"), moments.mu)
-        W.flags.writeable = False
-        kept = trace._innovations[id(moments)] = (moments, W)  # holding the table keeps its id unique
-    return kept[1]
+    """Reproduction innovations ``W_n = B_n - sum_k mu_k B_{n-k}``, with ``W_0 = B_0 = 1``, from ``trace.B_float``."""
+    return _births_innovations(trace.B_float, moments.mu)
 
 
 def _births_innovations(B: np.ndarray, mu) -> np.ndarray:
@@ -399,7 +380,7 @@ def char_total(trace: Trace, law: OffspringLaw) -> np.ndarray:
         raise ValueError("law carries no characteristic")
     k_phi = law.char_max_age
     size = trace.horizon + 1
-    counts = _as_floats(trace, "cohort_atoms")
+    counts = np.asarray(trace.cohort_atoms, dtype=float)
     scores = np.zeros((size, k_phi + 1))  # scores[c, age]: summed score of cohort c at that age
     for a, atom in enumerate(law.atoms):
         scores += counts[:, a, None] * np.asarray(atom.char_values)
@@ -446,7 +427,7 @@ def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, 
     g = complex(match)
     if not 0 <= n0 <= trace.horizon:
         raise ValueError(f"n0 = {n0} outside trace horizon {trace.horizon}")
-    W = innovations(trace, moments)
+    W = _births_innovations(trace.B_float[: n0 + 1], moments.mu)
     value, centered = _coefficient_estimates(W, moments.mu, g, n0)
     return UEstimate(
         value=complex(value),
@@ -488,7 +469,7 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     if not a or n == 0:
         return 0.0
     k_top = len(moments.mu) - 1
-    rows = _orbit(moments, moments.growth, n - 1, max(k_top, max(a)))
+    rows = _orbit(moments, n - 1, max(k_top, max(a)))
     alphas = np.zeros(k_top + n)  # alpha_s sits at k_top + s; the zeros stand for s < 0
     for k, c in a.items():
         alphas[k_top:] += c * rows[:, k]
@@ -496,7 +477,7 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     # near the regime boundary the forms overflow; the sum raises at that epoch instead
     with np.errstate(over="ignore", invalid="ignore"):
         forms = np.einsum("li,ij,lj->l", windows, moments.sigma[1:, 1:], windows)
-        partial = np.cumsum(_as_floats(trace, "B")[n - 1 :: -1] * forms)
+        partial = np.cumsum(trace.B_float[n - 1 :: -1] * forms)
     bad = np.flatnonzero(~np.isfinite(partial))
     if bad.size:
         total, ell = float(partial[bad[0]]), int(bad[0]) + 1
@@ -507,37 +488,39 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
 def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) -> float:
     """Max relative residual of ``X_n = -sum_{k<=n} W_{n-k} T^k(v)`` for ``n <= n_small``.
 
-    The identity is exact pathwise; the returned residual measures float
-    rounding only and is the statistic a verification harness thresholds.
-    Compared over window components ``k <= trunc - n_small``.  Every term
-    ``W_{n-k} T^k v`` is formed in one product, the terms with ``k > n`` are
-    masked out, and each row's terms are summed in increasing ``k``; the
-    negated sum equals a per-row running subtraction bit for bit: O(n_small^2
-    trunc) in C.  The innovations are the trace's own (:func:`innovations`),
-    formed once per trace and table.  The iterates are a slice of the moment
+    The identity is exact pathwise at the law's growth factor, and only
+    there: ``m`` forms ``X``, while the iterates are a slice of the moment
     table's orbit store (:func:`~cmjfluct.spectral._orbit`), built once per
-    law and ``m``.
+    law at ``moments.growth``.  At that ``m`` the returned residual measures
+    float rounding only and is the statistic a verification harness
+    thresholds.  Compared over window components ``k <= trunc - n_small``.
+    Every term ``W_{n-k} T^k v`` is formed in one product from the
+    innovations ``W_0..W_{n_small}``, the terms with ``k > n`` are masked
+    out, and each row's terms are summed in increasing ``k``; the negated sum
+    equals a per-row running subtraction bit for bit: O(n_small^2 trunc) in C.
     """
     k_top = len(moments.mu) - 1
-    if n_small > 20:
-        raise ValueError("n_small capped at 20 (cost control)")
+    if not 0 <= n_small <= 20:
+        raise ValueError(f"n_small = {n_small} outside [0, 20] (capped at 20 for cost control)")
     if n_small > trace.horizon:
         raise ValueError(f"n_small = {n_small} exceeds trace horizon {trace.horizon}")
     if trunc < k_top + n_small:
         raise ValueError(f"trunc = {trunc} too small: need at least K + n_small = {k_top + n_small}")
-    W = innovations(trace, moments)
-    iterates = _orbit(moments, m, n_small, trunc)
+    W = _births_innovations(trace.B_float[: n_small + 1], moments.mu)
+    iterates = _orbit(moments, n_small, trunc)
     k_cmp = trunc - n_small
     lag = np.arange(n_small + 1)[:, None] - np.arange(n_small + 1)  # lag[n, k] = n - k
     terms = W[np.maximum(lag, 0), None] * iterates[:, : k_cmp + 1]  # terms[n, k] = W_{n-k} T^k v
     # where, not a product with a 0/1 mask: an iterate past float64 would make 0 * inf a nan
     rhs = -np.where(lag[:, :, None] >= 0, terms, 0.0).sum(axis=1)
-    X = _prediction_errors(_as_floats(trace, "Z")[: n_small + 1], m, np.arange(n_small + 1), range(k_cmp + 1))
+    X = _prediction_errors(trace.Z_float[: n_small + 1], m, np.arange(n_small + 1), range(k_cmp + 1))
     return float(np.max(np.abs(X - rhs) / np.maximum(1.0, np.abs(X))))
 
 
 def expected_counts(law: OffspringLaw, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean birth counts ``E B_n`` and totals ``E Z_n`` up to ``horizon``."""
+    if horizon < 0:
+        raise ValueError(f"horizon = {horizon} must be >= 0")
     mu = moments(law).mu
     k_top = len(mu) - 1
     b = np.zeros(horizon + 1)

@@ -284,24 +284,24 @@ def _apply_T_mu(mu: np.ndarray, m: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _orbit(tab, m: float, steps: int, width: int) -> np.ndarray:
+def _orbit(tab, steps: int, width: int) -> np.ndarray:
     """Rows ``T^s v`` for ``s = 0..steps`` over components ``0..width``: a read-only view into the table's orbit store.
 
-    The store is kept for one ``m``.  A request outside it rebuilds it from :func:`vector_v`, each dimension out to
-    the next power of two, by the arithmetic of :func:`_apply_T_mu`.  As ``(T y)_k`` reads only components below
+    The store is built at ``tab.growth``.  A request outside it rebuilds it from :func:`vector_v`, each dimension out
+    to the next power of two, by the arithmetic of :func:`_apply_T_mu`.  As ``(T y)_k`` reads only components below
     ``k`` and ``chi`` reads ``0..K``, a narrower window is a bit-exact prefix of a wider one, so every request
     reads the same bits whichever came first.  Rows past float64 are kept as they come; the readers check.
     """
     store = tab._orbit
-    if store.m != m or steps >= store.rows.shape[0] or width >= store.rows.shape[1]:
-        kept = store.rows.shape if store.m == m else (0, 0)
+    if steps >= store.rows.shape[0] or width >= store.rows.shape[1]:
+        m, kept = tab.growth, store.rows.shape
         rows = np.empty((max(kept[0], _pow2_at_least(steps + 1)), max(kept[1], _pow2_at_least(width + 1))))
         rows[0] = vector_v(m, rows.shape[1] - 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(1, len(rows)):
                 rows[s] = _apply_T_mu(tab.mu, m, rows[s - 1])
         rows.flags.writeable = False
-        store.m, store.rows = m, rows
+        store.rows = rows
     return store.rows[: steps + 1, : width + 1]
 
 

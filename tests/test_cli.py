@@ -13,10 +13,11 @@ import time
 import pytest
 
 import cmjfluct
+from cmjfluct import cli
 from cmjfluct.cli import (
     _MAX_CELLS,
     _MAX_HORIZON,
-    _MAX_K,
+    _MAX_LAG,
     _MAX_REPLICATES,
     _TOL_KEYS,
     _experiment_config,
@@ -96,7 +97,7 @@ def test_unbounded_campaigns_are_usage_errors(tmp_path, capsys):
     # a config asking for 10**400 replicates or predictor lags must be refused at once, not run until killed
     predict = {"command": "predict", "law": {"atoms": E2B_ATOMS}, "horizon": 12, "replicates": 100, "K": 2}
     verify = {"command": "verify", "law": {"atoms": E2B_ATOMS}, "horizon": 12, "replicates": 100}
-    for doc, key, limit in ((verify, "replicates", _MAX_REPLICATES), (predict, "replicates", _MAX_REPLICATES), (predict, "K", _MAX_K)):
+    for doc, key, limit in ((verify, "replicates", _MAX_REPLICATES), (predict, "replicates", _MAX_REPLICATES), (predict, "K", _MAX_LAG)):
         assert getattr(parse_config(json.dumps({**doc, key: limit})), key) == limit
         with pytest.raises(UsageError, match=f"config.{key}: "):
             parse_config(json.dumps({**doc, key: limit + 1}))
@@ -130,18 +131,18 @@ def test_horizon_and_campaign_size_are_bounded():
 def test_lags_beyond_max_k_are_usage_errors(tmp_path, capsys):
     # the lag table grows with the largest |lag|, so an unbounded lag could ask for work that runs until killed
     law = {"atoms": [{"prob": 0.5, "births": [1, 1]}, {"prob": 0.5, "births": [3, 1]}]}
-    path, _ = _config(tmp_path, command="limits", law=law, lags=[1, _MAX_K, -_MAX_K])
+    path, _ = _config(tmp_path, command="limits", law=law, lags=[1, _MAX_LAG, -_MAX_LAG])
     assert main([str(path)]) == 0
     rows = (tmp_path / "out" / "variances.csv").read_text().strip().split("\n")[-3:]
-    assert [row.split(",")[0] for row in rows] == ["1", str(_MAX_K), str(-_MAX_K)]
+    assert [row.split(",")[0] for row in rows] == ["1", str(_MAX_LAG), str(-_MAX_LAG)]
     assert all(float(row.split(",")[1]) > 0.0 for row in rows)
-    for lag in (_MAX_K + 1, -_MAX_K - 1):
+    for lag in (_MAX_LAG + 1, -_MAX_LAG - 1):
         path, _ = _config(tmp_path, command="limits", law=law, lags=[1, lag])
         start = time.perf_counter()
         assert main([str(path)]) == 1
         assert time.perf_counter() - start < 1.0
-        assert f"config.lags[1]: {lag} is outside [-{_MAX_K}, {_MAX_K}]" in capsys.readouterr().err
-    verify = {"command": "verify", "law": law, "horizon": 12, "replicates": 100, "lags": [_MAX_K + 1]}
+        assert f"config.lags[1]: {lag} is outside [-{_MAX_LAG}, {_MAX_LAG}]" in capsys.readouterr().err
+    verify = {"command": "verify", "law": law, "horizon": 12, "replicates": 100, "lags": [_MAX_LAG + 1]}
     with pytest.raises(UsageError, match=r"config.lags\[0\]: "):
         parse_config(json.dumps(verify))
 
@@ -155,8 +156,8 @@ def test_repeated_lags_are_usage_errors(tmp_path, capsys):
         assert main([str(path)]) == 1
         assert time.perf_counter() - start < 1.0
         assert f"config.lags[{j}]: {lags[j]} repeats config.lags[{first}]" in capsys.readouterr().err
-    every_lag = {"command": "limits", "law": law, "lags": list(range(-_MAX_K, _MAX_K + 1))}
-    assert len(parse_config(json.dumps(every_lag)).lags) == 2 * _MAX_K + 1
+    every_lag = {"command": "limits", "law": law, "lags": list(range(-_MAX_LAG, _MAX_LAG + 1))}
+    assert len(parse_config(json.dumps(every_lag)).lags) == 2 * _MAX_LAG + 1
 
 
 def test_parse_rejects_unknown_keys():
@@ -538,8 +539,23 @@ def test_unwritable_outdir_is_a_fault_naming_the_path(tmp_path, capsys):
     path, _ = _config(tmp_path, command="analyze", law={"atoms": GW13_ATOMS}, outdir=str(outdir))
     assert main([str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"cmjfluct: fault: cannot write {outdir / 'analysis.txt'}: ")
-    assert err.count("\n") == 1
+    assert err == f"cmjfluct: fault: cannot write {outdir}: {blocker} is not a directory\n"
+
+
+def test_unwritable_outdir_is_found_before_the_campaign_runs(tmp_path, capsys, monkeypatch):
+    # the outdir is checked when the artifact sink is made, so verify's campaign never starts
+    def campaign(config):
+        raise AssertionError("the campaign ran before the outdir was checked")
+
+    monkeypatch.setattr(cli, "verify", campaign)
+    blocker = tmp_path / "notadir"
+    blocker.write_text("")
+    outdir = blocker / "deeper" / "out"
+    path, _ = _config(tmp_path, command="verify", law={"atoms": GW13_ATOMS}, horizon=8, replicates=200,
+                      outdir=str(outdir))
+    assert main([str(path)]) == 3
+    assert capsys.readouterr().err == f"cmjfluct: fault: cannot write {outdir}: {blocker} is not a directory\n"
+    assert blocker.read_text() == ""
 
 
 def test_verify_refuses_a_tolerance_it_can_never_meet(tmp_path, capsys):

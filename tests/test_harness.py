@@ -24,7 +24,7 @@ from cmjfluct.harness import (
     predictor_backtest,
     run_experiment,
 )
-from cmjfluct.limits import build_spectrum, predictor_coeffs
+from cmjfluct.limits import build_spectrum, oscillation_profile, predictor_coeffs
 from cmjfluct.offspring import make_law, moments
 from cmjfluct.simulate import fluctuations, run
 from cmjfluct.spectral import classify
@@ -118,6 +118,24 @@ def test_lag_check_refuses_an_empty_ell_list_by_name(gw13, no_spectrum, monkeypa
     monkeypatch.setattr(harness, "classify", None)
     with pytest.raises(ValueError, match="ell_list is empty: need at least one lag ell"):
         lag_correlation_check(ExperimentConfig(gw13, 12, 200, 0), 1, [])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda gw13, law_iii: simulate.expected_counts(gw13, -1), "horizon = -1 must be >= 0"),
+        (lambda gw13, law_iii: simulate.verify_recursion(run(gw13, 12, 0), moments(gw13), 2.0, -1, 8),
+         r"n_small = -1 outside \[0, 20\]"),
+        (lambda gw13, law_iii: oscillation_profile(report := classify(law_iii), np.zeros(len(report.gamma_crit)), 3, -1),
+         "trunc = -1 must be >= 0"),
+        (lambda gw13, law_iii: lag_correlation_check(ExperimentConfig(gw13, 12, 200, 0), 13, [0]),
+         "horizon 12 too short for k = 13 and ell up to 0"),
+    ],
+    ids=["expected_counts", "verify_recursion", "oscillation_profile", "lag_correlation_check"],
+)
+def test_bad_sizes_are_refused_by_name(gw13, law_iii, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(gw13, law_iii)
 
 
 def test_config_refuses_a_tolerance_no_campaign_can_meet(gw13):

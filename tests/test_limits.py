@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import time
 import tracemalloc
 import warnings
 
@@ -49,7 +50,7 @@ from cmjfluct.limits import (
 )
 from cmjfluct.offspring import _polyval, _sigma_form, make_law, moments, validate_law
 from cmjfluct.simulate import Trace, martingale_qv
-from cmjfluct.spectral import classify
+from cmjfluct.spectral import _MAX_LAG, classify
 
 
 def _circle_density(report, tab, M: int):
@@ -85,6 +86,26 @@ def spectrum_of(law):
 def ladder_law(eps):
     """law_ii with a (3, 7) atom of weight eps mixed in: regime I, margin about 0.31 eps."""
     return make_law([(0.5 - eps / 2, (1, 8)), (0.5 - eps / 2, (3, 8)), (eps, (3, 7))])
+
+
+def test_lag_functions_refuse_lags_past_the_bound_by_name(gw13):
+    # unbounded, cov_lagged(1, 10**5) takes about 13 s and predictor_coeffs(600) about 1 s: each refuses first
+    _, spectrum = spectrum_of(gw13)
+    bound = f"outside \\[-{_MAX_LAG}, {_MAX_LAG}\\]"
+    cases = [
+        (cov_lagged, (spectrum, 1, 10**5), f"lag ell = 100000 is {bound}"),
+        (cov_lagged, (spectrum, -257, 0), f"lag k = -257 is {bound}"),
+        (predictor_coeffs, (spectrum, 2000), f"K = 2000 exceeds {_MAX_LAG}"),
+        (variance, (spectrum, {1: 1.0, -257: 1.0}), f"lag -257 is {bound}"),
+        (_cov_matrix, (spectrum, [{1: 1.0}, {257: 1.0}]), f"lag 257 is {bound}"),
+    ]
+    start = time.perf_counter()
+    for fn, args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(cov_lagged(spectrum, -_MAX_LAG, _MAX_LAG))
+    assert math.isfinite(variance(spectrum, {_MAX_LAG: 1.0, -_MAX_LAG: 1.0}))
 
 
 # ---------------------------------------------------------------- spectrum

@@ -176,8 +176,8 @@ def test_recursion_matches_per_row_reference(gw13, law_i, early_law, gw13_coin, 
 
 
 def test_recursion_detects_a_total_off_by_one(gw13, law_i):
-    # the draws stay intact, so the birth identity passes and only the recursion can see it; Z is derived from
-    # the draws, so the one total is set off on a copy past the trace's constructor
+    # the draws stay intact, so the birth identity passes and only the recursion can see it; Z and its float view
+    # are derived from the draws, so the one total is set off on a copy past the trace's constructor
     for law in (gw13, law_i):
         report = classify(law)
         trace = sim.run(law, 12, 99)
@@ -186,7 +186,7 @@ def test_recursion_detects_a_total_off_by_one(gw13, law_i):
             Z[t] += 1
             bad = dataclasses.replace(trace)
             object.__setattr__(bad, "Z", tuple(Z))
-            sim.innovations(bad, moments(law))
+            object.__setattr__(bad, "Z_float", np.asarray(Z, dtype=float))
             assert sim.verify_recursion(trace, moments(law), report.m, 10, law.max_age + 14) <= 1e-9
             assert sim.verify_recursion(bad, moments(law), report.m, 10, law.max_age + 14) > 1e-9
 
@@ -212,10 +212,10 @@ def test_orbit_reads_the_same_bits_whatever_was_asked_first(gw13, law_i, early_l
 
 def test_orbit_store_is_read_only_and_sized_to_the_next_power_of_two(gw13, early_law):
     for law in (gw13, early_law(40)):
-        tab, m, k_top = moments(dataclasses.replace(law)), malthusian(law), law.max_age
+        tab, k_top = moments(dataclasses.replace(law)), law.max_age
         most = [0, 0]
         for steps, width in ((4, k_top), (70, k_top + 3), (2, k_top + 30), (9, k_top + 1), (200, k_top)):
-            rows = _orbit(tab, m, steps, width)
+            rows = _orbit(tab, steps, width)
             assert rows.shape == (steps + 1, width + 1)
             most = [max(most[0], steps + 1), max(most[1], width + 1)]
             assert tab._orbit.rows.shape == tuple(1 << (size - 1).bit_length() for size in most)

@@ -1,4 +1,4 @@
-"""``run()`` against a reference copy of the loop it replaced, and the trace's shared float view and innovations.
+"""``run()`` against a reference copy of the loop it replaced, and the trace's float views and innovations.
 
 ``run()`` scatters each cohort over its atoms' nonzero litter ages only and
 keeps only its draws; births and totals are derived from them.  The
@@ -7,9 +7,9 @@ reference below is the loop it replaced: every cohort walks every age
 (the draws ``run()``'s one multinomial call per cohort makes, in the same
 order), and keeps its own births, totals and cohort birth matrix, so every
 one of them must equal the trace's, capped or not.  The per-trace
-functionals read one float64 view of the counts and one innovations pass per
-moment table; they must be read-only, kept per table, and a corrupted copy
-must fault as often as it is asked.
+functionals read the float64 views of the births and totals made with the
+trace; they must be exact and read-only, and a corrupted copy must fault as
+often as it is asked.
 """
 
 from __future__ import annotations
@@ -163,46 +163,38 @@ def test_run_refuses_a_cap_past_int64_unless_the_law_has_one_atom(gw13, det_gw):
     trace = sim.run(det_gw, 100, 0, cap=1 << 80)
     assert trace.capped and trace.horizon == 79 and trace.Z[-1] == (1 << 80) - 1
     # counts past int64 still reach the functionals, converted straight from the Python ints
-    assert sim._as_floats(trace, "Z").tobytes() == np.asarray(trace.Z, dtype=float).tobytes()
-    assert sim._as_floats(trace, "B").tobytes() == np.asarray(trace.B, dtype=float).tobytes()
+    assert trace.Z_float.tobytes() == np.asarray(trace.Z, dtype=float).tobytes()
+    assert trace.B_float.tobytes() == np.asarray(trace.B, dtype=float).tobytes()
 
 
-def test_float_view_is_exact_read_only_and_kept(gw13_coin):
+def test_float_views_are_exact_and_read_only(gw13_coin):
     trace = sim.run(gw13_coin, 70, 11)
     assert trace.capped and max(trace.Z) > 1 << 61  # counts near the cap, where float64 must round them
-    for name in ("B", "Z", "cohort_atoms"):
-        view = sim._as_floats(trace, name)
+    for name in ("B", "Z"):
+        view = getattr(trace, f"{name}_float")
         assert view.tobytes() == np.asarray(getattr(trace, name), dtype=float).tobytes()
         assert not view.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 0.0
-        assert sim._as_floats(trace, name) is view
-    assert dataclasses.replace(trace)._floats == {}
 
 
-def test_innovations_are_read_only_and_kept_per_table(law_i, law_ii):
+def test_innovations_are_exact_per_table(law_i, law_ii):
     trace = sim.run(law_i, 20, 3)
     tab_i, tab_ii = moments(law_i), moments(law_ii)  # the same K, different mu
     W_i = sim.innovations(trace, tab_i)
     W_ii = sim.innovations(trace, tab_ii)
-    for array in (W_i, W_ii):
-        assert not array.flags.writeable
-    assert sim.innovations(trace, tab_i) is W_i and sim.innovations(trace, tab_ii) is W_ii
-    assert len(trace._innovations) == 2 and not np.array_equal(W_i, W_ii)
+    assert not np.array_equal(W_i, W_ii)
     B = np.asarray(trace.B, dtype=float)
     for tab, W in ((tab_i, W_i), (tab_ii, W_ii)):
         want_W = B.copy()  # W_n = B_n - sum_k mu_k B_{n-k}, subtracted in increasing k
         for k in range(1, len(tab.mu)):
             want_W[k:] -= tab.mu[k] * B[:-k]
         assert W.tobytes() == want_W.tobytes()
-    copy = dataclasses.replace(trace)
-    assert copy._innovations == {} and sim.innovations(copy, tab_i) is not W_i
 
 
 def test_corrupted_copy_faults_in_each_reader_with_one_message(gw13):
     trace = sim.run(gw13, 12, 31)
     tab, m = moments(gw13), malthusian(gw13)
-    sim.innovations(trace, tab)  # the clean original keeps its result
     rows = list(trace.cohort_atoms)
     rows[5] = (rows[5][0] + 3, rows[5][1])
     messages = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -52,10 +53,13 @@ def test_growth_factor_solved_once_per_moment_table(law_i):
         assert malthusian(law_i) == 2.5
         with pytest.raises(RuntimeError, match=r"1/m = 0\.4 "):
             classify(law_i)
-        assert martingale_qv(trace, tab, {1: 1.0}, 6) != qv
     finally:
         del vars(tab)["growth"]
     assert malthusian(law_i) == m
+    # the orbit is built once per table, at its growth factor: plant it on a fresh table before the first build
+    planted = moments(dataclasses.replace(law_i))
+    vars(planted)["growth"] = 2.5
+    assert martingale_qv(trace, planted, {1: 1.0}, 6) != qv
     assert martingale_qv(trace, tab, {1: 1.0}, 6) == qv
 
 
