@@ -47,7 +47,7 @@ import numpy as np
 from .limits import LimitSpectrum, _cov_matrix, _require_oscillating, build_spectrum, cov_lagged, oscillation_profile, predictor_coeffs
 from .offspring import OffspringLaw, moments, sigma_hat
 from .simulate import _DEFAULT_CAP, _MAX_HORIZON, _RNG_SCHEME, _births_innovations, _coefficient_estimates, _csv_cell, _csv_text, _prediction_errors, _simulate_blocks
-from .spectral import _MAX_LAG, SpectralReport, classify
+from .spectral import _MAX_LAG, SpectralReport, _require_in, classify
 
 __all__ = [
     "ExperimentConfig",
@@ -85,8 +85,7 @@ class ExperimentConfig:
     oscillation summary's median relative residual and ``tol_alternation``
     is the least share of replicates that must alternate in sign.  A horizon
     past the batch engine's bound, more than ``_MAX_CELLS`` totals
-    (``replicates * (horizon + 1)``), a lag past the horizon or past
-    ``_MAX_LAG`` (the CLI's bound, which keeps the lag table small), or a
+    (``replicates * (horizon + 1)``), a lag outside ``[0, min(horizon, _MAX_LAG)]``, or a
     tolerance no campaign can meet (negative, NaN, or ``tol_alternation``
     above 1) is refused.
     """
@@ -114,12 +113,8 @@ class ExperimentConfig:
             raise ValueError(f"replicates * (horizon + 1) = {self.replicates * (self.horizon + 1)} exceeds {_MAX_CELLS}")
         if not self.lags:
             raise ValueError("need at least one lag")
-        if any(k < 0 for k in self.lags):
-            raise ValueError("lags must be non-negative")
-        if max(self.lags) > self.horizon:  # a lag past the horizon would read counts before time 0
-            raise ValueError(f"lag {max(self.lags)} exceeds horizon {self.horizon}")
-        if max(self.lags) > _MAX_LAG:
-            raise ValueError(f"lag {max(self.lags)} exceeds {_MAX_LAG}: the lag table grows as its square")
+        for j, lag in enumerate(self.lags):
+            _require_in(f"lags[{j}]", lag, 0, min(self.horizon, _MAX_LAG))
         for name in (f.name for f in fields(self) if f.name.startswith("tol_")):
             if not getattr(self, name) >= 0.0:  # NaN fails too: no statistic meets it
                 raise ValueError(f"{name} = {getattr(self, name)}: a tolerance must be a number >= 0")
@@ -335,21 +330,16 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
 
     The prediction is the ratio ``cov_lagged(k, ell) / cov_lagged(k, 0)`` (the
     two marginals share the same limiting variance).  Refused below
-    criticality; an empty ``ell_list``, a negative lag, or one past the
-    horizon or past ``_MAX_LAG``, faults before the law is analysed.
+    criticality; an empty ``ell_list``, or a ``k`` or ``ell`` out of range
+    (:func:`~cmjfluct.spectral._require_in`), faults before the law is analysed.
     """
     ells = [int(e) for e in ell_list]
     if not ells:
         raise ValueError("ell_list is empty: need at least one lag ell")
-    if k < 0:
-        raise ValueError(f"lag k = {k} must be non-negative")
-    if any(e < 0 for e in ells):
-        raise ValueError("lags ell must be non-negative")
-    if max([k, *ells]) > _MAX_LAG:
-        raise ValueError(f"lag {max([k, *ells])} exceeds {_MAX_LAG}: the lag table grows as its square")
     n = config.horizon
-    if n - max(ells) - k < 0:
-        raise ValueError(f"horizon {n} too short for k = {k} and ell up to {max(ells)}")
+    _require_in("k", k, 0, min(n, _MAX_LAG))
+    for j, e in enumerate(ells):
+        _require_in(f"ell_list[{j}]", e, 0, min(n - k, _MAX_LAG))
     report, spectrum = _spectrum_for(config.law)
     m = report.m
     base = cov_lagged(spectrum, k, 0)
@@ -515,14 +505,11 @@ def predictor_backtest(config: ExperimentConfig, K: int) -> BacktestReport:
     criticality) estimates the same quantity the measure predicts as
     ``residual_sq``; the naive rule's error estimates ``target_sq``.
     Refused on deterministic laws (prediction is the exact recurrence) and
-    below criticality; an order ``K`` past the horizon or past ``_MAX_LAG``
-    faults before the law is analysed.
+    below criticality; an order ``K`` out of range
+    (:func:`~cmjfluct.spectral._require_in`) faults before the law is analysed.
     """
     n = config.horizon
-    if K > n:
-        raise ValueError(f"predictor order K = {K} exceeds horizon {n}")
-    if K > _MAX_LAG:
-        raise ValueError(f"predictor order K = {K} exceeds {_MAX_LAG}: the lag table grows as its square")
+    _require_in("K", K, 0, min(n, _MAX_LAG))
     report, spectrum = _spectrum_for(config.law)
     rule = predictor_coeffs(spectrum, K)
     m = report.m

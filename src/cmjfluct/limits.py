@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import RefusalError
 from .offspring import _SIGMA_CLAMP, OffspringLaw, _polyval, _sigma_folds, _sigma_form, moments
-from .spectral import _MAX_LAG, SpectralReport, _pow2_at_least, vector_v
+from .spectral import _MAX_LAG, SpectralReport, _pow2_at_least, _require_in, vector_v
 
 __all__ = [
     "Autocovariance",
@@ -280,13 +280,11 @@ def _cov_matrix(spectrum: LimitSpectrum, vectors: list) -> np.ndarray:
     """Limiting covariance matrix of the statistics ``sum_k a_k zeta_k`` for coefficient vectors ``a``.
 
     It is ``A C A^T`` over the lags the vectors use (``zeta_0 = 0`` adds nothing, nor does a zero coefficient); an
-    entry past float64 faults (RuntimeError); a lag past ``_MAX_LAG`` either way is refused (ValueError).
+    entry past float64 faults (RuntimeError).
     """
     support = [{int(k): float(c) for k, c in a.items() if k and c} for a in vectors]
     lags = [0, *(k for a in support for k in a)]
-    if max(map(abs, lags)) > _MAX_LAG:
-        far = max(lags, key=abs)
-        raise ValueError(f"lag {far} is outside [-{_MAX_LAG}, {_MAX_LAG}]: the lag table grows as its square")
+    _require_in("lag", max(lags, key=abs), -_MAX_LAG, _MAX_LAG)
     lo, hi = min(lags), max(lags)
     rows = np.zeros((len(support), hi - lo))
     for row, a in zip(rows, support):
@@ -331,13 +329,10 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
 
     ``Re int (z m^(1/2))^ell |z^k - m^-k|^2 dnu``; on the circle the lag factor
     is the pure oscillation ``e^(i ell theta)``.  Faults (RuntimeError) past
-    float64; ``k`` or ``ell`` past ``_MAX_LAG`` is refused (ValueError).
+    float64.
     """
-    if ell < 0:
-        raise ValueError(f"lag ell = {ell} must be non-negative")
-    for name, lag in (("k", k), ("ell", ell)):
-        if abs(lag) > _MAX_LAG:
-            raise ValueError(f"lag {name} = {lag} is outside [-{_MAX_LAG}, {_MAX_LAG}]: its pairing grows with it")
+    _require_in("k", k, -_MAX_LAG, _MAX_LAG)
+    _require_in("ell", ell, 0, _MAX_LAG)
     q = _quotient_symbol({k: 1.0}, spectrum.m)
     value = _pairing(spectrum, q, q, centered=True, lag=ell)
     if not math.isfinite(value):
@@ -358,17 +353,15 @@ def sigma2_series(law: OffspringLaw, report: SpectralReport, a: dict[int, float]
     (``P += B P B^T``, then ``B = B^2``) solves it in about ``log2(1/margin) + 6`` steps, so it stays finite up to
     the regime boundary.  It never touches the spectrum, so its agreement with :func:`variance` is a real check.
     Not converged within ``_STEIN_STEPS`` doublings, or ``P`` past float64: ``RuntimeError``.  Refused outside
-    regime I; lags must lie in ``0..256`` (the window has no negative components; use :func:`variance`).
+    regime I; the window has no negative components (use :func:`variance` for negative lags).
     """
     if report.regime != "I":
         raise RefusalError(f"regime {report.regime}: the epoch series converges only in regime I")
     a = {int(k): float(c) for k, c in a.items() if c != 0.0}
     if not a:
         return 0.0
-    if min(a) < 0:
-        raise ValueError("negative lags have no epoch-series form; use variance() on the spectrum")
-    if max(a) > _MAX_LAG:
-        raise ValueError(f"lag {max(a)} exceeds {_MAX_LAG}: the Stein solve costs O(lag^3)")
+    for lag in a:
+        _require_in("lag", lag, 0, _MAX_LAG)
     m, tab = report.m, moments(law)
     k_top = len(tab.mu) - 1
     n = max(k_top, max(a)) + 1
@@ -494,10 +487,7 @@ def predictor_coeffs(spectrum: LimitSpectrum, K: int) -> PredictorRule:
     naive rule.  Refused on a zero measure — prediction for a deterministic
     law is its exact recurrence, not a regression.
     """
-    if K < 0:
-        raise ValueError(f"K = {K} must be >= 0")
-    if K > _MAX_LAG:
-        raise ValueError(f"K = {K} exceeds {_MAX_LAG}: the Gram spans the lags -1..K")
+    _require_in("K", K, 0, _MAX_LAG)
     if spectrum.total_mass <= 0.0:
         raise RefusalError("the limiting measure is zero (deterministic litters): use the exact recurrence")
     m = spectrum.m
@@ -542,11 +532,11 @@ def oscillation_profile(report: SpectralReport, U, n: int, trunc: int) -> np.nda
     leading axes index replicates, and the result has shape ``(..., trunc + 1)``.  In every row a real root must
     carry a real coefficient and conjugate roots conjugate coefficients, to 1e-10 of the row's scale, or the call
     faults.  The roots are added one at a time in ``gamma_crit`` order, so a row has the same bits as a call on it
-    alone.  Returns the real window approximating ``gamma_*^n X_n`` componentwise.
+    alone.  Returns the real window approximating ``gamma_*^n X_n`` componentwise; ``trunc`` lies in
+    ``[0, K + _MAX_LAG]``.
     """
     _require_oscillating(report)
-    if trunc < 0:
-        raise ValueError(f"trunc = {trunc} must be >= 0")
+    _require_in("trunc", trunc, 0, len(report.roots) + _MAX_LAG)
     crit = list(report.gamma_crit)
     U = np.asarray(U, dtype=complex)
     if U.shape[-1:] != (len(crit),):

@@ -36,7 +36,7 @@ from .offspring import (
     law_fingerprint,
     moments,
 )
-from .spectral import _MAX_LAG, SpectralReport, _orbit
+from .spectral import _MAX_LAG, SpectralReport, _orbit, _require_in
 
 __all__ = [
     "Trace",
@@ -322,15 +322,12 @@ def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:
     """Matrix of prediction errors ``X[n, k - k_min] = Z_{n-k} - m^-k Z_n``.
 
     Counts before time 0 are zero.  Negative lags look ahead, so rows stop at
-    ``horizon + k_min`` when ``k_min < 0``; faults if no row remains.
+    ``horizon + k_min`` when ``k_min < 0``.
     """
     k_min, k_max = int(k_min), int(k_max)
-    if k_max < k_min:
-        raise ValueError(f"empty lag range [{k_min}, {k_max}]")
-    n_last = trace.horizon + min(0, k_min)
-    if n_last < 0:
-        raise ValueError(f"lag {k_min} reaches beyond the trace horizon {trace.horizon}")
-    return _prediction_errors(trace.Z_float, m, np.arange(n_last + 1), range(k_min, k_max + 1))
+    _require_in("k_min", k_min, -min(trace.horizon, _MAX_LAG), _MAX_LAG)
+    _require_in("k_max", k_max, k_min, _MAX_LAG)
+    return _prediction_errors(trace.Z_float, m, np.arange(trace.horizon + min(0, k_min) + 1), range(k_min, k_max + 1))
 
 
 def _prediction_errors(Z: np.ndarray, m: float, t, ks) -> np.ndarray:
@@ -417,7 +414,7 @@ def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, 
 
     Refused (RefusalError) outside regime III and on a non-simple critical
     root, as ``limits.oscillation_profile`` is; faults (ValueError) on a root
-    not among the critical ones and when ``n0`` exceeds the trace horizon.
+    not among the critical ones and on an ``n0`` outside ``[0, horizon]``.
     """
     _require_oscillating(report)
     g = complex(gamma_i)
@@ -425,8 +422,7 @@ def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, 
     if abs(match - g) > 1e-8 * max(1.0, abs(g)):
         raise ValueError(f"gamma_i = {g!r} is not a critical root of this law")
     g = complex(match)
-    if not 0 <= n0 <= trace.horizon:
-        raise ValueError(f"n0 = {n0} outside trace horizon {trace.horizon}")
+    _require_in("n0", n0, 0, trace.horizon)
     W = _births_innovations(trace.B_float[: n0 + 1], moments.mu)
     value, centered = _coefficient_estimates(W, moments.mu, g, n0)
     return UEstimate(
@@ -457,15 +453,12 @@ def martingale_qv(trace: Trace, moments, a: dict[int, float], n: int) -> float:
     moment table's orbit store (:func:`~cmjfluct.spectral._orbit`), built once per law, and each pairing sums
     them in the order of ``a``; the forms are one einsum and their weighted sum one cumsum in increasing ``l``,
     as a running sum adds them: O(n (K^2 + len(a))) in C per call.  The first non-finite partial sum raises
-    ``RuntimeError`` naming its epoch.  Lags must lie in ``0..256``.
+    ``RuntimeError`` naming its epoch.  The windows have no negative components (see :func:`fluctuations`).
     """
-    if not 0 <= n <= trace.horizon:
-        raise ValueError(f"n = {n} outside trace horizon {trace.horizon}")
+    _require_in("n", n, 0, trace.horizon)
     a = {int(k): float(c) for k, c in a.items() if c != 0.0}
-    if any(k < 0 for k in a):
-        raise ValueError("negative lags have no window components; see fluctuations()")
-    if a and max(a) > _MAX_LAG:
-        raise ValueError(f"lag {max(a)} exceeds {_MAX_LAG}: the windows would grow with it")
+    for lag in a:
+        _require_in("lag", lag, 0, _MAX_LAG)
     if not a or n == 0:
         return 0.0
     k_top = len(moments.mu) - 1
@@ -498,14 +491,11 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
     innovations ``W_0..W_{n_small}``, the terms with ``k > n`` are masked
     out, and each row's terms are summed in increasing ``k``; the negated sum
     equals a per-row running subtraction bit for bit: O(n_small^2 trunc) in C.
+    ``n_small`` is at most 20, for cost, and ``trunc`` lies in ``[K + n_small, K + _MAX_LAG]``.
     """
     k_top = len(moments.mu) - 1
-    if not 0 <= n_small <= 20:
-        raise ValueError(f"n_small = {n_small} outside [0, 20] (capped at 20 for cost control)")
-    if n_small > trace.horizon:
-        raise ValueError(f"n_small = {n_small} exceeds trace horizon {trace.horizon}")
-    if trunc < k_top + n_small:
-        raise ValueError(f"trunc = {trunc} too small: need at least K + n_small = {k_top + n_small}")
+    _require_in("n_small", n_small, 0, min(20, trace.horizon))
+    _require_in("trunc", trunc, k_top + n_small, k_top + _MAX_LAG)
     W = _births_innovations(trace.B_float[: n_small + 1], moments.mu)
     iterates = _orbit(moments, n_small, trunc)
     k_cmp = trunc - n_small
@@ -519,8 +509,7 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
 
 def expected_counts(law: OffspringLaw, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean birth counts ``E B_n`` and totals ``E Z_n`` up to ``horizon``."""
-    if horizon < 0:
-        raise ValueError(f"horizon = {horizon} must be >= 0")
+    _require_in("horizon", horizon, 0, math.inf)
     mu = moments(law).mu
     k_top = len(mu) - 1
     b = np.zeros(horizon + 1)

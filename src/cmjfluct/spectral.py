@@ -55,6 +55,14 @@ _REGIME_TOL = 1e-9
 _MAX_LAG = 256
 
 
+def _require_in(name: str, value, lo, hi) -> None:
+    """Refuse (``ValueError`` naming ``name``) a lag, order, window or time index outside ``[lo, hi]``: a lag lies in
+    ``[-_MAX_LAG, _MAX_LAG]``, or ``[0, _MAX_LAG]`` with one sign, and within the horizon where it reads counts; a time
+    index lies in ``[0, horizon]``; a window ``0..trunc`` ends at most ``_MAX_LAG`` past the law's oldest age ``K``."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} = {value} is outside [{lo}, {hi}]")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Root geometry and regime classification of an offspring law.

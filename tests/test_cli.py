@@ -362,8 +362,8 @@ def test_campaign_lags_past_the_horizon_are_faults(tmp_path, capsys):
     # a lag or predictor order past the horizon would read counts before time 0; the config names it
     verify = {"command": "verify", "law": {"atoms": E2B_ATOMS}, "horizon": 24, "replicates": 100, "lags": [30]}
     predict = {"command": "predict", "law": {"atoms": E2B_ATOMS}, "horizon": 4, "replicates": 100, "K": 8}
-    for doc, name, message in ((verify, "verification.csv", "lag 30 exceeds horizon 24"),
-                               (predict, "backtest.csv", "predictor order K = 8 exceeds horizon 4")):
+    for doc, name, message in ((verify, "verification.csv", "lags[0] = 30 is outside [0, 24]"),
+                               (predict, "backtest.csv", "K = 8 is outside [0, 4]")):
         path, _ = _config(tmp_path, **doc)
         assert main([str(path)]) == 3
         assert capsys.readouterr().err == f"cmjfluct: fault: {message}\n"

@@ -8,8 +8,12 @@ Monte Carlo margin.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from cmjfluct.harness import (
 )
 from cmjfluct.limits import build_spectrum, oscillation_profile, predictor_coeffs
 from cmjfluct.offspring import make_law, moments
-from cmjfluct.simulate import fluctuations, run
+from cmjfluct.simulate import Trace, fluctuations, run
 from cmjfluct.spectral import classify
 
 
@@ -54,7 +58,7 @@ def test_config_rejects_bad_lags(gw13):
 def test_config_rejects_a_lag_past_the_horizon(law_ii):
     # a lag-30 statistic at horizon 24 would read Z_{-6} as zero counts
     assert ExperimentConfig(law_ii, 24, 100, 0, lags=(24,)).lags == (24,)
-    with pytest.raises(ValueError, match="lag 30 exceeds horizon 24"):
+    with pytest.raises(ValueError, match=re.escape("lags[1] = 30 is outside [0, 24]")):
         ExperimentConfig(law_ii, 24, 100, 0, lags=(1, 30))
 
 
@@ -89,28 +93,43 @@ def no_spectrum(monkeypatch):
 def test_config_rejects_a_lag_past_the_lag_bound(law_i, no_spectrum):
     # the lag table grows as the square of the largest lag, so a library campaign keeps the CLI's bound
     assert ExperimentConfig(law_i, 300, 100, 0, lags=(spectral._MAX_LAG,)).lags == (spectral._MAX_LAG,)
-    with pytest.raises(ValueError, match=f"lag 257 exceeds {spectral._MAX_LAG}"):
+    with pytest.raises(ValueError, match=re.escape(f"lags[1] = 257 is outside [0, {spectral._MAX_LAG}]")):
         ExperimentConfig(law_i, 300, 100, 0, lags=(1, 257))
 
 
 def test_backtest_refuses_an_order_past_the_lag_bound(law_i, no_spectrum):
     # K = 257 is within the horizon, but its predictor would need a lag table over lags -1..512
-    with pytest.raises(ValueError, match=f"predictor order K = 257 exceeds {spectral._MAX_LAG}"):
+    with pytest.raises(ValueError, match=re.escape(f"K = 257 is outside [0, {spectral._MAX_LAG}]")):
         predictor_backtest(ExperimentConfig(law_i, 300, 100, 0), 257)
 
 
-def test_lag_check_refuses_a_bad_lag_before_it_analyses_the_law(gw13, no_spectrum):
-    # k = -1 once read a total past the horizon (an IndexError); k or an ell past 256 would ask for a k x k table
-    config = ExperimentConfig(gw13, 300, 200, 0)
+def test_lag_check_refuses_a_bad_lag_before_it_analyses_the_law(gw13, law_i, law_ii, no_spectrum):
+    # k = -1 once read a total past the horizon (an IndexError); k, an ell or an order K past 256 would ask for a
+    # k x k table.  Each campaign argument is probed one past either end of its range, which is refused by name, and
+    # at both ends, which get as far as the law's analysis (where no_spectrum stops them).
+    long, short = ExperimentConfig(gw13, 300, 200, 0), ExperimentConfig(gw13, 12, 200, 0)
+    backtest, short_backtest = ExperimentConfig(law_i, 300, 100, 0), ExperimentConfig(law_ii, 4, 100, 0)
     cases = [
-        (-1, [1], "lag k = -1 must be non-negative"),
-        (1, [-1], "lags ell must be non-negative"),
-        (257, [1], f"lag 257 exceeds {spectral._MAX_LAG}"),
-        (1, [2, 257], f"lag 257 exceeds {spectral._MAX_LAG}"),
+        (lag_correlation_check, (long, -1, [1]), "k = -1 is outside [0, 256]"),
+        (lag_correlation_check, (long, 257, [1]), "k = 257 is outside [0, 256]"),
+        (lag_correlation_check, (long, 0, [1]), None),
+        (lag_correlation_check, (long, 256, [0]), None),
+        (lag_correlation_check, (short, 12, [0]), None),
+        (lag_correlation_check, (long, 1, [-1]), "ell_list[0] = -1 is outside [0, 256]"),
+        (lag_correlation_check, (long, 1, [2, 257]), "ell_list[1] = 257 is outside [0, 256]"),
+        (lag_correlation_check, (long, 1, [0, 256]), None),
+        (lag_correlation_check, (short, 2, [1, 11]), "ell_list[1] = 11 is outside [0, 10]"),
+        (lag_correlation_check, (short, 2, [10]), None),
+        (predictor_backtest, (backtest, -1), "K = -1 is outside [0, 256]"),
+        (predictor_backtest, (backtest, 257), "K = 257 is outside [0, 256]"),
+        (predictor_backtest, (backtest, 0), None),
+        (predictor_backtest, (backtest, 256), None),
+        (predictor_backtest, (short_backtest, 5), "K = 5 is outside [0, 4]"),
+        (predictor_backtest, (short_backtest, 4), None),
     ]
-    for k, ells, message in cases:
-        with pytest.raises(ValueError, match=message):
-            lag_correlation_check(config, k, ells)
+    for campaign, args, message in cases:
+        with pytest.raises(ValueError if message else AssertionError, match=re.escape(message or "built a spectrum")):
+            campaign(*args)
 
 
 def test_lag_check_refuses_an_empty_ell_list_by_name(gw13, no_spectrum, monkeypatch):
@@ -120,22 +139,106 @@ def test_lag_check_refuses_an_empty_ell_list_by_name(gw13, no_spectrum, monkeypa
         lag_correlation_check(ExperimentConfig(gw13, 12, 200, 0), 1, [])
 
 
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda gw13, law_iii: simulate.expected_counts(gw13, -1), "horizon = -1 must be >= 0"),
-        (lambda gw13, law_iii: simulate.verify_recursion(run(gw13, 12, 0), moments(gw13), 2.0, -1, 8),
-         r"n_small = -1 outside \[0, 20\]"),
-        (lambda gw13, law_iii: oscillation_profile(report := classify(law_iii), np.zeros(len(report.gamma_crit)), 3, -1),
-         "trunc = -1 must be >= 0"),
-        (lambda gw13, law_iii: lag_correlation_check(ExperimentConfig(gw13, 12, 200, 0), 13, [0]),
-         "horizon 12 too short for k = 13 and ell up to 0"),
-    ],
-    ids=["expected_counts", "verify_recursion", "oscillation_profile", "lag_correlation_check"],
-)
-def test_bad_sizes_are_refused_by_name(gw13, law_iii, call, message):
-    with pytest.raises(ValueError, match=message):
-        call(gw13, law_iii)
+@pytest.fixture
+def sized(gw13, law_i, law_ii, law_iii):
+    """Inputs for the range probes below, built before a probe so that it allocates only what its call does."""
+    report_iii = classify(law_iii)
+    return types.SimpleNamespace(
+        gw13=gw13,
+        law_i=law_i,
+        law_ii=law_ii,
+        tab=moments(gw13),
+        trace=run(gw13, 12, 0),
+        trace25=run(gw13, 25, 0),
+        long=Trace(cohort_atoms=((1,),) * 301, litters=((0, 1),), seed=0, cap=1 << 62, capped=False),  # B_n = 1
+        estimate_U=functools.partial(
+            simulate.estimate_U, run(law_iii, 8, 0), moments(law_iii), report_iii, report_iii.gamma_crit[0]
+        ),
+        report_iii=report_iii,
+        U=np.zeros(len(report_iii.gamma_crit)),
+    )
+
+
+# Each argument one past either end of its range, refused by name, and at both ends, accepted (message None); the
+# three windows that once took any size are probed far past their ends too.  A window 0..trunc ends at K + 256: 257 for
+# gw13, 258 for law_iii.
+_SIZES = {
+    "expected_counts": (lambda s: simulate.expected_counts(s.gw13, -1), "horizon = -1 is outside [0, inf]"),
+    "expected_counts-horizon=0": (lambda s: simulate.expected_counts(s.gw13, 0), None),
+    "ExperimentConfig-lags=-1": (lambda s: ExperimentConfig(s.law_ii, 24, 100, 0, lags=(1, -1)),
+                                 "lags[1] = -1 is outside [0, 24]"),
+    "ExperimentConfig-lags=25": (lambda s: ExperimentConfig(s.law_ii, 24, 100, 0, lags=(25,)),
+                                 "lags[0] = 25 is outside [0, 24]"),
+    "ExperimentConfig-lags=0,24": (lambda s: ExperimentConfig(s.law_ii, 24, 100, 0, lags=(0, 24)), None),
+    "ExperimentConfig-lags=257": (lambda s: ExperimentConfig(s.law_i, 300, 100, 0, lags=(257,)),
+                                  "lags[0] = 257 is outside [0, 256]"),
+    "ExperimentConfig-lags=256": (lambda s: ExperimentConfig(s.law_i, 300, 100, 0, lags=(256,)), None),
+    "lag_correlation_check": (lambda s: lag_correlation_check(ExperimentConfig(s.gw13, 12, 200, 0), 13, [0]),
+                              "k = 13 is outside [0, 12]"),
+    "fluctuations-k_min=-13": (lambda s: fluctuations(s.trace, 2.0, -13, 0), "k_min = -13 is outside [-12, 256]"),
+    "fluctuations-k_min=-12": (lambda s: fluctuations(s.trace, 2.0, -12, 0), None),
+    "fluctuations-k_min=-257": (lambda s: fluctuations(s.long, 1.0, -257, 0), "k_min = -257 is outside [-256, 256]"),
+    "fluctuations-k_min=-256": (lambda s: fluctuations(s.long, 1.0, -256, 0), None),
+    "fluctuations-k_min=257": (lambda s: fluctuations(s.trace, 2.0, 257, 257), "k_min = 257 is outside [-12, 256]"),
+    "fluctuations-k_min=256": (lambda s: fluctuations(s.trace, 2.0, 256, 256), None),
+    "fluctuations-k_max=2": (lambda s: fluctuations(s.trace, 2.0, 3, 2), "k_max = 2 is outside [3, 256]"),
+    "fluctuations-k_max=3": (lambda s: fluctuations(s.trace, 2.0, 3, 3), None),
+    "fluctuations-k_max=257": (lambda s: fluctuations(s.trace, 2.0, 0, 257), "k_max = 257 is outside [0, 256]"),
+    "fluctuations-k_max=256": (lambda s: fluctuations(s.trace, 2.0, 0, 256), None),
+    "fluctuations-k_max=10**6": (lambda s: fluctuations(s.trace, 2.0, 0, 10**6), "k_max = 1000000 is outside [0, 256]"),
+    "estimate_U-n0=-1": (lambda s: s.estimate_U(-1), "n0 = -1 is outside [0, 8]"),
+    "estimate_U-n0=9": (lambda s: s.estimate_U(9), "n0 = 9 is outside [0, 8]"),
+    "estimate_U-n0=0": (lambda s: s.estimate_U(0), None),
+    "estimate_U-n0=8": (lambda s: s.estimate_U(8), None),
+    "martingale_qv-n=-1": (lambda s: simulate.martingale_qv(s.trace, s.tab, {1: 1.0}, -1), "n = -1 is outside [0, 12]"),
+    "martingale_qv-n=13": (lambda s: simulate.martingale_qv(s.trace, s.tab, {1: 1.0}, 13), "n = 13 is outside [0, 12]"),
+    "martingale_qv-n=0": (lambda s: simulate.martingale_qv(s.trace, s.tab, {1: 1.0}, 0), None),
+    "martingale_qv-n=12": (lambda s: simulate.martingale_qv(s.trace, s.tab, {1: 1.0}, 12), None),
+    "martingale_qv-lag=-1": (lambda s: simulate.martingale_qv(s.trace, s.tab, {-1: 1.0}, 12),
+                             "lag = -1 is outside [0, 256]"),
+    "martingale_qv-lag=257": (lambda s: simulate.martingale_qv(s.trace, s.tab, {1: 1.0, 257: 1.0}, 12),
+                              "lag = 257 is outside [0, 256]"),
+    "martingale_qv-lag=0,256": (lambda s: simulate.martingale_qv(s.trace, s.tab, {0: 1.0, 256: 1.0}, 12), None),
+    "martingale_qv-zero_at_300": (lambda s: simulate.martingale_qv(s.trace, s.tab, {300: 0.0, 1: 1.0}, 12), None),
+    "verify_recursion": (lambda s: simulate.verify_recursion(s.trace, s.tab, 2.0, -1, 8),
+                         "n_small = -1 is outside [0, 12]"),
+    "verify_recursion-n_small=13": (lambda s: simulate.verify_recursion(s.trace, s.tab, 2.0, 13, 40),
+                                    "n_small = 13 is outside [0, 12]"),
+    "verify_recursion-n_small=21": (lambda s: simulate.verify_recursion(s.trace25, s.tab, 2.0, 21, 40),
+                                    "n_small = 21 is outside [0, 20]"),
+    "verify_recursion-n_small=0": (lambda s: simulate.verify_recursion(s.trace25, s.tab, 2.0, 0, 21), None),
+    "verify_recursion-n_small=20": (lambda s: simulate.verify_recursion(s.trace25, s.tab, 2.0, 20, 21), None),
+    "verify_recursion-trunc=10": (lambda s: simulate.verify_recursion(s.trace, s.tab, 2.0, 10, 10),
+                                  "trunc = 10 is outside [11, 257]"),
+    "verify_recursion-trunc=258": (lambda s: simulate.verify_recursion(s.trace, s.tab, 2.0, 10, 258),
+                                   "trunc = 258 is outside [11, 257]"),
+    "verify_recursion-trunc=11": (lambda s: simulate.verify_recursion(s.trace, s.tab, 2.0, 10, 11), None),
+    "verify_recursion-trunc=257": (lambda s: simulate.verify_recursion(s.trace, s.tab, 2.0, 10, 257), None),
+    "verify_recursion-trunc=10**5": (lambda s: simulate.verify_recursion(s.trace25, s.tab, 2.0, 10, 10**5),
+                                     "trunc = 100000 is outside [11, 257]"),
+    "oscillation_profile": (lambda s: oscillation_profile(s.report_iii, s.U, 3, -1), "trunc = -1 is outside [0, 258]"),
+    "oscillation_profile-trunc=259": (lambda s: oscillation_profile(s.report_iii, s.U, 3, 259),
+                                      "trunc = 259 is outside [0, 258]"),
+    "oscillation_profile-trunc=0": (lambda s: oscillation_profile(s.report_iii, s.U, 3, 0), None),
+    "oscillation_profile-trunc=258": (lambda s: oscillation_profile(s.report_iii, s.U, 3, 258), None),
+    "oscillation_profile-trunc=10**6": (lambda s: oscillation_profile(s.report_iii, s.U, 3, 10**6),
+                                        "trunc = 1000000 is outside [0, 258]"),
+}
+
+
+@pytest.mark.parametrize("call, message", _SIZES.values(), ids=_SIZES)
+def test_bad_sizes_are_refused_by_name(sized, call, message):
+    if message is None:
+        call(sized)
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(sized)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before anything is allocated for the value
 
 
 def test_config_refuses_a_tolerance_no_campaign_can_meet(gw13):
@@ -436,7 +539,7 @@ def test_backtest_refuses_an_order_past_the_horizon(law_ii):
     # lags 5..8 at horizon 4 would read Z before time 0 as zero counts
     config = ExperimentConfig(law_ii, 4, 100, 0)
     assert predictor_backtest(config, 4).K == 4
-    with pytest.raises(ValueError, match="predictor order K = 8 exceeds horizon 4"):
+    with pytest.raises(ValueError, match=re.escape("K = 8 is outside [0, 4]")):
         predictor_backtest(config, 8)
 
 

@@ -89,23 +89,43 @@ def ladder_law(eps):
 
 
 def test_lag_functions_refuse_lags_past_the_bound_by_name(gw13):
-    # unbounded, cov_lagged(1, 10**5) takes about 13 s and predictor_coeffs(600) about 1 s: each refuses first
-    _, spectrum = spectrum_of(gw13)
-    bound = f"outside \\[-{_MAX_LAG}, {_MAX_LAG}\\]"
-    cases = [
-        (cov_lagged, (spectrum, 1, 10**5), f"lag ell = 100000 is {bound}"),
-        (cov_lagged, (spectrum, -257, 0), f"lag k = -257 is {bound}"),
-        (predictor_coeffs, (spectrum, 2000), f"K = 2000 exceeds {_MAX_LAG}"),
-        (variance, (spectrum, {1: 1.0, -257: 1.0}), f"lag -257 is {bound}"),
-        (_cov_matrix, (spectrum, [{1: 1.0}, {257: 1.0}]), f"lag 257 is {bound}"),
+    # unbounded, cov_lagged(1, 10**5) takes about 13 s and predictor_coeffs(600) about 1 s: each refuses first.
+    # Each lag or order is probed one past either end of its range, refused by name, and at both ends, accepted.
+    report, spectrum = spectrum_of(gw13)
+    refused = [
+        (cov_lagged, (spectrum, 1, 10**5), "ell = 100000 is outside [0, 256]"),
+        (cov_lagged, (spectrum, 1, -1), "ell = -1 is outside [0, 256]"),
+        (cov_lagged, (spectrum, 1, 257), "ell = 257 is outside [0, 256]"),
+        (cov_lagged, (spectrum, -257, 0), "k = -257 is outside [-256, 256]"),
+        (cov_lagged, (spectrum, 257, 0), "k = 257 is outside [-256, 256]"),
+        (predictor_coeffs, (spectrum, 2000), "K = 2000 is outside [0, 256]"),
+        (predictor_coeffs, (spectrum, -1), "K = -1 is outside [0, 256]"),
+        (predictor_coeffs, (spectrum, 257), "K = 257 is outside [0, 256]"),
+        (variance, (spectrum, {1: 1.0, -257: 1.0}), "lag = -257 is outside [-256, 256]"),
+        (variance, (spectrum, {257: 1.0}), "lag = 257 is outside [-256, 256]"),
+        (_cov_matrix, (spectrum, [{1: 1.0}, {257: 1.0}]), "lag = 257 is outside [-256, 256]"),
+        (sigma2_series, (gw13, report, {-1: 1.0}), "lag = -1 is outside [0, 256]"),
+        (sigma2_series, (gw13, report, {1: 1.0, 257: 1.0}), "lag = 257 is outside [0, 256]"),
     ]
     start = time.perf_counter()
-    for fn, args, message in cases:
-        with pytest.raises(ValueError, match=message):
+    for fn, args, message in refused:
+        with pytest.raises(ValueError, match=re.escape(message)):
             fn(*args)
     assert time.perf_counter() - start < 1.0
-    assert math.isfinite(cov_lagged(spectrum, -_MAX_LAG, _MAX_LAG))
-    assert math.isfinite(variance(spectrum, {_MAX_LAG: 1.0, -_MAX_LAG: 1.0}))
+    accepted = [
+        (cov_lagged, (spectrum, -_MAX_LAG, _MAX_LAG)),
+        (cov_lagged, (spectrum, _MAX_LAG, 0)),
+        (predictor_coeffs, (spectrum, 0)),
+        (predictor_coeffs, (spectrum, _MAX_LAG)),
+        (variance, (spectrum, {_MAX_LAG: 1.0, -_MAX_LAG: 1.0})),
+        (variance, (spectrum, {300: 0.0, 1: 1.0})),  # a zero coefficient adds no lag
+        (_cov_matrix, (spectrum, [{-_MAX_LAG: 1.0}, {_MAX_LAG: 1.0}])),
+        (sigma2_series, (gw13, report, {0: 1.0, _MAX_LAG: 1.0})),
+        (sigma2_series, (gw13, report, {300: 0.0, 1: 1.0})),
+    ]
+    for fn, args in accepted:
+        result = fn(*args)
+        assert np.all(np.isfinite(result.coeffs if fn is predictor_coeffs else result))
 
 
 # ---------------------------------------------------------------- spectrum

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import cmjfluct
 from cmjfluct import make_law, moments, mu_hat
 from cmjfluct.simulate import martingale_qv, run
 from cmjfluct.spectral import (
@@ -379,3 +382,23 @@ def test_power_growth_from_v_saturates_at_dominant_rate(law_i, law_iii):
     inv_gamma = 18.0 / (SQRT37 + 1.0)
     ratios = _norm_ratios(law_iii, m3, vector_v(m3, law_iii.max_age + n), n)
     assert ratios[-1] == pytest.approx(inv_gamma, rel=1e-3)
+
+
+# ------------------------------------------------------------- range rule
+
+
+def test_only_the_range_helper_and_the_cli_compare_with_the_lag_bound():
+    # every other module checks a lag, order, window or time index through spectral._require_in, so the size policy
+    # is written once; cli.py keeps its own usage errors (exit 1)
+    restated = []
+    for path in sorted(pathlib.Path(cmjfluct.__file__).parent.glob("*.py")):
+        if path.name in ("spectral.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(name, ast.Name) and name.id == "_MAX_LAG"
+                for operand in (node.left, *node.comparators)
+                for name in ast.walk(operand)
+            ):
+                restated.append(f"{path.name}:{node.lineno}")
+    assert restated == []
