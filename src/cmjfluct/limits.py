@@ -21,17 +21,18 @@ allowed) has limiting variance ``int |sum_k a_k (z^k - m^-k)|^2 dnu``.
 Both regimes read every covariance from one moment matrix (:func:`_moment_matrix`),
 ``M[a, b] = Re int (z m^(1/2))^lag z^a conj(z)^b`` against ``nu`` or ``|z - 1/m|^2 dnu``: on the circle an entry is
 ``r^{a+b} gamma_{|lag+a-b|}``, with atoms a weighted sum over the atoms, and nothing else tells the two apart.
-:func:`cov_pair` and :func:`cov_lagged` are ``f M g^T`` for the coefficient rows ``f, g`` of their symbols.
+Only :func:`cov_pair` pairs raw symbols, as ``f M g^T`` for their coefficient rows ``f, g``.
 
-Every spectrum keeps one lag table: the limiting covariance ``C[j, k]`` of ``zeta_j`` and ``zeta_k`` over lag -1
-and the lags asked for so far (lag 0 is left out, as ``zeta_0 = 0``).  It is built lazily, and rebuilt wider when a
-lag outside it is requested.  :func:`predictor_coeffs` reads its Gram and right-hand side from it, and
-:func:`variance`, the covariance table of the CLI and the mean part of :func:`char_variance_full` are ``A C A^T``
-for their coefficient vectors ``A``.  ``zeta_k`` is ``(z - 1/m) q_k`` with ``q_0 = 0``, ``q_k = q_{k-1}/m + z^{k-1}``
-and ``q_{-k} = m q_{-(k-1)} - m z^{-k}``, paired against the centered measure: the pairings ``<q_k, z^a>`` walk that
-recursion over ``k`` one array op at a time down the centered moment matrix, and ``C`` walks it over its rows.
-So each entry takes the same flops whatever the table's size, and any request reads the same bits whichever came
-first.
+Every ``zeta`` covariance walks ``q_k`` by one recursion from that matrix: ``zeta_k = (z - 1/m) q_k`` with
+``q_0 = 0``, ``q_k = q_{k-1}/m + z^{k-1}`` and ``q_{-k} = m q_{-(k-1)} - m z^{-k}``.  :func:`_zeta_walk` walks it over
+``k`` one array op at a time down the centered moment matrix at a time lag, then over the rows, so each entry takes
+the same flops and has the same bits whatever range it is walked over.  Every spectrum keeps one lag table, that
+walk at time lag 0: the limiting covariance ``C[j, k]`` of ``zeta_j`` and ``zeta_k`` over lag -1 and the lags asked
+for so far (lag 0 is left out, as ``zeta_0 = 0``), built lazily and rebuilt wider when a lag outside it is requested.
+:func:`predictor_coeffs` reads its Gram and right-hand side from it, and :func:`variance`, the covariance table of
+the CLI and the mean part of :func:`char_variance_full` are ``A C A^T`` for their coefficient vectors ``A``.
+:func:`cov_lagged` is the walk's diagonal entry at its time lag, so ``cov_lagged(k, 0) == variance({k: 1})`` bit for
+bit; the cross term of :func:`char_variance_full` reads the coefficients of ``q_k`` off the walk over the identity.
 
 Coefficient vectors and raw Laurent symbols are plain ``{int: float}`` dicts
 throughout.
@@ -134,19 +135,6 @@ class LimitSpectrum:
         if lo < table.lo or hi > table.hi:
             _build_table(self, min(table.lo, -_pow2_at_least(-lo)), max(table.hi, _pow2_at_least(hi), _LAG_TABLE_START))
         return table.cov[lo - table.lo : hi - table.lo, lo - table.lo : hi - table.lo]
-
-
-def _quotient_symbol(a: dict[int, float], m: float) -> dict[int, float]:
-    """Coefficients of ``sum_k a_k (z^k - m^-k) / (z - 1/m)``, summed termwise without cancellation.
-
-    The quotient is ``sum_{j<k} m^-(k-1-j) z^j`` for ``k > 0`` and ``-sum_{j<n} m^(j+1) z^(j-n)`` for ``k = -n < 0``.
-    """
-    out: dict[int, float] = {}
-    for k, c in a.items():
-        terms = [(j, m ** -(k - 1 - j)) for j in range(k)] if k > 0 else [(j + k, -(m ** (j + 1))) for j in range(-k)]
-        for j, w in terms:
-            out[j] = out.get(j, 0.0) + float(c) * w
-    return out
 
 
 def _series_ratio(num, den: np.ndarray, n: int) -> np.ndarray:
@@ -264,12 +252,19 @@ def _moment_matrix(spectrum: LimitSpectrum, lo: int, hi: int, centered: bool = T
         return out.real
 
 
+def _zeta_walk(spectrum: LimitSpectrum, lo: int, hi: int, lag: int) -> np.ndarray:
+    """``raw[j, k] = Re int (z m^(1/2))^lag zeta_k conj(zeta_j) dnu`` over the lags ``lo..hi`` without 0, laid out as
+    in :class:`_LagTable`; an entry has the same bits whatever ``lo <= 0 <= hi`` are, and past float64 is ``inf`` or
+    nan without a warning (the caller names the fault)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1, lag=lag), spectrum.m, lo, hi)  # pairs[k, b] = <q_k, z^b>
+        return _walk(pairs.T, spectrum.m, lo, hi)
+
+
 def _build_table(spectrum: LimitSpectrum, lo: int, hi: int) -> None:
     """Build the lag table of ``spectrum`` over the lags ``lo..hi`` (``lo < 0 < hi``)."""
-    m = spectrum.m
+    raw = _zeta_walk(spectrum, lo, hi, 0)
     with np.errstate(over="ignore", invalid="ignore"):  # far negative lags can leave float64; _cov_matrix faults
-        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1), m, lo, hi)  # pairs[k, b] = <q_k, z^b>
-        raw = _walk(pairs.T, m, lo, hi)
         cov = 0.5 * (raw + raw.T)
     cov.flags.writeable = False
     table = spectrum._table
@@ -303,22 +298,16 @@ def variance(spectrum: LimitSpectrum, a: dict[int, float]) -> float:
     return float(_cov_matrix(spectrum, [a])[0, 0])
 
 
-def _pairing(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float], centered: bool, lag: int) -> float:
-    """``f M g^T`` for the coefficient rows of the Laurent symbols ``f, g`` on :func:`_moment_matrix`; ``inf`` or
-    nan, without a warning, past float64 (the caller names the fault)."""
+def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) -> float:
+    """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols; faults (RuntimeError) past
+    float64."""
     keys = [int(k) for k in (*f, *g)] or [0]
     lo, hi = min(keys), max(keys)
     rows = np.zeros((2, hi - lo + 1))
     for row, symbol in zip(rows, (f, g)):
         row[[int(k) - lo for k in symbol]] = list(symbol.values())
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(rows[0] @ _moment_matrix(spectrum, lo, hi, centered, lag) @ rows[1])
-
-
-def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) -> float:
-    """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols; faults (RuntimeError) past
-    float64."""
-    value = _pairing(spectrum, f, g, centered=False, lag=0)
+        value = float(rows[0] @ _moment_matrix(spectrum, lo, hi, centered=False) @ rows[1])
     if not math.isfinite(value):
         raise RuntimeError(f"the pairing of {f} with {g} left float64")
     return value
@@ -333,8 +322,10 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
     """
     _require_in("k", k, -_MAX_LAG, _MAX_LAG)
     _require_in("ell", ell, 0, _MAX_LAG)
-    q = _quotient_symbol({k: 1.0}, spectrum.m)
-    value = _pairing(spectrum, q, q, centered=True, lag=ell)
+    if k == 0:
+        return 0.0  # zeta_0 = 0
+    walk = _zeta_walk(spectrum, min(k, 0), max(k, 0), ell)  # zeta_k is its first row for k < 0, its last for k > 0
+    value = float(walk[0, 0] if k < 0 else walk[-1, -1])
     if not math.isfinite(value):
         raise RuntimeError(f"the covariance of zeta_{k} at lag ell = {ell} left float64")
     return value
@@ -405,8 +396,8 @@ def _score_cross(law: OffspringLaw, m: float) -> float:
     cov = tab.gamma_phi  # (K_phi+1, K+1)
     ages, k_top = cov.shape[0], cov.shape[1] - 1
     b = _deflate(tab.mu.tolist(), m)
-    quotient = _quotient_symbol(dict(enumerate(tab.delta_lambda)), m)
-    ntilde = [quotient.get(j, 0.0) for j in range(len(tab.delta_lambda) - 1)]
+    size = len(tab.delta_lambda) - 1
+    ntilde = (tab.delta_lambda[1:] @ _walk(np.eye(size), m, 0, size)).tolist()  # row k - 1 of the walk is q_k
     g = _series_ratio(ntilde, np.convolve([1.0, -1.0], b), ages) / m
     a, i = np.arange(ages)[:, None], np.arange(k_top + 1)
     cross = float(np.sum(cov * np.where(a >= i, g[np.clip(a - i, 0, None)], 0.0) * (1.0 / m) ** a))

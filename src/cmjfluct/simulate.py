@@ -27,7 +27,7 @@ from operator import add, mul
 
 import numpy as np
 
-from .limits import _require_oscillating
+from .limits import _require_oscillating, _series_ratio
 from .offspring import (
     OffspringLaw,
     _poly_deriv,
@@ -56,6 +56,8 @@ __all__ = [
 _DEFAULT_CAP = 1 << 62
 #: Largest cohort numpy's draws accept: ``run()`` refuses a larger cap on a law with two or more atoms.
 _DRAW_LIMIT = (1 << 63) - 1
+#: Least integer that float() rounds past float64: halfway from the largest double, 2^1024 - 2^971, to 2^1024.
+_FLOAT_LIMIT = (1 << 1024) - (1 << 970)
 
 #: Replicates per block of the batch engine; every block simulates all of them.
 _BLOCK_SIZE = 200
@@ -94,7 +96,8 @@ class Trace:
     age at a time by ``map``: 17-44 us on a capped path of horizon 70, a
     third to a half of a per-count loop's time (2 vCPU Xeon).  It then makes
     read-only float64 arrays of ``B`` and ``Z``, ``B_float`` and ``Z_float``,
-    which the functionals read.
+    which the functionals read; a count past float64 (from 2^1024 on) raises
+    ``OverflowError`` naming the first time ``n`` it is reached.
     """
 
     cohort_atoms: tuple[tuple[int, ...], ...]
@@ -126,6 +129,9 @@ class Trace:
         if tuple(born) != births:
             n = next(n for n in range(size) if born[n] != births[n])
             raise RuntimeError(f"birth identity violated at n = {n}: B_n = {births[n]} but earlier cohorts bear {born[n]}")
+        if self.Z[-1] >= _FLOAT_LIMIT:  # Z_n >= B_n >= 0, so Z passes float64 first
+            n = next(n for n, z in enumerate(self.Z) if z >= _FLOAT_LIMIT)
+            raise OverflowError(f"Z_{n} at n = {n} passes float64: a trace's float views need counts below 2^1024")
         for name, counts in (("B_float", births), ("Z_float", self.Z)):
             view = np.asarray(counts, dtype=float)
             view.flags.writeable = False
@@ -145,8 +151,8 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     sequential binomial splitting that draws nothing once no newborn is left.
     The draws take int64 counts, so a cap above 2^63 - 1 is refused for a law
     with two or more atoms; a single-atom law draws nothing and runs to any
-    cap.  Each cohort is scattered over its atoms' nonzero litter ages, and
-    only the draws are kept.
+    cap, while its counts stay below 2^1024.  Each cohort is scattered over
+    its atoms' nonzero litter ages, and only the draws are kept.
 
     The loop stays apart from the batch engine: a one-row engine block pays
     numpy call overhead every step, 0.7-1.2 ms per capped scored path of
@@ -508,15 +514,16 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
 
 
 def expected_counts(law: OffspringLaw, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact mean birth counts ``E B_n`` and totals ``E Z_n`` up to ``horizon``."""
+    """Exact mean birth counts ``E B_n``, the Taylor coefficients of ``1 / (1 - mu_hat(z))``, and totals ``E Z_n`` up to
+    ``horizon``; a count past float64 faults (RuntimeError), naming the first ``n`` at which each leaves it."""
     _require_in("horizon", horizon, 0, math.inf)
-    mu = moments(law).mu
-    k_top = len(mu) - 1
-    b = np.zeros(horizon + 1)
-    b[0] = 1.0
-    for n in range(1, horizon + 1):
-        b[n] = float(sum(mu[k] * b[n - k] for k in range(1, min(n, k_top) + 1)))
-    return b, np.cumsum(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = _series_ratio([1.0], np.concatenate(([1.0], -moments(law).mu[1:])), horizon + 1)
+        z = np.cumsum(b)
+    past = [f"E {name}_n at n = {np.argmin(np.isfinite(v))}" for name, v in zip("BZ", (b, z)) if not np.isfinite(v[-1])]
+    if past:
+        raise RuntimeError(f"expected counts left float64: {' and '.join(past)}")
+    return b, z
 
 
 def _csv_cell(value) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -519,6 +520,41 @@ def test_predict_rejected_campaign_writes_no_coefficients(tmp_path, capsys):
     assert main([str(path)]) == 3
     assert "need at least 2 K" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+#: A config's type and range checks: the top-level keys to set (``None`` drops one) or the whole config's text,
+#: and the message ``main`` prints.
+_USAGE_CASES = {
+    "missing-key": ({"command": None}, "config: missing required key 'command'"),
+    "not-an-object": ("[1]", "config: expected an object, got list"),
+    "not-an-integer": ({"seed": 1.5}, "config.seed: expected an integer, got 1.5"),
+    "not-finite": ({"law": {"atoms": [{"prob": math.nan, "births": [2]}]}},
+                   "config.law.atoms[0].prob: nan is not finite"),
+    "atoms": ({"law": {"atoms": {}}}, "config.law.atoms: expected a list"),
+    "char_extends": ({"law": {"atoms": GW13_ATOMS, "char_extends": 1}},
+                     "config.law.char_extends: expected true or false"),
+    "births": ({"law": {"atoms": [{"prob": 1.0, "births": []}]}},
+               "config.law.atoms[0].births: expected a non-empty list of counts by age"),
+    "char": ({"law": {"atoms": [{"prob": 1.0, "births": [2], "char": 1.0}]}},
+             "config.law.atoms[0].char: expected a list of scores by age"),
+    "lags": ({"lags": []}, "config.lags: expected a non-empty list of integers"),
+    "outdir": ({"outdir": 5}, "config.outdir: expected a string"),
+    "cap": ({"cap": 0}, "config.cap: 0 is not positive"),
+}
+
+
+@pytest.mark.parametrize("case", _USAGE_CASES, ids=str)
+def test_config_type_and_range_checks_are_usage_errors(case, tmp_path, capsys):
+    change, message = _USAGE_CASES[case]
+    path = tmp_path / "config.json"
+    if isinstance(change, str):
+        path.write_text(change)
+    else:
+        doc = {"command": "limits", "law": {"atoms": GW13_ATOMS}, "outdir": str(tmp_path / "out"), **change}
+        path.write_text(json.dumps({key: value for key, value in doc.items() if value is not None}))
+    assert main([str(path)]) == 1
+    assert capsys.readouterr().err == f"cmjfluct: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -37,7 +37,6 @@ from cmjfluct.errors import RefusalError
 from cmjfluct.limits import (
     Autocovariance,
     _cov_matrix,
-    _quotient_symbol,
     _score_cross,
     build_spectrum,
     char_variance_full,
@@ -606,13 +605,16 @@ def test_full_litter_size_char_matches_next_count_statistic():
     assert full == pytest.approx(1.0, abs=1e-10)
 
 
-def test_full_refused_outside_gaussian_regime():
+def test_full_refused_outside_gaussian_regime(gw13_coin):
     law = make_law([(0.5, (1, 8), (1.0,)), (0.5, (3, 8), (1.0,))])
     report = classify(law)
     assert report.regime == "II"
     spec = build_spectrum(report, moments(law))
     with pytest.raises(RefusalError):
         char_variance_full(law, report, spec)
+    # a regime-I law handed another law's atoms spectrum
+    with pytest.raises(RefusalError, match="^need the circle-form spectrum of the same law$"):
+        char_variance_full(gw13_coin, classify(gw13_coin), spec)
 
 
 def test_full_requires_characteristic(gw13):
@@ -711,6 +713,19 @@ def test_predictor_matches_pairwise_normal_equations(law_i, gw13_coin, law_ii, p
                 assert np.linalg.norm(ridge @ rule.coeffs - rhs) <= 1e-13 * scale
             else:
                 assert np.max(np.abs(rule.coeffs - coeffs)) <= 1e-12 * max(1.0, np.max(np.abs(coeffs)))
+
+
+def _quotient_symbol(a, m):
+    """Coefficients of ``sum_k a_k (z^k - m^-k) / (z - 1/m)`` by explicit powers, summed termwise.
+
+    The quotient is ``sum_{j<k} m^-(k-1-j) z^j`` for ``k > 0`` and ``-sum_{j<n} m^(j+1) z^(j-n)`` for ``k = -n < 0``.
+    """
+    out = {}
+    for k, c in a.items():
+        terms = [(j, m ** -(k - 1 - j)) for j in range(k)] if k > 0 else [(j + k, -(m ** (j + 1))) for j in range(-k)]
+        for j, w in terms:
+            out[j] = out.get(j, 0.0) + float(c) * w
+    return out
 
 
 def _cov_matrix_reference(spec, vectors):
@@ -835,7 +850,26 @@ def test_pairings_past_float64_fault_by_name():
             cov_lagged(spec, -200, 3)
         with pytest.raises(RuntimeError, match=r"pairing of \{-400: 1\.0\} with \{-400: 1\.0\} left float64"):
             cov_pair(spec, {-400: 1.0}, {-400: 1.0})
-        assert cov_lagged(spec, -150, 0) == 1.301313382581256e232
+        assert cov_lagged(spec, -150, 0) == variance(spec, {-150: 1.0}) == 1.3013133825812566e232
+
+
+@pytest.mark.parametrize("name", ["gw13", "law_i", "law_ii", "m6"])
+def test_lagged_covariance_at_lag_zero_is_the_variance_bit_for_bit(name, request):
+    # cov_lagged walks q_k by the lag table's own recursion, so at ell = 0 it reads the table's diagonal exactly
+    law = make_law([(0.5, (5,)), (0.5, (7,))]) if name == "m6" else request.getfixturevalue(name)
+    _, spec = spectrum_of(law)
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-_MAX_LAG, _MAX_LAG + 1):
+            try:
+                expected = variance(spec, {k: 1.0})
+            except RuntimeError:
+                continue
+            assert cov_lagged(spec, k, 0) == expected, k
+            checked += 1
+    assert checked > _MAX_LAG  # at m = 6 the variance leaves float64 only at far negative lags
+
 
 def test_predictor_residual_decreases_with_more_lags(gw13):
     _, spec = spectrum_of(gw13)

@@ -52,6 +52,12 @@ def test_make_law_structural_faults():
         make_law([(0.5, (1,)), (0.5, (3, 10**400))])
     with pytest.raises(ValueError, match=r"atoms\[0\]: characteristic needs a score at age 0"):
         make_law([(0.5, (1,), ()), (0.5, (3,), ())])
+    with pytest.raises(ValueError, match=r"^atoms\[0\]: expected \(prob, births\[, char\]\), got 4 fields$"):
+        make_law([(1.0, (2,), (1.0,), 0)])
+    with pytest.raises(ValueError, match=r"^atoms\[0\]: characteristic values must be finite$"):
+        make_law([(1.0, (2,), (math.nan,))])
+    with pytest.raises(ValueError, match="^law needs at least one atom$"):
+        make_law([])
 
 
 def test_validate_law_flags_assumption_violations():

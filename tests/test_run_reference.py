@@ -165,6 +165,10 @@ def test_run_refuses_a_cap_past_int64_unless_the_law_has_one_atom(gw13, det_gw):
     # counts past int64 still reach the functionals, converted straight from the Python ints
     assert trace.Z_float.tobytes() == np.asarray(trace.Z, dtype=float).tobytes()
     assert trace.B_float.tobytes() == np.asarray(trace.B, dtype=float).tobytes()
+    # any cap, but the float views need counts below 2^1024: Z_1023 = 2^1024 - 1 is the first to pass float64
+    assert sim.run(det_gw, 1000, 0, cap=1 << 1100).Z[-1] == (1 << 1001) - 1
+    with pytest.raises(OverflowError, match=r"^Z_1023 at n = 1023 passes float64: .* counts below 2\^1024$"):
+        sim.run(det_gw, 1100, 0, cap=1 << 1100)
 
 
 def test_float_views_are_exact_and_read_only(gw13_coin):

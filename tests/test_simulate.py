@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -379,12 +380,24 @@ def test_recursion_pre_faults(gw13):
 # ---------------------------------------------------------------- means, serialization
 
 
-def test_expected_counts_match_growth(gw13, det_two_age):
+def test_expected_counts_match_growth(gw13, det_two_age, law_i):
     b, z = sim.expected_counts(gw13, 10)
     assert np.allclose(b, 2.0 ** np.arange(11), rtol=1e-12)
     assert np.allclose(z, 2.0 ** np.arange(1, 12) - 1.0, rtol=1e-12)
     b2, _ = sim.expected_counts(det_two_age, 4)
     assert np.array_equal(b2, np.array([1.0, 1.0, 3.0, 5.0, 11.0]))
+    # law_i (m = 1 + sqrt 2): E Z_n passes float64 at n = 805 and E B_n at n = 806, a fault naming both, not infs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(sim.expected_counts(gw13, 1000)[0], 2.0 ** np.arange(1001))
+        mu, ref = moments(law_i).mu, [1.0]  # the per-step loop the series division replaced: the same sums in order
+        for n in range(1, 805):
+            ref.append(float(sum(mu[k] * ref[n - k] for k in range(1, min(n, 2) + 1))))
+        assert sim.expected_counts(law_i, 804)[0].tobytes() == np.array(ref).tobytes()
+        with pytest.raises(RuntimeError, match=r"left float64: E Z_n at n = 805$"):
+            sim.expected_counts(law_i, 805)
+        with pytest.raises(RuntimeError, match=r"left float64: E B_n at n = 806 and E Z_n at n = 805"):
+            sim.expected_counts(law_i, 10**4)
 
 
 def test_trace_csv_layout(det_two_age, gw13_alive):

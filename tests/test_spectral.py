@@ -345,6 +345,8 @@ def test_resolvent_faults(gw13):
         resolvent_vector(2.0, gw13, 2.0, trunc=10)  # 1/lam = 0.5 is the root
     with pytest.raises(ValueError, match="pole"):
         resolvent_vector(1.0, gw13, 2.0, trunc=10)
+    with pytest.raises(ValueError, match="^lam = 0 is not in the resolvent set$"):
+        resolvent_vector(0, gw13, 2.0, trunc=10)
 
 
 # -------------------------------------------------------------- power growth
