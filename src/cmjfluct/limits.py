@@ -19,20 +19,20 @@ coefficient vector ``a`` (a finitely supported map lag -> real, negative lags
 allowed) has limiting variance ``int |sum_k a_k (z^k - m^-k)|^2 dnu``.
 
 Both regimes read every covariance from one moment matrix (:func:`_moment_matrix`),
-``M[a, b] = Re int (z m^(1/2))^lag z^a conj(z)^b`` against ``nu`` or ``|z - 1/m|^2 dnu``: on the circle an entry is
-``r^{a+b} gamma_{|lag+a-b|}``, with atoms a weighted sum over the atoms, and nothing else tells the two apart.
+``M[a, b] = Re int z^a conj(z)^b`` against ``nu`` or ``|z - 1/m|^2 dnu``: on the circle an entry is
+``r^{a+b} gamma_{|a-b|}``, with atoms a weighted sum over the atoms, and nothing else tells the two apart.
 Only :func:`cov_pair` pairs raw symbols, as ``f M g^T`` for their coefficient rows ``f, g``.
 
-Every ``zeta`` covariance walks ``q_k`` by one recursion from that matrix: ``zeta_k = (z - 1/m) q_k`` with
-``q_0 = 0``, ``q_k = q_{k-1}/m + z^{k-1}`` and ``q_{-k} = m q_{-(k-1)} - m z^{-k}``.  :func:`_zeta_walk` walks it over
-``k`` one array op at a time down the centered moment matrix at a time lag, then over the rows, so each entry takes
-the same flops and has the same bits whatever range it is walked over.  Every spectrum keeps one lag table, that
-walk at time lag 0: the limiting covariance ``C[j, k]`` of ``zeta_j`` and ``zeta_k`` over lag -1 and the lags asked
-for so far (lag 0 is left out, as ``zeta_0 = 0``), built lazily and rebuilt wider when a lag outside it is requested.
-:func:`predictor_coeffs` reads its Gram and right-hand side from it, and :func:`variance`, the covariance table of
-the CLI and the mean part of :func:`char_variance_full` are ``A C A^T`` for their coefficient vectors ``A``.
-:func:`cov_lagged` is the walk's diagonal entry at its time lag, so ``cov_lagged(k, 0) == variance({k: 1})`` bit for
-bit; the cross term of :func:`char_variance_full` reads the coefficients of ``q_k`` off the walk over the identity.
+Every ``zeta`` covariance is read from one lag table per spectrum: the limiting covariance ``C[j, k]`` of ``zeta_j``
+and ``zeta_k`` over lag -1 and the lags asked for so far (lag 0 is left out, as ``zeta_0 = 0``), built lazily and
+rebuilt wider when a lag outside it is requested.  :func:`_build_table` walks ``zeta_k = (z - 1/m) q_k``, ``q_0 = 0``,
+``q_k = q_{k-1}/m + z^{k-1}``, ``q_{-k} = m q_{-(k-1)} - m z^{-k}``, one array op per ``k`` down the centered moment
+matrix, then over the rows, so an entry has the same bits whatever range it is walked over.  :func:`predictor_coeffs`
+reads its Gram and right-hand side from the table; :func:`variance`, the CLI's covariance table and the mean part of
+:func:`char_variance_full` are ``A C A^T`` for their coefficient vectors ``A``.  As ``z^ell zeta_k = zeta_{k+ell} -
+m^-k zeta_ell``, :func:`cov_lagged` is ``m^(ell/2) (C[k+ell, k] - m^-k C[ell, k])``, so ``cov_lagged(k, 0) ==
+variance({k: 1})`` bit for bit.  The cross term of :func:`char_variance_full` reads the coefficients of ``q_k`` off
+the walk over the identity.
 
 Coefficient vectors and raw Laurent symbols are plain ``{int: float}`` dicts
 throughout.
@@ -138,11 +138,13 @@ class LimitSpectrum:
 
 
 def _series_ratio(num, den: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` Taylor coefficients of ``num(z) / den(z)``, by long division."""
+    """The first ``n`` Taylor coefficients of ``num(z) / den(z)`` by long division, ending early at one past float64."""
     out = np.zeros(n)
     for j in range(n):
         k = min(j, len(den) - 1)
         out[j] = ((num[j] if j < len(num) else 0.0) - den[1 : k + 1] @ out[j - k : j][::-1]) / den[0]
+        if not math.isfinite(out[j]):
+            return out[: j + 1]
     return out
 
 
@@ -229,42 +231,35 @@ def _power(x: float, e: int) -> float:
         return math.inf
 
 
-def _moment_matrix(spectrum: LimitSpectrum, lo: int, hi: int, centered: bool = True, lag: int = 0) -> np.ndarray:
-    """``M[a - lo, b - lo] = Re int (z m^(1/2))^lag z^a conj(z)^b`` for ``a, b = lo..hi`` (``lag >= 0``), against
-    ``|z - 1/m|^2 dnu`` when ``centered``, else against ``nu``.
+def _moment_matrix(spectrum: LimitSpectrum, lo: int, hi: int, centered: bool = True) -> np.ndarray:
+    """``M[a - lo, b - lo] = Re int z^a conj(z)^b`` for ``a, b = lo..hi``, against ``|z - 1/m|^2 dnu`` when
+    ``centered``, else against ``nu``.
 
-    On the circle an entry is ``r^{a+b} gamma_{|lag+a-b|}``, the power by :func:`_power`; with atoms it is
-    ``sum_p w_p (gamma_p m^(1/2))^lag gamma_p^a conj(gamma_p)^b``, with ``w_p |gamma_p - 1/m|^2`` when centered,
-    summed in atom order.  Either way an entry has the same bits whatever ``lo`` and ``hi`` are; entries past
-    float64 are left for the caller to name.
+    On the circle an entry is ``r^{a+b} gamma_{|a-b|}``, the power by :func:`_power`; with atoms it is
+    ``sum_p w_p gamma_p^a conj(gamma_p)^b``, with ``w_p |gamma_p - 1/m|^2`` when centered, summed in atom order.
+    Either way an entry has the same bits whatever ``lo`` and ``hi`` are; entries past float64 are left for the
+    caller to name.
     """
     e = np.arange(lo, hi + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         if spectrum.kind == "circle":
-            gamma = (spectrum.centered if centered else spectrum.moments).upto(lag + hi - lo)
+            gamma = (spectrum.centered if centered else spectrum.moments).upto(hi - lo)
             r_pow = np.array([_power(spectrum.radius, k) for k in range(2 * lo, 2 * hi + 1)])
-            return r_pow[e[:, None] + e - 2 * lo] * gamma[np.abs(lag + e[:, None] - e)]
+            return r_pow[e[:, None] + e - 2 * lo] * gamma[np.abs(e[:, None] - e)]
         m, out = spectrum.m, np.zeros((len(e), len(e)), dtype=complex)
         for g, w in spectrum.atoms:
             weight = w * abs(g - 1.0 / m) ** 2 if centered else w
             powers = np.complex128(g) ** e
-            out += weight * (g * math.sqrt(m)) ** lag * (powers[:, None] * np.conj(powers))
+            out += weight * (powers[:, None] * np.conj(powers))
         return out.real
 
 
-def _zeta_walk(spectrum: LimitSpectrum, lo: int, hi: int, lag: int) -> np.ndarray:
-    """``raw[j, k] = Re int (z m^(1/2))^lag zeta_k conj(zeta_j) dnu`` over the lags ``lo..hi`` without 0, laid out as
-    in :class:`_LagTable`; an entry has the same bits whatever ``lo <= 0 <= hi`` are, and past float64 is ``inf`` or
-    nan without a warning (the caller names the fault)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1, lag=lag), spectrum.m, lo, hi)  # pairs[k, b] = <q_k, z^b>
-        return _walk(pairs.T, spectrum.m, lo, hi)
-
-
 def _build_table(spectrum: LimitSpectrum, lo: int, hi: int) -> None:
-    """Build the lag table of ``spectrum`` over the lags ``lo..hi`` (``lo < 0 < hi``)."""
-    raw = _zeta_walk(spectrum, lo, hi, 0)
-    with np.errstate(over="ignore", invalid="ignore"):  # far negative lags can leave float64; _cov_matrix faults
+    """Build the lag table of ``spectrum`` over the lags ``lo..hi`` (``lo < 0 < hi``): the symmetric part of ``raw[j, k]
+    = Re int zeta_k conj(zeta_j) dnu``, walked by :func:`_walk` down the centered moment matrix's rows, then columns."""
+    with np.errstate(over="ignore", invalid="ignore"):  # far negative lags can leave float64; the readers fault
+        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1), spectrum.m, lo, hi)  # pairs[k, b] = <q_k, z^b>
+        raw = _walk(pairs.T, spectrum.m, lo, hi)
         cov = 0.5 * (raw + raw.T)
     cov.flags.writeable = False
     table = spectrum._table
@@ -314,18 +309,21 @@ def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) 
 
 
 def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
-    """Covariance of ``zeta_k`` with its ``ell``-step-later counterpart.
+    """Covariance of ``zeta_k`` with its ``ell``-step-later counterpart, ``Re int (z m^(1/2))^ell |zeta_k|^2 dnu``.
 
-    ``Re int (z m^(1/2))^ell |z^k - m^-k|^2 dnu``; on the circle the lag factor
-    is the pure oscillation ``e^(i ell theta)``.  Faults (RuntimeError) past
-    float64.
+    As ``z^ell zeta_k = zeta_{k+ell} - m^-k zeta_ell``, it is ``m^(ell/2) (C[k+ell, k] - m^-k C[ell, k])`` read
+    from the lag table, a term at lag 0 being 0; so ``cov_lagged(k, 0)`` is the table's diagonal, as ``variance``
+    reads it.  The table may grow to lag ``k + ell``, at most 512.  Faults (RuntimeError) past float64.
     """
     _require_in("k", k, -_MAX_LAG, _MAX_LAG)
     _require_in("ell", ell, 0, _MAX_LAG)
     if k == 0:
         return 0.0  # zeta_0 = 0
-    walk = _zeta_walk(spectrum, min(k, 0), max(k, 0), ell)  # zeta_k is its first row for k < 0, its last for k > 0
-    value = float(walk[0, 0] if k < 0 else walk[-1, -1])
+    lo, m = min(k, 0), spectrum.m
+    column = spectrum._lag_cov(lo, max(k, 0) + ell)[:, k - lo - (k > 0)]  # C[j, k], zeta_j at row j - lo - (j > 0)
+    value = float(column[k + ell - lo - (k + ell > 0)]) if k + ell else 0.0
+    if ell:
+        value = _power(m, ell / 2) * (value - _power(m, -k) * float(column[ell - lo - 1]))
     if not math.isfinite(value):
         raise RuntimeError(f"the covariance of zeta_{k} at lag ell = {ell} left float64")
     return value

@@ -515,7 +515,8 @@ def verify_recursion(trace: Trace, moments, m: float, n_small: int, trunc: int) 
 
 def expected_counts(law: OffspringLaw, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact mean birth counts ``E B_n``, the Taylor coefficients of ``1 / (1 - mu_hat(z))``, and totals ``E Z_n`` up to
-    ``horizon``; a count past float64 faults (RuntimeError), naming the first ``n`` at which each leaves it."""
+    ``horizon``; a count past float64 faults (RuntimeError), naming the first ``n`` at which each leaves it.  The
+    division stops at the first ``E B_n`` past float64, so a fault costs its ``n`` steps, not the horizon's."""
     _require_in("horizon", horizon, 0, math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         b = _series_ratio([1.0], np.concatenate(([1.0], -moments(law).mu[1:])), horizon + 1)

@@ -21,8 +21,10 @@ Hand derivations used as oracles below:
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import math
+import pathlib
 import re
 import time
 import tracemalloc
@@ -33,11 +35,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cmjfluct import limits
 from cmjfluct.errors import RefusalError
 from cmjfluct.limits import (
     Autocovariance,
     _cov_matrix,
     _score_cross,
+    _walk,
     build_spectrum,
     char_variance_full,
     cov_lagged,
@@ -869,6 +873,96 @@ def test_lagged_covariance_at_lag_zero_is_the_variance_bit_for_bit(name, request
             assert cov_lagged(spec, k, 0) == expected, k
             checked += 1
     assert checked > _MAX_LAG  # at m = 6 the variance leaves float64 only at far negative lags
+
+
+def _lagged_walk_reference(spec, k, ell):
+    """``cov_lagged`` by a walk of its own: ``q`` walked down the centered moment matrix at time lag ``ell``, then
+    across, and the diagonal entry for ``k`` read.
+
+    That matrix is ``Re int (z m^(1/2))^ell z^a conj(z)^b |z - 1/m|^2 dnu``: ``r^{a+b} gamma_{|ell+a-b|}`` on the
+    circle, ``sum_p w_p |gamma_p - 1/m|^2 (gamma_p m^(1/2))^ell gamma_p^a conj(gamma_p)^b`` with atoms.
+    """
+    lo, hi, m = min(k, 0), max(k, 0), spec.m
+    e = np.arange(lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "circle":
+            gamma = spec.centered.upto(ell + len(e))
+            matrix = np.float64(spec.radius) ** (e[:, None] + e) * gamma[np.abs(ell + e[:, None] - e)]
+        else:
+            matrix = np.zeros((len(e), len(e)), dtype=complex)
+            for g, w in spec.atoms:
+                powers = np.complex128(g) ** e
+                matrix += w * abs(g - 1.0 / m) ** 2 * (g * math.sqrt(m)) ** ell * (powers[:, None] * np.conj(powers))
+            matrix = matrix.real
+        raw = _walk(_walk(matrix, m, lo, hi).T, m, lo, hi)
+    return float(raw[0, 0] if k < 0 else raw[-1, -1])
+
+
+_LAGGED_LAWS = {
+    "m6": [(0.5, (5,)), (0.5, (7,))],
+    "correlated_ages": [(0.3, (1, 0, 2)), (0.7, (2, 1, 0))],
+}
+
+
+@pytest.mark.parametrize("name", ["gw13", "law_i", "law_ii", "pair_ii", "m6", "correlated_ages"])
+def test_lagged_covariance_matches_a_walk_at_its_time_lag(name, request):
+    # cov_lagged reads two lag-table entries, m^(ell/2) (C[k+ell, k] - m^-k C[ell, k]); the reference walks a
+    # moment matrix at the time lag, as cov_lagged once did.  The worst gap is 1.2e-13 of the variance (pair_ii),
+    # 3e-15 on the regime-I laws.  A lagged value 30 or more orders below the variance is lost in either route's
+    # roundoff, so the two may differ in relative terms there: (3, 256) on the correlated-age law reads -1.4e-61 by
+    # the walk and -5.1e-61 from the table, against a variance of 1.1e-2.
+    law = make_law(_LAGGED_LAWS[name]) if name in _LAGGED_LAWS else request.getfixturevalue(name)
+    _, spec = spectrum_of(law)
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (256, -256, -150, -53, 2, -2, 1, -1, 3, 17, 100, 213):
+            try:
+                scale = cov_lagged(spec, k, 0)
+            except RuntimeError:
+                scale = None  # zeta_-256 at m = 6: the variance is past float64, its far lags are not
+            for ell in (0, 1, 2, 5, 100, 255, 256):
+                want = _lagged_walk_reference(spec, k, ell)
+                if not math.isfinite(want):
+                    with pytest.raises(RuntimeError, match=rf"zeta_{k} at lag ell = {ell} left float64"):
+                        cov_lagged(spec, k, ell)
+                    continue
+                got = cov_lagged(spec, k, ell)
+                assert abs(got - want) <= 1e-12 * (abs(want) if scale is None else scale), (k, ell, got, want)
+                checked += 1
+    assert checked >= 70
+
+
+def test_lagged_covariance_reads_the_table_it_widened(law_i, law_ii):
+    # one call at the farthest k + ell widens the table to lags -1..512; every later read inside it is a lookup
+    for law in (law_i, law_ii):
+        _, spec = spectrum_of(law)
+        cov_lagged(spec, _MAX_LAG, _MAX_LAG)
+        table = spec._table.cov
+        assert (spec._table.lo, spec._table.hi) == (-1, 2 * _MAX_LAG)
+        for k, ell in [(1, 0), (-1, _MAX_LAG), (-1, 1), (3, 7), (200, 56), (1, 255), (_MAX_LAG, 3)]:
+            cov_lagged(spec, k, ell)
+        variance(spec, {-1: 1.0, _MAX_LAG: 1.0})
+        predictor_coeffs(spec, _MAX_LAG)
+        assert spec._table.cov is table
+
+
+def test_only_the_table_builder_the_raw_pairing_and_the_total_mass_read_the_moment_matrix():
+    # every zeta covariance is a read of the lag table, so no other function walks a moment matrix of its own
+    path = pathlib.Path(limits.__file__)
+    readers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "_moment_matrix":
+                readers.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), str(path)), ())
+    assert sorted(set(readers)) == ["LimitSpectrum.total_mass", "_build_table", "cov_pair"]
 
 
 def test_predictor_residual_decreases_with_more_lags(gw13):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -398,6 +399,11 @@ def test_expected_counts_match_growth(gw13, det_two_age, law_i):
             sim.expected_counts(law_i, 805)
         with pytest.raises(RuntimeError, match=r"left float64: E B_n at n = 806 and E Z_n at n = 805"):
             sim.expected_counts(law_i, 10**4)
+        # the division stops at E B_806, so horizon 10^6 faults as fast (filling the horizon first took 2.2 s)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match=r"left float64: E B_n at n = 806 and E Z_n at n = 805$"):
+            sim.expected_counts(law_i, 10**6)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_trace_csv_layout(det_two_age, gw13_alive):
