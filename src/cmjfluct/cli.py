@@ -36,8 +36,8 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "dispatch", "main"]
 
 #: Largest ``replicates`` a config may ask for: a campaign simulates about 10^5 replicates of 25 steps per second
 #: and keeps 8 (horizon + 1) bytes each.  ``K`` and ``|lag|`` are bounded by ``_MAX_LAG``, as in the library:
-#: ``predictor_coeffs`` takes about 7 ms at K = 256 on a fresh law_i spectrum, and the lag table for lags
-#: -256..256, the widest a config can ask for, about 13 ms and an 8.5 MB traced peak (one BLAS thread, 2 vCPU Xeon).
+#: ``predictor_coeffs`` takes about 5 ms at K = 256 on a fresh law_i spectrum, and the lag table for lags
+#: -256..256, the widest a config can ask for, about 12 ms and an 8.5 MB traced peak (one BLAS thread, 2 vCPU Xeon).
 _MAX_REPLICATES = 10**6
 
 

@@ -27,12 +27,13 @@ Every ``zeta`` covariance is read from one lag table per spectrum: the limiting 
 and ``zeta_k`` over lag -1 and the lags asked for so far (lag 0 is left out, as ``zeta_0 = 0``), built lazily and
 rebuilt wider when a lag outside it is requested.  :func:`_build_table` walks ``zeta_k = (z - 1/m) q_k``, ``q_0 = 0``,
 ``q_k = q_{k-1}/m + z^{k-1}``, ``q_{-k} = m q_{-(k-1)} - m z^{-k}``, one array op per ``k`` down the centered moment
-matrix, then over the rows, so an entry has the same bits whatever range it is walked over.  :func:`predictor_coeffs`
-reads its Gram and right-hand side from the table; :func:`variance`, the CLI's covariance table and the mean part of
-:func:`char_variance_full` are ``A C A^T`` for their coefficient vectors ``A``.  As ``z^ell zeta_k = zeta_{k+ell} -
-m^-k zeta_ell``, :func:`cov_lagged` is ``m^(ell/2) (C[k+ell, k] - m^-k C[ell, k])``, so ``cov_lagged(k, 0) ==
-variance({k: 1})`` bit for bit.  The cross term of :func:`char_variance_full` reads the coefficients of ``q_k`` off
-the walk over the identity.
+matrix, then over the rows, so an entry has the same bits whatever range it is walked over.  The walk scales each
+positive lag by a power of two near ``m^(1/2)``, which keeps an entry near the mass out to lag 512 and changes no bit
+of one that is a normal float.  :func:`predictor_coeffs` reads its Gram and right-hand side from the table;
+:func:`variance`, the CLI's covariance table and the mean part of :func:`char_variance_full` are ``A C A^T`` for their
+coefficient vectors ``A``.  As ``z^ell zeta_k = zeta_{k+ell} - m^-k zeta_ell``, :func:`cov_lagged` is ``m^(ell/2)
+(C[k+ell, k] - m^-k C[ell, k])``, so ``cov_lagged(k, 0) == variance({k: 1})`` bit for bit.  The cross term of
+:func:`char_variance_full` reads the coefficients of ``q_k`` off the walk over the identity.
 
 Coefficient vectors and raw Laurent symbols are plain ``{int: float}`` dicts
 throughout.
@@ -88,12 +89,28 @@ _LAG_TABLE_START = 8
 
 
 class _LagTable:
-    """A spectrum's lag table: the read-only covariances ``cov`` over the lags ``lo..hi`` without 0 (``lo <= 0 <=
-    hi``), row and column ``k - lo`` for a negative lag and ``k - lo - 1`` for a positive one."""
+    """A spectrum's lag table: the read-only covariances over the lags ``lo..hi`` without 0 (``lo <= 0 <= hi``), row
+    and column ``k - lo`` for a negative lag and ``k - lo - 1`` for a positive one.
+
+    ``cov[j, k]`` holds ``C[j, k] 2^(e_j + e_k)``, with ``e_j = shift (j - 1)`` for ``j > 0`` and 0 for ``j < 0`` kept
+    in ``e`` (int32, which numpy's ldexp takes fastest), as :func:`_build_table` walks it.  At positive lags ``C[j, k]`` shrinks like ``m^-(j+k)/2``, below float64's normal
+    range near lag 512 once ``m`` passes about 6; the scaled entry stays within ``2^((j+k)/2)`` of the mass either
+    way.  A power of two changes no bits, so :meth:`block` reads the bits of an unscaled walk wherever ``C`` is a
+    normal float.
+    """
 
     def __init__(self) -> None:
-        self.lo = self.hi = 0
-        self.cov = np.zeros((0, 0))
+        self.lo = self.hi = self.shift = 0
+        self.cov, self.e = np.zeros((0, 0)), np.zeros(0, dtype=np.int32)
+
+    def index(self, j: int) -> int:
+        """Row and column of lag ``j``."""
+        return j - self.lo - (j > 0)
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """``C`` over the lags ``lo..hi`` without 0 (``self.lo <= lo <= 0 <= hi <= self.hi``), as a fresh array."""
+        e = self.e[lo - self.lo : hi - self.lo]
+        return np.ldexp(self.cov[lo - self.lo : hi - self.lo, lo - self.lo : hi - self.lo], -e[:, None] - e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,24 +140,31 @@ class LimitSpectrum:
     def total_mass(self) -> float:
         return float(_moment_matrix(self, 0, 0, centered=False)[0, 0])
 
-    def _lag_cov(self, lo: int, hi: int) -> np.ndarray:
-        """The limiting covariance matrix of ``zeta_k`` over the lags ``lo..hi`` without 0 (``lo <= 0 <= hi``).
+    def _lag_table(self, lo: int, hi: int) -> _LagTable:
+        """The lag table, first rebuilt wider if the lags ``lo..hi`` (``lo <= 0 <= hi``) are not all in it.
 
-        It is a read-only view into the lag table.  A lag outside the table rebuilds it, each side out to the next
-        power of two, so ever wider requests rebuild it only a few times and requests within ``[-2^j, 2^j]`` never
-        make it wider; the table always takes lag -1, the one-step predictor's target, and lags up to
-        ``_LAG_TABLE_START``.
+        A rebuild takes each side out to the next power of two, so ever wider requests rebuild it only a few times
+        and requests within ``[-2^j, 2^j]`` never make it wider; the table always takes lag -1, the one-step
+        predictor's target, and lags up to ``_LAG_TABLE_START``.
         """
         table = self._table
         if lo < table.lo or hi > table.hi:
             _build_table(self, min(table.lo, -_pow2_at_least(-lo)), max(table.hi, _pow2_at_least(hi), _LAG_TABLE_START))
-        return table.cov[lo - table.lo : hi - table.lo, lo - table.lo : hi - table.lo]
+        return table
+
+    def _lag_cov(self, lo: int, hi: int) -> np.ndarray:
+        """The limiting covariance matrix of ``zeta_k`` over the lags ``lo..hi`` without 0, a fresh array."""
+        return self._lag_table(lo, hi).block(lo, hi)
 
 
 def _series_ratio(num, den: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` Taylor coefficients of ``num(z) / den(z)`` by long division, ending early at one past float64."""
-    out = np.zeros(n)
+    """The first ``n`` Taylor coefficients of ``num(z) / den(z)`` by long division, or fewer: the division stops at the
+    first coefficient past float64, which ends the array.  The buffer starts at 1024 coefficients and doubles as the
+    division goes, so a stop at ``j`` costs ``j`` steps and ``O(j)`` bytes however large ``n`` is."""
+    out = np.zeros(min(n, 1024))
     for j in range(n):
+        if j == len(out):
+            out = np.concatenate((out, np.zeros(min(j, n - j))))
         k = min(j, len(den) - 1)
         out[j] = ((num[j] if j < len(num) else 0.0) - den[1 : k + 1] @ out[j - k : j][::-1]) / den[0]
         if not math.isfinite(out[j]):
@@ -211,16 +235,18 @@ def build_spectrum(report: SpectralReport, tab) -> LimitSpectrum:
     return LimitSpectrum(kind="circle", m=m, radius=r, moments=moments_, centered=_arma_autocov(centered_ar, r * r * s))
 
 
-def _walk(steps: np.ndarray, m: float, lo: int, hi: int) -> np.ndarray:
+def _walk(steps: np.ndarray, m: float, lo: int, hi: int, shift: int = 0) -> np.ndarray:
     """Rows ``k = lo..hi`` but 0 of ``x_0 = 0``, ``x_k = x_{k-1}/m + y_{k-1}`` up and ``x_k = m x_{k+1} - m y_k`` down.
 
     ``steps`` holds ``y_lo..y_{hi-1}`` as rows; rows come out laid out as in :class:`_LagTable`.  One array op per
     row, each entry walking out from ``x_0``, so every entry takes the same flops whatever ``lo`` and ``hi`` are.
+    With ``shift``, ``y_a`` (``a >= 0``) and ``x_k`` (``k > 0``) come scaled by ``2^(shift a)`` and
+    ``2^(shift (k - 1))``: the up walk then divides by ``m 2^-shift``, which scales every bit exactly.
     """
     x, my = np.zeros(steps.shape[1]), m * steps
     down = [x := m * x - my[k - lo] for k in range(-1, lo - 1, -1)][::-1]
-    x = np.zeros(steps.shape[1])
-    return np.array(down + [x := x / m + steps[k - 1 - lo] for k in range(1, hi + 1)])
+    x, up = np.zeros(steps.shape[1]), math.ldexp(m, -shift)
+    return np.array(down + [x := x / up + steps[k - 1 - lo] for k in range(1, hi + 1)])
 
 
 def _power(x: float, e: int) -> float:
@@ -231,39 +257,52 @@ def _power(x: float, e: int) -> float:
         return math.inf
 
 
-def _moment_matrix(spectrum: LimitSpectrum, lo: int, hi: int, centered: bool = True) -> np.ndarray:
-    """``M[a - lo, b - lo] = Re int z^a conj(z)^b`` for ``a, b = lo..hi``, against ``|z - 1/m|^2 dnu`` when
-    ``centered``, else against ``nu``.
+def _moment_matrix(spectrum: LimitSpectrum, lo: int, hi: int, centered: bool = True, shift: int = 0) -> np.ndarray:
+    """``M[a - lo, b - lo] = 2^(shift (a+ + b+)) Re int z^a conj(z)^b`` for ``a, b = lo..hi``, ``a+ = max(a, 0)``,
+    against ``|z - 1/m|^2 dnu`` when ``centered``, else against ``nu``.
 
     On the circle an entry is ``r^{a+b} gamma_{|a-b|}``, the power by :func:`_power`; with atoms it is
     ``sum_p w_p gamma_p^a conj(gamma_p)^b``, with ``w_p |gamma_p - 1/m|^2`` when centered, summed in atom order.
     Either way an entry has the same bits whatever ``lo`` and ``hi`` are; entries past float64 are left for the
-    caller to name.
+    caller to name.  The scale is a power of two, so it changes no bits where a power of ``r`` or ``gamma_p`` is a
+    normal float; where one underflows, it is taken as ``(r 2^shift)^n`` or ``(gamma_p 2^shift)^n`` instead.
     """
-    e = np.arange(lo, hi + 1)
+    e, tiny = np.arange(lo, hi + 1, dtype=np.int32), np.finfo(float).tiny
+    lift = shift * np.maximum(e, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         if spectrum.kind == "circle":
             gamma = (spectrum.centered if centered else spectrum.moments).upto(hi - lo)
             r_pow = np.array([_power(spectrum.radius, k) for k in range(2 * lo, 2 * hi + 1)])
-            return r_pow[e[:, None] + e - 2 * lo] * gamma[np.abs(e[:, None] - e)]
+            far = np.flatnonzero(r_pow < tiny)
+            r_pow = np.ldexp(r_pow, shift * np.arange(2 * lo, 2 * hi + 1, dtype=np.int32))  # r^n 2^(shift n)
+            r_pow[far] = [_power(math.ldexp(spectrum.radius, shift), int(n) + 2 * lo) for n in far]
+            down = lift - shift * e  # 2^(shift (a+ + b+)) = 2^(shift (a + b)) 2^(down_a + down_b)
+            return np.ldexp(r_pow[e[:, None] + e - 2 * lo], down[:, None] + down) * gamma[np.abs(e[:, None] - e)]
         m, out = spectrum.m, np.zeros((len(e), len(e)), dtype=complex)
         for g, w in spectrum.atoms:
             weight = w * abs(g - 1.0 / m) ** 2 if centered else w
             powers = np.complex128(g) ** e
-            out += weight * (powers[:, None] * np.conj(powers))
+            scaled = np.ldexp(powers.real, lift) + 1j * np.ldexp(powers.imag, lift)
+            scaled = np.where(abs(powers) < tiny, np.complex128(g * 2.0**shift) ** e, scaled)
+            out += weight * (scaled[:, None] * np.conj(scaled))
         return out.real
 
 
 def _build_table(spectrum: LimitSpectrum, lo: int, hi: int) -> None:
     """Build the lag table of ``spectrum`` over the lags ``lo..hi`` (``lo < 0 < hi``): the symmetric part of ``raw[j, k]
-    = Re int zeta_k conj(zeta_j) dnu``, walked by :func:`_walk` down the centered moment matrix's rows, then columns."""
+    = Re int zeta_k conj(zeta_j) dnu``, walked by :func:`_walk` down the centered moment matrix's rows, then columns.
+
+    Both walks scale each positive lag by ``2^shift``, ``shift`` the integer nearest ``log2 m^(1/2)``, and the table
+    keeps the scaled entries (see :class:`_LagTable`)."""
+    shift = round(math.log2(spectrum.m) / 2)
     with np.errstate(over="ignore", invalid="ignore"):  # far negative lags can leave float64; the readers fault
-        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1), spectrum.m, lo, hi)  # pairs[k, b] = <q_k, z^b>
-        raw = _walk(pairs.T, spectrum.m, lo, hi)
+        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1, shift=shift), spectrum.m, lo, hi, shift)  # <q_k, z^b>
+        raw = _walk(pairs.T, spectrum.m, lo, hi, shift)
         cov = 0.5 * (raw + raw.T)
     cov.flags.writeable = False
     table = spectrum._table
-    table.lo, table.hi, table.cov = lo, hi, cov
+    table.lo, table.hi, table.shift, table.cov = lo, hi, shift, cov
+    table.e = shift * np.maximum(np.arange(lo, hi, dtype=np.int32), 0)  # lag j at index j - lo - (j > 0)
 
 
 def _cov_matrix(spectrum: LimitSpectrum, vectors: list) -> np.ndarray:
@@ -279,8 +318,8 @@ def _cov_matrix(spectrum: LimitSpectrum, vectors: list) -> np.ndarray:
     rows = np.zeros((len(support), hi - lo))
     for row, a in zip(rows, support):
         row[[k - lo - (k > 0) for k in a]] = list(a.values())
-    # A fresh contiguous copy keeps BLAS on the same path whatever the size of the table it came from.
-    table = spectrum._lag_cov(lo, hi).copy()
+    # A fresh contiguous array keeps BLAS on the same path whatever the size of the table it came from.
+    table = spectrum._lag_cov(lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
         cov = rows @ table @ rows.T
     if not np.all(np.isfinite(cov)):
@@ -311,19 +350,29 @@ def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) 
 def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
     """Covariance of ``zeta_k`` with its ``ell``-step-later counterpart, ``Re int (z m^(1/2))^ell |zeta_k|^2 dnu``.
 
-    As ``z^ell zeta_k = zeta_{k+ell} - m^-k zeta_ell``, it is ``m^(ell/2) (C[k+ell, k] - m^-k C[ell, k])`` read
+    As ``z^ell zeta_k = zeta_{k+ell} - m^-k zeta_ell``, it is ``m^(ell/2) C[k+ell, k] - m^(ell/2-k) C[ell, k]`` read
     from the lag table, a term at lag 0 being 0; so ``cov_lagged(k, 0)`` is the table's diagonal, as ``variance``
-    reads it.  The table may grow to lag ``k + ell``, at most 512.  Faults (RuntimeError) past float64.
+    reads it.  Each term is taken from the table's scaled entry and one power of ``m^(1/2) 2^-shift``, so it stays in
+    range wherever it is itself a normal float.  The table may grow to lag ``k + ell``, at most 512.  Faults
+    (RuntimeError) past float64.
     """
     _require_in("k", k, -_MAX_LAG, _MAX_LAG)
     _require_in("ell", ell, 0, _MAX_LAG)
     if k == 0:
         return 0.0  # zeta_0 = 0
-    lo, m = min(k, 0), spectrum.m
-    column = spectrum._lag_cov(lo, max(k, 0) + ell)[:, k - lo - (k > 0)]  # C[j, k], zeta_j at row j - lo - (j > 0)
-    value = float(column[k + ell - lo - (k + ell > 0)]) if k + ell else 0.0
-    if ell:
-        value = _power(m, ell / 2) * (value - _power(m, -k) * float(column[ell - lo - 1]))
+    table = spectrum._lag_table(min(k, 0), max(k, 0) + ell)
+    rho = math.ldexp(math.sqrt(spectrum.m), -table.shift)
+
+    def term(j: int, p: int) -> float:  # m^(p/2) C[j, k] = rho^p 2^(shift p) C[j, k]
+        if j == 0:
+            return 0.0
+        scaled = float(table.cov[table.index(j), table.index(k)]) * _power(rho, p)
+        try:
+            return math.ldexp(scaled, table.shift * p - int(table.e[table.index(j)] + table.e[table.index(k)]))
+        except OverflowError:  # past float64, named below
+            return math.inf
+
+    value = term(k + ell, ell) - term(ell, ell - 2 * k)
     if not math.isfinite(value):
         raise RuntimeError(f"the covariance of zeta_{k} at lag ell = {ell} left float64")
     return value
@@ -397,6 +446,7 @@ def _score_cross(law: OffspringLaw, m: float) -> float:
     size = len(tab.delta_lambda) - 1
     ntilde = (tab.delta_lambda[1:] @ _walk(np.eye(size), m, 0, size)).tolist()  # row k - 1 of the walk is q_k
     g = _series_ratio(ntilde, np.convolve([1.0, -1.0], b), ages) / m
+    g = np.pad(g, (0, ages - len(g)), mode="edge")  # a g past float64 leaves the cross term non-finite
     a, i = np.arange(ages)[:, None], np.arange(k_top + 1)
     cross = float(np.sum(cov * np.where(a >= i, g[np.clip(a - i, 0, None)], 0.0) * (1.0 / m) ** a))
     if law.char_extends:

@@ -901,13 +901,17 @@ def _lagged_walk_reference(spec, k, ell):
 _LAGGED_LAWS = {
     "m6": [(0.5, (5,)), (0.5, (7,))],
     "correlated_ages": [(0.3, (1, 0, 2)), (0.7, (2, 1, 0))],
+    "m9_ii": [(0.5, (5, 27)), (0.5, (7, 27))],  # mu = (6, 27): regime II at -1/3, m = 9
+    "m12": [(0.5, (11,)), (0.5, (13,))],
 }
 
 
-@pytest.mark.parametrize("name", ["gw13", "law_i", "law_ii", "pair_ii", "m6", "correlated_ages"])
+@pytest.mark.parametrize("name", ["gw13", "law_i", "law_ii", "pair_ii", "m6", "correlated_ages", "m9_ii", "m12"])
 def test_lagged_covariance_matches_a_walk_at_its_time_lag(name, request):
     # cov_lagged reads two lag-table entries, m^(ell/2) (C[k+ell, k] - m^-k C[ell, k]); the reference walks a
-    # moment matrix at the time lag, as cov_lagged once did.  The worst gap is 1.2e-13 of the variance (pair_ii),
+    # moment matrix at the time lag, as cov_lagged once did.  At m = 9 and 12, C[k+ell, k] near lag 512 lies below
+    # float64's normal range (C[512, 256] is about 3^-768 at m = 9), so only the table's scaled entries keep
+    # (256, 256) equal to the variance on the regime-II law.  The worst gap is 1.2e-13 of the variance (pair_ii),
     # 3e-15 on the regime-I laws.  A lagged value 30 or more orders below the variance is lost in either route's
     # roundoff, so the two may differ in relative terms there: (3, 256) on the correlated-age law reads -1.4e-61 by
     # the walk and -5.1e-61 from the table, against a variance of 1.1e-2.
@@ -931,6 +935,23 @@ def test_lagged_covariance_matches_a_walk_at_its_time_lag(name, request):
                 assert abs(got - want) <= 1e-12 * (abs(want) if scale is None else scale), (k, ell, got, want)
                 checked += 1
     assert checked >= 70
+
+
+@pytest.mark.parametrize("name", ["law_i", "pair_ii", "m6", "m9_ii", "m12"])
+def test_the_scaled_lag_table_reads_the_bits_of_an_unscaled_walk(name, request):
+    # the table walks each positive lag scaled by a power of two; read back, an entry has the bits of the walk
+    # without the scale wherever that walk stays a normal float
+    law = make_law(_LAGGED_LAWS[name]) if name in _LAGGED_LAWS else request.getfixturevalue(name)
+    _, spec = spectrum_of(law)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = _walk(_walk(limits._moment_matrix(spec, -_MAX_LAG, _MAX_LAG - 1), spec.m, -_MAX_LAG, _MAX_LAG).T,
+                      spec.m, -_MAX_LAG, _MAX_LAG)
+        plain = 0.5 * (plain + plain.T)
+        table = spec._lag_cov(-_MAX_LAG, _MAX_LAG)
+    assert spec._table.shift == round(math.log2(spec.m) / 2)
+    normal = (np.abs(plain) >= np.finfo(float).tiny) | (plain == 0.0)
+    assert normal[_MAX_LAG:, _MAX_LAG:].all()  # no positive-lag entry is subnormal at these m
+    assert np.array_equal(table[normal], plain[normal])
 
 
 def test_lagged_covariance_reads_the_table_it_widened(law_i, law_ii):

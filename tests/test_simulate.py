@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ import pytest
 
 from cmjfluct import simulate as sim
 from cmjfluct.errors import RefusalError
-from cmjfluct.limits import sigma2_series
+from cmjfluct.limits import _series_ratio, sigma2_series
 from cmjfluct.offspring import make_law, moments
 from cmjfluct.spectral import classify, vector_v
 
@@ -404,6 +405,23 @@ def test_expected_counts_match_growth(gw13, det_two_age, law_i):
         with pytest.raises(RuntimeError, match=r"left float64: E B_n at n = 806 and E Z_n at n = 805$"):
             sim.expected_counts(law_i, 10**6)
         assert time.perf_counter() - start < 1.0
+        # nor is a buffer for the horizon taken first: 10^10 steps would ask for 80 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match=r"left float64: E B_n at n = 806 and E Z_n at n = 805$"):
+                sim.expected_counts(law_i, 10**10)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+
+def test_series_division_stops_at_its_first_coefficient_past_float64():
+    # 1 / (1 - 1e200 z) = sum 1e200^j z^j: 1e400 is past float64, so the array ends at j = 2, wherever n puts its end
+    for n in (2, 3, 5, 5000):
+        with np.errstate(over="ignore"):
+            got = _series_ratio([1.0], np.array([1.0, -1e200]), n)
+        assert got.tolist() == [1.0, 1e200, math.inf][:n]
+    assert np.array_equal(_series_ratio([1.0], np.array([1.0, -0.5]), 3000), 0.5 ** np.arange(3000))
 
 
 def test_trace_csv_layout(det_two_age, gw13_alive):
