@@ -329,7 +329,9 @@ def lag_correlation_check(config: ExperimentConfig, k: int, ell_list) -> LagCorr
     """Correlate the normalized statistic at times n-ell and n across replicates.
 
     The prediction is the ratio ``cov_lagged(k, ell) / cov_lagged(k, 0)`` (the
-    two marginals share the same limiting variance).  Refused below
+    two marginals share the same limiting variance); the variance is 0 only
+    on a zero measure, where the prediction is 0, as one below float64's
+    normal range faults in ``cov_lagged``.  Refused below
     criticality; an empty ``ell_list``, or a ``k`` or ``ell`` out of range
     (:func:`~cmjfluct.spectral._require_in`), faults before the law is analysed.
     """

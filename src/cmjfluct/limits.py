@@ -18,22 +18,23 @@ asking for the measure there is refused.  The statistic attached to a
 coefficient vector ``a`` (a finitely supported map lag -> real, negative lags
 allowed) has limiting variance ``int |sum_k a_k (z^k - m^-k)|^2 dnu``.
 
-Both regimes read every covariance from one moment matrix (:func:`_moment_matrix`),
-``M[a, b] = Re int z^a conj(z)^b`` against ``nu`` or ``|z - 1/m|^2 dnu``: on the circle an entry is
-``r^{a+b} gamma_{|a-b|}``, with atoms a weighted sum over the atoms, and nothing else tells the two apart.
-Only :func:`cov_pair` pairs raw symbols, as ``f M g^T`` for their coefficient rows ``f, g``.
+Both regimes read every covariance from one moment matrix (:func:`_moment_matrix`), ``Re int z^a conj(z)^b`` against
+``nu`` or ``|z - 1/m|^2 dnu`` with each nonnegative power taken in the unit ``u = m^(1/2)``, as ``(z u)^a``: on the
+circle an entry is ``r^{-(a- + b-)} gamma_{|a-b|}``, ``a- = max(-a, 0)``, with atoms a weighted sum over the atoms,
+and nothing else tells the two apart.  Only :func:`cov_pair` pairs raw symbols, as ``f M g^T`` for their rows ``f, g``.
 
 Every ``zeta`` covariance is read from one lag table per spectrum: the limiting covariance ``C[j, k]`` of ``zeta_j``
 and ``zeta_k`` over lag -1 and the lags asked for so far (lag 0 is left out, as ``zeta_0 = 0``), built lazily and
 rebuilt wider when a lag outside it is requested.  :func:`_build_table` walks ``zeta_k = (z - 1/m) q_k``, ``q_0 = 0``,
-``q_k = q_{k-1}/m + z^{k-1}``, ``q_{-k} = m q_{-(k-1)} - m z^{-k}``, one array op per ``k`` down the centered moment
-matrix, then over the rows, so an entry has the same bits whatever range it is walked over.  The walk scales each
-positive lag by a power of two near ``m^(1/2)``, which keeps an entry near the mass out to lag 512 and changes no bit
-of one that is a normal float.  :func:`predictor_coeffs` reads its Gram and right-hand side from the table;
-:func:`variance`, the CLI's covariance table and the mean part of :func:`char_variance_full` are ``A C A^T`` for their
-coefficient vectors ``A``.  As ``z^ell zeta_k = zeta_{k+ell} - m^-k zeta_ell``, :func:`cov_lagged` is ``m^(ell/2)
-(C[k+ell, k] - m^-k C[ell, k])``, so ``cov_lagged(k, 0) == variance({k: 1})`` bit for bit.  The cross term of
-:func:`char_variance_full` reads the coefficients of ``q_k`` off the walk over the identity.
+``q_k = q_{k-1}/m + z^{k-1}``, ``q_{-k} = m q_{-(k-1)} - m z^{-k}``, one array op per ``k`` down the moment matrix,
+then over the rows, so an entry has the same bits whatever range it is walked over.  In the unit ``u`` the table
+keeps ``u^(j' + k') C[j, k]`` (``j' = j - 1`` for ``j > 0``, else 0), of the order of the mass out to lag 512, and a
+reader unscales it once, by ``u^-(j' + k')``; a variance left below float64's normal range faults by name in
+:func:`variance` and :func:`cov_lagged`.  :func:`predictor_coeffs` reads its Gram and right-hand side from the table;
+:func:`variance`, the CLI's covariance table and the mean part of :func:`char_variance_full` are ``A C A^T`` over the
+lags of their coefficient vectors ``A``.  As ``z^ell zeta_k = zeta_{k+ell} - m^-k zeta_ell``, :func:`cov_lagged` is
+``m^(ell/2) (C[k+ell, k] - m^-k C[ell, k])``, so ``cov_lagged(k, 0) == variance({k: 1})`` bit for bit.  The cross
+term of :func:`char_variance_full` reads the coefficients of ``q_k`` off the walk over the identity.
 
 Coefficient vectors and raw Laurent symbols are plain ``{int: float}`` dicts
 throughout.
@@ -87,30 +88,27 @@ class Autocovariance:
 #: 6 us a lag on a 2 vCPU Xeon), so a smaller table only adds builds.  The size changes no bits (see _walk).
 _LAG_TABLE_START = 8
 
+#: The smallest normal float64: a variance below it that reads a nonzero lag-table entry has lost its value.
+_TINY = np.finfo(float).tiny
+
 
 class _LagTable:
     """A spectrum's lag table: the read-only covariances over the lags ``lo..hi`` without 0 (``lo <= 0 <= hi``), row
     and column ``k - lo`` for a negative lag and ``k - lo - 1`` for a positive one.
 
-    ``cov[j, k]`` holds ``C[j, k] 2^(e_j + e_k)``, with ``e_j = shift (j - 1)`` for ``j > 0`` and 0 for ``j < 0`` kept
-    in ``e`` (int32, which numpy's ldexp takes fastest), as :func:`_build_table` walks it.  At positive lags ``C[j, k]`` shrinks like ``m^-(j+k)/2``, below float64's normal
-    range near lag 512 once ``m`` passes about 6; the scaled entry stays within ``2^((j+k)/2)`` of the mass either
-    way.  A power of two changes no bits, so :meth:`block` reads the bits of an unscaled walk wherever ``C`` is a
-    normal float.
+    ``cov[j, k]`` holds ``u^(j' + k') C[j, k]`` in the unit ``u = m^(1/2)``, with ``j' = j - 1`` for ``j > 0`` and
+    0 for ``j < 0`` (``n`` holds ``j'`` by row), as :func:`_build_table` walks it, and ``down[n]`` is ``u^-n`` for
+    ``n = 0..2 (hi - 1)``.  At positive lags ``C[j, k]`` shrinks like ``u^-(j + k)``, below float64's normal range
+    near lag 512 once ``m`` passes about 6, while the stored entry stays of the order of the mass.
     """
 
     def __init__(self) -> None:
-        self.lo = self.hi = self.shift = 0
-        self.cov, self.e = np.zeros((0, 0)), np.zeros(0, dtype=np.int32)
+        self.lo = self.hi = 0
+        self.cov, self.n, self.down = np.zeros((0, 0)), np.zeros(0, dtype=int), np.ones(1)
 
     def index(self, j: int) -> int:
         """Row and column of lag ``j``."""
         return j - self.lo - (j > 0)
-
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        """``C`` over the lags ``lo..hi`` without 0 (``self.lo <= lo <= 0 <= hi <= self.hi``), as a fresh array."""
-        e = self.e[lo - self.lo : hi - self.lo]
-        return np.ldexp(self.cov[lo - self.lo : hi - self.lo, lo - self.lo : hi - self.lo], -e[:, None] - e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +151,12 @@ class LimitSpectrum:
         return table
 
     def _lag_cov(self, lo: int, hi: int) -> np.ndarray:
-        """The limiting covariance matrix of ``zeta_k`` over the lags ``lo..hi`` without 0, a fresh array."""
-        return self._lag_table(lo, hi).block(lo, hi)
+        """The limiting covariance matrix of ``zeta_k`` over the lags ``lo..hi`` without 0, a fresh array; an entry
+        below float64's normal range reads as a subnormal or 0."""
+        table = self._lag_table(lo, hi)
+        span = slice(lo - table.lo, hi - table.lo)
+        n = table.n[span]
+        return table.cov[span, span] * table.down[n[:, None] + n]
 
 
 def _series_ratio(num, den: np.ndarray, n: int) -> np.ndarray:
@@ -235,95 +237,87 @@ def build_spectrum(report: SpectralReport, tab) -> LimitSpectrum:
     return LimitSpectrum(kind="circle", m=m, radius=r, moments=moments_, centered=_arma_autocov(centered_ar, r * r * s))
 
 
-def _walk(steps: np.ndarray, m: float, lo: int, hi: int, shift: int = 0) -> np.ndarray:
-    """Rows ``k = lo..hi`` but 0 of ``x_0 = 0``, ``x_k = x_{k-1}/m + y_{k-1}`` up and ``x_k = m x_{k+1} - m y_k`` down.
+def _walk(steps: np.ndarray, m: float, lo: int, hi: int, up: float | None = None) -> np.ndarray:
+    """Rows ``k = lo..hi`` but 0 of ``x_0 = 0``, ``x_k = x_{k-1}/up + y_{k-1}`` up and ``x_k = m x_{k+1} - m y_k`` down.
 
     ``steps`` holds ``y_lo..y_{hi-1}`` as rows; rows come out laid out as in :class:`_LagTable`.  One array op per
     row, each entry walking out from ``x_0``, so every entry takes the same flops whatever ``lo`` and ``hi`` are.
-    With ``shift``, ``y_a`` (``a >= 0``) and ``x_k`` (``k > 0``) come scaled by ``2^(shift a)`` and
-    ``2^(shift (k - 1))``: the up walk then divides by ``m 2^-shift``, which scales every bit exactly.
+    ``up`` is ``m`` unless given; ``up = u = m^(1/2)`` walks in the unit ``u``: as ``u / m = 1 / u``, with ``y_a``
+    (``a >= 0``) given as ``u^a y_a``, ``x_k`` (``k > 0``) comes out as ``u^(k-1) x_k``.
     """
     x, my = np.zeros(steps.shape[1]), m * steps
     down = [x := m * x - my[k - lo] for k in range(-1, lo - 1, -1)][::-1]
-    x, up = np.zeros(steps.shape[1]), math.ldexp(m, -shift)
+    x, up = np.zeros(steps.shape[1]), m if up is None else up
     return np.array(down + [x := x / up + steps[k - 1 - lo] for k in range(1, hi + 1)])
 
 
-def _power(x: float, e: int) -> float:
-    """``x**e`` by Python's pow, so a power has the same bits however many are taken; ``inf`` past float64."""
-    try:
-        return x**e
-    except OverflowError:
-        return math.inf
+def _moment_matrix(spectrum: LimitSpectrum, lo: int, hi: int, centered: bool = True) -> np.ndarray:
+    """``M[a - lo, b - lo] = Re int (z u)^a+ z^-a- conj((z u)^b+ z^-b-)`` for ``a, b = lo..hi``, ``u = m^(1/2)``,
+    ``a+ = max(a, 0)``, ``a- = max(-a, 0)``, against ``|z - 1/m|^2 dnu`` when ``centered``, else against ``nu``.
 
-
-def _moment_matrix(spectrum: LimitSpectrum, lo: int, hi: int, centered: bool = True, shift: int = 0) -> np.ndarray:
-    """``M[a - lo, b - lo] = 2^(shift (a+ + b+)) Re int z^a conj(z)^b`` for ``a, b = lo..hi``, ``a+ = max(a, 0)``,
-    against ``|z - 1/m|^2 dnu`` when ``centered``, else against ``nu``.
-
-    On the circle an entry is ``r^{a+b} gamma_{|a-b|}``, the power by :func:`_power`; with atoms it is
-    ``sum_p w_p gamma_p^a conj(gamma_p)^b``, with ``w_p |gamma_p - 1/m|^2`` when centered, summed in atom order.
-    Either way an entry has the same bits whatever ``lo`` and ``hi`` are; entries past float64 are left for the
-    caller to name.  The scale is a power of two, so it changes no bits where a power of ``r`` or ``gamma_p`` is a
-    normal float; where one underflows, it is taken as ``(r 2^shift)^n`` or ``(gamma_p 2^shift)^n`` instead.
+    On the circle ``|z u| = 1``, so an entry is ``r^{-(a- + b-)} gamma_{|a-b|}``, the power one scalar power; with
+    atoms it is ``sum_p w_p g_a conj(g_b)`` with ``g_a = (gamma_p u)^a`` for ``a >= 0`` and ``gamma_p^a`` below, and
+    ``w_p |gamma_p - 1/m|^2`` when centered, summed in atom order.  Either way an entry has the same bits whatever
+    ``lo`` and ``hi`` are; entries past float64 are left for the caller to name.
     """
-    e, tiny = np.arange(lo, hi + 1, dtype=np.int32), np.finfo(float).tiny
-    lift = shift * np.maximum(e, 0)
+    e = np.arange(lo, hi + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         if spectrum.kind == "circle":
             gamma = (spectrum.centered if centered else spectrum.moments).upto(hi - lo)
-            r_pow = np.array([_power(spectrum.radius, k) for k in range(2 * lo, 2 * hi + 1)])
-            far = np.flatnonzero(r_pow < tiny)
-            r_pow = np.ldexp(r_pow, shift * np.arange(2 * lo, 2 * hi + 1, dtype=np.int32))  # r^n 2^(shift n)
-            r_pow[far] = [_power(math.ldexp(spectrum.radius, shift), int(n) + 2 * lo) for n in far]
-            down = lift - shift * e  # 2^(shift (a+ + b+)) = 2^(shift (a + b)) 2^(down_a + down_b)
-            return np.ldexp(r_pow[e[:, None] + e - 2 * lo], down[:, None] + down) * gamma[np.abs(e[:, None] - e)]
+            neg, r = np.maximum(-e, 0), np.float64(spectrum.radius)
+            r_pow = np.array([r**-n for n in range(2 * max(-lo, 0) + 1)])
+            return r_pow[neg[:, None] + neg] * gamma[np.abs(e[:, None] - e)]
         m, out = spectrum.m, np.zeros((len(e), len(e)), dtype=complex)
         for g, w in spectrum.atoms:
             weight = w * abs(g - 1.0 / m) ** 2 if centered else w
-            powers = np.complex128(g) ** e
-            scaled = np.ldexp(powers.real, lift) + 1j * np.ldexp(powers.imag, lift)
-            scaled = np.where(abs(powers) < tiny, np.complex128(g * 2.0**shift) ** e, scaled)
-            out += weight * (scaled[:, None] * np.conj(scaled))
+            plain, unit = np.complex128(g), np.complex128(g * math.sqrt(m))
+            powers = np.array([unit**a if a >= 0 else plain**a for a in range(lo, hi + 1)])
+            out += weight * (powers[:, None] * np.conj(powers))
         return out.real
 
 
 def _build_table(spectrum: LimitSpectrum, lo: int, hi: int) -> None:
     """Build the lag table of ``spectrum`` over the lags ``lo..hi`` (``lo < 0 < hi``): the symmetric part of ``raw[j, k]
-    = Re int zeta_k conj(zeta_j) dnu``, walked by :func:`_walk` down the centered moment matrix's rows, then columns.
-
-    Both walks scale each positive lag by ``2^shift``, ``shift`` the integer nearest ``log2 m^(1/2)``, and the table
-    keeps the scaled entries (see :class:`_LagTable`)."""
-    shift = round(math.log2(spectrum.m) / 2)
+    = Re int zeta_k conj(zeta_j) dnu``, walked by :func:`_walk` down the centered moment matrix's rows, then columns,
+    in the unit ``u = m^(1/2)`` of both (see :class:`_LagTable`)."""
+    m, u = spectrum.m, math.sqrt(spectrum.m)
     with np.errstate(over="ignore", invalid="ignore"):  # far negative lags can leave float64; the readers fault
-        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1, shift=shift), spectrum.m, lo, hi, shift)  # <q_k, z^b>
-        raw = _walk(pairs.T, spectrum.m, lo, hi, shift)
+        pairs = _walk(_moment_matrix(spectrum, lo, hi - 1), m, lo, hi, u)  # pairs[k, b] = <q_k, z^b>, in units
+        raw = _walk(pairs.T, m, lo, hi, u)
         cov = 0.5 * (raw + raw.T)
     cov.flags.writeable = False
     table = spectrum._table
-    table.lo, table.hi, table.shift, table.cov = lo, hi, shift, cov
-    table.e = shift * np.maximum(np.arange(lo, hi, dtype=np.int32), 0)  # lag j at index j - lo - (j > 0)
+    table.lo, table.hi, table.cov, table.n = lo, hi, cov, np.maximum(np.arange(lo, hi), 0)
+    table.down = np.array([u**-n for n in range(2 * hi - 1)])
 
 
 def _cov_matrix(spectrum: LimitSpectrum, vectors: list) -> np.ndarray:
     """Limiting covariance matrix of the statistics ``sum_k a_k zeta_k`` for coefficient vectors ``a``.
 
-    It is ``A C A^T`` over the lags the vectors use (``zeta_0 = 0`` adds nothing, nor does a zero coefficient); an
-    entry past float64 faults (RuntimeError).
+    It is ``A C A^T`` over the lags the vectors use (``zeta_0 = 0`` adds nothing, nor does a zero coefficient),
+    reading only their rows and columns of the lag table.  An entry past float64 faults (RuntimeError), as does a
+    variance below float64's normal range that reads a nonzero table entry (see :class:`_LagTable`).
     """
     support = [{int(k): float(c) for k, c in a.items() if k and c} for a in vectors]
-    lags = [0, *(k for a in support for k in a)]
-    _require_in("lag", max(lags, key=abs), -_MAX_LAG, _MAX_LAG)
-    lo, hi = min(lags), max(lags)
-    rows = np.zeros((len(support), hi - lo))
+    _require_in("lag", max([0, *(k for a in support for k in a)], key=abs), -_MAX_LAG, _MAX_LAG)
+    lags = sorted({k for a in support for k in a})
+    lo, hi = (min(lags[0], 0), max(lags[-1], 0)) if lags else (0, 0)
+    table, column = spectrum._lag_table(lo, hi), {k: i for i, k in enumerate(lags)}
+    rows = np.zeros((len(support), len(lags)))
     for row, a in zip(rows, support):
-        row[[k - lo - (k > 0) for k in a]] = list(a.values())
+        row[[column[k] for k in a]] = list(a.values())
+    index = np.array([k - table.lo - (k > 0) for k in lags], dtype=int)  # table.index(k), inline for speed
+    n = table.n[index]
     # A fresh contiguous array keeps BLAS on the same path whatever the size of the table it came from.
-    table = spectrum._lag_cov(lo, hi)
+    block, scale = table.cov.take(index, 0).take(index, 1), table.down[n[:, None] + n]
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = rows @ table @ rows.T
-    if not np.all(np.isfinite(cov)):
+        cov = rows @ (block * scale) @ rows.T
+        finite = math.isfinite(cov.sum()) or np.isfinite(cov).all()  # a finite sum has finite entries
+    if not finite:
         raise RuntimeError(f"a limiting covariance over the lags {lo}..{hi} left float64")
+    small = [i for i, v in enumerate(cov.diagonal().tolist()) if abs(v) < _TINY]
+    if small and ((rows[small] != 0.0) @ (block != 0.0) @ (rows[small].T != 0.0)).diagonal().any():  # nonzero reads
+        raise RuntimeError(f"a limiting variance over the lags {lo}..{hi} is below float64's normal range")
     return 0.5 * (cov + cov.T)
 
 
@@ -334,12 +328,15 @@ def variance(spectrum: LimitSpectrum, a: dict[int, float]) -> float:
 
 def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) -> float:
     """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols; faults (RuntimeError) past
-    float64."""
+    float64.  The coefficient of ``z^a`` is taken times ``r^(a+)``, ``r = m^(-1/2)``, onto the moment matrix's
+    ``(z u)^a``."""
     keys = [int(k) for k in (*f, *g)] or [0]
     lo, hi = min(keys), max(keys)
     rows = np.zeros((2, hi - lo + 1))
     for row, symbol in zip(rows, (f, g)):
         row[[int(k) - lo for k in symbol]] = list(symbol.values())
+    r = spectrum.m**-0.5
+    rows *= [r ** max(a, 0) for a in range(lo, hi + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
         value = float(rows[0] @ _moment_matrix(spectrum, lo, hi, centered=False) @ rows[1])
     if not math.isfinite(value):
@@ -351,30 +348,32 @@ def cov_lagged(spectrum: LimitSpectrum, k: int, ell: int) -> float:
     """Covariance of ``zeta_k`` with its ``ell``-step-later counterpart, ``Re int (z m^(1/2))^ell |zeta_k|^2 dnu``.
 
     As ``z^ell zeta_k = zeta_{k+ell} - m^-k zeta_ell``, it is ``m^(ell/2) C[k+ell, k] - m^(ell/2-k) C[ell, k]`` read
-    from the lag table, a term at lag 0 being 0; so ``cov_lagged(k, 0)`` is the table's diagonal, as ``variance``
-    reads it.  Each term is taken from the table's scaled entry and one power of ``m^(1/2) 2^-shift``, so it stays in
-    range wherever it is itself a normal float.  The table may grow to lag ``k + ell``, at most 512.  Faults
-    (RuntimeError) past float64.
+    from the lag table, a term at lag 0 being 0: ``m^(p/2) C[j, k]`` is the stored entry times the one power
+    ``u^(p - j' - k')``, so ``cov_lagged(k, 0)`` is the table's diagonal, as ``variance`` reads it.  The table may
+    grow to lag ``k + ell``, at most 512.  Faults (RuntimeError) past float64, and where the variance of ``zeta_k``
+    is below float64's normal range but not 0: the covariance, which it bounds, is then lost too.
     """
     _require_in("k", k, -_MAX_LAG, _MAX_LAG)
     _require_in("ell", ell, 0, _MAX_LAG)
     if k == 0:
         return 0.0  # zeta_0 = 0
-    table = spectrum._lag_table(min(k, 0), max(k, 0) + ell)
-    rho = math.ldexp(math.sqrt(spectrum.m), -table.shift)
+    table, u = spectrum._lag_table(min(k, 0), max(k, 0) + ell), math.sqrt(spectrum.m)
 
-    def term(j: int, p: int) -> float:  # m^(p/2) C[j, k] = rho^p 2^(shift p) C[j, k]
+    def term(j: int, p: int) -> float:  # m^(p/2) C[j, k]
         if j == 0:
             return 0.0
-        scaled = float(table.cov[table.index(j), table.index(k)]) * _power(rho, p)
+        entry = float(table.cov[table.index(j), table.index(k)])
         try:
-            return math.ldexp(scaled, table.shift * p - int(table.e[table.index(j)] + table.e[table.index(k)]))
+            return entry * u ** (p - max(j - 1, 0) - max(k - 1, 0))
         except OverflowError:  # past float64, named below
-            return math.inf
+            return entry * math.inf
 
     value = term(k + ell, ell) - term(ell, ell - 2 * k)
     if not math.isfinite(value):
         raise RuntimeError(f"the covariance of zeta_{k} at lag ell = {ell} left float64")
+    own = table.cov[table.index(k), table.index(k)] if k > 1 else 0.0  # below lag 2 the variance's scale is 1
+    if own and abs(own * table.down[2 * k - 2]) < _TINY:  # the variance of zeta_k, as variance reads it
+        raise RuntimeError(f"the covariance of zeta_{k} at lag ell = {ell} is below float64's normal range")
     return value
 
 

@@ -1,5 +1,5 @@
-"""``tools/bench_pairs.py`` counts and reports runs whose outputs failed the benchmark's checks, and gives each
-metric a verdict."""
+"""``tools/bench_pairs.py`` counts and reports runs whose outputs failed the benchmark's checks, names a tree whose
+source changed during the run, and gives each metric a verdict."""
 
 from __future__ import annotations
 
@@ -41,6 +41,33 @@ def test_incorrect_runs_are_counted_and_fail_the_script(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(bench, "_run", lambda *a: {"correct": True, "environment": {}, "metrics": {"units_per_s": 1.0}})
     assert bench.main(args) == 0
+
+
+def test_a_tree_whose_source_changes_mid_run_fails_the_script(tmp_path, monkeypatch, capsys):
+    bench = _load()
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "units_per_s", "better": "higher", "bound": 0.25}]})
+    )
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "_unpack", lambda rev, dest: "0" * 40)
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):  # the tree's source is edited after its third run
+        side = "tree" if checkout == tmp_path else "parent"
+        calls.append(side)
+        digest = "p" if side == "parent" else ("a" if calls.count("tree") <= 3 else "b")
+        return {"correct": True, "environment": {"src_sha256": digest}, "metrics": {"units_per_s": float(seed)}}
+
+    monkeypatch.setattr(bench, "_run", fake_run)
+    args = ["--parent", "HEAD", "--label", "t", "--seeds", "11-13", "--seconds", "1", "--workloads", "w1,w2"]
+    assert bench.main(args) == 1
+    assert "source changed during the run: w2 seed 11 measured src_sha256 other than the first pair's a" in (
+        capsys.readouterr().err)
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["src_sha256"] == "a"
+    pairs = [p for w in ("w1", "w2") for p in report["workloads"][w]["pairs"]]
+    assert [p["tree"]["src_sha256"] for p in pairs] == ["a"] * 3 + ["b"] * 3
+    assert {p["parent"]["src_sha256"] for p in pairs} == {"p"}
 
 
 def _pairs(parent, tree, name="m"):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
 import math
 import pathlib
 import re
@@ -36,6 +37,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cmjfluct import limits
+from cmjfluct.cli import main
 from cmjfluct.errors import RefusalError
 from cmjfluct.limits import (
     Autocovariance,
@@ -857,6 +859,33 @@ def test_pairings_past_float64_fault_by_name():
         assert cov_lagged(spec, -150, 0) == variance(spec, {-150: 1.0}) == 1.3013133825812566e232
 
 
+def test_a_covariance_below_float64_faults_by_name(tmp_path, capsys):
+    # m = 36: the variance of zeta_256 is about 36^-256, some 1e-398, which is 0 in float64, and that of zeta_196 a
+    # subnormal; both read as such without a fault (2.2e-315 at lag 200).  Lag 195 stays normal, and a lag whose
+    # variance underflows costs a vector nothing when the vector's variance stays normal
+    atoms = [(0.5, (29, 216)), (0.5, (31, 216))]
+    _, spec = spectrum_of(make_law(atoms))
+    assert spec.m == 36.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (196, 200, _MAX_LAG):
+            with pytest.raises(RuntimeError, match=rf"variance over the lags 0\.\.{k} is below float64's normal"):
+                variance(spec, {k: 1.0})
+            for ell in (0, 3):
+                with pytest.raises(RuntimeError, match=rf"zeta_{k} at lag ell = {ell} is below float64's normal"):
+                    cov_lagged(spec, k, ell)
+        assert 1e-308 < variance(spec, {195: 1.0}) == cov_lagged(spec, 195, 0) < 1e-306
+        assert variance(spec, {1: 1.0, _MAX_LAG: 1.0}) == variance(spec, {1: 1.0})
+        # a zero measure reads 0 at any lag, however small the scale
+        _, zero = spectrum_of(make_law([(1.0, (36,))]))
+        assert variance(zero, {_MAX_LAG: 1.0}) == cov_lagged(zero, _MAX_LAG, 3) == 0.0
+    config = {"command": "limits", "law": {"atoms": [{"prob": p, "births": list(b)} for p, b in atoms]},
+              "lags": [_MAX_LAG], "outdir": str(tmp_path / "out")}
+    (tmp_path / "limits.json").write_text(json.dumps(config))
+    assert main([str(tmp_path / "limits.json")]) == 3
+    assert f"variance over the lags 0..{_MAX_LAG} is below float64's normal range" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["gw13", "law_i", "law_ii", "m6"])
 def test_lagged_covariance_at_lag_zero_is_the_variance_bit_for_bit(name, request):
     # cov_lagged walks q_k by the lag table's own recursion, so at ell = 0 it reads the table's diagonal exactly
@@ -938,20 +967,32 @@ def test_lagged_covariance_matches_a_walk_at_its_time_lag(name, request):
 
 
 @pytest.mark.parametrize("name", ["law_i", "pair_ii", "m6", "m9_ii", "m12"])
-def test_the_scaled_lag_table_reads_the_bits_of_an_unscaled_walk(name, request):
-    # the table walks each positive lag scaled by a power of two; read back, an entry has the bits of the walk
-    # without the scale wherever that walk stays a normal float
+def test_the_lag_table_reads_a_walk_in_plain_powers(name, request):
+    # the table walks zeta in the unit m^(1/2) and unscales on the read; over lags -256..256 every entry read through
+    # _lag_cov is within 1e-12 sqrt(C_jj C_kk) of a walk of plain powers wherever that walk is a normal float.  The
+    # worst gaps on these laws run from 1.1e-14 (law_i) to 1.35e-13 (m9_ii)
     law = make_law(_LAGGED_LAWS[name]) if name in _LAGGED_LAWS else request.getfixturevalue(name)
     _, spec = spectrum_of(law)
+    lo, hi, m = -_MAX_LAG, _MAX_LAG, spec.m
+    e = np.arange(lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
-        plain = _walk(_walk(limits._moment_matrix(spec, -_MAX_LAG, _MAX_LAG - 1), spec.m, -_MAX_LAG, _MAX_LAG).T,
-                      spec.m, -_MAX_LAG, _MAX_LAG)
+        if spec.kind == "circle":
+            matrix = np.float64(spec.radius) ** (e[:, None] + e) * spec.centered.upto(hi - lo)[np.abs(e[:, None] - e)]
+        else:
+            matrix = np.zeros((len(e), len(e)), dtype=complex)
+            for g, w in spec.atoms:
+                powers = np.complex128(g) ** e
+                matrix += w * abs(g - 1.0 / m) ** 2 * (powers[:, None] * np.conj(powers))
+            matrix = matrix.real
+        plain = _walk(_walk(matrix, m, lo, hi).T, m, lo, hi)
         plain = 0.5 * (plain + plain.T)
-        table = spec._lag_cov(-_MAX_LAG, _MAX_LAG)
-    assert spec._table.shift == round(math.log2(spec.m) / 2)
-    normal = (np.abs(plain) >= np.finfo(float).tiny) | (plain == 0.0)
-    assert normal[_MAX_LAG:, _MAX_LAG:].all()  # no positive-lag entry is subnormal at these m
-    assert np.array_equal(table[normal], plain[normal])
+        table = spec._lag_cov(lo, hi)
+        sd = np.sqrt(np.diag(plain))
+        scale = np.outer(sd, sd)
+        gap = np.abs(table - plain) / scale
+    normal = np.isfinite(plain) & (np.abs(plain) >= np.finfo(float).tiny) & np.isfinite(scale)
+    assert normal[_MAX_LAG:, _MAX_LAG:].mean() > 0.99  # the positive lags, which the unit keeps in range, are read
+    assert gap[normal].max() <= 1e-12, gap[normal].max()
 
 
 def test_lagged_covariance_reads_the_table_it_widened(law_i, law_ii):

@@ -13,6 +13,10 @@ relative change of the medians, the pairs the tree won (ties count for neither s
 ``_verdict``), with the direction of "better" and the bound taken from ``BENCHMARK.json``.  Each workload's
 summary also counts the runs, per side, whose outputs failed the benchmark's correctness checks; if any did, the
 file is still written and the script exits 1, naming the workload, seed and side of each.
+
+Each run's record keeps the ``src_sha256`` of the source it measured, and the file's top level the tree's, taken from
+the first pair.  If a later tree run measured other source (the working tree changed during the run), the file is
+still written and the script exits 1, naming the first such pair.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     report = {"label": args.label, "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
-    incorrect = []
+    incorrect, moved = [], []
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = pathlib.Path(tmp)
         report["parent_commit"] = _unpack(args.parent, parent)
@@ -131,7 +135,11 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: units_per_s {pair[side]['metrics']['units_per_s']:.6g}",
                           file=sys.stderr, flush=True)
                 environment = {side: pair[side].pop("environment") for side in ("parent", "tree")}
+                for side in ("parent", "tree"):
+                    pair[side]["src_sha256"] = environment[side].get("src_sha256")
                 report.setdefault("environment", environment)
+                if report.setdefault("src_sha256", pair["tree"]["src_sha256"]) != pair["tree"]["src_sha256"]:
+                    moved.append(f"{workload} seed {seed}")
                 pairs.append(pair)
             report["workloads"][workload] = {"summary": _summary(pairs, metrics), "pairs": pairs}
             incorrect += [f"{workload} seed {p['seed']} {side}" for p in pairs for side in ("parent", "tree")
@@ -141,8 +149,10 @@ def main(argv=None) -> int:
     print(path)
     if incorrect:
         print(f"{len(incorrect)} run(s) failed the correctness checks: {', '.join(incorrect)}", file=sys.stderr)
-        return 1
-    return 0
+    if moved:
+        print(f"the tree's source changed during the run: {moved[0]} measured src_sha256 other than the first "
+              f"pair's {report['src_sha256']}", file=sys.stderr)
+    return 1 if incorrect or moved else 0
 
 
 if __name__ == "__main__":
