@@ -426,7 +426,7 @@ def oscillation_residual(config: ExperimentConfig, *, report: SpectralReport | N
     values = np.zeros((used, len(crits)), dtype=complex)
     means, ses = [], []
     for p, g in enumerate(crits):
-        values[:, p], centered = _coefficient_estimates(W, tab.mu, g, n)
+        values[:, p], centered = _coefficient_estimates(W, report.derivs[report.roots.index(g)], g, n)
         means.append(complex(centered.mean()))
         ses.append(math.sqrt((centered.real.var(ddof=1) + centered.imag.var(ddof=1)) / used))
     mean_z = max(abs(mu) / se if se > 0 else 0.0 for mu, se in zip(means, ses))

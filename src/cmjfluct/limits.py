@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import RefusalError
 from .offspring import _SIGMA_CLAMP, OffspringLaw, _polyval, _sigma_folds, _sigma_form, moments
-from .spectral import _MAX_LAG, SpectralReport, _pow2_at_least, _require_in, vector_v
+from .spectral import _MAX_LAG, SpectralReport, _pow2_at_least, _require_in, _zeta_window, vector_v
 
 __all__ = [
     "Autocovariance",
@@ -327,9 +327,10 @@ def variance(spectrum: LimitSpectrum, a: dict[int, float]) -> float:
 
 
 def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) -> float:
-    """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols; faults (RuntimeError) past
-    float64.  The coefficient of ``z^a`` is taken times ``r^(a+)``, ``r = m^(-1/2)``, onto the moment matrix's
-    ``(z u)^a``."""
+    """Real L^2(nu) inner product ``Re int F(z) conj(G(z)) dnu`` of raw Laurent symbols.  The coefficient of ``z^a`` is
+    taken times ``r^(a+)``, ``r = m^(-1/2)``, onto the moment matrix's ``(z u)^a``.  Faults (RuntimeError) past
+    float64, and where two nonzero symbols pair on a nonzero measure at a scale ``sum |f_a r^(a+)| |M_ab| |g_b
+    r^(b+)|`` below float64's normal range: the value, which it bounds, is then lost too."""
     keys = [int(k) for k in (*f, *g)] or [0]
     lo, hi = min(keys), max(keys)
     rows = np.zeros((2, hi - lo + 1))
@@ -338,9 +339,12 @@ def cov_pair(spectrum: LimitSpectrum, f: dict[int, float], g: dict[int, float]) 
     r = spectrum.m**-0.5
     rows *= [r ** max(a, 0) for a in range(lo, hi + 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(rows[0] @ _moment_matrix(spectrum, lo, hi, centered=False) @ rows[1])
+        moment = _moment_matrix(spectrum, lo, hi, centered=False)
+        value, scale = float(rows[0] @ moment @ rows[1]), float(abs(rows[0]) @ abs(moment) @ abs(rows[1]))
     if not math.isfinite(value):
         raise RuntimeError(f"the pairing of {f} with {g} left float64")
+    if scale < _TINY and any(f.values()) and any(g.values()) and spectrum.total_mass > 0.0:
+        raise RuntimeError(f"the pairing of {f} with {g} is below float64's normal range")
     return value
 
 
@@ -564,7 +568,8 @@ def _require_oscillating(report: SpectralReport) -> None:
 
 
 def oscillation_profile(report: SpectralReport, U, n: int, trunc: int) -> np.ndarray:
-    """Regime-III oscillation profile ``sum_p (conj(gamma_p)/|gamma_p|)^n U_p u_p`` over the window ``0..trunc``.
+    """Regime-III oscillation profile ``sum_p (conj(gamma_p)/|gamma_p|)^n U_p u_p`` over the window ``0..trunc``, with
+    ``u_p`` the ``zeta_k`` window at ``gamma_p`` (:func:`~cmjfluct.spectral._zeta_window`).
 
     ``U`` holds one complex coefficient per critical root along its last axis (aligned with ``report.gamma_crit``);
     leading axes index replicates, and the result has shape ``(..., trunc + 1)``.  In every row a real root must
@@ -591,10 +596,8 @@ def oscillation_profile(report: SpectralReport, U, n: int, trunc: int) -> np.nda
             if q is None or (abs(rows[:, q] - rows[:, p].conj()) > tol).any():
                 raise ValueError(f"conjugate-symmetry violated for root pair at {g!r}")
     profile = np.zeros((len(rows), trunc + 1), dtype=complex)
-    inv_m = 1.0 / report.m
     for p, g in enumerate(crit):
-        u = np.array([g**k - inv_m**k for k in range(trunc + 1)])
-        profile += ((g.conjugate() / abs(g)) ** n * rows[:, p])[:, None] * u
+        profile += ((g.conjugate() / abs(g)) ** n * rows[:, p])[:, None] * _zeta_window(g, report.m, trunc)
     if (abs(profile.imag) > 1e-10 * np.maximum(1.0, abs(profile).max(axis=1, keepdims=True))).any():
         raise RuntimeError("profile has a non-vanishing imaginary part; conjugate symmetry check missed a case")
     return profile.real.reshape(*U.shape[:-1], trunc + 1)

@@ -28,14 +28,7 @@ from operator import add, mul
 import numpy as np
 
 from .limits import _require_oscillating, _series_ratio
-from .offspring import (
-    OffspringLaw,
-    _poly_deriv,
-    _polyval,
-    _require_admissible,
-    law_fingerprint,
-    moments,
-)
+from .offspring import OffspringLaw, _require_admissible, law_fingerprint, moments
 from .spectral import _MAX_LAG, SpectralReport, _orbit, _require_in
 
 __all__ = [
@@ -430,7 +423,7 @@ def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, 
     g = complex(match)
     _require_in("n0", n0, 0, trace.horizon)
     W = _births_innovations(trace.B_float[: n0 + 1], moments.mu)
-    value, centered = _coefficient_estimates(W, moments.mu, g, n0)
+    value, centered = _coefficient_estimates(W, report.derivs[report.roots.index(g)], g, n0)
     return UEstimate(
         value=complex(value),
         centered=complex(centered),
@@ -440,13 +433,14 @@ def estimate_U(trace: Trace, moments, report: SpectralReport, gamma_i: complex, 
     )
 
 
-def _coefficient_estimates(W: np.ndarray, mu, g: complex, n0: int):
-    """``(value, centered)`` of the coefficient at root ``g`` from innovations ``W[..., :n0 + 1]``.
+def _coefficient_estimates(W: np.ndarray, deriv: complex, g: complex, n0: int):
+    """``(value, centered)`` of the coefficient at root ``g`` from innovations ``W[..., :n0 + 1]``, given
+    ``deriv = mu_hat'(g)`` as the spectral report holds it (``report.derivs``).
 
     Leading axes of ``W`` index replicates; ``centered`` drops the seed term ``W_0``.
     """
     partial = np.sum(g ** np.arange(n0 + 1) * W[..., : n0 + 1], axis=-1)
-    scale = -1.0 / (g * (g - 1.0) * _polyval(_poly_deriv(mu), g))
+    scale = -1.0 / (g * (g - 1.0) * deriv)
     return scale * partial, scale * (partial - W[..., 0])
 
 

@@ -318,12 +318,23 @@ def _pow2_at_least(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
+def _zeta_window(x: complex, m: float, trunc: int, denom: complex = 1.0) -> np.ndarray:
+    """The one evaluator of the symbol ``zeta_k(x) = x^k - m^-k`` at a point: ``zeta_k(x) / denom``, ``k = 0..trunc``.
+
+    Each entry is ``x**k - (1/m)**k`` in Python scalar powers, the division last; a power past float64 raises
+    ``OverflowError``.  The window is real when ``x`` and ``denom`` have zero imaginary part, complex otherwise."""
+    x, denom, inv_m = complex(x), complex(denom), 1.0 / m
+    zeta = np.array([x**k - inv_m**k for k in range(trunc + 1)])
+    return zeta.real / denom.real if x.imag == 0.0 and denom.imag == 0.0 else zeta / denom
+
+
 def eigen_direction(law: OffspringLaw, gamma: complex, m: float, trunc: int):
     """Eigenvector window of T at eigenvalue ``1/gamma`` for a simple root.
 
     Returns ``(u, u_scaled)`` with ``u_k = gamma^k - m^-k`` (so ``T u = u / gamma``)
     and ``u_scaled = u / (gamma (gamma - 1) mu_hat'(gamma))``, the coefficient
-    vector that pairs with the innovations in the oscillation expansion.
+    vector that pairs with the innovations in the oscillation expansion; both
+    are read from :func:`_zeta_window`.
 
     Faults if ``gamma`` is not a root to 1e-10, coincides with ``1/m``
     (degenerate direction), or is a multiple root (``mu_hat'(gamma) = 0``).
@@ -338,21 +349,15 @@ def eigen_direction(law: OffspringLaw, gamma: complex, m: float, trunc: int):
     deriv = _polyval(_poly_deriv(mu), gamma)
     if abs(deriv) <= 1e-8:
         raise ValueError(f"mu_hat'(gamma) = {deriv!r}: gamma is a multiple root, no simple direction")
-    k = np.arange(trunc + 1)
-    real_dir = gamma.imag == 0.0
-    base = (gamma.real if real_dir else gamma) ** k
-    u = base - (1.0 / m) ** k
-    scale = gamma * (gamma - 1.0) * deriv
-    scaled = u / (scale.real if real_dir and scale.imag == 0.0 else scale)
-    return u, scaled
+    return _zeta_window(gamma, m, trunc), _zeta_window(gamma, m, trunc, gamma * (gamma - 1.0) * deriv)
 
 
 def resolvent_vector(lam: complex, law: OffspringLaw, m: float, trunc: int) -> np.ndarray:
     """Solution window of ``(lam - T) f = v`` for admissible ``lam``.
 
-    ``f_k = (lam^-k - m^-k) / ((1 - lam)(1 - mu_hat(1/lam)))``.  Faults when
-    ``1/lam`` is within 1e-8 of a root of ``mu_hat(z) = 1`` (the resolvent
-    blows up) or ``lam`` is within 1e-12 of 1.
+    ``f_k = (lam^-k - m^-k) / ((1 - lam)(1 - mu_hat(1/lam)))``, read from :func:`_zeta_window` at ``1/lam``.
+    Faults when ``1/lam`` is within 1e-8 of a root of ``mu_hat(z) = 1`` (the resolvent blows up) or ``lam`` is
+    within 1e-12 of 1.
     """
     lam = complex(lam)
     if lam == 0:
@@ -363,10 +368,4 @@ def resolvent_vector(lam: complex, law: OffspringLaw, m: float, trunc: int) -> n
         raise ValueError(f"1/lam = {1.0 / lam!r} is too close to a root: |mu_hat - 1| = {float(abs(mu_at - 1.0))!r}")
     if abs(lam - 1.0) <= 1e-12:
         raise ValueError("lam = 1 is a pole of the resolvent formula")
-    denom = (1.0 - lam) * (1.0 - mu_at)
-    k = np.arange(trunc + 1)
-    # Integer exponents keep negative real bases well-defined under numpy power.
-    real_case = lam.imag == 0.0
-    base = (1.0 / lam.real if real_case else 1.0 / lam) ** k
-    f = (base - (1.0 / m) ** k) / (denom.real if real_case and denom.imag == 0.0 else denom)
-    return f
+    return _zeta_window(1.0 / lam, m, trunc, (1.0 - lam) * (1.0 - mu_at))

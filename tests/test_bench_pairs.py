@@ -1,11 +1,16 @@
 """``tools/bench_pairs.py`` counts and reports runs whose outputs failed the benchmark's checks, names a tree whose
-source changed during the run, and gives each metric a verdict."""
+source changed during the run, gives each metric a verdict, and cleans up after itself when terminated."""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import pathlib
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -68,6 +73,41 @@ def test_a_tree_whose_source_changes_mid_run_fails_the_script(tmp_path, monkeypa
     pairs = [p for w in ("w1", "w2") for p in report["workloads"][w]["pairs"]]
     assert [p["tree"]["src_sha256"] for p in pairs] == ["a"] * 3 + ["b"] * 3
     assert {p["parent"]["src_sha256"] for p in pairs} == {"p"}
+
+
+_SLEEPER = """
+import importlib.util, pathlib, subprocess, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+bench.ROOT = pathlib.Path(sys.argv[2])
+bench._unpack = lambda rev, dest: "0" * 40
+sleeper = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); time.sleep(30)"
+bench._run = lambda *a: subprocess.run([sys.executable, "-c", sleeper, sys.argv[3]])  # a benchmark that never ends
+bench.main(["--parent", "HEAD", "--label", "t", "--seeds", "1", "--seconds", "1", "--workloads", "w1"])
+"""
+
+
+def test_a_terminated_run_removes_its_checkout_and_its_benchmark(tmp_path):
+    private, root, pid_file = tmp_path / "tmp", tmp_path / "root", tmp_path / "benchmark.pid"
+    private.mkdir()
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    proc = subprocess.Popen([sys.executable, "-c", _SLEEPER, str(_PATH), str(root), str(pid_file)],
+                            env={**os.environ, "TMPDIR": str(private)})
+    try:
+        deadline = time.monotonic() + 30.0
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert list(private.glob("bench-parent-*")), "the checkout directory was never made"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30.0) != 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not list(private.glob("bench-parent-*"))
+    with pytest.raises(ProcessLookupError):  # killed and reaped before the script exited
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def _pairs(parent, tree, name="m"):

@@ -55,7 +55,7 @@ from cmjfluct.limits import (
 )
 from cmjfluct.offspring import _polyval, _sigma_form, make_law, moments, validate_law
 from cmjfluct.simulate import Trace, martingale_qv
-from cmjfluct.spectral import _MAX_LAG, classify
+from cmjfluct.spectral import _MAX_LAG, classify, eigen_direction
 
 
 def _circle_density(report, tab, M: int):
@@ -886,6 +886,21 @@ def test_a_covariance_below_float64_faults_by_name(tmp_path, capsys):
     assert f"variance over the lags 0..{_MAX_LAG} is below float64's normal range" in capsys.readouterr().err
 
 
+def test_a_raw_pairing_below_float64_faults_by_name():
+    # the same m = 36 law: {400} paired with itself read 0.0 and {200} 2.2e-315 without a fault; the rule reads the
+    # pairing's scale, not its value, so a pairing that cancels to 0 at a normal scale still reads 0
+    _, spec = spectrum_of(make_law([(0.5, (29, 216)), (0.5, (31, 216))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, g in (({400: 1.0}, {400: 1.0}), ({200: 1.0}, {200: 1.0}), ({1: 1.0, 400: 1.0}, {400: 1.0})):
+            with pytest.raises(RuntimeError, match=re.escape(f"the pairing of {f} with {g} is below float64's normal")):
+                cov_pair(spec, f, g)
+        assert 1e-308 < cov_pair(spec, {195: 1.0}, {195: 1.0}) < 1e-306
+        assert cov_pair(spec, {400: 1.0}, {}) == cov_pair(spec, {400: 0.0}, {400: 1.0}) == 0.0
+        _, zero = spectrum_of(make_law([(1.0, (30, 216))]))  # a zero measure reads 0, however small the scale
+        assert zero.total_mass == 0.0 and cov_pair(zero, {400: 1.0}, {400: 1.0}) == 0.0
+
+
 @pytest.mark.parametrize("name", ["gw13", "law_i", "law_ii", "m6"])
 def test_lagged_covariance_at_lag_zero_is_the_variance_bit_for_bit(name, request):
     # cov_lagged walks q_k by the lag table's own recursion, so at ell = 0 it reads the table's diagonal exactly
@@ -1112,6 +1127,23 @@ def test_profile_wrong_coefficient_count_faults(law_iii):
     for bad in ([0.5, 0.5], np.zeros((3, 2)), np.zeros((3, 0)), 0.5):
         with pytest.raises(ValueError, match="need 1 coefficients"):
             oscillation_profile(report, bad, 6, 8)
+
+
+@pytest.mark.parametrize("name", ["law_iii", "pair_iii"])
+def test_profile_at_time_zero_is_the_eigen_window(name, request):
+    """One evaluator of ``zeta_k`` serves both: at ``n = 0`` with unit weight the profile is the eigen window (its real
+    part for a conjugate pair, weighted 1/2 each), bit for bit on law_iii's real root and to 1e-15 on the pair."""
+    law = make_law([(0.5, (0, 2, 12)), (0.5, (2, 2, 12))]) if name == "pair_iii" else request.getfixturevalue(name)
+    report = classify(law)
+    crit, trunc = report.gamma_crit, law.max_age + _MAX_LAG
+    u, _ = eigen_direction(law, crit[0], report.m, trunc)
+    if name == "law_iii":
+        assert len(crit) == 1 and u.dtype == float
+        assert oscillation_profile(report, [1.0], 0, trunc).tobytes() == u.tobytes()
+    else:
+        assert len(crit) == 2 and crit[1] == crit[0].conjugate()
+        prof = oscillation_profile(report, [0.5, 0.5], 0, trunc)
+        assert np.max(np.abs(prof - u.real)) <= 1e-15 * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("atoms", [[(0.5, (0, 9)), (0.5, (2, 9))], [(0.5, (0, 2, 12)), (0.5, (2, 2, 12))]])

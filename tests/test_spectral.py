@@ -305,6 +305,16 @@ def test_eigen_direction_faults(law_ii, nonsimple_ii):
         eigen_direction(nonsimple_ii, -0.5, 4.0, trunc=10)
 
 
+def test_a_window_power_past_float64_raises(law_i):
+    # the windows are Python scalar powers (spectral._zeta_window): one past float64 raises rather than reading inf
+    m = 1.0 + SQRT2
+    assert np.isfinite(eigen_direction(law_i, -m, m, trunc=800)[0]).all()  # (1 + sqrt 2)^k passes float64 from k = 806
+    with pytest.raises(OverflowError):
+        eigen_direction(law_i, -m, m, trunc=810)
+    with pytest.raises(OverflowError):
+        resolvent_vector(1e-3, law_i, m, trunc=110)
+
+
 def test_resolvent_oracle_gw13(gw13):
     # lam = 4: f_k = -(2/3)(4^-k - 2^-k); f_1 = 1/6.
     f = resolvent_vector(4.0, gw13, 2.0, trunc=12)

@@ -16,7 +16,8 @@ file is still written and the script exits 1, naming the workload, seed and side
 
 Each run's record keeps the ``src_sha256`` of the source it measured, and the file's top level the tree's, taken from
 the first pair.  If a later tree run measured other source (the working tree changed during the run), the file is
-still written and the script exits 1, naming the first such pair.
+still written and the script exits 1, naming the first such pair.  Stopped by SIGTERM, the script exits 143 and
+leaves no checkout or benchmark process behind.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import io
 import json
 import pathlib
+import signal
 import statistics
 import subprocess
 import sys
@@ -64,6 +66,12 @@ def _run(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> di
     environment, result = (json.loads(line) for line in out.stdout.strip().split("\n")[-2:])
     return {"correct": result["correct"], "environment": environment["environment"],
             "metrics": {name: m["value"] for name, m in result["metrics"].items()}}
+
+
+def _stop(signum, frame):
+    """Unwind on SIGTERM as on Ctrl-C: the parent checkout is removed, and ``subprocess.run`` kills a running
+    benchmark on the way out."""
+    raise SystemExit(128 + signum)
 
 
 def _verdict(row: dict, parent: list[float], tree: list[float], bound: float) -> str:
@@ -122,28 +130,32 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     report = {"label": args.label, "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
     incorrect, moved = [], []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = pathlib.Path(tmp)
-        report["parent_commit"] = _unpack(args.parent, parent)
-        for workload in args.workloads.split(","):
-            pairs = []
-            for i, seed in enumerate(args.seeds):
-                order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
-                pair = {"seed": seed, "first": order[0]}
-                for side in order:
-                    pair[side] = _run(parent if side == "parent" else ROOT, workload, seed, args.seconds)
-                    print(f"{workload} seed {seed} {side}: units_per_s {pair[side]['metrics']['units_per_s']:.6g}",
-                          file=sys.stderr, flush=True)
-                environment = {side: pair[side].pop("environment") for side in ("parent", "tree")}
-                for side in ("parent", "tree"):
-                    pair[side]["src_sha256"] = environment[side].get("src_sha256")
-                report.setdefault("environment", environment)
-                if report.setdefault("src_sha256", pair["tree"]["src_sha256"]) != pair["tree"]["src_sha256"]:
-                    moved.append(f"{workload} seed {seed}")
-                pairs.append(pair)
-            report["workloads"][workload] = {"summary": _summary(pairs, metrics), "pairs": pairs}
-            incorrect += [f"{workload} seed {p['seed']} {side}" for p in pairs for side in ("parent", "tree")
-                          if not p[side]["correct"]]
+    previous = signal.signal(signal.SIGTERM, _stop)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+            parent = pathlib.Path(tmp)
+            report["parent_commit"] = _unpack(args.parent, parent)
+            for workload in args.workloads.split(","):
+                pairs = []
+                for i, seed in enumerate(args.seeds):
+                    order = ("parent", "tree") if i % 2 == 0 else ("tree", "parent")
+                    pair = {"seed": seed, "first": order[0]}
+                    for side in order:
+                        pair[side] = _run(parent if side == "parent" else ROOT, workload, seed, args.seconds)
+                        print(f"{workload} seed {seed} {side}: units_per_s {pair[side]['metrics']['units_per_s']:.6g}",
+                              file=sys.stderr, flush=True)
+                    environment = {side: pair[side].pop("environment") for side in ("parent", "tree")}
+                    for side in ("parent", "tree"):
+                        pair[side]["src_sha256"] = environment[side].get("src_sha256")
+                    report.setdefault("environment", environment)
+                    if report.setdefault("src_sha256", pair["tree"]["src_sha256"]) != pair["tree"]["src_sha256"]:
+                        moved.append(f"{workload} seed {seed}")
+                    pairs.append(pair)
+                report["workloads"][workload] = {"summary": _summary(pairs, metrics), "pairs": pairs}
+                incorrect += [f"{workload} seed {p['seed']} {side}" for p in pairs for side in ("parent", "tree")
+                              if not p[side]["correct"]]
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(path)
