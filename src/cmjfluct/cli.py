@@ -155,6 +155,8 @@ def parse_config(text: str) -> RunConfig:
         if value is not None and not lo <= value <= hi:
             raise UsageError(f"config.{key}: {value} is outside [{lo}, {hi}]")
     seed = _as_int(obj.get("seed", 0), "config.seed")
+    if seed < 0:
+        raise UsageError(f"config.seed: {seed} is negative")
     lags_raw = obj.get("lags", [1])
     if not isinstance(lags_raw, list) or not lags_raw:
         raise UsageError("config.lags: expected a non-empty list of integers")

@@ -1,10 +1,11 @@
 """Monte Carlo campaigns confronting empirical fluctuations with the limit theory.
 
-Each campaign simulates R independent replicates in int64 blocks (see
-``simulate._simulate_blocks``): replicate ``i``'s path depends only on
+Each campaign simulates R independent replicates in blocks of int64 births
+(see ``simulate._simulate_blocks``): replicate ``i``'s path depends only on
 ``(master_seed, domain, i)`` — domains separate the experiment kinds so
-enlarging one campaign never perturbs another — and the campaign reduces the
-count matrices to the statistics the theorems speak about:
+enlarging one campaign never perturbs another.  ``_counts`` forms the
+totals ``Z`` and the innovations ``W`` from each block's uncapped births,
+and the campaign reduces them to the statistics the theorems speak about:
 
 * ``verify``: the regime's verdict, ``oscillation_residual`` in regime III
   and ``run_experiment`` elsewhere, on one analysis of the law.
@@ -85,9 +86,9 @@ class ExperimentConfig:
     oscillation summary's median relative residual and ``tol_alternation``
     is the least share of replicates that must alternate in sign.  A horizon
     past the batch engine's bound, more than ``_MAX_CELLS`` totals
-    (``replicates * (horizon + 1)``), a lag outside ``[0, min(horizon, _MAX_LAG)]``, or a
-    tolerance no campaign can meet (negative, NaN, or ``tol_alternation``
-    above 1) is refused.
+    (``replicates * (horizon + 1)``), a negative ``master_seed``, a lag outside
+    ``[0, min(horizon, _MAX_LAG)]``, or a tolerance no campaign can meet
+    (negative, NaN, or ``tol_alternation`` above 1) is refused.
     """
 
     law: OffspringLaw
@@ -111,6 +112,8 @@ class ExperimentConfig:
             raise ValueError(f"horizon = {self.horizon}: exceeds {_MAX_HORIZON}, the batch engine's bound")
         if self.replicates * (self.horizon + 1) > _MAX_CELLS:
             raise ValueError(f"replicates * (horizon + 1) = {self.replicates * (self.horizon + 1)} exceeds {_MAX_CELLS}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed = {self.master_seed}: a seed must be >= 0")
         if not self.lags:
             raise ValueError("need at least one lag")
         for j, lag in enumerate(self.lags):
@@ -210,17 +213,17 @@ def _counts(config: ExperimentConfig, domain: int, horizon: int, purpose: str, m
     """Simulate the campaign's replicates to ``horizon``: ``(Z, W)`` of the uncapped ones, as floats.
 
     Rows are the replicates below the population cap, in replicate order
-    (``_header`` counts the others).  ``W`` holds the
-    innovations of each row for the mean offspring ``mu``, formed from its
-    births block by block, or is ``None`` without ``mu``.  Faults if fewer
-    than two were usable, naming what they were for.
+    (``_header`` counts the others).  Each block's kept births are the one
+    source of both: ``Z`` is their running total, and ``W`` holds their
+    innovations for the mean offspring ``mu``, or is ``None`` without
+    ``mu``.  Faults if fewer than two were usable, naming what they were for.
     """
     Z, W = [], []
-    for block in _simulate_blocks(config.law, horizon, config.replicates, config.master_seed, domain, config.cap):
-        kept = ~block.capped
-        Z.append(block.Z[kept].astype(float))
+    for births, capped in _simulate_blocks(config.law, horizon, config.replicates, config.master_seed, domain, config.cap):
+        B = births[~capped]
+        Z.append(np.cumsum(B, axis=1).astype(float))
         if mu is not None:
-            W.append(_births_innovations(block.B[kept].astype(float), mu))
+            W.append(_births_innovations(B.astype(float), mu))
     used = sum(len(rows) for rows in Z)
     if used < 2:
         raise RuntimeError(f"only {used} replicates below the cap; cannot {purpose}")

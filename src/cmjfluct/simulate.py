@@ -60,8 +60,8 @@ _BLOCK_TAG = 0x626C6B
 _SCREEN_LIMIT = 1 << 62
 #: A float64 total at or above this exceeds every admissible cap, even after rounding.
 _SCREEN_FLOAT = 1.5 * _SCREEN_LIMIT
-#: Largest campaign horizon: the batch engine's birth schedule takes 1,600 bytes a step per block (3,200 with its
-#: totals), 32 MB here, and ``run()`` about 160 bytes a step.
+#: Largest campaign horizon: the batch engine's birth schedule takes 1,600 bytes a step per block, 16 MB here, and
+#: ``run()`` about 160 bytes a step.
 _MAX_HORIZON = 10**4
 #: How campaign replicates are drawn; campaign reports carry it.
 _RNG_SCHEME = f"PCG64 block multinomial, {_BLOCK_SIZE} replicates per block"
@@ -203,22 +203,6 @@ def run(law: OffspringLaw, horizon: int, seed, cap: int = _DEFAULT_CAP) -> Trace
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _Batch:
-    """Replicate paths as int64 arrays, one row per replicate.
-
-    ``B[i, n]`` and ``Z[i, n]`` are exact for every row with ``capped[i]``
-    false.  A capped row stops at the step its total is known to exceed the
-    cap: its later births are zero.  Births past the horizon are never
-    formed.  A campaign's innovations come from ``B`` alone
-    (:func:`_births_innovations`).
-    """
-
-    B: np.ndarray
-    Z: np.ndarray
-    capped: np.ndarray
-
-
 def _simulate_blocks(
     law: OffspringLaw,
     horizon: int,
@@ -227,18 +211,38 @@ def _simulate_blocks(
     domain: int,
     cap: int = _DEFAULT_CAP,
 ):
-    """Simulate ``replicates`` independent paths to ``horizon`` as int64 count arrays, block by block.
+    """Simulate ``replicates`` independent paths to ``horizon``, block by block, yielding ``(B, capped)`` per block.
 
-    Replicates come in blocks of ``_BLOCK_SIZE``; block ``b`` draws from
-    ``default_rng((master_seed, domain, b, _BLOCK_TAG))`` and always
-    simulates all its replicates, so replicate ``i``'s path depends on
-    ``(master_seed, domain, i)`` and not on ``replicates``.  Each step splits
-    a block's newborns across atoms with one multinomial draw.  A replicate
-    is capped exactly when ``Z_horizon > cap``, as in :func:`run`.  Returns
-    an iterator of one ``_Batch`` per block, the last cut to ``replicates``;
-    a caller that reduces each block before taking the next holds one
-    block's births at a time.  Refuses a cap or litter above
-    ``_SCREEN_LIMIT``, where the overflow screen cannot certify int64 products.
+    ``B[i, n]`` is replicate ``i``'s int64 births at time ``n``, exact for
+    every row with ``capped[i]`` false; a capped row stops at the step its
+    total is known to exceed the cap, and its later births are zero.  The
+    caller forms totals and innovations from the kept rows
+    (``harness._counts``).  Replicates come in blocks of ``_BLOCK_SIZE``;
+    block ``b`` draws from ``default_rng((master_seed, domain, b,
+    _BLOCK_TAG))`` and always simulates all its replicates, so replicate
+    ``i``'s path depends on ``(master_seed, domain, i)`` and not on
+    ``replicates``; the last block is cut to ``replicates``.  Each step
+    splits a block's newborns across atoms with one multinomial draw.  A
+    replicate is capped exactly when ``Z_horizon > cap``, as in :func:`run`.
+    The first ``next`` refuses, before any block is drawn, a negative
+    horizon, fewer than one replicate, and a cap or litter above
+    ``_SCREEN_LIMIT``, where the overflow screen cannot certify int64
+    products.
+
+    Replicates run along the last axis of the schedule.  ``committed`` is
+    ``Z_n`` plus the births already scheduled up to the horizon: it only
+    grows, and ends at ``Z_horizon``, so a replicate whose committed total
+    exceeds the cap is certain to cap and freezes.  Before the int64 product
+    of each step, a float64 screen freezes every replicate whose new total
+    reaches ``_SCREEN_FLOAT``; the other totals stay below 2^63, so no
+    unfrozen count can wrap.  Both tests run only where they can fire.  A
+    step's newborns are part of the committed total and each bears at most
+    ``L`` children (the largest litter), so no total grows by more than a
+    factor ``1 + L`` in a step: while the largest committed total times
+    ``2 (1 + L)`` (a 2x margin for float64 rounding) stays below
+    ``_SCREEN_FLOAT`` the screen is skipped, and while no committed total
+    exceeds ``cap`` so is the freeze test.  Once every replicate of a block
+    has frozen nothing is left to draw, and the block stops.
     """
     _require_admissible(law)
     if horizon < 0:
@@ -252,69 +256,41 @@ def _simulate_blocks(
         raise ValueError(f"a litter of {biggest} births exceeds 2^62: the batch engine's int64 overflow screen cannot certify it")
     probs = np.array([atom.prob for atom in law.atoms])
     litters = np.array([atom.births for atom in law.atoms], dtype=np.int64)
-    return (
-        _simulate_block(
-            np.random.default_rng((master_seed, domain, start // _BLOCK_SIZE, _BLOCK_TAG)),
-            probs, litters, horizon, cap, min(_BLOCK_SIZE, replicates - start),
-        )
-        for start in range(0, replicates, _BLOCK_SIZE)
-    )
-
-
-def _simulate_block(rng, probs, litters, horizon: int, cap: int, rows: int) -> _Batch:
-    """One block of the batch engine, returned as its first ``rows`` replicates.
-
-    Replicates run along the last axis.  ``committed`` is ``Z_n`` plus the
-    births already scheduled up to the horizon: it only grows, and ends at
-    ``Z_horizon``, so a replicate whose committed total exceeds the cap is
-    certain to cap and freezes.  Before the int64 product of each step, a
-    float64 screen freezes every replicate whose new total reaches
-    ``_SCREEN_FLOAT``; the other totals stay below 2^63, so no unfrozen
-    count can wrap.
-
-    Both tests run only where they can fire.  A step's newborns are part of
-    the committed total and each bears at most ``L`` children (the largest
-    litter), so no total grows by more than a factor ``1 + L`` in a step:
-    while the largest committed total times ``2 (1 + L)`` (a 2x margin for
-    float64 rounding) stays below ``_SCREEN_FLOAT`` the screen is skipped,
-    and while no committed total exceeds ``cap`` so is the freeze test.
-    Once every replicate has frozen nothing is left to draw, and the loop
-    stops.
-    """
-    size = _BLOCK_SIZE
-    k_top = litters.shape[1] - 1
+    size, k_top = _BLOCK_SIZE, litters.shape[1] - 1
     by_age = np.ascontiguousarray(litters.T)
     litter_sums = np.cumsum(litters.astype(float), axis=1)
     growth = 2 * (1 + max(map(sum, litters.tolist())))  # Python ints: a sum of litters near 2^62 would wrap int64
-    sched = np.zeros((horizon + 1, size), dtype=np.int64)
-    sched[0] = 1
-    committed = np.ones(size, dtype=np.int64)
-    largest = 1  # the largest committed total
-    capped = np.zeros(size, dtype=bool)
-    for n in range(horizon):
-        counts = rng.multinomial(sched[n], probs)
-        top = min(k_top, horizon - n)
-        screened = largest * growth >= _SCREEN_FLOAT
-        if screened:
-            over = committed + counts @ litter_sums[:, top] >= _SCREEN_FLOAT
-            screened = over.any()
+    for start in range(0, replicates, size):
+        rng = np.random.default_rng((master_seed, domain, start // size, _BLOCK_TAG))
+        sched = np.zeros((horizon + 1, size), dtype=np.int64)
+        sched[0] = 1
+        committed = np.ones(size, dtype=np.int64)
+        largest = 1  # the largest committed total
+        capped = np.zeros(size, dtype=bool)
+        for n in range(horizon):
+            counts = rng.multinomial(sched[n], probs)
+            top = min(k_top, horizon - n)
+            screened = largest * growth >= _SCREEN_FLOAT
             if screened:
-                counts[over] = 0
-        row = by_age[1 : top + 1] @ counts.T
-        committed += row.sum(axis=0)
-        largest = int(committed.max())
-        if screened or largest > cap:
-            frozen = (over | (committed > cap)) if screened else committed > cap
-            row[:, frozen] = 0
-            sched[n + 1 :, frozen] = 0
-            capped |= frozen
-            committed[frozen] = 0  # a frozen replicate draws nothing more; keep it from freezing again
-            if capped.all():
-                break
+                over = committed + counts @ litter_sums[:, top] >= _SCREEN_FLOAT
+                screened = over.any()
+                if screened:
+                    counts[over] = 0
+            row = by_age[1 : top + 1] @ counts.T
+            committed += row.sum(axis=0)
             largest = int(committed.max())
-        sched[n + 1 : n + top + 1] += row
-    B = sched.T[:rows]
-    return _Batch(B=B, Z=np.cumsum(B, axis=1), capped=capped[:rows])
+            if screened or largest > cap:
+                frozen = (over | (committed > cap)) if screened else committed > cap
+                row[:, frozen] = 0
+                sched[n + 1 :, frozen] = 0
+                capped |= frozen
+                committed[frozen] = 0  # a frozen replicate draws nothing more; keep it from freezing again
+                if capped.all():
+                    break
+                largest = int(committed.max())
+            sched[n + 1 : n + top + 1] += row
+        rows = min(size, replicates - start)
+        yield sched.T[:rows], capped[:rows]
 
 
 def fluctuations(trace: Trace, m: float, k_min: int, k_max: int) -> np.ndarray:

@@ -322,9 +322,17 @@ def _zeta_window(x: complex, m: float, trunc: int, denom: complex = 1.0) -> np.n
     """The one evaluator of the symbol ``zeta_k(x) = x^k - m^-k`` at a point: ``zeta_k(x) / denom``, ``k = 0..trunc``.
 
     Each entry is ``x**k - (1/m)**k`` in Python scalar powers, the division last; a power past float64 raises
-    ``OverflowError``.  The window is real when ``x`` and ``denom`` have zero imaginary part, complex otherwise."""
+    ``OverflowError`` naming ``x`` and the first such ``k``.  The window is real when ``x`` and ``denom`` have zero
+    imaginary part, complex otherwise."""
     x, denom, inv_m = complex(x), complex(denom), 1.0 / m
-    zeta = np.array([x**k - inv_m**k for k in range(trunc + 1)])
+    zeta = []
+    for k in range(trunc + 1):
+        try:
+            zeta.append(x**k - inv_m**k)
+        except OverflowError:
+            raise OverflowError(f"zeta_{k}(x) at x = {x!r} passes float64: a window to k = {trunc} needs its powers "
+                                f"below 2^1024") from None
+    zeta = np.array(zeta)
     return zeta.real / denom.real if x.imag == 0.0 and denom.imag == 0.0 else zeta / denom
 
 

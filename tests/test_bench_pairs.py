@@ -1,5 +1,6 @@
-"""``tools/bench_pairs.py`` counts and reports runs whose outputs failed the benchmark's checks, names a tree whose
-source changed during the run, gives each metric a verdict, and cleans up after itself when terminated."""
+"""``tools/bench_pairs.py`` counts and reports runs whose outputs failed the benchmark's checks, names the commit
+and the uncommitted changes of the tree it measured and a tree whose source changed during the run, gives each
+metric a verdict, and cleans up after itself when terminated."""
 
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ def test_incorrect_runs_are_counted_and_fail_the_script(tmp_path, monkeypatch, c
     )
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     monkeypatch.setattr(bench, "_unpack", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench, "_tree_state", lambda: ("1" * 40, []))
 
     def fake_run(checkout, workload, seed, seconds):
         wrong = workload == "w2" and seed == 12 and checkout == tmp_path  # one tree run fails its checks
@@ -55,6 +57,7 @@ def test_a_tree_whose_source_changes_mid_run_fails_the_script(tmp_path, monkeypa
     )
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     monkeypatch.setattr(bench, "_unpack", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench, "_tree_state", lambda: ("1" * 40, []))
     calls = []
 
     def fake_run(checkout, workload, seed, seconds):  # the tree's source is edited after its third run
@@ -75,6 +78,40 @@ def test_a_tree_whose_source_changes_mid_run_fails_the_script(tmp_path, monkeypa
     assert {p["parent"]["src_sha256"] for p in pairs} == {"p"}
 
 
+def test_the_report_names_the_tree_commit_and_its_uncommitted_changes(tmp_path, monkeypatch):
+    bench = _load()
+
+    def git(*args):
+        config = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        return subprocess.run(["git", *config, *args], cwd=tmp_path, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    for name in ("src/a.py", "perfbench/run.py", "notes.txt"):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text("0\n")
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "units_per_s", "better": "higher", "bound": 0.25}]})
+    )
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "_unpack", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench, "_run", lambda *a: {"correct": True, "environment": {}, "metrics": {"units_per_s": 1.0}})
+    args = ["--parent", "HEAD", "--label", "t", "--seeds", "1", "--seconds", "1", "--workloads", "w1"]
+    assert bench.main(args) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["tree_commit"] == git("rev-parse", "HEAD") and report["tree_status"] == []
+    # a dirty tree is benched and named: changes outside what the benchmark runs are left out
+    (tmp_path / "src/a.py").write_text("1\n")
+    (tmp_path / "perfbench/new.py").write_text("")
+    (tmp_path / "notes.txt").write_text("1\n")
+    assert bench.main(args) == 0
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["tree_commit"] == git("rev-parse", "HEAD")
+    assert report["tree_status"] == [" M src/a.py", "?? perfbench/new.py"]
+
+
 _SLEEPER = """
 import importlib.util, pathlib, subprocess, sys
 spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
@@ -82,6 +119,7 @@ bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench)
 bench.ROOT = pathlib.Path(sys.argv[2])
 bench._unpack = lambda rev, dest: "0" * 40
+bench._tree_state = lambda: ("1" * 40, [])
 sleeper = "import os, sys, time; open(sys.argv[1], 'w').write(str(os.getpid())); time.sleep(30)"
 bench._run = lambda *a: subprocess.run([sys.executable, "-c", sleeper, sys.argv[3]])  # a benchmark that never ends
 bench.main(["--parent", "HEAD", "--label", "t", "--seeds", "1", "--seconds", "1", "--workloads", "w1"])

@@ -528,6 +528,7 @@ _USAGE_CASES = {
     "missing-key": ({"command": None}, "config: missing required key 'command'"),
     "not-an-object": ("[1]", "config: expected an object, got list"),
     "not-an-integer": ({"seed": 1.5}, "config.seed: expected an integer, got 1.5"),
+    "seed": ({"seed": -1}, "config.seed: -1 is negative"),
     "not-finite": ({"law": {"atoms": [{"prob": math.nan, "births": [2]}]}},
                    "config.law.atoms[0].prob: nan is not finite"),
     "atoms": ({"law": {"atoms": {}}}, "config.law.atoms: expected a list"),

@@ -1,20 +1,21 @@
 """The batch engine against a reference copy of the step loop it replaced.
 
-``_simulate_block`` skips its float64 overflow screen while the largest
+``_simulate_blocks`` skips its float64 overflow screen while the largest
 committed total shows that the screen cannot fire, skips its freeze test while
-no total exceeds the cap, and stops once every replicate has frozen.  The
-reference below is the loop without those shortcuts: it screens and tests
-every replicate at every step to the horizon.  With the same block seeds every
-field of every block must be equal, over laws of one to four atoms, caps that
-freeze no replicate, some or all of them, and litter laws whose totals trip
-the screen.
+no total exceeds the cap, and stops a block once every replicate has frozen.
+The reference below is the loop without those shortcuts: it screens and tests
+every replicate at every step to the horizon.  With the same block seeds the
+births and the cap mask of every block must be equal, over laws of one to
+four atoms, caps that freeze no replicate, some or all of them, and litter
+laws whose totals trip the screen.
 
 The reference also keeps the cohort matrix ``Bnk`` the engine no longer forms.
 It is the oracle for the campaign's innovations: on every kept replicate the
 births ``B_n`` equal, exactly, the births ``sum_k B_{n-k,k}`` its cohorts bear
 at time ``n``, so ``W_n = sum_k W_{n-k,k}`` holds and ``W`` is fixed by the
 births alone.  ``harness._counts`` forms ``W`` from births, and it must equal,
-bit for bit, ``_births_innovations`` of the reference's births.
+bit for bit, ``_births_innovations`` of the reference's births, as its ``Z``
+must equal the reference's totals.
 """
 
 from __future__ import annotations
@@ -95,16 +96,15 @@ def _reference_blocks(law, horizon, replicates, master_seed, domain, cap):
 
 
 def _assert_same(law, horizon, seed, cap):
-    """Compare every block field and the campaign's ``Z`` and ``W``; return (all capped, screen fired) over the
-    reference blocks."""
+    """Compare every block's births and cap mask and the campaign's ``Z`` and ``W``; return (all capped, screen
+    fired) over the reference blocks."""
     got = list(sim._simulate_blocks(law, horizon, _R, seed, 0, cap))
     want = _reference_blocks(law, horizon, _R, seed, 0, cap)
     assert len(got) == len(want) == 2
-    for g, (w, _) in zip(got, want):
-        for name in ("B", "Z", "capped"):
-            a, b = getattr(g, name), getattr(w, name)
+    for block, (w, _) in zip(got, want):
+        for name, a, b in zip(("B", "capped"), block, (w.B, w.capped)):
             assert a.dtype == b.dtype and np.array_equal(a, b), (name, horizon, seed, cap)
-    assert sum(len(g.capped) for g in got) == _R
+    assert sum(len(capped) for _, capped in got) == _R
     _assert_campaign_counts(law, horizon, seed, cap, [w for w, _ in want])
     return all(w.capped.all() for w, _ in want), any(s for _, s in want)
 

@@ -11,9 +11,11 @@ laws here.
 
 ``_simulate_blocks`` and ``run()`` are judged against the pmf by a pooled chi-square: bins of consecutive values
 pooled to an expectation of at least 5, reported as ``z = (chi2 - df) / sqrt(2 df)``.  Over master seeds 1-20, at
-the sizes below, the 160 clean statistics (four laws, two simulators) stayed within |z| <= 2.84, so ``_Z_BOUND`` is
-4.  A simulator that draws the correlated-age law's age marginals independently keeps its mean litters, so
-``expected_counts`` cannot tell it apart, but read z = 144-209 over the same seeds.
+the sizes below, the 160 clean statistics of the four two-atom laws (two simulators) stayed within |z| <= 2.84, and
+the 40 of the three-atom law, which takes the engine's three-category draw and ``run()``'s multinomial, within
+-2.54..2.87, so ``_Z_BOUND`` is 4.  Two mutants keep the mean litters, so ``expected_counts`` cannot tell them
+apart: a simulator that draws the correlated-age law's age marginals independently read z = 144-209 over the same
+seeds, and one that permutes the three-atom law's probabilities, its litters rebalanced, z = 2015-2304.
 """
 
 from __future__ import annotations
@@ -31,12 +33,15 @@ _ENGINE_PATHS, _RUN_PATHS = 10_000, 1_000
 _SEEDS = (1, 2)
 #: Mean litters (1.7, 0.7, 0.6) whose ages are correlated within a litter: 1 child at age 1 goes with 2 at age 3.
 _CORRELATED = [(0.3, (1, 0, 2)), (0.7, (2, 1, 0))]
+#: Three atoms, mean litters (2, 0.5).
+_THREE = [(0.25, (1, 0)), (0.25, (3, 0)), (0.5, (2, 1))]
 
 _LAWS = {
     "gw13": ([(0.5, (1,)), (0.5, (3,))], 8),
     "law_i": ([(0.5, (1, 1)), (0.5, (3, 1))], 7),
     "correlated": (_CORRELATED, 8),
     "law_iii": ([(0.5, (0, 9)), (0.5, (2, 9))], 5),
+    "three_atoms": (_THREE, 7),
 }
 
 
@@ -78,7 +83,7 @@ def _pooled_z(pmf: np.ndarray, draws: np.ndarray) -> float:
 
 
 def _engine_draws(law, n: int, seed: int) -> np.ndarray:
-    return np.concatenate([batch.Z[:, n] for batch in sim._simulate_blocks(law, n, _ENGINE_PATHS, seed, 0)])
+    return np.concatenate([births.sum(axis=1) for births, _ in sim._simulate_blocks(law, n, _ENGINE_PATHS, seed, 0)])
 
 
 @pytest.mark.parametrize("name", list(_LAWS))
@@ -115,6 +120,17 @@ def test_independent_age_marginals_are_caught():
         mutant = [(p * q, births + (b,)) for p, births in mutant for b, q in marginal.items()]
     n = _LAWS["correlated"][1]
     clean, mutant = make_law(_CORRELATED), make_law(mutant)
+    assert np.allclose(sim.expected_counts(mutant, n)[1], sim.expected_counts(clean, n)[1], rtol=1e-13, atol=0.0)
+    pmf = _exact_pmf(clean, n)
+    for seed in _SEEDS:
+        assert _pooled_z(pmf, _engine_draws(mutant, n, seed)) > _Z_BOUND, f"master seed {seed}"
+
+
+def test_permuted_atom_probabilities_are_caught():
+    """The mutant swaps the first and last atoms' probabilities and gives the last atom a child more at each age:
+    the same mean litters and m, another law of Z_n."""
+    n = _LAWS["three_atoms"][1]
+    clean, mutant = make_law(_THREE), make_law([(0.5, (1, 0)), (0.25, (3, 0)), (0.25, (3, 2))])
     assert np.allclose(sim.expected_counts(mutant, n)[1], sim.expected_counts(clean, n)[1], rtol=1e-13, atol=0.0)
     pmf = _exact_pmf(clean, n)
     for seed in _SEEDS:

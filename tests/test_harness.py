@@ -80,6 +80,13 @@ def test_config_rejects_a_campaign_past_the_cell_budget(gw13, law_ii):
             ExperimentConfig(law_ii, horizon, replicates, 0)
 
 
+def test_config_rejects_a_negative_master_seed(gw13):
+    # numpy would refuse the block seed only when the campaign runs, in its own words
+    assert ExperimentConfig(gw13, 12, 100, 0).master_seed == 0
+    with pytest.raises(ValueError, match=re.escape("master_seed = -1: a seed must be >= 0")):
+        ExperimentConfig(gw13, 12, 100, -1)
+
+
 @pytest.fixture
 def no_spectrum(monkeypatch):
     """Make building a spectrum fail the test: a campaign refused by its lag or order must fault before it."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -491,9 +492,9 @@ def test_growth_of_squared_error_norm(gw13, law_ii):
     for law, critical in ((gw13, False), (law_ii, True)):
         report = classify(law)
         acc = np.zeros(len(ns))
-        for block in sim._simulate_blocks(law, n_hi, reps, 404, 0):
-            assert not block.capped.any()
-            Z = block.Z.astype(float)
+        for births, capped in sim._simulate_blocks(law, n_hi, reps, 404, 0):
+            assert not capped.any()
+            Z = np.cumsum(births, axis=1).astype(float)
             for k in range(n_hi + 1):
                 acc += np.sum(sim._prediction_errors(Z, report.m, ns, [k])[..., 0] ** 2, axis=0)
         log_mean = np.log(acc / reps)
@@ -510,9 +511,10 @@ def test_growth_of_squared_error_norm(gw13, law_ii):
 
 
 def _batch(law, horizon, replicates, cap=sim._DEFAULT_CAP, master_seed=0):
-    """Every block of the batch engine, joined: one row per replicate."""
-    blocks = list(sim._simulate_blocks(law, horizon, replicates, master_seed, 0, cap))
-    return SimpleNamespace(**{name: np.concatenate([getattr(b, name) for b in blocks]) for name in ("B", "Z", "capped")})
+    """Every block of the batch engine, joined: one row per replicate, with the totals its births make."""
+    births, capped = zip(*sim._simulate_blocks(law, horizon, replicates, master_seed, 0, cap))
+    B = np.concatenate(births)
+    return SimpleNamespace(B=B, Z=np.cumsum(B, axis=1), capped=np.concatenate(capped))
 
 
 def test_batch_matches_run_on_deterministic_laws(det_gw, det_two_age):
@@ -581,3 +583,21 @@ def test_batch_guards_int64_overflow():
         _batch(make_law([(1.0, (2,))]), 3, 2, cap=2**62 + 1)
     with pytest.raises(ValueError, match="2\\^62"):
         _batch(make_law([(1.0, (2**63,))]), 3, 2)
+
+
+def test_engine_refusals_come_before_any_block_is_drawn(monkeypatch):
+    # every named refusal of the generator raises at its first next(), before a block's generator is seeded
+    law, huge = make_law([(1.0, (2,))]), make_law([(0.5, (1,)), (0.5, (2**62 + 1,))])
+    seeded = []
+    monkeypatch.setattr(sim.np.random, "default_rng", lambda *args: seeded.append(args))
+    cases = [
+        ((law, -1, 2, 0, 0), "horizon = -1 must be >= 0"),
+        ((law, 3, 0, 0, 0), "replicates = 0 must be >= 1"),
+        ((law, 3, 2, 0, 0, 0), "cap = 0 outside [1, 2^62]"),
+        ((law, 3, 2, 0, 0, 2**62 + 1), f"cap = {2**62 + 1} outside [1, 2^62]"),
+        ((huge, 3, 2, 0, 0), f"a litter of {2**62 + 1} births exceeds 2^62"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(sim._simulate_blocks(*args))
+    assert not seeded

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -309,9 +310,9 @@ def test_a_window_power_past_float64_raises(law_i):
     # the windows are Python scalar powers (spectral._zeta_window): one past float64 raises rather than reading inf
     m = 1.0 + SQRT2
     assert np.isfinite(eigen_direction(law_i, -m, m, trunc=800)[0]).all()  # (1 + sqrt 2)^k passes float64 from k = 806
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=re.escape(f"zeta_806(x) at x = {complex(-m)!r} passes float64")):
         eigen_direction(law_i, -m, m, trunc=810)
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=re.escape("zeta_103(x) at x = (1000+0j) passes float64")):  # 1000^103
         resolvent_vector(1e-3, law_i, m, trunc=110)
 
 

@@ -16,8 +16,10 @@ file is still written and the script exits 1, naming the workload, seed and side
 
 Each run's record keeps the ``src_sha256`` of the source it measured, and the file's top level the tree's, taken from
 the first pair.  If a later tree run measured other source (the working tree changed during the run), the file is
-still written and the script exits 1, naming the first such pair.  Stopped by SIGTERM, the script exits 143 and
-leaves no checkout or benchmark process behind.
+still written and the script exits 1, naming the first such pair.  The top level also names the tree that was
+measured: ``tree_commit``, its ``HEAD`` when the script started, and ``tree_status``, the ``git status --porcelain``
+entries under ``src/``, ``perfbench/`` and ``BENCHMARK.json`` then (empty for a clean tree; a dirty tree is benched
+and named, not refused).  Stopped by SIGTERM, the script exits 143 and leaves no checkout or benchmark process behind.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ def _unpack(rev: str, dest: pathlib.Path) -> str:
         except TypeError:  # no extraction filters before Python 3.10.12 / 3.11.4; the archive is this repository's
             tar.extractall(dest)
     return commit
+
+
+def _tree_state() -> tuple[str, list[str]]:
+    """The tree's ``HEAD`` commit and its ``git status --porcelain`` entries under what the benchmark runs."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
+
+    status = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json")
+    return git("rev-parse", "--verify", "HEAD").strip(), status.splitlines()
 
 
 def _run(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
@@ -129,6 +140,7 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in bench["end_to_end"]}
     report = {"label": args.label, "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
+    report["tree_commit"], report["tree_status"] = _tree_state()
     incorrect, moved = [], []
     previous = signal.signal(signal.SIGTERM, _stop)
     try:
